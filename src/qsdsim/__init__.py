@@ -14,7 +14,7 @@ from .errors import (DegenerateStateError, IntegrationFailureError,
                      InvalidComparisonError, InvalidParameterError, QsdError,
                      ShapeError)
 from .master import (MasterRunConfig, analytic_offdiagonal, integrate_master,
-                     lindblad_rhs, psd_master_rhs)
+                     lindblad_rhs, psd_master_exact, psd_master_rhs)
 from .noise import (ClassicalDiffusionSpec, NoiseStream, sample_dw,
                     sample_dxi, sample_dxi_block, simulate_langevin)
 from .qcore import (align_global_phase, as_density, as_operator, as_state,
@@ -78,6 +78,7 @@ __all__ = [
     "norm_defect_samples",
     "normalize",
     "planck_time",
+    "psd_master_exact",
     "psd_master_rhs",
     "psd_step",
     "pure_projector",

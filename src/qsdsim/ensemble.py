@@ -1,11 +1,15 @@
 """Ensemble runs, ensemble-vs-master reconciliation, localization statistics.
 
-Trajectories are integrated in fixed-size batches of 512 (vectorized over
-the batch), each trajectory drawing from its own counter-based noise
-stream keyed by (master_seed, trajectory_index).  Worker processes only
-distribute those fixed batches, and all reductions happen in the parent
-over index-ordered stacked arrays, so a run's output is bit-identical for
-any worker count.
+The parent diagonalizes H once; trajectories are then integrated as
+energy-eigenbasis amplitudes, where the PSD step is elementwise
+(trajectory._EigenKernel), in fixed-size batches of 512, each trajectory
+drawing from its own counter-based noise stream keyed by (master_seed,
+trajectory_index).  Per-row arithmetic is elementwise or a row-wise
+einsum, so it does not depend on the batch a trajectory lands in.  Worker
+processes only distribute those fixed batches, and all reductions happen
+in the parent over index-ordered stacked arrays, so a run's output is
+bit-identical for any worker count.  The mean projector is reduced in the
+eigenbasis and rotated back once per record time.
 
 Units: all integration happens in natural units (hbar = 1).  SI configs
 are rescaled on load - the energy unit E0 is the largest |eigenvalue| of
@@ -17,6 +21,7 @@ echoed in every output header.
 import csv
 import json
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,13 +31,11 @@ import numpy as np
 
 from . import master as master_mod
 from . import qcore, spacetime
-from .errors import (DegenerateStateError, IntegrationFailureError,
-                     InvalidComparisonError, InvalidParameterError)
+from .errors import InvalidComparisonError, InvalidParameterError, QsdError
 from .noise import NoiseStream
-from .trajectory import record_steps
+from .trajectory import _EigenKernel, _integrate_eigenbasis, record_steps
 
 CHUNK_SIZE = 512         # trajectories per batch; independent of worker count
-NOISE_BLOCK = 1024       # steps of noise drawn per generator call
 MAX_RECORD_POINTS = 10_000
 
 
@@ -66,7 +69,8 @@ class SimulationConfig:
         if self.n_trajectories < 1:
             raise InvalidParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if not np.isfinite(self.dt) or self.dt <= 0.0 or self.dt > self.t_final:
+        if not (np.isfinite(self.dt) and np.isfinite(self.t_final)) \
+                or self.dt <= 0.0 or self.dt > self.t_final:
             raise InvalidParameterError(
                 f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
         if not np.isfinite(self.tau0) or self.tau0 <= 0.0:
@@ -116,28 +120,47 @@ class SimulationConfig:
 
 
 def config_from_dict(data: dict) -> SimulationConfig:
-    """Build a run config from its JSON form, resolving units and tau0."""
+    """Build a run config from its JSON form, resolving units and tau0.
+
+    Every malformed field - missing, of the wrong type, unparsable or
+    non-finite - raises InvalidParameterError.
+    """
     try:
-        units = data.get("units", "natural")
-        if units not in ("natural", "SI"):
-            raise InvalidParameterError(f"units must be 'natural' or 'SI', got {units!r}")
-        h = qcore.operator_from_json(data["hamiltonian"])
-        psi0 = qcore.state_from_json(data["initial_state"])
-        tau0_mode = data.get("tau0_mode", "explicit")
-        c_factor = float(data.get("C", 1.0))
-        dt = float(data["dt"])
-        t_final = float(data["t_final"])
-        n_traj = int(data.get("n_trajectories", 1))
-        seed = int(data.get("master_seed", 0))
-        stride = data.get("record_stride")
-        stride = None if stride is None else int(stride)
+        return _parse_config(data)
+    except QsdError:
+        raise
     except KeyError as exc:
         raise InvalidParameterError(f"config is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"malformed config: {exc}") from exc
+
+
+def _finite(data: dict, key: str, default=None) -> float:
+    value = float(data[key] if default is None else data.get(key, default))
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _parse_config(data: dict) -> SimulationConfig:
+    units = data.get("units", "natural")
+    if units not in ("natural", "SI"):
+        raise InvalidParameterError(f"units must be 'natural' or 'SI', got {units!r}")
+    h = qcore.operator_from_json(data["hamiltonian"])
+    psi0 = qcore.state_from_json(data["initial_state"])
+    tau0_mode = data.get("tau0_mode", "explicit")
+    c_factor = _finite(data, "C", 1.0)
+    dt = _finite(data, "dt")
+    t_final = _finite(data, "t_final")
+    n_traj = int(data.get("n_trajectories", 1))
+    seed = int(data.get("master_seed", 0))
+    stride = data.get("record_stride")
+    stride = None if stride is None else int(stride)
 
     if tau0_mode == "explicit":
         if "tau0" not in data:
             raise InvalidParameterError("explicit tau0_mode requires a tau0 field")
-        tau0 = float(data["tau0"])
+        tau0 = _finite(data, "tau0")
     elif tau0_mode == "planck":
         if units != "SI":
             raise InvalidParameterError(
@@ -147,6 +170,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
         raise InvalidParameterError(
             f"tau0_mode must be 'explicit' or 'planck', got {tau0_mode!r}")
 
+    energy_unit_j = time_unit_s = None
     if units == "SI":
         hbar_si = spacetime.CODATA.hbar
         h_herm = qcore.as_operator(h, hermitian=True)
@@ -157,17 +181,13 @@ def config_from_dict(data: dict) -> SimulationConfig:
         dt *= to_natural_time
         t_final *= to_natural_time
         tau0 *= to_natural_time
-        return SimulationConfig(
-            hamiltonian=h, initial_state=psi0, tau0=tau0, dt=dt,
-            t_final=t_final, n_trajectories=n_traj, master_seed=seed,
-            record_stride=stride, hbar=1.0, tau0_mode=tau0_mode,
-            c_factor=c_factor, units="SI", energy_unit_j=e0,
-            time_unit_s=hbar_si / e0)
+        energy_unit_j, time_unit_s = e0, hbar_si / e0
     return SimulationConfig(
         hamiltonian=h, initial_state=psi0, tau0=tau0, dt=dt,
         t_final=t_final, n_trajectories=n_traj, master_seed=seed,
         record_stride=stride, hbar=1.0, tau0_mode=tau0_mode,
-        c_factor=c_factor, units="natural")
+        c_factor=c_factor, units=units, energy_unit_j=energy_unit_j,
+        time_unit_s=time_unit_s)
 
 
 def load_config(path) -> SimulationConfig:
@@ -208,66 +228,14 @@ class EnsembleSummary:
 def _simulate_chunk(args):
     """Integrate trajectories [start, start+count) as one vectorized batch.
 
-    Runs in worker processes; einsum (unoptimized) keeps per-row arithmetic
-    identical for any batch size, so chunk boundaries never leak into values.
+    Runs in worker processes on energy-eigenbasis amplitudes.  The kernel's
+    arithmetic is elementwise per row (row-wise unoptimized einsum for the
+    sums), so chunk boundaries never leak into values and trajectory k
+    matches run_trajectory on stream k bit for bit.
     """
-    (h, psi0, tau0, hbar, dt, n_steps, rec_steps, seed, start, count) = args
-    n = psi0.shape[0]
-    rec_index = {step: i for i, step in enumerate(rec_steps)}
-    n_rec = len(rec_steps)
-
-    psi = np.tile(psi0, (count, 1))
-    states = np.empty((count, n_rec, n), dtype=np.complex128)
-    e_series = np.empty((count, n_rec))
-    var_series = np.empty((count, n_rec))
-    defect_series = np.empty((count, n_rec))
-    last_defect = np.zeros(count)
-
+    kernel, c0, n_steps, rec_steps, seed, start, count = args
     streams = [NoiseStream(seed, start + j) for j in range(count)]
-    sqrt_tau = math.sqrt(tau0)
-    inv_h = 1.0 / hbar
-    drift1 = -1j * inv_h * dt
-    drift2 = -0.5 * tau0 * inv_h * inv_h * dt
-    diff_amp = sqrt_tau * inv_h
-    root_half_dt = math.sqrt(0.5 * dt)
-
-    def record(pos):
-        hpsi = np.einsum("ij,bj->bi", h, psi)
-        e = np.einsum("bi,bi->b", psi.conj(), hpsi).real
-        e2 = np.einsum("bi,bi->b", hpsi.conj(), hpsi).real
-        states[:, pos] = psi
-        e_series[:, pos] = e
-        var_series[:, pos] = np.maximum(e2 - e * e, 0.0)
-        defect_series[:, pos] = last_defect
-
-    record(0)
-    step = 0
-    while step < n_steps:
-        block = min(NOISE_BLOCK, n_steps - step)
-        dxi = np.empty((count, block), dtype=np.complex128)
-        for j, s in enumerate(streams):
-            g = s.standard_normal((block, 2))
-            dxi[j] = root_half_dt * (g[:, 0] + 1j * g[:, 1])
-        for i in range(block):
-            step += 1
-            hpsi = np.einsum("ij,bj->bi", h, psi)
-            e = np.einsum("bi,bi->b", psi.conj(), hpsi).real
-            hd = hpsi - e[:, None] * psi
-            hd2 = np.einsum("ij,bj->bi", h, hd) - e[:, None] * hd
-            new = psi + drift1 * hd + drift2 * hd2 \
-                + (diff_amp * dxi[:, i])[:, None] * hd
-            nrm_sq = np.einsum("bi,bi->b", new.conj(), new).real
-            if not np.all(np.isfinite(nrm_sq)) or np.any(nrm_sq < 1e-28):
-                bad = int(np.argmax(~np.isfinite(nrm_sq) | (nrm_sq < 1e-28)))
-                raise DegenerateStateError(
-                    f"trajectory {start + bad} failed at step {step}: "
-                    f"norm^2 = {nrm_sq[bad]!r}")
-            nrm = np.sqrt(nrm_sq)
-            last_defect = nrm - 1.0
-            psi = new / nrm[:, None]
-            if step in rec_index:
-                record(rec_index[step])
-    return states, e_series, var_series, defect_series
+    return _integrate_eigenbasis(kernel, c0, streams, n_steps, rec_steps)
 
 
 def run_ensemble(config: SimulationConfig, workers: int = 1) -> EnsembleSummary:
@@ -281,36 +249,29 @@ def run_ensemble(config: SimulationConfig, workers: int = 1) -> EnsembleSummary:
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    h = config.hamiltonian
-    psi0 = config.initial_state
+    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0, config.hbar)
+    vecs = kernel.vecs
+    c0 = vecs.conj().T @ config.initial_state   # <v_k | psi0>
     n_steps = config.n_steps
     rec_steps = tuple(record_steps(n_steps, config.effective_record_stride))
     m = config.n_trajectories
 
-    jobs = []
-    for start in range(0, m, CHUNK_SIZE):
-        count = min(CHUNK_SIZE, m - start)
-        jobs.append((h, psi0, config.tau0, config.hbar, config.dt, n_steps,
-                     rec_steps, config.master_seed, start, count))
-
-    if workers == 1 or len(jobs) == 1:
+    jobs = [(kernel, c0, n_steps, rec_steps, config.master_seed, start,
+             min(CHUNK_SIZE, m - start)) for start in range(0, m, CHUNK_SIZE)]
+    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    if pool_size == 1:
         results = [_simulate_chunk(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_simulate_chunk, jobs))
 
-    states = np.concatenate([r[0] for r in results], axis=0)
-    e_series = np.concatenate([r[1] for r in results], axis=0)
-    var_series = np.concatenate([r[2] for r in results], axis=0)
-    defect_series = np.concatenate([r[3] for r in results], axis=0)
+    amps, e_series, var_series, defect_series = (
+        np.concatenate(parts, axis=0) for parts in zip(*results))
 
-    mean_projector = np.einsum("mti,mtj->tij", states, states.conj()) / m
-    eigvals, eigvecs = np.linalg.eigh(h)
-    # amplitudes in the energy eigenbasis: <v_k | psi>
-    initial_pops = np.abs(eigvecs.conj().T @ psi0) ** 2
-    terminal_amps = states[:, -1, :] @ eigvecs.conj()
-    winners = np.argmax(np.abs(terminal_amps) ** 2, axis=1)
-    born = np.bincount(winners, minlength=h.shape[0]) / m
+    mean_eigen = np.einsum("mti,mtj->tij", amps, amps.conj()) / m
+    mean_projector = vecs @ mean_eigen @ vecs.conj().T
+    winners = np.argmax(np.abs(amps[:, -1, :]) ** 2, axis=1)
+    born = np.bincount(winners, minlength=len(c0)) / m
 
     times = config.dt * np.asarray(rec_steps, dtype=float)
     return EnsembleSummary(
@@ -318,8 +279,8 @@ def run_ensemble(config: SimulationConfig, workers: int = 1) -> EnsembleSummary:
         mean_projector=mean_projector,
         mean_energy=e_series.mean(axis=0),
         mean_energy_variance=var_series.mean(axis=0),
-        eigenvalues=eigvals,
-        initial_populations=initial_pops,
+        eigenvalues=kernel.energies,
+        initial_populations=np.abs(c0) ** 2,
         born_frequencies=born,
         energy_series=e_series,
         variance_series=var_series,
@@ -331,31 +292,28 @@ def run_ensemble(config: SimulationConfig, workers: int = 1) -> EnsembleSummary:
 
 def compare_ensemble_to_master(summary: EnsembleSummary,
                                config: SimulationConfig) -> np.ndarray:
-    """Trace distance between the ensemble mean projector and the RK4
-    master solution at every record time.
+    """Trace distance between the ensemble mean projector and the master
+    solution at every record time.
 
-    Expected to scale as O(1/sqrt(M)) Monte Carlo error plus O(dt)
-    discretization bias.
+    The master solution is the closed form of master.psd_master_exact,
+    evaluated at the record times only.  Expected to scale as
+    O(1/sqrt(M)) Monte Carlo error plus O(dt) discretization bias.
     """
     if not config.physics_matches(summary.config):
         raise InvalidComparisonError(
             "ensemble summary and config describe different runs "
             "(hamiltonian / initial state / tau0 / grid mismatch)")
     rec_steps = record_steps(config.n_steps, config.effective_record_stride)
+    times = config.dt * np.asarray(rec_steps, dtype=float)
     if len(rec_steps) != len(summary.times) or not np.allclose(
-            config.dt * np.asarray(rec_steps), summary.times):
+            times, summary.times):
         raise InvalidComparisonError("record grids do not line up")
 
-    rho0 = qcore.pure_projector(config.initial_state)
-    run = master_mod.MasterRunConfig(dt=config.dt, t_final=config.t_final,
-                                     tau0=config.tau0, hbar=config.hbar)
-    rhs = lambda rho: master_mod.psd_master_rhs(  # noqa: E731
-        rho, config.hamiltonian, config.tau0, config.hbar)
-    _, rhos = master_mod.integrate_master(rho0, rhs, run)
-    return np.array([
-        qcore.trace_distance(summary.mean_projector[j], rhos[step])
-        for j, step in enumerate(rec_steps)
-    ])
+    rhos = master_mod.psd_master_exact(
+        qcore.pure_projector(config.initial_state), config.hamiltonian,
+        config.tau0, times, config.hbar)
+    return np.array([qcore.trace_distance(p, rho)
+                     for p, rho in zip(summary.mean_projector, rhos)])
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Density-operator evolution: Lindblad right-hand sides and an RK4 driver.
+"""Density-operator evolution: Lindblad right-hand sides, an RK4 driver and
+the closed-form hamiltonian-driven solution.
 
 Two generators:
 
@@ -8,11 +9,15 @@ Two generators:
 
 The second is the first with L = sqrt(tau0) H / hbar + i I / sqrt(tau0);
 the identity-part terms cancel, which the tests verify entrywise.  For a
-diagonal H the off-diagonals decay in closed form,
+time-independent H the second is diagonal in the energy eigenbasis and
+solves in closed form (psd_master_exact),
 
-    rho_12(t) = rho_12(0) exp(-i dE t / hbar - tau0 dE^2 t / (2 hbar^2)),
+    rho_jk(t) = rho_jk(0) exp(-i w_jk t / hbar - tau0 w_jk^2 t / (2 hbar^2)),
 
-which serves as the integration oracle.
+with w_jk = E_j - E_k.  That closed form is what `compare` evaluates, at
+the record times only.  RK4 (integrate_master) is its independent oracle,
+the path of a general Lindblad operator, and what the `master` subcommand
+runs.
 """
 
 import csv
@@ -41,7 +46,7 @@ class MasterRunConfig:
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0.0:
             raise InvalidParameterError(f"dt must be positive, got {self.dt}")
-        if self.t_final < self.dt:
+        if not np.isfinite(self.t_final) or self.t_final < self.dt:
             raise InvalidParameterError(
                 f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
         if self.tau0 < 0.0:
@@ -112,6 +117,29 @@ def integrate_master(rho0, rhs, config: MasterRunConfig):
             RuntimeWarning, stacklevel=2)
     times = dt * np.arange(n_steps + 1)
     return times, states
+
+
+def psd_master_exact(rho0, h, tau0: float, times, hbar: float = 1.0) -> np.ndarray:
+    """Closed-form solution of psd_master_rhs at each of `times`, (T, n, n).
+
+    rho0 is rotated into the eigenbasis of H once, each entry decays at
+    its own rate, and each state is rotated back; no time stepping.
+    """
+    rho0 = qcore.as_density(rho0)
+    h = qcore.as_operator(h, hermitian=True)
+    if rho0.shape != h.shape:
+        raise ShapeError(f"shape mismatch: rho {rho0.shape} vs H {h.shape}")
+    tau0 = float(tau0)
+    if not np.isfinite(tau0) or tau0 < 0.0:
+        raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0.0):
+        raise InvalidParameterError("times must be a 1-d array of finite t >= 0")
+    energies, vecs = np.linalg.eigh(h)
+    w = energies[:, None] - energies[None, :]
+    rate = -1j * w / hbar - 0.5 * tau0 * w * w / hbar ** 2
+    rho_eigen = vecs.conj().T @ rho0 @ vecs
+    return vecs @ (rho_eigen * np.exp(times[:, None, None] * rate)) @ vecs.conj().T
 
 
 def analytic_offdiagonal(rho0_12: complex, e1: float, e2: float, tau0: float,

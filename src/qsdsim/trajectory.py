@@ -20,19 +20,28 @@ oracle.  Both steps are Euler-Maruyama followed by explicit
 renormalization; the continuous equations preserve the norm exactly under
 Ito rules, and the discrete pre-renormalization defect is O(dt^2) in the
 mean.
+
+H is time-independent, so production runs step in its eigenbasis, where
+Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
+(`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
+run_trajectory, the ensemble and norm_defect_samples; the dense psd_step
+and qsd_step stay as its oracle and as the general-L route.
 """
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qcore
 from .errors import DegenerateStateError, InvalidParameterError, ShapeError
-from .noise import NoiseStream, sample_dxi
+from .noise import NoiseStream, sample_dxi, sample_dxi_block
 
 _UNIT_PHASE_TOL = 1e-12
+NOISE_BLOCK = 1024       # steps of noise drawn per generator call
+_MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
 
 def lindblad_from_hamiltonian(h, tau0: float, hbar: float = 1.0) -> np.ndarray:
@@ -121,6 +130,104 @@ def psd_step(psi, h, tau0: float, dxi: complex, dt: float,
     return qcore.normalize(new)
 
 
+class _EigenKernel:
+    """The PSD step on energy-eigenbasis amplitudes c of shape (B, n).
+
+    In the eigenbasis of H (columns of `vecs`), Hd = diag(E - e) with
+    e = sum_k |c_k|^2 E_k, and the increment of psd_increment becomes, per
+    component,
+
+        c_k *= 1 + hd_k (-i dt/hbar - (tau0/2hbar^2) dt hd_k
+                         + (sqrt(tau0)/hbar) dxi),      hd_k = E_k - e.
+
+    Every operation is elementwise or a row-wise unoptimized einsum, so the
+    bits of a row do not depend on the batch size B.
+    """
+
+    def __init__(self, h, dt: float, tau0: float, hbar: float = 1.0):
+        self.energies, self.vecs = np.linalg.eigh(h)
+        self._pairs = np.repeat(self.energies, 2)    # E_k per float of a row
+        self.dt = float(dt)
+        self._drift = -1j * self.dt / hbar
+        self._curvature = -0.5 * tau0 * self.dt / hbar ** 2
+        self._diffusion = math.sqrt(tau0) / hbar
+
+    def coefficients(self, dxi) -> np.ndarray:
+        """Turn dxi of shape (steps, B) into -i dt/hbar + sqrt(tau0)/hbar dxi
+        in place (a block of noise is the largest buffer of a run); returned
+        as a (steps, B, 1) view that broadcasts over a row."""
+        dxi *= self._diffusion
+        dxi += self._drift
+        return dxi[..., None]
+
+    def mean_energy(self, c) -> np.ndarray:
+        v = c.view(np.float64)
+        return np.einsum("bi,bi,i->b", v, v, self._pairs)
+
+    def step(self, c, coeff, nrm_sq) -> np.ndarray:
+        """One step with per-row coefficients coeff (B, 1); writes each row's
+        squared norm before renormalization into nrm_sq and returns the
+        renormalized amplitudes."""
+        hd = self.energies - self.mean_energy(c)[:, None]
+        f = coeff + self._curvature * hd
+        f *= hd
+        f += 1.0
+        f *= c
+        w = f.view(np.float64)
+        np.einsum("bi,bi->b", w, w, out=nrm_sq)
+        f /= np.sqrt(nrm_sq)[:, None]
+        return f
+
+
+def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
+                          rec_steps):
+    """Integrate one trajectory per noise stream from eigenbasis amplitudes c0.
+
+    Row b draws its increments from streams[b] in blocks (sample_dxi_block,
+    bit-identical to per-step sample_dxi), so a trajectory's values do not
+    depend on which other streams share its batch.  Returns, at the steps
+    in rec_steps, the amplitudes (B, T, n), <H> and Var H (B, T), and the
+    norm defect ||psi + dpsi|| - 1 of the step just taken (B, T).
+    """
+    count, shape = len(streams), (len(streams), len(rec_steps))
+    rec_index = {step: i for i, step in enumerate(rec_steps)}
+    amps = np.empty(shape + c0.shape, dtype=np.complex128)
+    energy, variance, defect = np.empty(shape), np.empty(shape), np.empty(shape)
+    c = np.tile(c0, (count, 1))
+    nrm_sq = np.ones(count)
+    dxi = np.empty((min(NOISE_BLOCK, n_steps), count), dtype=np.complex128)
+    norms = np.empty(dxi.shape)
+
+    def record(pos):
+        e = kernel.mean_energy(c)
+        hd = kernel.energies - e[:, None]
+        amps[:, pos], energy[:, pos] = c, e
+        variance[:, pos] = np.einsum("bk,bk,bk->b", (c.conj() * c).real, hd, hd)
+        defect[:, pos] = np.sqrt(nrm_sq) - 1.0
+
+    record(0)
+    for start in range(0, n_steps, NOISE_BLOCK):
+        block = min(NOISE_BLOCK, n_steps - start)
+        for j, s in enumerate(streams):
+            dxi[:block, j] = sample_dxi_block(kernel.dt, block, s)
+        coeff = kernel.coefficients(dxi[:block])
+        # a failed row runs on as nan/inf to the end of the block, where its
+        # first bad step is reported
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(block):
+                nrm_sq = norms[i]
+                c = kernel.step(c, coeff[i], nrm_sq)
+                if start + i + 1 in rec_index:
+                    record(rec_index[start + i + 1])
+        bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
+        if bad.any():
+            i, b = divmod(int(np.argmax(bad)), count)
+            raise DegenerateStateError(
+                f"trajectory {streams[b].stream_index} failed at step "
+                f"{start + i + 1}: norm^2 = {norms[i, b]!r}")
+    return amps, energy, variance, defect
+
+
 def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
                         stream: NoiseStream, hbar: float = 1.0) -> np.ndarray:
     """Pre-renormalization ||psi + dpsi||^2 - 1 for n independent noise draws
@@ -130,22 +237,14 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     draws fluctuate at O(dt) around it with zero mean.
     """
     psi = qcore.as_state(psi)
-    h = np.asarray(h, dtype=np.complex128)
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    g = stream.standard_normal((n, 2))
-    dxi = np.sqrt(0.5 * dt) * (g[:, 0] + 1j * g[:, 1])
-
-    hpsi = h @ psi
-    mean = np.vdot(psi, hpsi).real
-    hd_psi = hpsi - mean * psi
-    hd2_psi = (h @ hd_psi) - mean * hd_psi
-    a_psi = (-1j / hbar) * hd_psi - (0.5 * tau0 / hbar ** 2) * hd2_psi
-    b_psi = (np.sqrt(tau0) / hbar) * hd_psi
-    new = psi[None, :] + dt * a_psi[None, :] + dxi[:, None] * b_psi[None, :]
-    norms_sq = np.einsum("bi,bi->b", new.conj(), new).real
-    return norms_sq - 1.0
+    kernel = _EigenKernel(qcore.as_operator(h, hermitian=True), dt, tau0, hbar)
+    coeff = kernel.coefficients(sample_dxi_block(dt, n, stream)[None, :])
+    nrm_sq = np.empty(n)
+    kernel.step(np.tile(kernel.vecs.conj().T @ psi, (n, 1)), coeff[0], nrm_sq)
+    return nrm_sq - 1.0
 
 
 @dataclass(frozen=True)
@@ -222,29 +321,36 @@ def run_trajectory(config: TrajectoryConfig, psi0, stream: NoiseStream,
     """Integrate one trajectory and record observable statistics.
 
     Exactly one of hamiltonian / lindblad must be given.  With a
-    hamiltonian the run uses the hamiltonian-driven step and records <H>
-    and Var H; with a bare Lindblad operator it uses the general diffusion
-    step and records the hermitian part (L + L^dagger)/2 instead.
-    Deterministic: the record depends only on the inputs and the stream.
+    hamiltonian the run is a batch of one through the eigenbasis kernel of
+    the ensemble, so it replays the ensemble trajectory with this stream
+    index bit for bit, and records <H> and Var H; with a bare Lindblad
+    operator it uses the general diffusion step and records the hermitian
+    part (L + L^dagger)/2 instead.  Deterministic: the record depends only
+    on the inputs and the stream.
     """
     if (hamiltonian is None) == (lindblad is None):
         raise InvalidParameterError(
             "exactly one of hamiltonian / lindblad must be provided")
     psi = qcore.normalize(qcore.as_state(psi0, normalized=False))
     if hamiltonian is not None:
-        h = qcore.as_operator(hamiltonian, hermitian=True)
-        observable = h
-        stepper = lambda p, dxi: psd_increment(  # noqa: E731
-            p, h, config.tau0, dxi, config.dt, config.hbar)
+        observable = qcore.as_operator(hamiltonian, hermitian=True)
     else:
         lop = qcore.as_operator(lindblad)
         observable = 0.5 * (lop + lop.conj().T)
-        stepper = lambda p, dxi: qsd_increment(p, lop, dxi, config.dt)  # noqa: E731
     if observable.shape[0] != psi.shape[0]:
         raise ShapeError(
             f"operator {observable.shape} does not match state {psi.shape}")
 
     recorded = record_steps(config.n_steps, config.record_stride)
+    if hamiltonian is not None:
+        kernel = _EigenKernel(observable, config.dt, config.tau0, config.hbar)
+        amps, e_mean, e_var, drift = _integrate_eigenbasis(
+            kernel, kernel.vecs.conj().T @ psi, [stream], config.n_steps, recorded)
+        return TrajectoryRecord(
+            times=config.dt * np.asarray(recorded, dtype=float),
+            energy_mean=e_mean[0], energy_variance=e_var[0],
+            norm_drift=drift[0], final_state=kernel.vecs @ amps[0, -1])
+
     record_set = set(recorded)
     times, e_mean, e_var, drift = [], [], [], []
     last_defect = 0.0
@@ -258,7 +364,7 @@ def run_trajectory(config: TrajectoryConfig, psi0, stream: NoiseStream,
     snapshot(0)
     for k in range(1, config.n_steps + 1):
         dxi = sample_dxi(config.dt, stream)
-        new = psi + stepper(psi, dxi)
+        new = psi + qsd_increment(psi, lop, dxi, config.dt)
         nrm = np.linalg.norm(new)
         if not np.isfinite(nrm) or nrm < qcore.ZERO_NORM_TOL:
             raise DegenerateStateError(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsdsim
 from qsdsim import qcore
 from qsdsim.cli import main
 
@@ -195,6 +200,28 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         with np.errstate(invalid="ignore", over="ignore"):
             assert main(["master", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"t_final": float("nan")},
+        {"t_final": float("inf")},
+        {"hamiltonian": [[["0.5", 0.0], [0.0, 0.0]],
+                         [[0.0, 0.0], ["minus a half", 0.0]]]},
+    ], ids=["nan", "infinity", "string-entry"])
+    def test_malformed_config_is_invalid_input(self, config_path, overrides):
+        # a fresh interpreter, so an escaping exception would show as a
+        # traceback on stderr
+        data = json.loads(config_path.read_text())
+        data.update(overrides)
+        config_path.write_text(json.dumps(data))
+        src = str(Path(qsdsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsdsim.cli", "compare", "--config",
+             str(config_path), "--out", str(config_path.parent / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("qsdsim: invalid input")
+        assert "Traceback" not in proc.stderr
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

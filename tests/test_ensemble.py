@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from qsdsim import (InvalidComparisonError, InvalidParameterError,
-                    SimulationConfig, as_density, compare_ensemble_to_master,
-                    config_from_dict, load_config, localization_stats,
-                    pure_projector, run_ensemble, spacetime, trace_distance)
+                    MasterRunConfig, SimulationConfig, as_density,
+                    compare_ensemble_to_master, config_from_dict,
+                    integrate_master, load_config, localization_stats,
+                    psd_master_rhs, pure_projector, run_ensemble, spacetime,
+                    trace_distance)
 from qsdsim import qcore
 from qsdsim.ensemble import (write_ensemble_csv, write_summary_json,
                              write_trajectory_csv)
+from conftest import random_hermitian, random_state
 
 
 def make_config(**overrides):
@@ -53,6 +56,9 @@ class TestConfig:
             make_config(tau0=0.0)        # diffusion runs need tau0 > 0
         with pytest.raises(InvalidParameterError):
             make_config(initial_state=np.array([1, 0, 0]))  # dim mismatch
+        for t_final in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                make_config(t_final=t_final)
 
     def test_initial_state_is_normalized(self):
         config = make_config(initial_state=np.array([3.0, 0.0]))
@@ -110,6 +116,24 @@ class TestConfig:
         del data["hamiltonian"]
         with pytest.raises(InvalidParameterError):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["dt", "t_final", "tau0", "C"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_numbers_rejected(self, key, value):
+        with pytest.raises(InvalidParameterError, match=key):
+            config_from_dict(config_json_dict(**{key: value}))
+
+    @pytest.mark.parametrize("overrides", [
+        {"hamiltonian": [[["x", 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]},
+        {"initial_state": "psi"},
+        {"dt": "small"},
+        {"dt": None},
+        {"n_trajectories": "many"},
+        {"record_stride": [20]},
+    ])
+    def test_malformed_fields_rejected(self, overrides):
+        with pytest.raises(InvalidParameterError):
+            config_from_dict(config_json_dict(**overrides))
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -194,6 +218,26 @@ class TestCompare:
             make_config(n_trajectories=4000, master_seed=77, **base)).max()
         # ~1/sqrt(M): expect roughly a factor 4 with generous slack
         assert d_large < d_small / 1.5
+
+    def test_closed_form_distances_match_rk4(self):
+        # the closed-form master gives the trace distances RK4 states give
+        rng = np.random.default_rng(21)
+        h = random_hermitian(rng, 8)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        config = make_config(hamiltonian=h, initial_state=random_state(rng, 8),
+                             dt=1e-3, t_final=2.0, n_trajectories=16,
+                             record_stride=100)
+        summary = run_ensemble(config)
+        dist = compare_ensemble_to_master(summary, config)
+        _, states = integrate_master(
+            pure_projector(config.initial_state),
+            lambda r: psd_master_rhs(r, config.hamiltonian, config.tau0),
+            MasterRunConfig(dt=config.dt, t_final=config.t_final,
+                            tau0=config.tau0))
+        steps = np.rint(summary.times / config.dt).astype(int)
+        rk4 = [trace_distance(p, states[k])
+               for p, k in zip(summary.mean_projector, steps)]
+        assert np.max(np.abs(dist - rk4)) <= 1e-8
 
     def test_mismatched_config_rejected(self):
         config = make_config(n_trajectories=32)

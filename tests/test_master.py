@@ -4,9 +4,10 @@ import pytest
 from qsdsim import (IntegrationFailureError, InvalidParameterError,
                     MasterRunConfig, ShapeError, analytic_offdiagonal,
                     integrate_master, lindblad_from_hamiltonian, lindblad_rhs,
-                    psd_master_rhs, pure_projector)
+                    psd_master_exact, psd_master_rhs, pure_projector)
 from qsdsim.master import max_offdiagonal, write_summary_csv
-from conftest import random_density, random_hermitian
+from qsdsim.trajectory import record_steps
+from conftest import random_density, random_hermitian, random_state
 
 
 def two_level_rhs(tau0, e1=1.0, e2=-1.0):
@@ -157,6 +158,9 @@ class TestIntegrateMaster:
             MasterRunConfig(dt=0.0, t_final=1.0)
         with pytest.raises(InvalidParameterError):
             MasterRunConfig(dt=2.0, t_final=1.0)
+        for t_final in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                MasterRunConfig(dt=0.1, t_final=t_final)
 
 
 class TestOutputs:
@@ -176,3 +180,39 @@ class TestOutputs:
         rho = np.array([[0.5, 0.2j], [-0.2j, 0.5]])
         assert max_offdiagonal(rho) == pytest.approx(0.2)
         assert max_offdiagonal(np.array([[1.0]])) == 0.0
+
+
+class TestClosedForm:
+    def test_matches_rk4_at_record_times(self):
+        rng = np.random.default_rng(88)
+        h = random_hermitian(rng, 8)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        rho0 = pure_projector(random_state(rng, 8))
+        tau0 = 0.4
+        run = MasterRunConfig(dt=1e-3, t_final=2.0, tau0=tau0)
+        times, states = integrate_master(
+            rho0, lambda r: psd_master_rhs(r, h, tau0), run)
+        steps = record_steps(run.n_steps, 100)
+        exact = psd_master_exact(rho0, h, tau0, times[steps])
+        assert np.max(np.abs(exact - states[steps])) <= 1e-8
+
+    def test_two_level_offdiagonal(self):
+        rho0 = pure_projector(np.array([1, 1]) / np.sqrt(2))
+        rho = psd_master_exact(rho0, np.diag([1.0, -1.0]), 0.25, [0.0, 3.0])
+        assert np.allclose(rho[0], rho0, atol=1e-15)
+        expected = analytic_offdiagonal(0.5, 1.0, -1.0, 0.25, 3.0)
+        assert abs(rho[1][0, 1] - expected) < 1e-15
+
+    def test_trace_and_positivity(self, rng):
+        h = random_hermitian(rng, 6)
+        rho0 = random_density(rng, 6)
+        for rho in psd_master_exact(rho0, h, 0.7, np.linspace(0.0, 5.0, 11)):
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-12
+
+    def test_rejects_bad_times(self):
+        rho0 = pure_projector(np.array([1.0, 0.0]))
+        with pytest.raises(InvalidParameterError):
+            psd_master_exact(rho0, np.eye(2), 0.1, [np.nan])
+        with pytest.raises(InvalidParameterError):
+            psd_master_exact(rho0, np.eye(2), 0.1, [-1.0])

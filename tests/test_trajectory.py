@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from qsdsim import (InvalidParameterError, NoiseStream, ShapeError,
-                    TrajectoryConfig, align_global_phase, gauge_transform,
-                    lindblad_from_hamiltonian, lindblad_rhs, norm_defect_samples,
-                    normalize, psd_master_rhs, psd_step, qsd_step,
-                    run_trajectory, sample_dxi)
+from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
+                    ShapeError, SimulationConfig, TrajectoryConfig,
+                    align_global_phase, gauge_transform,
+                    lindblad_from_hamiltonian, lindblad_rhs,
+                    norm_defect_samples, normalize, psd_master_rhs, psd_step,
+                    qsd_step, run_ensemble, run_trajectory, sample_dxi,
+                    sample_dxi_block)
+from qsdsim.trajectory import _EigenKernel
 from conftest import random_hermitian, random_state
 
 
@@ -121,6 +124,62 @@ class TestPsdStep:
     def test_negative_tau0_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             psd_step(random_state(rng, 2), np.eye(2), -0.1, 0.01, 1e-3)
+
+
+class TestEigenKernel:
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_matches_dense_psd_step(self, n):
+        # the eigenbasis kernel, rotated back by V, against the dense step
+        # on one shared noise sequence
+        rng = np.random.default_rng(100 + n)
+        h = random_hermitian(rng, n)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        psi = random_state(rng, n)
+        tau0, dt = 0.4, 1e-3
+        dxi = sample_dxi_block(dt, 200, NoiseStream(31, n))
+        kernel = _EigenKernel(h, dt, tau0)
+        vecs = kernel.vecs
+        coeff = kernel.coefficients(dxi[:, None].copy())   # in place
+        c = (vecs.conj().T @ psi)[None, :]
+        nrm_sq = np.empty(1)
+        deviations = []
+        for k in range(200):
+            c = kernel.step(c, coeff[k], nrm_sq)
+            psi = psd_step(psi, h, tau0, dxi[k], dt)
+            deviations.append(float(np.max(np.abs(vecs @ c[0] - psi))))
+        assert deviations[0] < 1e-12
+        assert deviations[-1] < 1e-9
+
+    def test_run_trajectory_replays_ensemble_rows(self):
+        # trajectory k of an ensemble and stream k of run_trajectory run the
+        # same arithmetic, bit for bit
+        rng = np.random.default_rng(17)
+        h = random_hermitian(rng, 5)
+        psi0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        config = SimulationConfig(
+            hamiltonian=h, initial_state=psi0, tau0=0.4, dt=2e-3,
+            t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25)
+        summary = run_ensemble(config)
+        traj_config = TrajectoryConfig(
+            dt=config.dt, n_steps=config.n_steps, tau0=config.tau0,
+            record_stride=config.effective_record_stride)
+        for k in range(3):
+            rec = run_trajectory(traj_config, psi0, NoiseStream(13, k),
+                                 hamiltonian=h)
+            assert np.array_equal(rec.energy_mean, summary.energy_series[k])
+            assert np.array_equal(rec.energy_variance,
+                                  summary.variance_series[k])
+            assert np.array_equal(rec.norm_drift, summary.norm_defect_series[k])
+
+
+    def test_failure_names_trajectory_and_step(self):
+        # the overflowing step is reported with its trajectory index and step
+        h = np.diag([1e160, -1e160])
+        psi0 = np.array([1.0, 1.0])
+        config = TrajectoryConfig(dt=0.5, n_steps=10, tau0=1.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                DegenerateStateError, match="trajectory 2 failed at step 1:"):
+            run_trajectory(config, psi0, NoiseStream(1, 2), hamiltonian=h)
 
 
 class TestGaugeTransform:
