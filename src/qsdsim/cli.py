@@ -140,7 +140,8 @@ def _cmd_trajectory(args) -> int:
 
 def _run_ensemble(args, with_master: bool):
     config = _load_config(args)
-    summary = ens.run_ensemble(config, workers=args.workers)
+    summary = ens.run_ensemble(config, workers=args.workers,
+                               retain=args.dump_trajectory or ())
     if with_master:
         summary.trace_distance_to_master = \
             ens.compare_ensemble_to_master(summary, config)

@@ -5,11 +5,17 @@ energy-eigenbasis amplitudes, where the PSD step is elementwise
 (trajectory._EigenKernel), in fixed-size batches of 512, each trajectory
 drawing from its own counter-based noise stream keyed by (master_seed,
 trajectory_index).  Per-row arithmetic is elementwise or a row-wise
-einsum, so it does not depend on the batch a trajectory lands in.  Worker
-processes only distribute those fixed batches, and all reductions happen
-in the parent over index-ordered stacked arrays, so a run's output is
-bit-identical for any worker count.  The mean projector is reduced in the
-eigenbasis and rotated back once per record time.
+einsum, so it does not depend on the batch a trajectory lands in.  Each
+batch reduces its own trajectories at every record time as it steps them
+(sums of the eigenbasis projector, <H> and Var H, the spread of Var H,
+the largest norm defect, winner counts) and keeps per-trajectory series
+only for the trajectories asked for.  The parent folds those partial sums
+in batch-index order, so no array of all trajectories at all record times
+is ever built, and because batches and fold order are fixed a run's output
+is bit-identical for any worker count.  The mean projector is rotated
+back from the eigenbasis once per record time.  Peak memory is estimated
+before the first batch starts, and a run that would not fit in physical
+memory is refused.
 
 Units: all integration happens in natural units (hbar = 1).  SI configs
 are rescaled on load - the energy unit E0 is the largest |eigenvalue| of
@@ -24,7 +30,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +39,15 @@ from . import master as master_mod
 from . import qcore, spacetime
 from .errors import InvalidComparisonError, InvalidParameterError, QsdError
 from .noise import NoiseStream
-from .trajectory import _EigenKernel, _integrate_eigenbasis, record_steps
+from .trajectory import (NOISE_BLOCK, TrajectoryRecord, _BatchSums,
+                         _EigenKernel, _integrate_eigenbasis, record_count,
+                         record_steps)
 
 CHUNK_SIZE = 512         # trajectories per batch; independent of worker count
 MAX_RECORD_POINTS = 10_000
+_CONFIG_KEYS = frozenset({
+    "units", "hamiltonian", "initial_state", "tau0_mode", "tau0", "C", "dt",
+    "t_final", "n_trajectories", "master_seed", "record_stride"})
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,9 @@ def _finite(data: dict, key: str, default=None) -> float:
 
 
 def _parse_config(data: dict) -> SimulationConfig:
+    unknown = sorted(map(str, data.keys() - _CONFIG_KEYS))
+    if unknown:
+        raise InvalidParameterError(f"unknown config keys: {', '.join(unknown)}")
     units = data.get("units", "natural")
     if units not in ("natural", "SI"):
         raise InvalidParameterError(f"units must be 'natural' or 'SI', got {units!r}")
@@ -200,91 +214,146 @@ def load_config(path) -> SimulationConfig:
 
 @dataclass
 class EnsembleSummary:
-    """Ensemble reductions at shared record times, plus per-trajectory series."""
+    """Ensemble reductions at shared record times, plus the trajectories
+    the run was asked to retain."""
 
     times: np.ndarray                    # (T,)
     mean_projector: np.ndarray           # (T, n, n)
     mean_energy: np.ndarray              # (T,)
     mean_energy_variance: np.ndarray     # (T,)
+    energy_variance_se: np.ndarray       # (T,) standard error of the above
+    max_norm_drift: np.ndarray           # (T,) largest |norm defect| over all
     eigenvalues: np.ndarray              # (n,) ascending
     initial_populations: np.ndarray      # (n,) in the energy eigenbasis
     born_frequencies: np.ndarray         # (n,) terminal fractions per eigenstate
-    energy_series: np.ndarray            # (M, T)
-    variance_series: np.ndarray          # (M, T)
-    norm_defect_series: np.ndarray       # (M, T)
+    terminal_variances: np.ndarray       # (M,) final Var H per trajectory
+    trajectories: dict[int, TrajectoryRecord]   # retained index -> series
     config: SimulationConfig
     trace_distance_to_master: np.ndarray | None = None
     header: dict = field(default_factory=dict)
 
     @property
     def n_trajectories(self) -> int:
-        return self.energy_series.shape[0]
-
-    @property
-    def terminal_variances(self) -> np.ndarray:
-        return self.variance_series[:, -1]
+        return self.config.n_trajectories
 
 
-def _simulate_chunk(args):
-    """Integrate trajectories [start, start+count) as one vectorized batch.
+def _simulate_chunk(args) -> _BatchSums:
+    """Integrate and reduce trajectories [start, start+count) as one batch.
 
     Runs in worker processes on energy-eigenbasis amplitudes.  The kernel's
     arithmetic is elementwise per row (row-wise unoptimized einsum for the
-    sums), so chunk boundaries never leak into values and trajectory k
-    matches run_trajectory on stream k bit for bit.
+    sums), so chunk boundaries never leak into a trajectory's values and
+    trajectory k matches run_trajectory on stream k bit for bit.  `keep`
+    holds the chunk-local rows whose series are retained.
     """
-    kernel, c0, n_steps, rec_steps, seed, start, count = args
+    kernel, c0, n_steps, stride, seed, start, count, keep = args
     streams = [NoiseStream(seed, start + j) for j in range(count)]
-    return _integrate_eigenbasis(kernel, c0, streams, n_steps, rec_steps)
+    return _integrate_eigenbasis(kernel, c0, streams, n_steps, stride, keep)
 
 
-def run_ensemble(config: SimulationConfig, workers: int = 1) -> EnsembleSummary:
+def _fold(parts) -> _BatchSums:
+    """Merge chunk reductions in the order given: sums add, the Var H
+    spreads combine by Chan's pairwise formula, norm defects take the max,
+    per-trajectory values concatenate."""
+    total, terminal, records = None, [], []
+    for part in parts:
+        terminal.append(part.terminal_variance)
+        records += part.records
+        if total is None:
+            total = part
+            continue
+        n_a, n_b = total.count, part.count
+        delta = part.variance_sum / n_b - total.variance_sum / n_a
+        total.variance_m2 += part.variance_m2 + delta ** 2 * (n_a * n_b / (n_a + n_b))
+        total.count = n_a + n_b
+        total.projector_sum += part.projector_sum
+        total.energy_sum += part.energy_sum
+        total.variance_sum += part.variance_sum
+        np.maximum(total.max_norm_drift, part.max_norm_drift,
+                   out=total.max_norm_drift)
+        total.winners += part.winners
+    total.terminal_variance = np.concatenate(terminal)
+    total.records = records
+    return total
+
+
+def _check_memory(config: SimulationConfig, n_chunks: int, pool_size: int,
+                  n_retained: int):
+    """Refuse a run whose estimated peak memory exceeds physical memory.
+
+    The estimate assumes every chunk's reductions are waiting in the parent
+    at once, next to the running totals and the mean projector with its
+    temporaries; each worker holds one chunk's reductions and a noise block.
+    """
+    n = config.hamiltonian.shape[0]
+    t = record_count(config.n_steps, config.effective_record_stride)
+    sums = t * (16 * n * n + 5 * 8)             # projector sum, 4 sums, times
+    parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
+        + 8 * config.n_trajectories
+    worker = sums + NOISE_BLOCK * CHUNK_SIZE * (16 + 8)
+    need = parent + pool_size * worker
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf figure here
+        return
+    if need > physical:
+        raise InvalidParameterError(
+            f"run needs about {need / 2 ** 20:.0f} MiB for {t} record points "
+            f"at n={n}, more than the {physical / 2 ** 20:.0f} MiB of physical "
+            f"memory; raise record_stride or lower n_trajectories")
+
+
+def run_ensemble(config: SimulationConfig, workers: int = 1,
+                 retain=()) -> EnsembleSummary:
     """Run n_trajectories independent diffusion trajectories and reduce them.
 
     Deterministic for a given master_seed regardless of `workers`: stream
-    index = trajectory index, batch boundaries are fixed, and reductions
-    run over the fully assembled arrays in index order.  Any failing
+    index = trajectory index, batch boundaries are fixed, and batch
+    reductions are folded in index order.  Per-trajectory series are kept
+    only for the indices in `retain` (summary.trajectories).  Any failing
     trajectory aborts the run, reporting its index (dropping it silently
     would bias the ensemble mean).
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    m = config.n_trajectories
+    retain = sorted({int(k) for k in retain})
+    outside = [k for k in retain if not 0 <= k < m]
+    if outside:
+        raise InvalidParameterError(
+            f"trajectory index {outside[0]} outside 0..{m - 1}")
+    n_chunks = -(-m // CHUNK_SIZE)
+    pool_size = min(workers, n_chunks, os.cpu_count() or 1)
+    _check_memory(config, n_chunks, pool_size, len(retain))
+
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0, config.hbar)
     vecs = kernel.vecs
     c0 = vecs.conj().T @ config.initial_state   # <v_k | psi0>
-    n_steps = config.n_steps
-    rec_steps = tuple(record_steps(n_steps, config.effective_record_stride))
-    m = config.n_trajectories
-
-    jobs = [(kernel, c0, n_steps, rec_steps, config.master_seed, start,
-             min(CHUNK_SIZE, m - start)) for start in range(0, m, CHUNK_SIZE)]
-    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    stride = config.effective_record_stride
+    jobs = [(kernel, c0, config.n_steps, stride, config.master_seed, start,
+             min(CHUNK_SIZE, m - start),
+             [k - start for k in retain if start <= k < start + CHUNK_SIZE])
+            for start in range(0, m, CHUNK_SIZE)]
     if pool_size == 1:
-        results = [_simulate_chunk(job) for job in jobs]
+        total = _fold(map(_simulate_chunk, jobs))
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_simulate_chunk, jobs))
+            total = _fold(pool.map(_simulate_chunk, jobs))
 
-    amps, e_series, var_series, defect_series = (
-        np.concatenate(parts, axis=0) for parts in zip(*results))
-
-    mean_eigen = np.einsum("mti,mtj->tij", amps, amps.conj()) / m
-    mean_projector = vecs @ mean_eigen @ vecs.conj().T
-    winners = np.argmax(np.abs(amps[:, -1, :]) ** 2, axis=1)
-    born = np.bincount(winners, minlength=len(c0)) / m
-
-    times = config.dt * np.asarray(rec_steps, dtype=float)
+    se = np.sqrt(total.variance_m2 / ((m - 1) * m)) if m > 1 \
+        else np.zeros_like(total.variance_m2)
     return EnsembleSummary(
-        times=times,
-        mean_projector=mean_projector,
-        mean_energy=e_series.mean(axis=0),
-        mean_energy_variance=var_series.mean(axis=0),
+        times=config.dt * record_steps(config.n_steps, stride).astype(float),
+        mean_projector=vecs @ (total.projector_sum / m) @ vecs.conj().T,
+        mean_energy=total.energy_sum / m,
+        mean_energy_variance=total.variance_sum / m,
+        energy_variance_se=se,
+        max_norm_drift=total.max_norm_drift,
         eigenvalues=kernel.energies,
         initial_populations=np.abs(c0) ** 2,
-        born_frequencies=born,
-        energy_series=e_series,
-        variance_series=var_series,
-        norm_defect_series=defect_series,
+        born_frequencies=total.winners / m,
+        terminal_variances=total.terminal_variance,
+        trajectories=dict(zip(retain, total.records)),
         config=config,
         header=config.header(),
     )
@@ -373,10 +442,8 @@ def localization_stats(summary: EnsembleSummary,
         variance_threshold = 1e-6 * spread ** 2 if spread > 0 else 0.0
 
     m = summary.n_trajectories
-    mean_var = summary.mean_energy_variance
-    se = summary.variance_series.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 \
-        else np.zeros_like(mean_var)
-    diffs = np.diff(mean_var)
+    se = summary.energy_variance_se
+    diffs = np.diff(summary.mean_energy_variance)
     se_diff = np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
     defect = float(max(np.max(diffs, initial=0.0), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -428,23 +495,12 @@ def write_ensemble_csv(path, summary: EnsembleSummary):
 
 
 def write_trajectory_csv(path, summary: EnsembleSummary, index: int):
-    """Per-trajectory series for one trajectory of the ensemble."""
-    if not 0 <= index < summary.n_trajectories:
+    """Per-trajectory series for one retained trajectory of the ensemble."""
+    if index not in summary.trajectories:
         raise InvalidParameterError(
-            f"trajectory index {index} outside 0..{summary.n_trajectories - 1}")
-    with open(path, "w", newline="") as fh:
-        for key, value in summary.header.items():
-            fh.write(f"# {key} = {value}\n")
-        fh.write(f"# trajectory_index = {index}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "e_mean", "e_var", "norm_drift"])
-        for j, t in enumerate(summary.times):
-            writer.writerow([
-                f"{t:.17g}",
-                f"{summary.energy_series[index, j]:.17g}",
-                f"{summary.variance_series[index, j]:.17g}",
-                f"{summary.norm_defect_series[index, j]:.17g}",
-            ])
+            f"trajectory {index} was not retained by this run")
+    header = {**summary.header, "trajectory_index": index}
+    replace(summary.trajectories[index], header=header).write_csv(path)
 
 
 def write_summary_json(path, summary: EnsembleSummary):

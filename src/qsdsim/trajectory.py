@@ -179,20 +179,44 @@ class _EigenKernel:
         return f
 
 
+@dataclass
+class _BatchSums:
+    """Reductions of a batch of trajectories, one entry per record time.
+
+    The projector sum is in the energy eigenbasis; variance_m2 is the sum
+    of squared deviations of Var H about the batch mean, so batches merge
+    with Chan's pairwise formula.  Per-trajectory series exist only for the
+    retained rows.
+    """
+
+    count: int
+    projector_sum: np.ndarray        # (T, n, n)  sum_b c_b c_b^H
+    energy_sum: np.ndarray           # (T,)  sum_b <H>_b
+    variance_sum: np.ndarray         # (T,)  sum_b Var_b H
+    variance_m2: np.ndarray          # (T,)  sum_b (Var_b H - batch mean)^2
+    max_norm_drift: np.ndarray       # (T,)  max_b |norm defect|
+    winners: np.ndarray              # (n,)  rows whose largest final |c_k| is k
+    terminal_variance: np.ndarray    # (B,)  final Var H of every row
+    records: list                    # TrajectoryRecord of each retained row
+
+
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
-                          rec_steps):
+                          stride: int, keep=()) -> _BatchSums:
     """Integrate one trajectory per noise stream from eigenbasis amplitudes c0.
 
     Row b draws its increments from streams[b] in blocks (sample_dxi_block,
     bit-identical to per-step sample_dxi), so a trajectory's values do not
-    depend on which other streams share its batch.  Returns, at the steps
-    in rec_steps, the amplitudes (B, T, n), <H> and Var H (B, T), and the
-    norm defect ||psi + dpsi|| - 1 of the step just taken (B, T).
+    depend on which other streams share its batch.  At every step of
+    record_steps(n_steps, stride) the batch is reduced on the spot; the
+    rows listed in keep also record <H>, Var H and the norm defect
+    ||psi + dpsi|| - 1 of the step just taken, and their final state.
     """
-    count, shape = len(streams), (len(streams), len(rec_steps))
-    rec_index = {step: i for i, step in enumerate(rec_steps)}
-    amps = np.empty(shape + c0.shape, dtype=np.complex128)
-    energy, variance, defect = np.empty(shape), np.empty(shape), np.empty(shape)
+    count, n = len(streams), len(c0)
+    n_rec = record_count(n_steps, stride)
+    keep = np.asarray(keep, dtype=np.intp)
+    proj = np.empty((n_rec, n, n), dtype=np.complex128)
+    e_sum, v_sum, v_m2, drift_max = (np.empty(n_rec) for _ in range(4))
+    energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     c = np.tile(c0, (count, 1))
     nrm_sq = np.ones(count)
     dxi = np.empty((min(NOISE_BLOCK, n_steps), count), dtype=np.complex128)
@@ -201,11 +225,16 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     def record(pos):
         e = kernel.mean_energy(c)
         hd = kernel.energies - e[:, None]
-        amps[:, pos], energy[:, pos] = c, e
-        variance[:, pos] = np.einsum("bk,bk,bk->b", (c.conj() * c).real, hd, hd)
-        defect[:, pos] = np.sqrt(nrm_sq) - 1.0
+        v = np.einsum("bk,bk,bk->b", (c.conj() * c).real, hd, hd)
+        d = np.sqrt(nrm_sq) - 1.0
+        np.einsum("bi,bj->ij", c, c.conj(), out=proj[pos])
+        e_sum[pos], v_sum[pos] = e.sum(), v.sum()
+        v_m2[pos] = np.square(v - v_sum[pos] / count).sum()
+        drift_max[pos] = np.abs(d).max()
+        energy[:, pos], variance[:, pos], defect[:, pos] = e[keep], v[keep], d[keep]
+        return v
 
-    record(0)
+    terminal = record(0)
     for start in range(0, n_steps, NOISE_BLOCK):
         block = min(NOISE_BLOCK, n_steps - start)
         for j, s in enumerate(streams):
@@ -217,15 +246,26 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
             for i in range(block):
                 nrm_sq = norms[i]
                 c = kernel.step(c, coeff[i], nrm_sq)
-                if start + i + 1 in rec_index:
-                    record(rec_index[start + i + 1])
+                step = start + i + 1
+                if step % stride == 0 or step == n_steps:
+                    terminal = record(-(-step // stride))   # ceil(step/stride)
         bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
         if bad.any():
             i, b = divmod(int(np.argmax(bad)), count)
             raise DegenerateStateError(
                 f"trajectory {streams[b].stream_index} failed at step "
                 f"{start + i + 1}: norm^2 = {norms[i, b]!r}")
-    return amps, energy, variance, defect
+    times = kernel.dt * record_steps(n_steps, stride).astype(float)
+    records = [TrajectoryRecord(times=times, energy_mean=energy[r],
+                                energy_variance=variance[r],
+                                norm_drift=defect[r],
+                                final_state=kernel.vecs @ c[b])
+               for r, b in enumerate(keep)]
+    return _BatchSums(
+        count=count, projector_sum=proj, energy_sum=e_sum, variance_sum=v_sum,
+        variance_m2=v_m2, max_norm_drift=drift_max,
+        winners=np.bincount(np.argmax(np.abs(c) ** 2, axis=1), minlength=n),
+        terminal_variance=terminal, records=records)
 
 
 def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
@@ -308,12 +348,14 @@ class TrajectoryRecord:
             fh.write("\n")
 
 
-def record_steps(n_steps: int, stride: int) -> list[int]:
+def record_count(n_steps: int, stride: int) -> int:
+    """Number of record points: every stride-th step plus the last."""
+    return -(-n_steps // stride) + 1
+
+
+def record_steps(n_steps: int, stride: int) -> np.ndarray:
     """Step indices stored in a record: every stride-th step plus the last."""
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
+    return np.minimum(np.arange(record_count(n_steps, stride)) * stride, n_steps)
 
 
 def run_trajectory(config: TrajectoryConfig, psi0, stream: NoiseStream,
@@ -341,17 +383,13 @@ def run_trajectory(config: TrajectoryConfig, psi0, stream: NoiseStream,
         raise ShapeError(
             f"operator {observable.shape} does not match state {psi.shape}")
 
-    recorded = record_steps(config.n_steps, config.record_stride)
     if hamiltonian is not None:
         kernel = _EigenKernel(observable, config.dt, config.tau0, config.hbar)
-        amps, e_mean, e_var, drift = _integrate_eigenbasis(
-            kernel, kernel.vecs.conj().T @ psi, [stream], config.n_steps, recorded)
-        return TrajectoryRecord(
-            times=config.dt * np.asarray(recorded, dtype=float),
-            energy_mean=e_mean[0], energy_variance=e_var[0],
-            norm_drift=drift[0], final_state=kernel.vecs @ amps[0, -1])
+        return _integrate_eigenbasis(
+            kernel, kernel.vecs.conj().T @ psi, [stream], config.n_steps,
+            config.record_stride, keep=[0]).records[0]
 
-    record_set = set(recorded)
+    record_set = set(record_steps(config.n_steps, config.record_stride).tolist())
     times, e_mean, e_var, drift = [], [], [], []
     last_defect = 0.0
 

@@ -206,7 +206,8 @@ class TestExitCodes:
         {"t_final": float("inf")},
         {"hamiltonian": [[["0.5", 0.0], [0.0, 0.0]],
                          [[0.0, 0.0], ["minus a half", 0.0]]]},
-    ], ids=["nan", "infinity", "string-entry"])
+        {"record_strid": 5},
+    ], ids=["nan", "infinity", "string-entry", "unknown-key"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides):
         # a fresh interpreter, so an escaping exception would show as a
         # traceback on stderr
@@ -222,6 +223,23 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("qsdsim: invalid input")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, overrides", [
+        ([], {"dt": 1e-12, "record_stride": 1}),     # 10^12 record points
+        (["--dump-trajectory", "40"], {}),          # indices are 0..39
+    ], ids=["over-memory-budget", "dump-index-out-of-range"])
+    def test_refused_before_integration(self, capsys, monkeypatch, config_path,
+                                        argv, overrides):
+        def fail(args):
+            raise AssertionError("a trajectory chunk was started")
+        monkeypatch.setattr(qsdsim.ensemble, "_simulate_chunk", fail)
+        data = json.loads(config_path.read_text())
+        data.update(overrides)
+        config_path.write_text(json.dumps(data))
+        code = main(["ensemble", "--config", str(config_path),
+                     "--out", str(config_path.parent / "out"), *argv])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("qsdsim: invalid input")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qsdsim import (InvalidComparisonError, InvalidParameterError,
                     integrate_master, load_config, localization_stats,
                     psd_master_rhs, pure_projector, run_ensemble, spacetime,
                     trace_distance)
-from qsdsim import qcore
+from qsdsim import ensemble, qcore
 from qsdsim.ensemble import (write_ensemble_csv, write_summary_json,
                              write_trajectory_csv)
 from conftest import random_hermitian, random_state
@@ -28,6 +29,11 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return SimulationConfig(**base)
+
+
+def series(summary, name):
+    """(K, T) stack of one series of the retained trajectories."""
+    return np.array([getattr(rec, name) for rec in summary.trajectories.values()])
 
 
 def config_json_dict(**overrides):
@@ -111,6 +117,10 @@ class TestConfig:
         expected = 2.0 * spacetime.planck_time() * 1e-19 / spacetime.CODATA.hbar
         assert config.tau0 == pytest.approx(expected)
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(InvalidParameterError, match="record_strid"):
+            config_from_dict(config_json_dict(record_strid=5))
+
     def test_missing_field_rejected(self):
         data = config_json_dict()
         del data["hamiltonian"]
@@ -157,25 +167,26 @@ class TestRunEnsemble:
 
     def test_energy_martingale_diagonal_h(self):
         config = make_config(n_trajectories=2000, t_final=5.0, record_stride=200)
-        summary = run_ensemble(config)
-        se = summary.energy_series.std(axis=0, ddof=1) / np.sqrt(2000)
+        summary = run_ensemble(config, retain=range(2000))
+        se = series(summary, "energy_mean").std(axis=0, ddof=1) / np.sqrt(2000)
         dev = np.abs(summary.mean_energy - summary.mean_energy[0])
         assert np.all(dev[1:] <= 4.0 * se[1:])
 
     def test_deterministic_across_worker_counts(self):
         # chunking is fixed, so any worker count gives identical bits
         config = make_config(n_trajectories=600, t_final=0.5, record_stride=20)
-        a = run_ensemble(config, workers=1)
-        b = run_ensemble(config, workers=4)
-        assert np.array_equal(a.energy_series, b.energy_series)
+        a = run_ensemble(config, workers=1, retain=range(600))
+        b = run_ensemble(config, workers=4, retain=range(600))
+        assert np.array_equal(series(a, "energy_mean"), series(b, "energy_mean"))
         assert np.array_equal(a.mean_projector, b.mean_projector)
         assert np.array_equal(a.born_frequencies, b.born_frequencies)
 
     def test_stream_index_equals_trajectory_index(self):
         # trajectory k of an ensemble replays as stream k of a smaller one
-        small = run_ensemble(make_config(n_trajectories=3))
-        big = run_ensemble(make_config(n_trajectories=7))
-        assert np.array_equal(small.energy_series, big.energy_series[:3])
+        small = run_ensemble(make_config(n_trajectories=3), retain=range(3))
+        big = run_ensemble(make_config(n_trajectories=7), retain=range(7))
+        assert np.array_equal(series(small, "energy_mean"),
+                              series(big, "energy_mean")[:3])
 
     def test_workers_argument_validated(self):
         with pytest.raises(InvalidParameterError):
@@ -192,6 +203,76 @@ class TestRunEnsemble:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(Exception, match="trajectory 0"):
                 run_ensemble(config)
+
+
+class TestStreamedReductions:
+    # M = 1030 spans three trajectory batches
+    def test_retaining_trajectories_does_not_change_reductions(self):
+        config = make_config(n_trajectories=1030, record_stride=20)
+        full = run_ensemble(config, retain=range(1030))
+        bare = run_ensemble(config)
+        assert bare.trajectories == {}
+        assert list(full.trajectories) == list(range(1030))
+        for name in ("mean_projector", "mean_energy", "mean_energy_variance"):
+            assert np.max(np.abs(getattr(full, name) - getattr(bare, name))) <= 1e-14
+        assert np.array_equal(full.born_frequencies, bare.born_frequencies)
+
+        var = series(full, "energy_variance")
+        assert np.allclose(full.mean_energy, series(full, "energy_mean").mean(axis=0),
+                           rtol=0.0, atol=1e-14)
+        assert np.allclose(full.mean_energy_variance, var.mean(axis=0),
+                           rtol=0.0, atol=1e-14)
+        se = var.std(axis=0, ddof=1) / np.sqrt(1030)
+        assert np.allclose(bare.energy_variance_se, se, rtol=1e-12, atol=0.0)
+        assert np.array_equal(bare.terminal_variances, var[:, -1])
+        assert np.array_equal(bare.max_norm_drift,
+                              np.abs(series(full, "norm_drift")).max(axis=0))
+
+    def test_worker_counts_give_identical_reductions(self):
+        config = make_config(n_trajectories=1030, record_stride=20)
+        runs = [run_ensemble(config, workers=w, retain=[0, 515, 1029])
+                for w in (1, 2, 4)]
+        for other in runs[1:]:
+            for name in ("mean_projector", "mean_energy", "mean_energy_variance",
+                         "energy_variance_se", "max_norm_drift",
+                         "born_frequencies", "terminal_variances"):
+                assert np.array_equal(getattr(runs[0], name), getattr(other, name))
+            for k, rec in runs[0].trajectories.items():
+                assert np.array_equal(rec.energy_mean,
+                                      other.trajectories[k].energy_mean)
+
+    def test_parent_memory_stays_below_stacked_series(self):
+        # stacking M x T x n amplitudes alone would take about 131 MB here
+        rng = np.random.default_rng(4)
+        config = make_config(hamiltonian=random_hermitian(rng, 4),
+                             initial_state=random_state(rng, 4), dt=1e-3,
+                             t_final=2.0, n_trajectories=1024, record_stride=1)
+        tracemalloc.start()
+        try:
+            summary = run_ensemble(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.mean_projector.shape == (2001, 4, 4)
+        assert peak < 40e6
+
+    def _refuse_chunks(self, monkeypatch):
+        def fail(args):
+            raise AssertionError("a trajectory chunk was started")
+        monkeypatch.setattr(ensemble, "_simulate_chunk", fail)
+
+    def test_over_budget_run_refused_before_integration(self, monkeypatch):
+        self._refuse_chunks(monkeypatch)
+        # 10^12 record points
+        config = make_config(dt=1e-12, t_final=1.0, record_stride=1)
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            run_ensemble(config)
+
+    def test_retained_index_checked_before_integration(self, monkeypatch):
+        self._refuse_chunks(monkeypatch)
+        for bad in (-1, 100):
+            with pytest.raises(InvalidParameterError, match=str(bad)):
+                run_ensemble(make_config(), retain=[0, bad])
 
 
 class TestCompare:
@@ -267,10 +348,10 @@ class TestLocalizationStats:
     def test_eigenstate_start_stays_localized(self):
         config = make_config(initial_state=np.array([1.0, 0.0]),
                              n_trajectories=50)
-        summary = run_ensemble(config)
+        summary = run_ensemble(config, retain=range(50))
         report = localization_stats(summary)
         assert report.applicable
-        assert np.max(summary.variance_series) < 1e-12
+        assert np.max(series(summary, "energy_variance")) < 1e-12
         assert report.terminal_variance_max < 1e-12
         assert report.localized_fraction == 1.0
         # the eigenstate sits in exactly one energy level
@@ -325,7 +406,7 @@ class TestOutputs:
         assert trace_distance(proj, summary.mean_projector[-1]) < 1e-12
 
     def test_trajectory_csv(self, tmp_path):
-        summary = run_ensemble(make_config(n_trajectories=4))
+        summary = run_ensemble(make_config(n_trajectories=4), retain=[2])
         path = tmp_path / "trajectory_2.csv"
         write_trajectory_csv(path, summary, 2)
         lines = path.read_text().splitlines()

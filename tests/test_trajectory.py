@@ -159,17 +159,18 @@ class TestEigenKernel:
         config = SimulationConfig(
             hamiltonian=h, initial_state=psi0, tau0=0.4, dt=2e-3,
             t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25)
-        summary = run_ensemble(config)
+        summary = run_ensemble(config, retain=range(7))
         traj_config = TrajectoryConfig(
             dt=config.dt, n_steps=config.n_steps, tau0=config.tau0,
             record_stride=config.effective_record_stride)
         for k in range(3):
             rec = run_trajectory(traj_config, psi0, NoiseStream(13, k),
                                  hamiltonian=h)
-            assert np.array_equal(rec.energy_mean, summary.energy_series[k])
-            assert np.array_equal(rec.energy_variance,
-                                  summary.variance_series[k])
-            assert np.array_equal(rec.norm_drift, summary.norm_defect_series[k])
+            row = summary.trajectories[k]
+            assert np.array_equal(rec.energy_mean, row.energy_mean)
+            assert np.array_equal(rec.energy_variance, row.energy_variance)
+            assert np.array_equal(rec.norm_drift, row.norm_drift)
+            assert np.array_equal(rec.final_state, row.final_state)
 
 
     def test_failure_names_trajectory_and_step(self):
@@ -290,15 +291,17 @@ class TestRunTrajectory:
                            hamiltonian=np.eye(2), lindblad=np.eye(2))
 
     def test_martingale_of_populations(self):
-        # diagonal H: ensemble mean of each population is conserved
-        config = TrajectoryConfig(dt=2e-3, n_steps=500, tau0=0.5)
-        h = np.diag([1.0, -1.0])
-        psi0 = np.array([np.sqrt(0.7), np.sqrt(0.3)], dtype=complex)
-        finals = np.array([
-            np.abs(run_trajectory(config, psi0, NoiseStream(21, k),
-                                  hamiltonian=h).final_state[0]) ** 2
-            for k in range(400)
-        ])
+        # diagonal H: ensemble mean of each population is conserved; streams
+        # (21, k), k < 400, run as one ensemble, and with H = diag(1, -1)
+        # the final population of the +1 level is (1 + <H>) / 2
+        config = SimulationConfig(
+            hamiltonian=np.diag([1.0, -1.0]),
+            initial_state=np.array([np.sqrt(0.7), np.sqrt(0.3)], dtype=complex),
+            tau0=0.5, dt=2e-3, t_final=1.0, n_trajectories=400,
+            master_seed=21, record_stride=500)
+        summary = run_ensemble(config, retain=range(400))
+        finals = np.array([0.5 * (1.0 + rec.energy_mean[-1])
+                           for rec in summary.trajectories.values()])
         se = finals.std(ddof=1) / np.sqrt(len(finals))
         assert abs(finals.mean() - 0.7) < 4.0 * se
 
