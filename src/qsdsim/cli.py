@@ -177,24 +177,43 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_master(args) -> int:
+    """RK4 from the initial projector; each master.csv row is written as its
+    state arrives, and only the snapshot states are kept."""
     config = _load_config(args)
     rho0 = qcore.pure_projector(config.initial_state)
     run = master_mod.MasterRunConfig(dt=config.dt, t_final=config.t_final,
                                      tau0=config.tau0, hbar=config.hbar)
     rhs = lambda rho: master_mod.psd_master_rhs(  # noqa: E731
         rho, config.hamiltonian, config.tau0, config.hbar)
-    times, states = master_mod.integrate_master(rho0, rhs, run)
+    times = run.times
+    wanted = set(master_mod.snapshot_indices(len(times)))
+    snapshots = {}
+
+    def states():
+        for k, rho in enumerate(master_mod.rk4_states(rho0, rhs, run)):
+            if k in wanted:
+                snapshots[k] = rho
+            yield rho
+
     out = _out_dir(args)
     header = config.header()
-    master_mod.write_summary_csv(out / "master.csv", times, states, header)
-    master_mod.write_snapshots_json(out / "master_states.json", times, states,
-                                    header)
+    # a failed integration leaves no master.csv behind
+    partial = out / "master.csv.partial"
+    try:
+        master_mod.write_summary_csv(partial, times, states(), header)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(out / "master.csv")
+    master_mod.write_snapshots_json(out / "master_states.json", times,
+                                    snapshots, header)
+    final = snapshots[len(times) - 1]
     _emit({
         "out": str(out),
         "n_steps": run.n_steps,
-        "final_trace": float(np.trace(states[-1]).real),
-        "final_purity": float(np.trace(states[-1] @ states[-1]).real),
-        "final_offdiag_abs": master_mod.max_offdiagonal(states[-1]),
+        "final_trace": float(np.trace(final).real),
+        "final_purity": float(np.trace(final @ final).real),
+        "final_offdiag_abs": master_mod.max_offdiagonal(final),
     })
     return 0
 

@@ -4,12 +4,14 @@ The parent diagonalizes H once; trajectories are then integrated as
 energy-eigenbasis amplitudes, where the PSD step is elementwise
 (trajectory._EigenKernel), in fixed-size batches of 512, each trajectory
 drawing from its own counter-based noise stream keyed by (master_seed,
-trajectory_index).  Per-row arithmetic is elementwise or a row-wise
-einsum, so it does not depend on the batch a trajectory lands in.  Each
-batch reduces its own trajectories at every record time as it steps them
-(sums of the eigenbasis projector, <H> and Var H, the spread of Var H,
-the largest norm defect, winner counts) and keeps per-trajectory series
-only for the trajectories asked for.  The parent folds those partial sums
+trajectory_index).  Determinism rule: values per trajectory come only
+from elementwise ops and row-wise einsum, so they do not depend on the
+batch a trajectory lands in; sums per batch (the projector) may use BLAS,
+because batch boundaries are fixed.  Each batch reduces its own
+trajectories at every record time as it steps them (sums of the
+eigenbasis projector, <H> and Var H, the spread of Var H, the largest
+norm defect, winner counts) and keeps per-trajectory series only for the
+trajectories asked for.  The parent folds those partial sums
 in batch-index order, so no array of all trajectories at all record times
 is ever built, and because batches and fold order are fixed a run's output
 is bit-identical for any worker count.  The mean projector is rotated
@@ -240,11 +242,11 @@ class EnsembleSummary:
 def _simulate_chunk(args) -> _BatchSums:
     """Integrate and reduce trajectories [start, start+count) as one batch.
 
-    Runs in worker processes on energy-eigenbasis amplitudes.  The kernel's
-    arithmetic is elementwise per row (row-wise unoptimized einsum for the
-    sums), so chunk boundaries never leak into a trajectory's values and
-    trajectory k matches run_trajectory on stream k bit for bit.  `keep`
-    holds the chunk-local rows whose series are retained.
+    Runs in worker processes on energy-eigenbasis amplitudes.  Per-row
+    values come from elementwise ops and row-wise einsum only, so chunk
+    boundaries never leak into a trajectory's values and trajectory k
+    matches run_trajectory on stream k bit for bit.  `keep` holds the
+    chunk-local rows whose series are retained.
     """
     kernel, c0, n_steps, stride, seed, start, count, keep = args
     streams = [NoiseStream(seed, start + j) for j in range(count)]

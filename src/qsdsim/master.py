@@ -15,9 +15,10 @@ solves in closed form (psd_master_exact),
     rho_jk(t) = rho_jk(0) exp(-i w_jk t / hbar - tau0 w_jk^2 t / (2 hbar^2)),
 
 with w_jk = E_j - E_k.  That closed form is what `compare` evaluates, at
-the record times only.  RK4 (integrate_master) is its independent oracle,
-the path of a general Lindblad operator, and what the `master` subcommand
-runs.
+the record times only.  RK4 (rk4_states, and integrate_master, which
+stacks its states) is its independent oracle and the path of a general
+Lindblad operator.  The `master` subcommand steps rk4_states and writes
+each state's summary row as it arrives, keeping only the snapshot states.
 """
 
 import csv
@@ -58,6 +59,11 @@ class MasterRunConfig:
     def n_steps(self) -> int:
         return max(int(round(self.t_final / self.dt)), 1)
 
+    @property
+    def times(self) -> np.ndarray:
+        """Times of the RK4 states, dt * k for k = 0..n_steps."""
+        return self.dt * np.arange(self.n_steps + 1)
+
 
 def lindblad_rhs(rho, lop) -> np.ndarray:
     """L rho Ld - 1/2 {Ld L, rho}; hermitian and traceless for hermitian rho."""
@@ -85,20 +91,19 @@ def psd_master_rhs(rho, h, tau0: float, hbar: float = 1.0) -> np.ndarray:
     return (-1j / hbar) * comm + (tau0 / hbar ** 2) * dissipator
 
 
-def integrate_master(rho0, rhs, config: MasterRunConfig):
-    """Classical RK4 on drho/dt = rhs(rho) with per-step re-hermitization.
+def rk4_states(rho0, rhs, config: MasterRunConfig):
+    """Classical RK4 on drho/dt = rhs(rho) with per-step re-hermitization,
+    yielding the density operator at steps 0..n_steps one at a time.
 
-    Returns (times, states) with states[k] the density operator at
-    times[k].  Trace drift beyond TRACE_DRIFT_LIMIT aborts; positivity is
-    monitored (warning only - silent projection would mask integrator bugs).
+    Trace drift beyond TRACE_DRIFT_LIMIT aborts; positivity of the final
+    state is monitored (warning only - silent projection would mask
+    integrator bugs).
     """
     rho = qcore.as_density(rho0)
     rho = 0.5 * (rho + rho.conj().T)   # canonical hermitian representative
     dt = config.dt
-    n_steps = config.n_steps
-    states = np.empty((n_steps + 1,) + rho.shape, dtype=np.complex128)
-    states[0] = rho
-    for k in range(1, n_steps + 1):
+    yield rho
+    for k in range(1, config.n_steps + 1):
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * dt * k1)
         k3 = rhs(rho + 0.5 * dt * k2)
@@ -109,14 +114,22 @@ def integrate_master(rho0, rhs, config: MasterRunConfig):
         if not np.isfinite(trace) or abs(trace - 1.0) > TRACE_DRIFT_LIMIT:
             raise IntegrationFailureError(
                 f"trace drifted to {trace!r} at step {k} (dt too large?)")
-        states[k] = rho
-    min_eig = np.linalg.eigvalsh(states[-1]).min()
+        yield rho
+    min_eig = np.linalg.eigvalsh(rho).min()
     if min_eig < POSITIVITY_WARN:
         warnings.warn(
             f"density operator lost positivity: min eigenvalue {min_eig:.3e}",
-            RuntimeWarning, stacklevel=2)
-    times = dt * np.arange(n_steps + 1)
-    return times, states
+            RuntimeWarning, stacklevel=3)
+
+
+def integrate_master(rho0, rhs, config: MasterRunConfig):
+    """All rk4_states at once: (times, states) with states[k] the density
+    operator at times[k]."""
+    states = np.empty((config.n_steps + 1,) + np.shape(rho0),
+                      dtype=np.complex128)
+    for k, rho in enumerate(rk4_states(rho0, rhs, config)):
+        states[k] = rho
+    return config.times, states
 
 
 def psd_master_exact(rho0, h, tau0: float, times, hbar: float = 1.0) -> np.ndarray:
@@ -176,18 +189,29 @@ def write_summary_csv(path, times, states, header: dict | None = None):
             ])
 
 
+def snapshot_indices(n_times: int, max_snapshots: int = 64) -> list:
+    """Time indices write_snapshots_json keeps: every
+    (n_times // max_snapshots)-th, plus the last."""
+    stride = max(n_times // max_snapshots, 1)
+    idx = list(range(0, n_times, stride))
+    if idx[-1] != n_times - 1:
+        idx.append(n_times - 1)
+    return idx
+
+
 def write_snapshots_json(path, times, states, header: dict | None = None,
                          max_snapshots: int = 64):
-    """Dump density-operator snapshots, thinned to at most max_snapshots."""
-    stride = max(len(times) // max_snapshots, 1)
-    idx = list(range(0, len(times), stride))
-    if idx[-1] != len(times) - 1:
-        idx.append(len(times) - 1)
+    """Dump density-operator snapshots, thinned by a stride of
+    len(times) // max_snapshots.
+
+    Only states[i] for i in snapshot_indices(len(times), max_snapshots)
+    is read, so a mapping of those indices to states will do.
+    """
     payload = {
         "header": header or {},
         "snapshots": [
             {"t": float(times[i]), "rho": qcore.operator_to_json(states[i])}
-            for i in idx
+            for i in snapshot_indices(len(times), max_snapshots)
         ],
     }
     with open(path, "w") as fh:

@@ -26,6 +26,12 @@ Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
 run_trajectory, the ensemble and norm_defect_samples; the dense psd_step
 and qsd_step stay as its oracle and as the general-L route.
+
+Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
+norm) comes only from elementwise ops and row-wise einsum, whose bits do
+not depend on how many rows share a batch, so trajectory k of an ensemble
+replays as a batch of one.  A sum per batch (the projector at a record
+time) may use BLAS, because batch boundaries are fixed.
 """
 
 import csv
@@ -140,8 +146,9 @@ class _EigenKernel:
         c_k *= 1 + hd_k (-i dt/hbar - (tau0/2hbar^2) dt hd_k
                          + (sqrt(tau0)/hbar) dxi),      hd_k = E_k - e.
 
-    Every operation is elementwise or a row-wise unoptimized einsum, so the
-    bits of a row do not depend on the batch size B.
+    <H> is carried with the amplitudes: step takes the rows' <H> and
+    returns the next one, which recording reuses.  Per-row values follow
+    the module's determinism rule (no BLAS).
     """
 
     def __init__(self, h, dt: float, tau0: float, hbar: float = 1.0):
@@ -164,19 +171,27 @@ class _EigenKernel:
         v = c.view(np.float64)
         return np.einsum("bi,bi,i->b", v, v, self._pairs)
 
-    def step(self, c, coeff, nrm_sq) -> np.ndarray:
-        """One step with per-row coefficients coeff (B, 1); writes each row's
-        squared norm before renormalization into nrm_sq and returns the
-        renormalized amplitudes."""
-        hd = self.energies - self.mean_energy(c)[:, None]
+    def variance(self, c, e) -> np.ndarray:
+        """Var H of each row, given its <H> e."""
+        w = c.view(np.float64)
+        hd = self._pairs - e[:, None]
+        return np.einsum("bi,bi,bi,bi->b", w, w, hd, hd)
+
+    def step(self, c, e, coeff, nrm_sq):
+        """One step of rows c with <H> e and per-row coefficients coeff
+        (B, 1); writes each row's squared norm before renormalization into
+        nrm_sq and returns the renormalized amplitudes with their <H>."""
+        hd = self.energies - e[:, None]
         f = coeff + self._curvature * hd
         f *= hd
         f += 1.0
         f *= c
         w = f.view(np.float64)
         np.einsum("bi,bi->b", w, w, out=nrm_sq)
-        f /= np.sqrt(nrm_sq)[:, None]
-        return f
+        # times the reciprocal, on the float view: the bits of a complex
+        # divide by a real, without the complex arithmetic
+        w *= np.reciprocal(np.sqrt(nrm_sq))[:, None]
+        return f, self.mean_energy(f)
 
 
 @dataclass
@@ -218,16 +233,15 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     e_sum, v_sum, v_m2, drift_max = (np.empty(n_rec) for _ in range(4))
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     c = np.tile(c0, (count, 1))
+    e = kernel.mean_energy(c)
     nrm_sq = np.ones(count)
     dxi = np.empty((min(NOISE_BLOCK, n_steps), count), dtype=np.complex128)
     norms = np.empty(dxi.shape)
 
     def record(pos):
-        e = kernel.mean_energy(c)
-        hd = kernel.energies - e[:, None]
-        v = np.einsum("bk,bk,bk->b", (c.conj() * c).real, hd, hd)
+        v = kernel.variance(c, e)
         d = np.sqrt(nrm_sq) - 1.0
-        np.einsum("bi,bj->ij", c, c.conj(), out=proj[pos])
+        np.matmul(c.T, c.conj(), out=proj[pos])      # a sum over rows: BLAS
         e_sum[pos], v_sum[pos] = e.sum(), v.sum()
         v_m2[pos] = np.square(v - v_sum[pos] / count).sum()
         drift_max[pos] = np.abs(d).max()
@@ -245,7 +259,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(block):
                 nrm_sq = norms[i]
-                c = kernel.step(c, coeff[i], nrm_sq)
+                c, e = kernel.step(c, e, coeff[i], nrm_sq)
                 step = start + i + 1
                 if step % stride == 0 or step == n_steps:
                     terminal = record(-(-step // stride))   # ceil(step/stride)
@@ -282,8 +296,9 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     kernel = _EigenKernel(qcore.as_operator(h, hermitian=True), dt, tau0, hbar)
     coeff = kernel.coefficients(sample_dxi_block(dt, n, stream)[None, :])
+    c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
     nrm_sq = np.empty(n)
-    kernel.step(np.tile(kernel.vecs.conj().T @ psi, (n, 1)), coeff[0], nrm_sq)
+    kernel.step(c, kernel.mean_energy(c), coeff[0], nrm_sq)
     return nrm_sq - 1.0
 
 

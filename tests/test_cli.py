@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qsdsim
-from qsdsim import qcore
+from qsdsim import master, qcore
 from qsdsim.cli import main
+from conftest import random_hermitian, random_state
 
 
 @pytest.fixture
@@ -139,6 +141,80 @@ class TestRunCommands:
                 "--seed", "12345")
         assert (out_a / "ensemble.csv").read_bytes() \
             != (out_b / "ensemble.csv").read_bytes()
+
+
+def write_master_config(tmp_path, h, dt, t_final):
+    data = {
+        "units": "natural",
+        "hamiltonian": qcore.operator_to_json(h),
+        "initial_state": qcore.state_to_json(
+            random_state(np.random.default_rng(0), len(h))),
+        "tau0": 0.4,
+        "dt": dt,
+        "t_final": t_final,
+    }
+    path = tmp_path / "master.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestMasterCommand:
+    def test_files_match_stacked_states(self, capsys, tmp_path):
+        # the streamed command writes the bytes the stacked RK4 states give
+        h = random_hermitian(np.random.default_rng(5), 5)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        path = write_master_config(tmp_path, h, 1e-2, 2.0)
+        code, out = run_cli(capsys, "master", "--config", str(path),
+                            "--out", str(tmp_path / "out"))
+        assert code == 0
+        config = qsdsim.load_config(path)
+        run = master.MasterRunConfig(dt=config.dt, t_final=config.t_final,
+                                     tau0=config.tau0)
+        times, states = master.integrate_master(
+            qcore.pure_projector(config.initial_state),
+            lambda rho: master.psd_master_rhs(rho, config.hamiltonian,
+                                              config.tau0), run)
+        master.write_summary_csv(tmp_path / "master.csv", times, states,
+                                 config.header())
+        master.write_snapshots_json(tmp_path / "master_states.json", times,
+                                    states, config.header())
+        for name in ("master.csv", "master_states.json"):
+            assert (tmp_path / "out" / name).read_bytes() \
+                == (tmp_path / name).read_bytes()
+        assert json.loads(out)["final_purity"] \
+            == float(np.trace(states[-1] @ states[-1]).real)
+
+    def test_memory_stays_below_stacked_states(self, capsys, monkeypatch,
+                                               tmp_path):
+        # 3301 states at n = 32 would stack to 54 MB; H is diagonal, where
+        # the generator is elementwise, so the dense matmuls of
+        # psd_master_rhs need not dominate the test's time
+        energies = np.linspace(-1.0, 1.0, 32)
+        w = energies[:, None] - energies[None, :]
+        rate = -1j * w - 0.5 * 0.4 * w * w
+        monkeypatch.setattr(master, "psd_master_rhs",
+                            lambda rho, h, tau0, hbar: rate * rho)
+        path = write_master_config(tmp_path, np.diag(energies), 1e-3, 3.3)
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(capsys, "master", "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len((tmp_path / "out" / "master.csv").read_text().splitlines()) \
+            > 3301
+        assert peak < 25e6
+
+    def test_failure_leaves_no_master_csv(self, tmp_path):
+        path = write_master_config(tmp_path, np.diag([50.0, -50.0]), 0.5, 50.0)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.warns(RuntimeWarning, match="under-resolves"):
+            code = main(["master", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert list((tmp_path / "out").glob("master*")) == []
 
 
 class TestSpacetimeCheck:

@@ -241,6 +241,20 @@ class TestStreamedReductions:
                 assert np.array_equal(rec.energy_mean,
                                       other.trajectories[k].energy_mean)
 
+    def test_worker_counts_agree_with_dense_hamiltonian(self):
+        # n = 64 sums the projector with BLAS in every batch; batches are
+        # fixed, so the folded reductions do not depend on the pool
+        rng = np.random.default_rng(64)
+        h = random_hermitian(rng, 64)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        config = make_config(hamiltonian=h, initial_state=random_state(rng, 64),
+                             dt=5e-3, t_final=0.05, n_trajectories=1030,
+                             record_stride=4)
+        one, two = (run_ensemble(config, workers=w) for w in (1, 2))
+        for name in ("mean_projector", "energy_variance_se",
+                     "terminal_variances"):
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+
     def test_parent_memory_stays_below_stacked_series(self):
         # stacking M x T x n amplitudes alone would take about 131 MB here
         rng = np.random.default_rng(4)

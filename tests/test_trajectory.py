@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
                     ShapeError, SimulationConfig, TrajectoryConfig,
@@ -126,6 +129,23 @@ class TestPsdStep:
             psd_step(random_state(rng, 2), np.eye(2), -0.1, 0.01, 1e-3)
 
 
+def assert_rows_replay(config, psi0, rows):
+    """Ensemble rows `rows` equal run_trajectory on their streams, bit for
+    bit; psi0 is the state the config was built from."""
+    summary = run_ensemble(config, retain=rows)
+    traj_config = TrajectoryConfig(
+        dt=config.dt, n_steps=config.n_steps, tau0=config.tau0,
+        record_stride=config.effective_record_stride)
+    for k in rows:
+        rec = run_trajectory(traj_config, psi0,
+                             NoiseStream(config.master_seed, k),
+                             hamiltonian=config.hamiltonian)
+        row = summary.trajectories[k]
+        for name in ("energy_mean", "energy_variance", "norm_drift",
+                     "final_state"):
+            assert np.array_equal(getattr(rec, name), getattr(row, name))
+
+
 class TestEigenKernel:
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_matches_dense_psd_step(self, n):
@@ -141,10 +161,11 @@ class TestEigenKernel:
         vecs = kernel.vecs
         coeff = kernel.coefficients(dxi[:, None].copy())   # in place
         c = (vecs.conj().T @ psi)[None, :]
+        e = kernel.mean_energy(c)
         nrm_sq = np.empty(1)
         deviations = []
         for k in range(200):
-            c = kernel.step(c, coeff[k], nrm_sq)
+            c, e = kernel.step(c, e, coeff[k], nrm_sq)
             psi = psd_step(psi, h, tau0, dxi[k], dt)
             deviations.append(float(np.max(np.abs(vecs @ c[0] - psi))))
         assert deviations[0] < 1e-12
@@ -156,22 +177,23 @@ class TestEigenKernel:
         rng = np.random.default_rng(17)
         h = random_hermitian(rng, 5)
         psi0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        config = SimulationConfig(
+        assert_rows_replay(SimulationConfig(
             hamiltonian=h, initial_state=psi0, tau0=0.4, dt=2e-3,
-            t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25)
-        summary = run_ensemble(config, retain=range(7))
-        traj_config = TrajectoryConfig(
-            dt=config.dt, n_steps=config.n_steps, tau0=config.tau0,
-            record_stride=config.effective_record_stride)
-        for k in range(3):
-            rec = run_trajectory(traj_config, psi0, NoiseStream(13, k),
-                                 hamiltonian=h)
-            row = summary.trajectories[k]
-            assert np.array_equal(rec.energy_mean, row.energy_mean)
-            assert np.array_equal(rec.energy_variance, row.energy_variance)
-            assert np.array_equal(rec.norm_drift, row.norm_drift)
-            assert np.array_equal(rec.final_state, row.final_state)
+            t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25),
+            psi0, rows=range(3))
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 64])
+    def test_replay_at_full_chunk_size(self, n):
+        # M = 515 is one full 512-row batch plus a partial one; rows at both
+        # ends of the full batch and the last row replay as batches of one
+        rng = np.random.default_rng(200 + n)
+        h = random_hermitian(rng, n)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        psi0 = random_state(rng, n)
+        assert_rows_replay(SimulationConfig(
+            hamiltonian=h, initial_state=psi0, tau0=0.4, dt=5e-3,
+            t_final=0.25, n_trajectories=515, master_seed=5,
+            record_stride=10), psi0, rows=(0, 511, 514))
 
     def test_failure_names_trajectory_and_step(self):
         # the overflowing step is reported with its trajectory index and step
@@ -181,6 +203,59 @@ class TestEigenKernel:
         with np.errstate(all="ignore"), pytest.raises(
                 DegenerateStateError, match="trajectory 2 failed at step 1:"):
             run_trajectory(config, psi0, NoiseStream(1, 2), hamiltonian=h)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernel_step_inputs(draw):
+    """A random hermitian H (n = 2..16, spectral radius <= 1), a state, dt,
+    tau0 and dxi; the step factor stays away from zero, so one step is
+    well conditioned."""
+    n = draw(st.integers(2, 16))
+    a = draw(hnp.arrays(np.float64, (2, n, n), elements=_unit))
+    z = a[0] + 1j * a[1]
+    h = 0.5 * (z + z.conj().T)
+    h /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(h))))
+    parts = draw(hnp.arrays(np.float64, (2, n), elements=_unit))
+    psi = parts[0] + 1j * parts[1]
+    assume(np.linalg.norm(psi) > 0.1)
+    dt = draw(st.floats(1e-5, 1e-2))
+    tau0 = draw(st.floats(0.01, 2.0))
+    re, im = draw(st.tuples(_unit, _unit))
+    dxi = 3.0 * np.sqrt(dt / 2) * complex(re, im)
+    return h, psi / np.linalg.norm(psi), dt, tau0, dxi
+
+
+class TestEigenKernelProperties:
+    # one kernel step against the dense step it replaces
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_step_inputs())
+    def test_one_step(self, inputs):
+        h, psi, dt, tau0, dxi = inputs
+        kernel = _EigenKernel(h, dt, tau0)
+        coeff = kernel.coefficients(np.array([[dxi]]))
+        c = (kernel.vecs.conj().T @ psi)[None, :]
+        nrm_sq = np.empty(1)
+        c_next, e_next = kernel.step(c, kernel.mean_energy(c), coeff[0], nrm_sq)
+        dense = psd_step(psi, h, tau0, dxi, dt)
+        assert np.max(np.abs(kernel.vecs @ c_next[0] - dense)) < 1e-12
+        assert abs(np.linalg.norm(c_next[0]) - 1.0) < 1e-14
+        assert np.array_equal(e_next, kernel.mean_energy(c_next))
+
+    @settings(max_examples=50, deadline=None)
+    @given(kernel_step_inputs(), st.integers(0, 15))
+    def test_eigenstates_stay_fixed(self, inputs, k):
+        h, _, dt, tau0, dxi = inputs
+        kernel = _EigenKernel(h, dt, tau0)
+        c = np.zeros((1, len(h)), dtype=np.complex128)
+        c[0, k % len(h)] = 1.0
+        coeff = kernel.coefficients(np.array([[dxi]]))
+        nrm_sq = np.empty(1)
+        c_next, e_next = kernel.step(c, kernel.mean_energy(c), coeff[0], nrm_sq)
+        assert np.array_equal(c_next, c)
+        assert e_next[0] == kernel.energies[k % len(h)]
 
 
 class TestGaugeTransform:
