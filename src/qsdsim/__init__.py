@@ -11,21 +11,19 @@ from .ensemble import (EnsembleSummary, LocalizationReport, SimulationConfig,
                        compare_ensemble_to_master, config_from_dict,
                        load_config, localization_stats, run_ensemble)
 from .errors import (DegenerateStateError, IntegrationFailureError,
-                     InvalidComparisonError, InvalidParameterError, QsdError,
-                     ShapeError)
+                     InvalidParameterError, QsdError, ShapeError)
 from .master import (MasterRunConfig, analytic_offdiagonal, integrate_master,
                      lindblad_rhs, psd_master_exact, psd_master_rhs)
-from .noise import (ClassicalDiffusionSpec, NoiseStream, sample_dw,
-                    sample_dxi, sample_dxi_block, simulate_langevin)
+from .noise import NoiseStream, sample_dxi, sample_dxi_block
 from .qcore import (align_global_phase, as_density, as_operator, as_state,
-                    centered_operator, expectation, normalize, pure_projector,
-                    trace_distance, variance)
+                    expectation, normalize, pure_projector, trace_distance,
+                    variance)
 from .spacetime import (CODATA, DecoherenceEstimate, NormCompletion,
                         PhysicalConstants, decoherence_rate,
                         delta_e_from_height, delta_e_from_velocities,
                         equivalence_report, fluctuating_time_step,
                         fluctuation_time_constant, ito_norm_defect,
-                        norm_completion, planck_time, sample_time_increment)
+                        norm_completion, planck_time)
 from .trajectory import (TrajectoryConfig, TrajectoryRecord,
                          gauge_transform, lindblad_from_hamiltonian,
                          norm_defect_samples, psd_step, qsd_step,
@@ -35,12 +33,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CODATA",
-    "ClassicalDiffusionSpec",
     "DecoherenceEstimate",
     "DegenerateStateError",
     "EnsembleSummary",
     "IntegrationFailureError",
-    "InvalidComparisonError",
     "InvalidParameterError",
     "LocalizationReport",
     "MasterRunConfig",
@@ -57,7 +53,6 @@ __all__ = [
     "as_density",
     "as_operator",
     "as_state",
-    "centered_operator",
     "compare_ensemble_to_master",
     "config_from_dict",
     "decoherence_rate",
@@ -85,11 +80,8 @@ __all__ = [
     "qsd_step",
     "run_ensemble",
     "run_trajectory",
-    "sample_dw",
     "sample_dxi",
     "sample_dxi_block",
-    "sample_time_increment",
-    "simulate_langevin",
     "trace_distance",
     "variance",
 ]

@@ -18,7 +18,7 @@ from . import ensemble as ens
 from . import master as master_mod
 from . import qcore, spacetime
 from .errors import (DegenerateStateError, IntegrationFailureError,
-                     InvalidComparisonError, InvalidParameterError, ShapeError)
+                     InvalidParameterError, ShapeError)
 from .noise import NoiseStream, moment_audit
 from .trajectory import TrajectoryConfig, run_trajectory
 
@@ -143,8 +143,7 @@ def _run_ensemble(args, with_master: bool):
     summary = ens.run_ensemble(config, workers=args.workers,
                                retain=args.dump_trajectory or ())
     if with_master:
-        summary.trace_distance_to_master = \
-            ens.compare_ensemble_to_master(summary, config)
+        summary.trace_distance_to_master = ens.compare_ensemble_to_master(summary)
     out = _out_dir(args)
     ens.write_summary_json(out / "summary.json", summary)
     ens.write_ensemble_csv(out / "ensemble.csv", summary)
@@ -181,8 +180,7 @@ def _cmd_master(args) -> int:
     state arrives, and only the snapshot states are kept."""
     config = _load_config(args)
     rho0 = qcore.pure_projector(config.initial_state)
-    run = master_mod.MasterRunConfig(dt=config.dt, t_final=config.t_final,
-                                     tau0=config.tau0, hbar=config.hbar)
+    run = master_mod.MasterRunConfig(dt=config.dt, t_final=config.t_final)
     rhs = lambda rho: master_mod.psd_master_rhs(  # noqa: E731
         rho, config.hamiltonian, config.tau0, config.hbar)
     times = run.times
@@ -339,8 +337,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.cmd](args)
-    except (InvalidParameterError, ShapeError, InvalidComparisonError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, ShapeError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"qsdsim: invalid input: {exc}\n")
         return 1
     except (DegenerateStateError, IntegrationFailureError) as exc:

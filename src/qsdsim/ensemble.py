@@ -39,7 +39,7 @@ import numpy as np
 
 from . import master as master_mod
 from . import qcore, spacetime
-from .errors import InvalidComparisonError, InvalidParameterError, QsdError
+from .errors import InvalidParameterError, QsdError
 from .noise import NoiseStream
 from .trajectory import (NOISE_BLOCK, TrajectoryRecord, _BatchSums,
                          _EigenKernel, _integrate_eigenbasis, record_count,
@@ -121,15 +121,6 @@ class SimulationConfig:
             "C": self.c_factor,
             "master_seed": self.master_seed,
         }
-
-    def physics_matches(self, other: "SimulationConfig") -> bool:
-        return (np.array_equal(self.hamiltonian, other.hamiltonian)
-                and np.array_equal(self.initial_state, other.initial_state)
-                and self.tau0 == other.tau0
-                and self.dt == other.dt
-                and self.t_final == other.t_final
-                and self.hbar == other.hbar
-                and self.effective_record_stride == other.effective_record_stride)
 
 
 def config_from_dict(data: dict) -> SimulationConfig:
@@ -361,28 +352,18 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     )
 
 
-def compare_ensemble_to_master(summary: EnsembleSummary,
-                               config: SimulationConfig) -> np.ndarray:
+def compare_ensemble_to_master(summary: EnsembleSummary) -> np.ndarray:
     """Trace distance between the ensemble mean projector and the master
-    solution at every record time.
+    solution of the run's own config at every record time.
 
     The master solution is the closed form of master.psd_master_exact,
     evaluated at the record times only.  Expected to scale as
     O(1/sqrt(M)) Monte Carlo error plus O(dt) discretization bias.
     """
-    if not config.physics_matches(summary.config):
-        raise InvalidComparisonError(
-            "ensemble summary and config describe different runs "
-            "(hamiltonian / initial state / tau0 / grid mismatch)")
-    rec_steps = record_steps(config.n_steps, config.effective_record_stride)
-    times = config.dt * np.asarray(rec_steps, dtype=float)
-    if len(rec_steps) != len(summary.times) or not np.allclose(
-            times, summary.times):
-        raise InvalidComparisonError("record grids do not line up")
-
+    config = summary.config
     rhos = master_mod.psd_master_exact(
         qcore.pure_projector(config.initial_state), config.hamiltonian,
-        config.tau0, times, config.hbar)
+        config.tau0, summary.times, config.hbar)
     return np.array([qcore.trace_distance(p, rho)
                      for p, rho in zip(summary.mean_projector, rhos)])
 
@@ -405,24 +386,6 @@ class LocalizationReport:
     terminal_variance_median: float
     variance_threshold: float
     localized_fraction: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "degenerate_levels": self.degenerate_levels,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "monotonicity_defect": self.monotonicity_defect,
-            "monotonicity_max_z": self.monotonicity_max_z,
-            "monotone_within_tolerance": self.monotone_within_tolerance,
-            "born_frequencies": [float(v) for v in self.born_frequencies],
-            "expected_populations": [float(v) for v in self.expected_populations],
-            "born_halfwidths": [float(v) for v in self.born_halfwidths],
-            "born_within_tolerance": self.born_within_tolerance,
-            "terminal_variance_max": self.terminal_variance_max,
-            "terminal_variance_median": self.terminal_variance_median,
-            "variance_threshold": self.variance_threshold,
-            "localized_fraction": self.localized_fraction,
-        }
 
 
 def localization_stats(summary: EnsembleSummary,

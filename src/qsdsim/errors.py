@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: invalid input (parameter, shape,
-comparison mismatch) exits 1; numerical failures (degenerate state,
-integration breakdown) exit 2.
+The CLI maps these onto exit codes: invalid input (parameter, shape)
+exits 1; numerical failures (degenerate state, integration breakdown)
+exit 2.
 """
 
 
@@ -24,7 +24,3 @@ class DegenerateStateError(QsdError, ArithmeticError):
 
 class IntegrationFailureError(QsdError, ArithmeticError):
     """An integrator left its validity envelope (trace drift, NaN, blow-up)."""
-
-
-class InvalidComparisonError(QsdError, ValueError):
-    """Ensemble and master runs do not describe the same physical setup."""

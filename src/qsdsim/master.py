@@ -37,12 +37,10 @@ POSITIVITY_WARN = -1e-8
 
 @dataclass(frozen=True)
 class MasterRunConfig:
-    """Fixed-step RK4 run parameters."""
+    """Fixed-step RK4 time grid; the physics lives in the rhs closure."""
 
     dt: float
     t_final: float
-    tau0: float = 0.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0.0:
@@ -50,10 +48,6 @@ class MasterRunConfig:
         if not np.isfinite(self.t_final) or self.t_final < self.dt:
             raise InvalidParameterError(
                 f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
-        if self.tau0 < 0.0:
-            raise InvalidParameterError(f"tau0 must be >= 0, got {self.tau0}")
-        if self.hbar <= 0.0:
-            raise InvalidParameterError(f"hbar must be positive, got {self.hbar}")
 
     @property
     def n_steps(self) -> int:
@@ -82,9 +76,11 @@ def psd_master_rhs(rho, h, tau0: float, hbar: float = 1.0) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if rho.shape != h.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"shape mismatch: rho {rho.shape} vs H {h.shape}")
-    tau0 = float(tau0)
-    if tau0 < 0.0:
+    tau0, hbar = float(tau0), float(hbar)
+    if not np.isfinite(tau0) or tau0 < 0.0:
         raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
+    if not np.isfinite(hbar) or hbar <= 0.0:
+        raise InvalidParameterError(f"hbar must be positive, got {hbar}")
     comm = h @ rho - rho @ h
     h2 = h @ h
     dissipator = h @ rho @ h - 0.5 * (h2 @ rho + rho @ h2)

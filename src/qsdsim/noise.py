@@ -1,7 +1,7 @@
-"""Wiener-increment sampling and classical complex diffusion.
+"""Complex Wiener-increment sampling.
 
-Real increments dw are Normal(0, dt).  Complex increments dxi have
-independent real and imaginary parts, each Normal(0, dt/2), so that
+Complex increments dxi have independent real and imaginary parts, each
+Normal(0, dt/2), so that
 
     E[dxi] = 0,   E[dxi^2] = 0,   E[|dxi|^2] = dt,
 
@@ -14,8 +14,6 @@ stream_index), so every trajectory of an ensemble owns an independent,
 bit-reproducible noise source regardless of scheduling.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -24,7 +22,7 @@ _U64 = np.uint64
 
 
 class NoiseStream:
-    """Seedable, splittable source of Wiener increments.
+    """Seedable source of Wiener increments.
 
     One stream per trajectory; identical (master_seed, stream_index, draw
     sequence) reproduces identical increments bit-for-bit, and distinct
@@ -40,10 +38,6 @@ class NoiseStream:
         key = np.array([self.master_seed, self.stream_index], dtype=_U64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, stream_index: int) -> "NoiseStream":
-        """Fresh stream with the same master seed and a new index."""
-        return NoiseStream(self.master_seed, stream_index)
-
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 
@@ -51,32 +45,11 @@ class NoiseStream:
         return f"NoiseStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
-@dataclass(frozen=True)
-class ClassicalDiffusionSpec:
-    """Drift-plus-diffusion motion in the complex plane: dz = v dt + a dxi."""
-
-    drift: complex
-    amplitude: complex
-    z0: complex = 0.0 + 0.0j
-
-    def __post_init__(self):
-        for name in ("drift", "amplitude", "z0"):
-            v = complex(getattr(self, name))
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise InvalidParameterError(f"{name} must be finite, got {v}")
-
-
 def _check_dt(dt: float) -> float:
     dt = float(dt)
     if not np.isfinite(dt) or dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     return dt
-
-
-def sample_dw(dt: float, stream: NoiseStream) -> float:
-    """One real Wiener increment: Normal(0, dt).  Advances the stream by one draw."""
-    dt = _check_dt(dt)
-    return float(np.sqrt(dt) * stream.standard_normal())
 
 
 def sample_dxi(dt: float, stream: NoiseStream) -> complex:
@@ -98,22 +71,6 @@ def sample_dxi_block(dt: float, n: int, stream: NoiseStream) -> np.ndarray:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     g = stream.standard_normal((n, 2))
     return np.sqrt(0.5 * dt) * (g[:, 0] + 1j * g[:, 1])
-
-
-def simulate_langevin(spec: ClassicalDiffusionSpec, dt: float, n_steps: int,
-                      stream: NoiseStream) -> np.ndarray:
-    """Euler path of dz = v dt + a dxi; returns n_steps+1 positions including z0."""
-    dt = _check_dt(dt)
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
-    dxi = sample_dxi_block(dt, n_steps, stream)
-    increments = complex(spec.drift) * dt + complex(spec.amplitude) * dxi
-    path = np.empty(n_steps + 1, dtype=np.complex128)
-    path[0] = complex(spec.z0)
-    np.cumsum(increments, out=path[1:])
-    path[1:] += path[0]
-    return path
 
 
 def moment_audit(dt: float, n: int, stream: NoiseStream) -> dict:

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import DegenerateStateError, InvalidParameterError, ShapeError
 
-NORM_TOL = 1e-12          # unit-norm tolerance after normalize
 HERMITIAN_TOL = 1e-12     # relative asymmetry allowed on hermitian operators
 HERMITIAN_REPAIR_TOL = 1e-8   # largest asymmetry silently symmetrized away
 TRACE_TOL = 1e-10
@@ -93,15 +92,6 @@ def expectation(a, psi) -> complex:
     psi = np.asarray(psi, dtype=np.complex128)
     _check_match(a, psi)
     return complex(np.vdot(psi, a @ psi))
-
-
-def centered_operator(h, psi) -> np.ndarray:
-    """H minus its current expectation: H - <psi|H|psi> * I."""
-    h = np.asarray(h, dtype=np.complex128)
-    psi = np.asarray(psi, dtype=np.complex128)
-    _check_match(h, psi)
-    mean = np.vdot(psi, h @ psi).real
-    return h - mean * np.eye(h.shape[0], dtype=np.complex128)
 
 
 def variance(h, psi) -> float:

@@ -67,24 +67,6 @@ def fluctuation_time_constant(c_factor: float,
     return c_factor * planck_time(constants)
 
 
-def sample_time_increment(dt: float, tau1: float, stream: NoiseStream) -> complex:
-    """One fluctuating time increment dt + sqrt(tau1) dxi.
-
-    Mean dt, mean square fluctuation tau1 * dt: the fluctuation and the
-    smooth part are comparable exactly when dt ~ tau1, and the relative
-    fluctuation sqrt(tau1/dt) vanishes far above that scale.
-    """
-    tau1 = float(tau1)
-    if not math.isfinite(tau1) or tau1 < 0.0:
-        raise InvalidParameterError(f"tau1 must be >= 0, got {tau1}")
-    if tau1 == 0.0:
-        dt = float(dt)
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise InvalidParameterError(f"dt must be positive, got {dt}")
-        return complex(dt)
-    return float(dt) + math.sqrt(tau1) * sample_dxi(dt, stream)
-
-
 @dataclass(frozen=True)
 class NormCompletion:
     """Counter-terms that keep the fluctuating-time propagator unitary in

@@ -60,7 +60,7 @@ def lindblad_from_hamiltonian(h, tau0: float, hbar: float = 1.0) -> np.ndarray:
     hbar = float(hbar)
     if not np.isfinite(tau0) or tau0 <= 0.0:
         raise InvalidParameterError(f"tau0 must be positive, got {tau0}")
-    if hbar <= 0.0:
+    if not np.isfinite(hbar) or hbar <= 0.0:
         raise InvalidParameterError(f"hbar must be positive, got {hbar}")
     h = qcore.as_operator(h, hermitian=True)
     n = h.shape[0]
@@ -319,7 +319,7 @@ class TrajectoryConfig:
             raise InvalidParameterError(f"n_steps must be >= 1, got {self.n_steps}")
         if not np.isfinite(self.tau0) or self.tau0 < 0.0:
             raise InvalidParameterError(f"tau0 must be >= 0, got {self.tau0}")
-        if self.hbar <= 0.0:
+        if not np.isfinite(self.hbar) or self.hbar <= 0.0:
             raise InvalidParameterError(f"hbar must be positive, got {self.hbar}")
         if self.record_stride < 1:
             raise InvalidParameterError(
@@ -377,18 +377,20 @@ def run_trajectory(config: TrajectoryConfig, psi0, stream: NoiseStream,
                    hamiltonian=None, lindblad=None) -> TrajectoryRecord:
     """Integrate one trajectory and record observable statistics.
 
+    psi0 must have unit norm and is used as given, not renormalized.
     Exactly one of hamiltonian / lindblad must be given.  With a
     hamiltonian the run is a batch of one through the eigenbasis kernel of
-    the ensemble, so it replays the ensemble trajectory with this stream
-    index bit for bit, and records <H> and Var H; with a bare Lindblad
-    operator it uses the general diffusion step and records the hermitian
-    part (L + L^dagger)/2 instead.  Deterministic: the record depends only
-    on the inputs and the stream.
+    the ensemble, so started from the ensemble's initial_state it replays
+    the ensemble trajectory with this stream index bit for bit, and
+    records <H> and Var H; with a bare Lindblad operator it uses the
+    general diffusion step and records the hermitian part (L + L^dagger)/2
+    instead.  Deterministic: the record depends only on the inputs and the
+    stream.
     """
     if (hamiltonian is None) == (lindblad is None):
         raise InvalidParameterError(
             "exactly one of hamiltonian / lindblad must be provided")
-    psi = qcore.normalize(qcore.as_state(psi0, normalized=False))
+    psi = qcore.as_state(psi0)
     if hamiltonian is not None:
         observable = qcore.as_operator(hamiltonian, hermitian=True)
     else:

@@ -77,7 +77,7 @@ def test_criterion_04_unraveling_consistency():
         tau0=tau0, dt=1e-3 * scale, t_final=2.0 * scale,
         n_trajectories=2000, master_seed=404, record_stride=20)
     summary = run_ensemble(config, workers=4)
-    dist = compare_ensemble_to_master(summary, config)
+    dist = compare_ensemble_to_master(summary)
     worst = float(np.max(dist))
     report(4, "M=2000 ensemble within 0.05 trace distance of RK4 master",
            worst < 0.05, f"max distance {worst:.4f}")
@@ -90,7 +90,7 @@ def test_criterion_05_analytic_decoherence():
     rho0 = pure_projector(np.array([1, 1]) / np.sqrt(2))
     _, states = integrate_master(
         rho0, lambda r: psd_master_rhs(r, h, tau0),
-        MasterRunConfig(dt=0.005, t_final=3.0 * t_dec, tau0=tau0))
+        MasterRunConfig(dt=0.005, t_final=3.0 * t_dec))
     exact = analytic_offdiagonal(0.5, 1.0, -1.0, tau0, 3.0 * t_dec)
     rel = abs(states[-1][0, 1] - exact) / abs(exact)
     report(5, "RK4 off-diagonal matches closed form at 3 decoherence times",

@@ -142,6 +142,31 @@ class TestRunCommands:
         assert (out_a / "ensemble.csv").read_bytes() \
             != (out_b / "ensemble.csv").read_bytes()
 
+    def test_trajectory_replays_dumped_ensemble_row(self, capsys, tmp_path):
+        # an unnormalized configured state: `trajectory --stream k` must
+        # start from the bits the ensemble starts from
+        rng = np.random.default_rng(17)
+        h = random_hermitian(rng, 5)
+        psi0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({
+            "hamiltonian": qcore.operator_to_json(h),
+            "initial_state": qcore.state_to_json(psi0),
+            "tau0": 0.4, "dt": 2e-3, "t_final": 3.0, "n_trajectories": 3,
+            "master_seed": 13, "record_stride": 25}))
+
+        def data_rows(csv_path):
+            return [ln for ln in csv_path.read_bytes().splitlines()
+                    if not ln.startswith(b"#")]
+
+        assert run_cli(capsys, "ensemble", "--config", str(path), "--out",
+                       str(tmp_path / "ens"), "--dump-trajectory", "2")[0] == 0
+        assert run_cli(capsys, "trajectory", "--config", str(path), "--out",
+                       str(tmp_path / "traj"), "--stream", "2")[0] == 0
+        ensemble_rows = data_rows(tmp_path / "ens" / "trajectory_2.csv")
+        assert len(ensemble_rows) == 62
+        assert data_rows(tmp_path / "traj" / "trajectory.csv") == ensemble_rows
+
 
 def write_master_config(tmp_path, h, dt, t_final):
     data = {
@@ -168,8 +193,7 @@ class TestMasterCommand:
                             "--out", str(tmp_path / "out"))
         assert code == 0
         config = qsdsim.load_config(path)
-        run = master.MasterRunConfig(dt=config.dt, t_final=config.t_final,
-                                     tau0=config.tau0)
+        run = master.MasterRunConfig(dt=config.dt, t_final=config.t_final)
         times, states = master.integrate_master(
             qcore.pure_projector(config.initial_state),
             lambda rho: master.psd_master_rhs(rho, config.hamiltonian,

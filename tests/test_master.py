@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsdsim import (IntegrationFailureError, InvalidParameterError,
                     MasterRunConfig, ShapeError, analytic_offdiagonal,
                     integrate_master, lindblad_from_hamiltonian, lindblad_rhs,
                     psd_master_exact, psd_master_rhs, pure_projector)
-from qsdsim.master import max_offdiagonal, write_summary_csv
+from qsdsim.master import max_offdiagonal, rk4_states, write_summary_csv
 from qsdsim.trajectory import record_steps
 from conftest import random_density, random_hermitian, random_state
 
@@ -69,6 +72,14 @@ class TestPsdMasterRhs:
     def test_negative_tau0_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             psd_master_rhs(random_density(rng, 2), np.eye(2), -0.5)
+
+    def test_nonfinite_parameters_rejected(self, rng):
+        rho = random_density(rng, 2)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                psd_master_rhs(rho, np.eye(2), bad)
+            with pytest.raises(InvalidParameterError):
+                psd_master_rhs(rho, np.eye(2), 0.5, hbar=bad)
 
 
 class TestAnalyticOffdiagonal:
@@ -189,7 +200,7 @@ class TestClosedForm:
         h /= np.max(np.abs(np.linalg.eigvalsh(h)))
         rho0 = pure_projector(random_state(rng, 8))
         tau0 = 0.4
-        run = MasterRunConfig(dt=1e-3, t_final=2.0, tau0=tau0)
+        run = MasterRunConfig(dt=1e-3, t_final=2.0)
         times, states = integrate_master(
             rho0, lambda r: psd_master_rhs(r, h, tau0), run)
         steps = record_steps(run.n_steps, 100)
@@ -216,3 +227,43 @@ class TestClosedForm:
             psd_master_exact(rho0, np.eye(2), 0.1, [np.nan])
         with pytest.raises(InvalidParameterError):
             psd_master_exact(rho0, np.eye(2), 0.1, [-1.0])
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def master_inputs(draw):
+    """A random hermitian H (n = 2..16, spectral radius <= 1), a random
+    density operator and tau0 in [0, 2]."""
+    n = draw(st.integers(2, 16))
+    a = draw(hnp.arrays(np.float64, (4, n, n), elements=_unit))
+    z = a[0] + 1j * a[1]
+    h = 0.5 * (z + z.conj().T)
+    h /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(h))))
+    b = a[2] + 1j * a[3]
+    rho = b @ b.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 0.1)
+    return h, rho / trace, draw(st.floats(0.0, 2.0))
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(master_inputs(),
+           hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(0.0, 5.0)))
+    def test_density_operator_at_every_time(self, inputs, times):
+        h, rho0, tau0 = inputs
+        for rho in psd_master_exact(rho0, h, tau0, times):
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+            assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(master_inputs())
+    def test_matches_one_rk4_step(self, inputs):
+        h, rho0, tau0 = inputs
+        _, rk4 = rk4_states(rho0, lambda r: psd_master_rhs(r, h, tau0),
+                            MasterRunConfig(dt=1e-3, t_final=1e-3))
+        exact = psd_master_exact(rho0, h, tau0, [1e-3])[0]
+        assert np.max(np.abs(exact - rk4)) < 1e-10

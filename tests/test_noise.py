@@ -2,41 +2,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qsdsim import (ClassicalDiffusionSpec, InvalidParameterError, NoiseStream,
-                    sample_dw, sample_dxi, sample_dxi_block, simulate_langevin)
+from qsdsim import (InvalidParameterError, NoiseStream, sample_dxi,
+                    sample_dxi_block)
 from qsdsim.noise import moment_audit
 
 
-class TestRealIncrement:
+class TestComplexIncrement:
     def test_rejects_degenerate_dt(self):
         s = NoiseStream(1)
         for dt in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
-                sample_dw(dt, s)
+                sample_dxi(dt, s)
+            with pytest.raises(InvalidParameterError):
+                sample_dxi_block(dt, 4, s)
 
-    def test_moments_at_unit_dt(self):
-        # sample_dw is one scaled standard normal per call; check that
-        # equivalence on a prefix, then use the batched form for the
-        # million-draw moment check.
-        s = NoiseStream(123)
-        seq = np.array([sample_dw(1.0, s) for _ in range(256)])
-        batch = NoiseStream(123).standard_normal(1_000_000) * np.sqrt(1.0)
-        assert np.array_equal(seq, batch[:256])
-        n = batch.size
-        assert abs(batch.mean()) < 4.0 / np.sqrt(n)
-        # second moment of Normal(0,1) has estimator sd sqrt(2/n)
-        assert abs(np.mean(batch ** 2) - 1.0) < 0.01
-
-    def test_deterministic_given_seed(self):
-        a = [sample_dw(0.5, NoiseStream(42, 0)) for _ in range(1)]
-        s1, s2 = NoiseStream(42, 0), NoiseStream(42, 0)
-        xs = [sample_dw(0.5, s1) for _ in range(100)]
-        ys = [sample_dw(0.5, s2) for _ in range(100)]
-        assert xs == ys
-        assert xs[0] == a[0]
-
-
-class TestComplexIncrement:
     def test_moments(self):
         s = NoiseStream(7)
         n = 1_000_000
@@ -83,48 +62,13 @@ class TestStreams:
         assert abs(corr) < 4.0 / np.sqrt(100_000)
 
     def test_spawn_and_repr(self):
-        s = NoiseStream(5, 0)
-        t = s.spawn(3)
+        t = NoiseStream(5, 3)
         assert t.stream_index == 3 and t.master_seed == 5
         assert "stream_index=3" in repr(t)
 
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidParameterError):
             NoiseStream(1, -1)
-
-
-class TestLangevin:
-    def test_pure_drift_is_exact(self):
-        spec = ClassicalDiffusionSpec(drift=1.0, amplitude=0.0, z0=0.0)
-        path = simulate_langevin(spec, 0.1, 10, NoiseStream(0))
-        assert len(path) == 11
-        assert abs(path[-1] - 1.0) < 1e-12
-
-    def test_imaginary_drift_translates_along_imaginary_axis(self):
-        spec = ClassicalDiffusionSpec(drift=1.0j, amplitude=0.0, z0=0.0)
-        path = simulate_langevin(spec, 0.25, 8, NoiseStream(0))
-        assert abs(path[-1] - 2.0j) < 1e-12
-        assert np.max(np.abs(path.real)) < 1e-12
-
-    def test_brownian_moments(self):
-        # 1e4 paths over total time T = 1: E z(T) ~ 0 and E |z(T)|^2 ~ T
-        spec = ClassicalDiffusionSpec(drift=0.0, amplitude=1.0, z0=0.0)
-        n_paths, n_steps, dt = 10_000, 100, 0.01
-        finals = np.array([
-            simulate_langevin(spec, dt, n_steps, NoiseStream(77, k))[-1]
-            for k in range(n_paths)
-        ])
-        assert abs(finals.mean()) < 0.05
-        assert abs(np.mean(np.abs(finals) ** 2) - 1.0) < 0.05
-
-    def test_invalid_parameters(self):
-        spec = ClassicalDiffusionSpec(drift=0.0, amplitude=1.0)
-        with pytest.raises(InvalidParameterError):
-            simulate_langevin(spec, -0.1, 10, NoiseStream(0))
-        with pytest.raises(InvalidParameterError):
-            simulate_langevin(spec, 0.1, 0, NoiseStream(0))
-        with pytest.raises(InvalidParameterError):
-            ClassicalDiffusionSpec(drift=float("nan"), amplitude=1.0)
 
 
 def test_moment_audit_fields():

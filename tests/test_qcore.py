@@ -3,8 +3,8 @@ import pytest
 
 from qsdsim import (DegenerateStateError, InvalidParameterError, ShapeError,
                     align_global_phase, as_density, as_operator, as_state,
-                    centered_operator, expectation, normalize, pure_projector,
-                    trace_distance, variance)
+                    expectation, normalize, pure_projector, trace_distance,
+                    variance)
 from qsdsim import qcore
 from conftest import random_density, random_hermitian, random_state
 
@@ -31,30 +31,6 @@ class TestExpectation:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             expectation(np.eye(3), np.array([1.0, 0.0]))
-
-
-class TestCenteredOperator:
-    def test_scalar_hamiltonian_vanishes(self, rng):
-        psi = random_state(rng, 3)
-        hd = centered_operator(2.5 * np.eye(3), psi)
-        assert np.max(np.abs(hd)) < 1e-12
-
-    def test_eigenstate_is_annihilated(self):
-        h = np.diag([1.0, 2.0, 3.0])
-        hd = centered_operator(h, np.array([0, 1, 0], dtype=complex))
-        assert np.max(np.abs(hd @ np.array([0, 1, 0]))) < 1e-12
-
-    def test_hand_value(self):
-        psi = np.array([1, 1]) / np.sqrt(2)
-        hd = centered_operator(np.diag([0.0, 1.0]), psi)
-        assert np.allclose(hd, np.diag([-0.5, 0.5]), atol=1e-14)
-
-    def test_zero_expectation_always(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 6))
-            h = random_hermitian(rng, n)
-            psi = random_state(rng, n)
-            assert abs(expectation(centered_operator(h, psi), psi)) < 1e-12
 
 
 class TestVariance:

@@ -3,13 +3,12 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from qsdsim import (CODATA, InvalidParameterError, NoiseStream,
-                    PhysicalConstants, align_global_phase, decoherence_rate,
+from qsdsim import (CODATA, InvalidParameterError, PhysicalConstants,
+                    align_global_phase, decoherence_rate,
                     delta_e_from_height, delta_e_from_velocities,
                     equivalence_report, fluctuating_time_step,
                     fluctuation_time_constant, ito_norm_defect, normalize,
-                    norm_completion, planck_time, psd_step,
-                    sample_time_increment)
+                    norm_completion, planck_time, psd_step)
 from qsdsim.spacetime import NormCompletion
 from conftest import random_hermitian, random_state
 
@@ -53,39 +52,6 @@ class TestFluctuationTimeConstant:
         for c in (0.0, -1.0, float("nan")):
             with pytest.raises(InvalidParameterError):
                 fluctuation_time_constant(c)
-
-
-class TestTimeIncrement:
-    def test_smooth_limit(self):
-        assert sample_time_increment(0.25, 0.0, NoiseStream(0)) == 0.25 + 0.0j
-
-    def test_statistics(self):
-        dt, tau1, n = 0.1, 0.4, 200_000
-        s = NoiseStream(31)
-        draws = np.array([sample_time_increment(dt, tau1, s) for _ in range(n)])
-        fluct = draws - dt
-        assert abs(fluct.mean()) < 4.0 * np.sqrt(tau1 * dt / n)
-        assert abs(np.mean(np.abs(fluct) ** 2) - tau1 * dt) \
-            < 4.0 * tau1 * dt / np.sqrt(n)
-
-    def test_planck_scale_fluctuation_comparable_to_dt(self):
-        # at dt = tau1 the RMS fluctuation equals dt itself
-        dt = tau1 = 0.05
-        s = NoiseStream(12)
-        fluct = np.array([sample_time_increment(dt, tau1, s) - dt
-                          for _ in range(100_000)])
-        rms = np.sqrt(np.mean(np.abs(fluct) ** 2))
-        assert rms == pytest.approx(dt, rel=0.05)
-
-    def test_relative_fluctuation_vanishes_for_large_dt(self):
-        tau1 = 1e-6
-        s = NoiseStream(13)
-        for dt in (1.0, 100.0):
-            fluct = np.array([sample_time_increment(dt, tau1, s) - dt
-                              for _ in range(20_000)])
-            rel = np.sqrt(np.mean(np.abs(fluct) ** 2)) / dt
-            assert rel == pytest.approx(np.sqrt(tau1 / dt), rel=0.1)
-            assert rel < 1.1e-3 * np.sqrt(1.0 / dt)
 
 
 class TestNormCompletion:
@@ -204,12 +170,6 @@ class TestEnergyGapHelpers:
 
 
 class TestArgumentGuards:
-    def test_time_increment_rejects_negative_tau1(self):
-        with pytest.raises(InvalidParameterError):
-            sample_time_increment(0.1, -1.0, NoiseStream(0))
-        with pytest.raises(InvalidParameterError):
-            sample_time_increment(0.0, 0.0, NoiseStream(0))
-
     def test_fluctuating_step_rejects_bad_dt(self, rng):
         psi = random_state(rng, 2)
         with pytest.raises(InvalidParameterError):

@@ -28,6 +28,11 @@ class TestLindbladFromHamiltonian:
         with pytest.raises(InvalidParameterError):
             lindblad_from_hamiltonian(np.eye(2), tau0=-1.0)
 
+    def test_rejects_bad_hbar(self):
+        for hbar in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                lindblad_from_hamiltonian(np.eye(2), 1.0, hbar=hbar)
+
     def test_tau0_scaling_structure(self, rng):
         h = random_hermitian(rng, 3)
         eye = np.eye(3)
@@ -129,15 +134,15 @@ class TestPsdStep:
             psd_step(random_state(rng, 2), np.eye(2), -0.1, 0.01, 1e-3)
 
 
-def assert_rows_replay(config, psi0, rows):
-    """Ensemble rows `rows` equal run_trajectory on their streams, bit for
-    bit; psi0 is the state the config was built from."""
+def assert_rows_replay(config, rows):
+    """Ensemble rows `rows` equal run_trajectory from the config's initial
+    state on their streams, bit for bit."""
     summary = run_ensemble(config, retain=rows)
     traj_config = TrajectoryConfig(
         dt=config.dt, n_steps=config.n_steps, tau0=config.tau0,
         record_stride=config.effective_record_stride)
     for k in rows:
-        rec = run_trajectory(traj_config, psi0,
+        rec = run_trajectory(traj_config, config.initial_state,
                              NoiseStream(config.master_seed, k),
                              hamiltonian=config.hamiltonian)
         row = summary.trajectories[k]
@@ -180,7 +185,7 @@ class TestEigenKernel:
         assert_rows_replay(SimulationConfig(
             hamiltonian=h, initial_state=psi0, tau0=0.4, dt=2e-3,
             t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25),
-            psi0, rows=range(3))
+            rows=range(3))
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64])
     def test_replay_at_full_chunk_size(self, n):
@@ -193,12 +198,12 @@ class TestEigenKernel:
         assert_rows_replay(SimulationConfig(
             hamiltonian=h, initial_state=psi0, tau0=0.4, dt=5e-3,
             t_final=0.25, n_trajectories=515, master_seed=5,
-            record_stride=10), psi0, rows=(0, 511, 514))
+            record_stride=10), rows=(0, 511, 514))
 
     def test_failure_names_trajectory_and_step(self):
         # the overflowing step is reported with its trajectory index and step
         h = np.diag([1e160, -1e160])
-        psi0 = np.array([1.0, 1.0])
+        psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
         config = TrajectoryConfig(dt=0.5, n_steps=10, tau0=1.0)
         with np.errstate(all="ignore"), pytest.raises(
                 DegenerateStateError, match="trajectory 2 failed at step 1:"):
@@ -405,6 +410,9 @@ class TestTrajectoryConfig:
             TrajectoryConfig(dt=0.1, n_steps=1, tau0=-1.0)
         with pytest.raises(InvalidParameterError):
             TrajectoryConfig(dt=0.1, n_steps=1, record_stride=0)
+        for hbar in (0.0, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                TrajectoryConfig(dt=0.1, n_steps=1, hbar=hbar)
 
 
 def test_run_trajectory_shape_mismatch():
