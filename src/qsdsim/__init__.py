@@ -1,19 +1,20 @@
 """Stochastic quantum-trajectory simulation.
 
 Integrates norm-preserving Ito diffusion equations for pure states,
-cross-validates trajectory ensembles against Lindblad master-equation
-solutions, verifies the fluctuating-time derivation of the
+cross-validates trajectory ensembles against the closed-form solution
+of their master equation, verifies the fluctuating-time derivation of the
 hamiltonian-driven diffusion, and computes Planck-scale decoherence
 estimates for matter-interferometry scenarios.
 """
 
 from .ensemble import (EnsembleSummary, LocalizationReport, SimulationConfig,
                        compare_ensemble_to_master, config_from_dict,
-                       load_config, localization_stats, run_ensemble)
+                       load_config, localization_stats, run_ensemble,
+                       run_trajectory)
 from .errors import (DegenerateStateError, IntegrationFailureError,
                      InvalidParameterError, QsdError, ShapeError)
-from .master import (MasterRunConfig, analytic_offdiagonal, integrate_master,
-                     lindblad_rhs, psd_master_exact, psd_master_rhs)
+from .master import (analytic_offdiagonal, integrate_master, lindblad_rhs,
+                     psd_master_exact, psd_master_rhs)
 from .noise import NoiseStream, sample_dxi, sample_dxi_block
 from .qcore import (align_global_phase, as_density, as_operator, as_state,
                     expectation, normalize, pure_projector, trace_distance,
@@ -24,10 +25,9 @@ from .spacetime import (CODATA, DecoherenceEstimate, NormCompletion,
                         equivalence_report, fluctuating_time_step,
                         fluctuation_time_constant, ito_norm_defect,
                         norm_completion, planck_time)
-from .trajectory import (TrajectoryConfig, TrajectoryRecord,
-                         gauge_transform, lindblad_from_hamiltonian,
-                         norm_defect_samples, psd_step, qsd_step,
-                         run_trajectory)
+from .trajectory import (TrajectoryRecord, gauge_transform,
+                         lindblad_from_hamiltonian, norm_defect_samples,
+                         psd_step, qsd_step)
 
 __version__ = "0.1.0"
 
@@ -39,14 +39,12 @@ __all__ = [
     "IntegrationFailureError",
     "InvalidParameterError",
     "LocalizationReport",
-    "MasterRunConfig",
     "NoiseStream",
     "NormCompletion",
     "PhysicalConstants",
     "QsdError",
     "ShapeError",
     "SimulationConfig",
-    "TrajectoryConfig",
     "TrajectoryRecord",
     "align_global_phase",
     "analytic_offdiagonal",

@@ -17,10 +17,9 @@ import numpy as np
 from . import ensemble as ens
 from . import master as master_mod
 from . import qcore, spacetime
-from .errors import (DegenerateStateError, IntegrationFailureError,
-                     InvalidParameterError, ShapeError)
+from .ensemble import run_trajectory
+from .errors import DegenerateStateError, InvalidParameterError, ShapeError
 from .noise import NoiseStream, moment_audit
-from .trajectory import TrajectoryConfig, run_trajectory
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,12 +118,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_trajectory(args) -> int:
     config = _load_config(args)
-    traj_config = TrajectoryConfig(
-        dt=config.dt, n_steps=config.n_steps, tau0=config.tau0,
-        hbar=config.hbar, record_stride=config.effective_record_stride)
-    stream = NoiseStream(config.master_seed, args.stream)
-    record = run_trajectory(traj_config, config.initial_state, stream,
-                            hamiltonian=config.hamiltonian)
+    record = run_trajectory(config, args.stream)
     record.header = {**config.header(), "stream_index": args.stream}
     out = _out_dir(args)
     record.write_csv(out / "trajectory.csv")
@@ -176,29 +170,28 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_master(args) -> int:
-    """RK4 from the initial projector; each master.csv row is written as its
-    state arrives, and only the snapshot states are kept."""
+    """The closed-form solution from the initial projector at every step
+    time; each master.csv row is written as its chunk of states arrives,
+    and the snapshot states are evaluated at their own times."""
     config = _load_config(args)
     rho0 = qcore.pure_projector(config.initial_state)
-    run = master_mod.MasterRunConfig(dt=config.dt, t_final=config.t_final)
-    rhs = lambda rho: master_mod.psd_master_rhs(  # noqa: E731
-        rho, config.hamiltonian, config.tau0, config.hbar)
-    times = run.times
-    wanted = set(master_mod.snapshot_indices(len(times)))
-    snapshots = {}
+    times = config.dt * np.arange(config.n_steps + 1)
+    chunk = max(master_mod.MASTER_CHUNK_BYTES // rho0.nbytes, 1)
 
-    def states():
-        for k, rho in enumerate(master_mod.rk4_states(rho0, rhs, run)):
-            if k in wanted:
-                snapshots[k] = rho
-            yield rho
+    def states(t):
+        for start in range(0, len(t), chunk):
+            yield from master_mod.psd_master_exact(
+                rho0, config.hamiltonian, config.tau0, t[start:start + chunk],
+                config.hbar)
 
+    kept = master_mod.snapshot_indices(len(times))
+    snapshots = dict(zip(kept, states(times[kept])))
     out = _out_dir(args)
     header = config.header()
-    # a failed integration leaves no master.csv behind
+    # a failed run leaves no master.csv behind
     partial = out / "master.csv.partial"
     try:
-        master_mod.write_summary_csv(partial, times, states(), header)
+        master_mod.write_summary_csv(partial, times, states(times), header)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -208,7 +201,7 @@ def _cmd_master(args) -> int:
     final = snapshots[len(times) - 1]
     _emit({
         "out": str(out),
-        "n_steps": run.n_steps,
+        "n_steps": config.n_steps,
         "final_trace": float(np.trace(final).real),
         "final_purity": float(np.trace(final @ final).real),
         "final_offdiag_abs": master_mod.max_offdiagonal(final),
@@ -291,7 +284,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ensemble", help="run a trajectory ensemble")
     _add_run_options(p)
 
-    p = sub.add_parser("master", help="integrate the master equation (RK4)")
+    p = sub.add_parser("master", help="solve the master equation")
     _add_run_options(p, trajectories=False)
 
     p = sub.add_parser("compare", help="ensemble vs master-equation deviation")
@@ -341,7 +334,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"qsdsim: invalid input: {exc}\n")
         return 1
-    except (DegenerateStateError, IntegrationFailureError) as exc:
+    except DegenerateStateError as exc:
         sys.stderr.write(f"qsdsim: numerical failure: {exc}\n")
         return 2
 

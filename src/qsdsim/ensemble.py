@@ -47,6 +47,7 @@ from .trajectory import (NOISE_BLOCK, TrajectoryRecord, _BatchSums,
 
 CHUNK_SIZE = 512         # trajectories per batch; independent of worker count
 MAX_RECORD_POINTS = 10_000
+_STEP_TOL = 1e-9         # relative slack of t_final / dt about a whole number
 _CONFIG_KEYS = frozenset({
     "units", "hamiltonian", "initial_state", "tau0_mode", "tau0", "C", "dt",
     "t_final", "n_trajectories", "master_seed", "record_stride"})
@@ -86,6 +87,13 @@ class SimulationConfig:
                 or self.dt <= 0.0 or self.dt > self.t_final:
             raise InvalidParameterError(
                 f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > _STEP_TOL * steps:
+            raise InvalidParameterError(
+                f"t_final must be a whole number of steps dt, got "
+                f"t_final / dt = {steps!r}")
+        if not np.isfinite(self.hbar) or self.hbar <= 0.0:
+            raise InvalidParameterError(f"hbar must be positive, got {self.hbar}")
         if not np.isfinite(self.tau0) or self.tau0 <= 0.0:
             raise InvalidParameterError(
                 f"resolved tau0 must be > 0 for a diffusion run, got {self.tau0}")
@@ -101,7 +109,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(int(round(self.t_final / self.dt)), 1)
+        return int(round(self.t_final / self.dt))
 
     @property
     def effective_record_stride(self) -> int:
@@ -242,6 +250,20 @@ def _simulate_chunk(args) -> _BatchSums:
     kernel, c0, n_steps, stride, seed, start, count, keep = args
     streams = [NoiseStream(seed, start + j) for j in range(count)]
     return _integrate_eigenbasis(kernel, c0, streams, n_steps, stride, keep)
+
+
+def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRecord:
+    """Trajectory `stream_index` of the config's ensemble, alone.
+
+    A batch of one through _simulate_chunk from the config's initial state,
+    so it replays the ensemble's trajectory with this index bit for bit
+    and records <H>, Var H and the norm defect at its record times.
+    """
+    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0, config.hbar)
+    c0 = kernel.vecs.conj().T @ config.initial_state
+    return _simulate_chunk((kernel, c0, config.n_steps,
+                            config.effective_record_stride, config.master_seed,
+                            stream_index, 1, [0])).records[0]
 
 
 def _fold(parts) -> _BatchSums:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: invalid input (parameter, shape)
-exits 1; numerical failures (degenerate state, integration breakdown)
-exit 2.
+exits 1; a numerical failure (a trajectory's degenerate state) exits 2.
+IntegrationFailureError is raised only by the RK4 oracle
+(master.integrate_master), which no CLI path runs.
 """
 
 

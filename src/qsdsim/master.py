@@ -1,5 +1,5 @@
-"""Density-operator evolution: Lindblad right-hand sides, an RK4 driver and
-the closed-form hamiltonian-driven solution.
+"""Density-operator evolution: the closed-form hamiltonian-driven solution,
+and Lindblad right-hand sides with an RK4 integrator as its oracle.
 
 Two generators:
 
@@ -14,17 +14,17 @@ solves in closed form (psd_master_exact),
 
     rho_jk(t) = rho_jk(0) exp(-i w_jk t / hbar - tau0 w_jk^2 t / (2 hbar^2)),
 
-with w_jk = E_j - E_k.  That closed form is what `compare` evaluates, at
-the record times only.  RK4 (rk4_states, and integrate_master, which
-stacks its states) is its independent oracle and the path of a general
-Lindblad operator.  The `master` subcommand steps rk4_states and writes
-each state's summary row as it arrives, keeping only the snapshot states.
+with w_jk = E_j - E_k.  That closed form is the only master path of the
+package: `compare` evaluates it at the record times, and the `master`
+subcommand at every step time, in chunks of MASTER_CHUNK_BYTES, writing
+each state's summary row as its chunk arrives.  integrate_master (RK4)
+with the two generators is the independent oracle the tests check the
+closed form against.
 """
 
 import csv
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,30 +33,14 @@ from .errors import IntegrationFailureError, InvalidParameterError, ShapeError
 
 TRACE_DRIFT_LIMIT = 1e-6
 POSITIVITY_WARN = -1e-8
+MASTER_CHUNK_BYTES = 2 ** 20   # bytes of states per chunk of `qsdsim master`
 
 
-@dataclass(frozen=True)
-class MasterRunConfig:
-    """Fixed-step RK4 time grid; the physics lives in the rhs closure."""
-
-    dt: float
-    t_final: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.dt) or self.dt <= 0.0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
-        if not np.isfinite(self.t_final) or self.t_final < self.dt:
-            raise InvalidParameterError(
-                f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
-
-    @property
-    def n_steps(self) -> int:
-        return max(int(round(self.t_final / self.dt)), 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Times of the RK4 states, dt * k for k = 0..n_steps."""
-        return self.dt * np.arange(self.n_steps + 1)
+def _positive_hbar(hbar) -> float:
+    hbar = float(hbar)
+    if not np.isfinite(hbar) or hbar <= 0.0:
+        raise InvalidParameterError(f"hbar must be positive, got {hbar}")
+    return hbar
 
 
 def lindblad_rhs(rho, lop) -> np.ndarray:
@@ -76,56 +60,49 @@ def psd_master_rhs(rho, h, tau0: float, hbar: float = 1.0) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if rho.shape != h.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"shape mismatch: rho {rho.shape} vs H {h.shape}")
-    tau0, hbar = float(tau0), float(hbar)
+    tau0, hbar = float(tau0), _positive_hbar(hbar)
     if not np.isfinite(tau0) or tau0 < 0.0:
         raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
-    if not np.isfinite(hbar) or hbar <= 0.0:
-        raise InvalidParameterError(f"hbar must be positive, got {hbar}")
     comm = h @ rho - rho @ h
     h2 = h @ h
     dissipator = h @ rho @ h - 0.5 * (h2 @ rho + rho @ h2)
     return (-1j / hbar) * comm + (tau0 / hbar ** 2) * dissipator
 
 
-def rk4_states(rho0, rhs, config: MasterRunConfig):
-    """Classical RK4 on drho/dt = rhs(rho) with per-step re-hermitization,
-    yielding the density operator at steps 0..n_steps one at a time.
+def integrate_master(rho0, rhs, dt: float, t_final: float):
+    """Classical RK4 on drho/dt = rhs(rho) with per-step re-hermitization
+    over the grid dt * k, k = 0..round(t_final / dt): returns (times,
+    states) with states[k] the density operator at times[k].
 
     Trace drift beyond TRACE_DRIFT_LIMIT aborts; positivity of the final
     state is monitored (warning only - silent projection would mask
     integrator bugs).
     """
+    dt, t_final = float(dt), float(t_final)
+    if not (np.isfinite(dt) and np.isfinite(t_final)) or not 0.0 < dt <= t_final:
+        raise InvalidParameterError(
+            f"need 0 < dt <= t_final, got dt={dt}, t_final={t_final}")
+    n_steps = int(round(t_final / dt))
     rho = qcore.as_density(rho0)
-    rho = 0.5 * (rho + rho.conj().T)   # canonical hermitian representative
-    dt = config.dt
-    yield rho
-    for k in range(1, config.n_steps + 1):
+    states = np.empty((n_steps + 1,) + rho.shape, dtype=np.complex128)
+    states[0] = rho = 0.5 * (rho + rho.conj().T)   # canonical hermitian representative
+    for k in range(1, n_steps + 1):
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * dt * k1)
         k3 = rhs(rho + 0.5 * dt * k2)
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
+        states[k] = rho = 0.5 * (rho + rho.conj().T)
         trace = np.trace(rho).real
         if not np.isfinite(trace) or abs(trace - 1.0) > TRACE_DRIFT_LIMIT:
             raise IntegrationFailureError(
                 f"trace drifted to {trace!r} at step {k} (dt too large?)")
-        yield rho
     min_eig = np.linalg.eigvalsh(rho).min()
     if min_eig < POSITIVITY_WARN:
         warnings.warn(
             f"density operator lost positivity: min eigenvalue {min_eig:.3e}",
-            RuntimeWarning, stacklevel=3)
-
-
-def integrate_master(rho0, rhs, config: MasterRunConfig):
-    """All rk4_states at once: (times, states) with states[k] the density
-    operator at times[k]."""
-    states = np.empty((config.n_steps + 1,) + np.shape(rho0),
-                      dtype=np.complex128)
-    for k, rho in enumerate(rk4_states(rho0, rhs, config)):
-        states[k] = rho
-    return config.times, states
+            RuntimeWarning, stacklevel=2)
+    return dt * np.arange(n_steps + 1), states
 
 
 def psd_master_exact(rho0, h, tau0: float, times, hbar: float = 1.0) -> np.ndarray:
@@ -138,7 +115,7 @@ def psd_master_exact(rho0, h, tau0: float, times, hbar: float = 1.0) -> np.ndarr
     h = qcore.as_operator(h, hermitian=True)
     if rho0.shape != h.shape:
         raise ShapeError(f"shape mismatch: rho {rho0.shape} vs H {h.shape}")
-    tau0 = float(tau0)
+    tau0, hbar = float(tau0), _positive_hbar(hbar)
     if not np.isfinite(tau0) or tau0 < 0.0:
         raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
     times = np.asarray(times, dtype=float)
@@ -154,7 +131,7 @@ def psd_master_exact(rho0, h, tau0: float, times, hbar: float = 1.0) -> np.ndarr
 def analytic_offdiagonal(rho0_12: complex, e1: float, e2: float, tau0: float,
                          t: float, hbar: float = 1.0) -> complex:
     """Closed-form off-diagonal element for a two-level diagonal hamiltonian."""
-    t = float(t)
+    t, hbar = float(t), _positive_hbar(hbar)
     if t < 0.0:
         raise InvalidParameterError(f"t must be >= 0, got {t}")
     de = float(e1) - float(e2)

@@ -24,8 +24,8 @@ mean.
 H is time-independent, so production runs step in its eigenbasis, where
 Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
-run_trajectory, the ensemble and norm_defect_samples; the dense psd_step
-and qsd_step stay as its oracle and as the general-L route.
+the ensemble (and ensemble.run_trajectory, a batch of one) and
+norm_defect_samples; the dense psd_step and qsd_step are its test oracles.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and row-wise einsum, whose bits do
@@ -43,7 +43,8 @@ import numpy as np
 
 from . import qcore
 from .errors import DegenerateStateError, InvalidParameterError, ShapeError
-from .noise import NoiseStream, sample_dxi, sample_dxi_block
+from .noise import NoiseStream, sample_dxi_block
+from .noise import sample_dxi  # noqa: F401  (looked up here by perfbench/tracing.py)
 
 _UNIT_PHASE_TOL = 1e-12
 NOISE_BLOCK = 1024       # steps of noise drawn per generator call
@@ -89,8 +90,9 @@ def _check_step_args(psi, op, dt):
     return psi, op, dt
 
 
-def qsd_increment(psi, lop, dxi: complex, dt: float) -> np.ndarray:
-    """Raw Euler-Maruyama state change d|psi> before renormalization."""
+def qsd_step(psi, lop, dxi: complex, dt: float) -> np.ndarray:
+    """One Euler-Maruyama state diffusion step for Lindblad operator L,
+    renormalized."""
     psi, lop, dt = _check_step_args(psi, lop, dt)
     lpsi = lop @ psi
     mean_l = np.vdot(psi, lpsi)          # <L>
@@ -98,13 +100,7 @@ def qsd_increment(psi, lop, dxi: complex, dt: float) -> np.ndarray:
     drift = mean_ld * lpsi - 0.5 * (lop.conj().T @ lpsi) \
         - 0.5 * mean_ld * mean_l * psi
     diffusion = lpsi - mean_l * psi
-    return drift * dt + diffusion * complex(dxi)
-
-
-def qsd_step(psi, lop, dxi: complex, dt: float) -> np.ndarray:
-    """One state diffusion step for Lindblad operator L, renormalized."""
-    new = np.asarray(psi, dtype=np.complex128) + qsd_increment(psi, lop, dxi, dt)
-    return qcore.normalize(new)
+    return qcore.normalize(psi + (drift * dt + diffusion * complex(dxi)))
 
 
 def psd_increment(psi, h, tau0: float, dxi: complex, dt: float,
@@ -302,30 +298,6 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     return nrm_sq - 1.0
 
 
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    """Step size, length and recording cadence of a single trajectory run."""
-
-    dt: float
-    n_steps: int
-    tau0: float = 0.0
-    hbar: float = 1.0
-    record_stride: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.dt) or self.dt <= 0.0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise InvalidParameterError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not np.isfinite(self.tau0) or self.tau0 < 0.0:
-            raise InvalidParameterError(f"tau0 must be >= 0, got {self.tau0}")
-        if not np.isfinite(self.hbar) or self.hbar <= 0.0:
-            raise InvalidParameterError(f"hbar must be positive, got {self.hbar}")
-        if self.record_stride < 1:
-            raise InvalidParameterError(
-                f"record_stride must be >= 1, got {self.record_stride}")
-
-
 @dataclass
 class TrajectoryRecord:
     """Time series of observable statistics along one trajectory."""
@@ -371,68 +343,3 @@ def record_count(n_steps: int, stride: int) -> int:
 def record_steps(n_steps: int, stride: int) -> np.ndarray:
     """Step indices stored in a record: every stride-th step plus the last."""
     return np.minimum(np.arange(record_count(n_steps, stride)) * stride, n_steps)
-
-
-def run_trajectory(config: TrajectoryConfig, psi0, stream: NoiseStream,
-                   hamiltonian=None, lindblad=None) -> TrajectoryRecord:
-    """Integrate one trajectory and record observable statistics.
-
-    psi0 must have unit norm and is used as given, not renormalized.
-    Exactly one of hamiltonian / lindblad must be given.  With a
-    hamiltonian the run is a batch of one through the eigenbasis kernel of
-    the ensemble, so started from the ensemble's initial_state it replays
-    the ensemble trajectory with this stream index bit for bit, and
-    records <H> and Var H; with a bare Lindblad operator it uses the
-    general diffusion step and records the hermitian part (L + L^dagger)/2
-    instead.  Deterministic: the record depends only on the inputs and the
-    stream.
-    """
-    if (hamiltonian is None) == (lindblad is None):
-        raise InvalidParameterError(
-            "exactly one of hamiltonian / lindblad must be provided")
-    psi = qcore.as_state(psi0)
-    if hamiltonian is not None:
-        observable = qcore.as_operator(hamiltonian, hermitian=True)
-    else:
-        lop = qcore.as_operator(lindblad)
-        observable = 0.5 * (lop + lop.conj().T)
-    if observable.shape[0] != psi.shape[0]:
-        raise ShapeError(
-            f"operator {observable.shape} does not match state {psi.shape}")
-
-    if hamiltonian is not None:
-        kernel = _EigenKernel(observable, config.dt, config.tau0, config.hbar)
-        return _integrate_eigenbasis(
-            kernel, kernel.vecs.conj().T @ psi, [stream], config.n_steps,
-            config.record_stride, keep=[0]).records[0]
-
-    record_set = set(record_steps(config.n_steps, config.record_stride).tolist())
-    times, e_mean, e_var, drift = [], [], [], []
-    last_defect = 0.0
-
-    def snapshot(step):
-        times.append(step * config.dt)
-        e_mean.append(qcore.expectation(observable, psi).real)
-        e_var.append(qcore.variance(observable, psi))
-        drift.append(last_defect)
-
-    snapshot(0)
-    for k in range(1, config.n_steps + 1):
-        dxi = sample_dxi(config.dt, stream)
-        new = psi + qsd_increment(psi, lop, dxi, config.dt)
-        nrm = np.linalg.norm(new)
-        if not np.isfinite(nrm) or nrm < qcore.ZERO_NORM_TOL:
-            raise DegenerateStateError(
-                f"state norm collapsed to {nrm!r} at step {k}")
-        last_defect = nrm - 1.0
-        psi = new / nrm
-        if k in record_set:
-            snapshot(k)
-
-    return TrajectoryRecord(
-        times=np.asarray(times),
-        energy_mean=np.asarray(e_mean),
-        energy_variance=np.asarray(e_var),
-        norm_drift=np.asarray(drift),
-        final_state=psi,
-    )

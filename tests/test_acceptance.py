@@ -10,8 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from qsdsim import (MasterRunConfig, NoiseStream, SimulationConfig,
-                    analytic_offdiagonal, compare_ensemble_to_master,
+from qsdsim import (NoiseStream, SimulationConfig, analytic_offdiagonal,
+                    compare_ensemble_to_master,
                     equivalence_report, gauge_transform, integrate_master,
                     lindblad_from_hamiltonian, lindblad_rhs, localization_stats,
                     norm_defect_samples, psd_master_rhs, pure_projector,
@@ -79,7 +79,7 @@ def test_criterion_04_unraveling_consistency():
     summary = run_ensemble(config, workers=4)
     dist = compare_ensemble_to_master(summary)
     worst = float(np.max(dist))
-    report(4, "M=2000 ensemble within 0.05 trace distance of RK4 master",
+    report(4, "M=2000 ensemble within 0.05 trace distance of the master solution",
            worst < 0.05, f"max distance {worst:.4f}")
 
 
@@ -89,8 +89,7 @@ def test_criterion_05_analytic_decoherence():
     t_dec = 2.0 / (tau0 * 2.0 ** 2)
     rho0 = pure_projector(np.array([1, 1]) / np.sqrt(2))
     _, states = integrate_master(
-        rho0, lambda r: psd_master_rhs(r, h, tau0),
-        MasterRunConfig(dt=0.005, t_final=3.0 * t_dec))
+        rho0, lambda r: psd_master_rhs(r, h, tau0), 0.005, 3.0 * t_dec)
     exact = analytic_offdiagonal(0.5, 1.0, -1.0, tau0, 3.0 * t_dec)
     rel = abs(states[-1][0, 1] - exact) / abs(exact)
     report(5, "RK4 off-diagonal matches closed form at 3 decoherence times",

@@ -184,8 +184,13 @@ def write_master_config(tmp_path, h, dt, t_final):
 
 
 class TestMasterCommand:
+    # RK4 and the closed form differ here by at most 1.8e-10 (purity;
+    # 1.6e-10 on a density-operator entry, 7.2e-11 on offdiag_abs)
+    RK4_TOL = 5e-10
+
     def test_files_match_stacked_states(self, capsys, tmp_path):
-        # the streamed command writes the bytes the stacked RK4 states give
+        # the command's files against the RK4 oracle's stacked states, put
+        # through the same writers: same layout, values within RK4_TOL
         h = random_hermitian(np.random.default_rng(5), 5)
         h /= np.max(np.abs(np.linalg.eigvalsh(h)))
         path = write_master_config(tmp_path, h, 1e-2, 2.0)
@@ -193,32 +198,44 @@ class TestMasterCommand:
                             "--out", str(tmp_path / "out"))
         assert code == 0
         config = qsdsim.load_config(path)
-        run = master.MasterRunConfig(dt=config.dt, t_final=config.t_final)
         times, states = master.integrate_master(
             qcore.pure_projector(config.initial_state),
             lambda rho: master.psd_master_rhs(rho, config.hamiltonian,
-                                              config.tau0), run)
+                                              config.tau0),
+            config.dt, config.t_final)
         master.write_summary_csv(tmp_path / "master.csv", times, states,
                                  config.header())
         master.write_snapshots_json(tmp_path / "master_states.json", times,
                                     states, config.header())
-        for name in ("master.csv", "master_states.json"):
-            assert (tmp_path / "out" / name).read_bytes() \
-                == (tmp_path / name).read_bytes()
-        assert json.loads(out)["final_purity"] \
-            == float(np.trace(states[-1] @ states[-1]).real)
 
-    def test_memory_stays_below_stacked_states(self, capsys, monkeypatch,
-                                               tmp_path):
-        # 3301 states at n = 32 would stack to 54 MB; H is diagonal, where
-        # the generator is elementwise, so the dense matmuls of
-        # psd_master_rhs need not dominate the test's time
-        energies = np.linspace(-1.0, 1.0, 32)
-        w = energies[:, None] - energies[None, :]
-        rate = -1j * w - 0.5 * 0.4 * w * w
-        monkeypatch.setattr(master, "psd_master_rhs",
-                            lambda rho, h, tau0, hbar: rate * rho)
-        path = write_master_config(tmp_path, np.diag(energies), 1e-3, 3.3)
+        got = (tmp_path / "out" / "master.csv").read_text().splitlines()
+        want = (tmp_path / "master.csv").read_text().splitlines()
+        assert len(got) == len(want) == 9 + len(times)
+        assert got[:9] == want[:9]            # header and column names
+        got_t = [row.split(",")[0] for row in got[9:]]
+        assert got_t == [row.split(",")[0] for row in want[9:]]
+        got_v = np.array([row.split(",")[1:] for row in got[9:]], dtype=float)
+        want_v = np.array([row.split(",")[1:] for row in want[9:]], dtype=float)
+        assert np.max(np.abs(got_v - want_v)) <= self.RK4_TOL
+
+        text = (tmp_path / "out" / "master_states.json").read_text()
+        got = json.loads(text)
+        want = json.loads((tmp_path / "master_states.json").read_text())
+        assert text == json.dumps(got, indent=2) + "\n"
+        assert got["header"] == want["header"]
+        assert [s["t"] for s in got["snapshots"]] \
+            == [s["t"] for s in want["snapshots"]]
+        for a, b in zip(got["snapshots"], want["snapshots"]):
+            assert np.max(np.abs(qcore.operator_from_json(a["rho"])
+                                 - qcore.operator_from_json(b["rho"]))) \
+                <= self.RK4_TOL
+        assert json.loads(out)["final_purity"] == pytest.approx(
+            float(np.trace(states[-1] @ states[-1]).real), abs=self.RK4_TOL)
+
+    def test_memory_stays_below_stacked_states(self, capsys, tmp_path):
+        # 3301 states at n = 32 would stack to 54 MB
+        path = write_master_config(tmp_path, np.diag(np.linspace(-1.0, 1.0, 32)),
+                                   1e-3, 3.3)
         tracemalloc.start()
         try:
             code, _ = run_cli(capsys, "master", "--config", str(path),
@@ -231,13 +248,22 @@ class TestMasterCommand:
             > 3301
         assert peak < 25e6
 
-    def test_failure_leaves_no_master_csv(self, tmp_path):
-        path = write_master_config(tmp_path, np.diag([50.0, -50.0]), 0.5, 50.0)
-        with np.errstate(invalid="ignore", over="ignore"), \
-                pytest.warns(RuntimeWarning, match="under-resolves"):
-            code = main(["master", "--config", str(path),
-                         "--out", str(tmp_path / "out")])
-        assert code == 2
+    def test_failure_leaves_no_master_csv(self, monkeypatch, tmp_path):
+        # chunks of 4 states at n = 2; the evaluation of the second chunk
+        # of master.csv rows, from t = 4 dt = 1.0, fails
+        monkeypatch.setattr(master, "MASTER_CHUNK_BYTES", 4 * 16 * 2 * 2)
+        path = write_master_config(tmp_path, np.diag([0.5, -0.5]), 0.25, 5.0)
+        partial = tmp_path / "out" / "master.csv.partial"
+        exact = master.psd_master_exact
+
+        def failing(rho0, h, tau0, times, hbar):
+            if times[0] == 1.0 and partial.exists():
+                raise MemoryError("injected in the second chunk")
+            return exact(rho0, h, tau0, times, hbar)
+
+        monkeypatch.setattr(master, "psd_master_exact", failing)
+        with pytest.raises(MemoryError, match="second chunk"):
+            main(["master", "--config", str(path), "--out", str(tmp_path / "out")])
         assert list((tmp_path / "out").glob("master*")) == []
 
 
@@ -287,9 +313,10 @@ class TestExitCodes:
         assert main(["ensemble", "--config", str(path)]) == 1
 
     def test_numerical_failure_exits_2(self, capsys, tmp_path):
+        # the first step overflows the trajectory's norm
         data = {
             "units": "natural",
-            "hamiltonian": qcore.operator_to_json(np.diag([50.0, -50.0])),
+            "hamiltonian": qcore.operator_to_json(np.diag([1e160, -1e160])),
             "initial_state": qcore.state_to_json(np.array([1, 1]) / np.sqrt(2)),
             "tau0": 1.0,
             "dt": 0.5,
@@ -298,8 +325,12 @@ class TestExitCodes:
         }
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(data))
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert main(["master", "--config", str(path)]) == 2
+        with np.errstate(all="ignore"), \
+                pytest.warns(RuntimeWarning, match="under-resolves"):
+            assert main(["trajectory", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "qsdsim: numerical failure: trajectory 0 failed at step 1:")
 
     @pytest.mark.parametrize("overrides", [
         {"t_final": float("nan")},
@@ -307,7 +338,8 @@ class TestExitCodes:
         {"hamiltonian": [[["0.5", 0.0], [0.0, 0.0]],
                          [[0.0, 0.0], ["minus a half", 0.0]]]},
         {"record_strid": 5},
-    ], ids=["nan", "infinity", "string-entry", "unknown-key"])
+        {"t_final": 1.001},                       # 400.4 steps of 2.5e-3
+    ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides):
         # a fresh interpreter, so an escaping exception would show as a
         # traceback on stderr

@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsdsim import (InvalidParameterError, MasterRunConfig,
-                    SimulationConfig, as_density,
+from qsdsim import (InvalidParameterError, SimulationConfig, as_density,
                     compare_ensemble_to_master, config_from_dict,
                     integrate_master, load_config, localization_stats,
                     psd_master_rhs, pure_projector, run_ensemble, spacetime,
@@ -59,12 +58,19 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             make_config(dt=2.0)          # dt > t_final
         with pytest.raises(InvalidParameterError):
+            make_config(dt=0.0)
+        with pytest.raises(InvalidParameterError):
             make_config(tau0=0.0)        # diffusion runs need tau0 > 0
         with pytest.raises(InvalidParameterError):
+            make_config(record_stride=0)
+        with pytest.raises(InvalidParameterError):
             make_config(initial_state=np.array([1, 0, 0]))  # dim mismatch
-        for t_final in (float("nan"), float("inf")):
+        for t_final in (float("nan"), float("inf"), 1.001):   # 400.4 steps
             with pytest.raises(InvalidParameterError):
                 make_config(t_final=t_final)
+        for hbar in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                make_config(hbar=hbar)
 
     def test_initial_state_is_normalized(self):
         config = make_config(initial_state=np.array([3.0, 0.0]))
@@ -326,7 +332,7 @@ class TestCompare:
         _, states = integrate_master(
             pure_projector(config.initial_state),
             lambda r: psd_master_rhs(r, config.hamiltonian, config.tau0),
-            MasterRunConfig(dt=config.dt, t_final=config.t_final))
+            config.dt, config.t_final)
         steps = np.rint(summary.times / config.dt).astype(int)
         rk4 = [trace_distance(p, states[k])
                for p, k in zip(summary.mean_projector, steps)]
@@ -428,4 +434,4 @@ class TestOutputs:
 
 def test_unresolved_time_step_warns():
     with pytest.warns(RuntimeWarning, match="under-resolves"):
-        make_config(dt=0.9, t_final=1.0, hamiltonian=np.diag([5.0, -5.0]))
+        make_config(dt=0.9, t_final=1.8, hamiltonian=np.diag([5.0, -5.0]))

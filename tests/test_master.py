@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qsdsim import (IntegrationFailureError, InvalidParameterError,
-                    MasterRunConfig, ShapeError, analytic_offdiagonal,
-                    integrate_master, lindblad_from_hamiltonian, lindblad_rhs,
-                    psd_master_exact, psd_master_rhs, pure_projector)
-from qsdsim.master import max_offdiagonal, rk4_states, write_summary_csv
+                    ShapeError, analytic_offdiagonal, integrate_master,
+                    lindblad_from_hamiltonian, lindblad_rhs, psd_master_exact,
+                    psd_master_rhs, pure_projector)
+from qsdsim.master import max_offdiagonal, write_summary_csv
 from qsdsim.trajectory import record_steps
 from conftest import random_density, random_hermitian, random_state
 
@@ -104,9 +104,8 @@ class TestAnalyticOffdiagonal:
 class TestIntegrateMaster:
     def test_zero_rhs_is_exact_identity(self, rng):
         rho0 = random_density(rng, 3)
-        config = MasterRunConfig(dt=0.1, t_final=2.0)
         times, states = integrate_master(rho0, lambda r: lindblad_rhs(r, np.eye(3)),
-                                         config)
+                                         0.1, 2.0)
         assert np.array_equal(states[-1], states[0])
         assert len(times) == 21
 
@@ -116,7 +115,7 @@ class TestIntegrateMaster:
         rho0 = pure_projector(np.array([1, 1]) / np.sqrt(2))
         errs = []
         for dt in (0.02, 0.01):
-            _, states = integrate_master(rho0, rhs, MasterRunConfig(dt=dt, t_final=2.0))
+            _, states = integrate_master(rho0, rhs, dt, 2.0)
             exact = analytic_offdiagonal(0.5, 1.0, -1.0, 0.25, 2.0)
             errs.append(abs(states[-1][0, 1] - exact))
         ratio = errs[0] / errs[1]
@@ -125,7 +124,7 @@ class TestIntegrateMaster:
     def test_long_time_diagonal_fixed_point(self):
         h, rhs = two_level_rhs(tau0=1.0)
         rho0 = pure_projector(np.array([np.sqrt(0.7), np.sqrt(0.3)]))
-        _, states = integrate_master(rho0, rhs, MasterRunConfig(dt=0.01, t_final=10.0))
+        _, states = integrate_master(rho0, rhs, 0.01, 10.0)
         final = states[-1]
         assert abs(final[0, 1]) < 1e-8
         assert final[0, 0].real == pytest.approx(0.7, abs=1e-9)
@@ -135,7 +134,7 @@ class TestIntegrateMaster:
         h = random_hermitian(rng, 4)
         rho0 = random_density(rng, 4)
         rhs = lambda rho: psd_master_rhs(rho, h, 0.4)  # noqa: E731
-        _, states = integrate_master(rho0, rhs, MasterRunConfig(dt=0.005, t_final=1.0))
+        _, states = integrate_master(rho0, rhs, 0.005, 1.0)
         for rho in states[::50]:
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
@@ -144,7 +143,7 @@ class TestIntegrateMaster:
         lop = np.diag(rng.standard_normal(3)).astype(complex)
         rho0 = random_density(rng, 3)
         _, states = integrate_master(rho0, lambda r: lindblad_rhs(r, lop),
-                                     MasterRunConfig(dt=0.01, t_final=2.0))
+                                     0.01, 2.0)
         purity = np.array([np.trace(r @ r).real for r in states])
         assert np.all(np.diff(purity) <= 1e-12)
 
@@ -153,7 +152,7 @@ class TestIntegrateMaster:
         rho0 = pure_projector(np.array([1, 1]) / np.sqrt(2))
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(IntegrationFailureError):
-                integrate_master(rho0, rhs, MasterRunConfig(dt=0.5, t_final=50.0))
+                integrate_master(rho0, rhs, 0.5, 50.0)
 
     def test_positivity_monitor_warns(self):
         # time-reversed decay inflates one population past 1, pushing the
@@ -162,24 +161,24 @@ class TestIntegrateMaster:
         rho0 = np.diag([0.1, 0.9]).astype(complex)
         rhs = lambda rho: -lindblad_rhs(rho, lop)  # noqa: E731
         with pytest.warns(RuntimeWarning, match="positivity"):
-            integrate_master(rho0, rhs, MasterRunConfig(dt=0.01, t_final=0.5))
+            integrate_master(rho0, rhs, 0.01, 0.5)
 
     def test_config_validation(self):
+        rho0, rhs = np.eye(2) / 2, lambda r: lindblad_rhs(r, np.eye(2))
         with pytest.raises(InvalidParameterError):
-            MasterRunConfig(dt=0.0, t_final=1.0)
+            integrate_master(rho0, rhs, 0.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            MasterRunConfig(dt=2.0, t_final=1.0)
+            integrate_master(rho0, rhs, 2.0, 1.0)
         for t_final in (float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
-                MasterRunConfig(dt=0.1, t_final=t_final)
+                integrate_master(rho0, rhs, 0.1, t_final)
 
 
 class TestOutputs:
     def test_summary_csv(self, tmp_path, rng):
         h, rhs = two_level_rhs(tau0=0.5)
         rho0 = pure_projector(np.array([1, 1]) / np.sqrt(2))
-        times, states = integrate_master(rho0, rhs,
-                                         MasterRunConfig(dt=0.05, t_final=0.5))
+        times, states = integrate_master(rho0, rhs, 0.05, 0.5)
         path = tmp_path / "master.csv"
         write_summary_csv(path, times, states, header={"units": "natural"})
         lines = path.read_text().splitlines()
@@ -200,10 +199,9 @@ class TestClosedForm:
         h /= np.max(np.abs(np.linalg.eigvalsh(h)))
         rho0 = pure_projector(random_state(rng, 8))
         tau0 = 0.4
-        run = MasterRunConfig(dt=1e-3, t_final=2.0)
         times, states = integrate_master(
-            rho0, lambda r: psd_master_rhs(r, h, tau0), run)
-        steps = record_steps(run.n_steps, 100)
+            rho0, lambda r: psd_master_rhs(r, h, tau0), 1e-3, 2.0)
+        steps = record_steps(len(times) - 1, 100)
         exact = psd_master_exact(rho0, h, tau0, times[steps])
         assert np.max(np.abs(exact - states[steps])) <= 1e-8
 
@@ -227,6 +225,11 @@ class TestClosedForm:
             psd_master_exact(rho0, np.eye(2), 0.1, [np.nan])
         with pytest.raises(InvalidParameterError):
             psd_master_exact(rho0, np.eye(2), 0.1, [-1.0])
+        for hbar in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                psd_master_exact(rho0, np.diag([1.0, -1.0]), 0.4, [1.0], hbar=hbar)
+            with pytest.raises(InvalidParameterError):
+                analytic_offdiagonal(0.5, 1.0, -1.0, 0.4, 1.0, hbar=hbar)
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -263,7 +266,7 @@ class TestClosedFormProperties:
     @given(master_inputs())
     def test_matches_one_rk4_step(self, inputs):
         h, rho0, tau0 = inputs
-        _, rk4 = rk4_states(rho0, lambda r: psd_master_rhs(r, h, tau0),
-                            MasterRunConfig(dt=1e-3, t_final=1e-3))
+        _, (_, rk4) = integrate_master(
+            rho0, lambda r: psd_master_rhs(r, h, tau0), 1e-3, 1e-3)
         exact = psd_master_exact(rho0, h, tau0, [1e-3])[0]
         assert np.max(np.abs(exact - rk4)) < 1e-10

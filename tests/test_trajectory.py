@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
-                    ShapeError, SimulationConfig, TrajectoryConfig,
-                    align_global_phase, gauge_transform,
-                    lindblad_from_hamiltonian, lindblad_rhs,
+                    ShapeError, SimulationConfig, align_global_phase,
+                    gauge_transform, lindblad_from_hamiltonian, lindblad_rhs,
                     norm_defect_samples, normalize, psd_master_rhs, psd_step,
                     qsd_step, run_ensemble, run_trajectory, sample_dxi,
                     sample_dxi_block)
+from qsdsim import qcore
 from qsdsim.trajectory import _EigenKernel
 from conftest import random_hermitian, random_state
 
@@ -138,13 +138,8 @@ def assert_rows_replay(config, rows):
     """Ensemble rows `rows` equal run_trajectory from the config's initial
     state on their streams, bit for bit."""
     summary = run_ensemble(config, retain=rows)
-    traj_config = TrajectoryConfig(
-        dt=config.dt, n_steps=config.n_steps, tau0=config.tau0,
-        record_stride=config.effective_record_stride)
     for k in rows:
-        rec = run_trajectory(traj_config, config.initial_state,
-                             NoiseStream(config.master_seed, k),
-                             hamiltonian=config.hamiltonian)
+        rec = run_trajectory(config, k)
         row = summary.trajectories[k]
         for name in ("energy_mean", "energy_variance", "norm_drift",
                      "final_state"):
@@ -202,12 +197,14 @@ class TestEigenKernel:
 
     def test_failure_names_trajectory_and_step(self):
         # the overflowing step is reported with its trajectory index and step
-        h = np.diag([1e160, -1e160])
-        psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
-        config = TrajectoryConfig(dt=0.5, n_steps=10, tau0=1.0)
+        with np.errstate(all="ignore"), \
+                pytest.warns(RuntimeWarning, match="under-resolves"):
+            config = one_trajectory(np.diag([1e160, -1e160]),
+                                    np.array([1.0, 1.0]) / np.sqrt(2),
+                                    tau0=1.0, dt=0.5, t_final=5.0, master_seed=1)
         with np.errstate(all="ignore"), pytest.raises(
                 DegenerateStateError, match="trajectory 2 failed at step 1:"):
-            run_trajectory(config, psi0, NoiseStream(1, 2), hamiltonian=h)
+            run_trajectory(config, 2)
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -216,8 +213,8 @@ _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 @st.composite
 def kernel_step_inputs(draw):
     """A random hermitian H (n = 2..16, spectral radius <= 1), a state, dt,
-    tau0 and dxi; the step factor stays away from zero, so one step is
-    well conditioned."""
+    tau0 (0 included: no diffusion) and dxi; the step factor stays away
+    from zero, so one step is well conditioned."""
     n = draw(st.integers(2, 16))
     a = draw(hnp.arrays(np.float64, (2, n, n), elements=_unit))
     z = a[0] + 1j * a[1]
@@ -227,7 +224,7 @@ def kernel_step_inputs(draw):
     psi = parts[0] + 1j * parts[1]
     assume(np.linalg.norm(psi) > 0.1)
     dt = draw(st.floats(1e-5, 1e-2))
-    tau0 = draw(st.floats(0.01, 2.0))
+    tau0 = draw(st.just(0.0) | st.floats(0.01, 2.0))
     re, im = draw(st.tuples(_unit, _unit))
     dxi = 3.0 * np.sqrt(dt / 2) * complex(re, im)
     return h, psi / np.linalg.norm(psi), dt, tau0, dxi
@@ -248,6 +245,10 @@ class TestEigenKernelProperties:
         assert np.max(np.abs(kernel.vecs @ c_next[0] - dense)) < 1e-12
         assert abs(np.linalg.norm(c_next[0]) - 1.0) < 1e-14
         assert np.array_equal(e_next, kernel.mean_energy(c_next))
+        # <H> and Var H of the row against the dense state's
+        assert abs(e_next[0] - qcore.expectation(h, dense).real) < 1e-12
+        assert abs(kernel.variance(c_next, e_next)[0]
+                   - qcore.variance(h, dense)) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(kernel_step_inputs(), st.integers(0, 15))
@@ -323,52 +324,29 @@ class TestNormDiscipline:
         assert measured == pytest.approx(expected, rel=0.15)
 
 
-class TestRunTrajectory:
-    def test_tau0_zero_diagonal_populations_constant(self):
-        config = TrajectoryConfig(dt=1e-8, n_steps=1000, tau0=0.0,
-                                  record_stride=100)
-        psi0 = np.array([np.sqrt(0.64), np.sqrt(0.36)], dtype=complex)
-        rec = run_trajectory(config, psi0, NoiseStream(5),
-                             hamiltonian=np.diag([1.0, -1.0]))
-        pops = np.abs(rec.final_state) ** 2
-        assert abs(pops[0] - 0.64) < 1e-12
-        assert abs(pops[1] - 0.36) < 1e-12
+def one_trajectory(h, psi0, **fields):
+    return SimulationConfig(hamiltonian=h, initial_state=psi0,
+                            n_trajectories=1, **fields)
 
+
+class TestRunTrajectory:
     def test_long_run_localizes(self):
         # t >> hbar^2 / (tau0 dE^2) = 0.25 drives Var H below 1e-6 dE^2
-        config = TrajectoryConfig(dt=1e-3, n_steps=10_000, tau0=1.0,
-                                  record_stride=500)
-        psi0 = np.array([1, 1]) / np.sqrt(2)
-        rec = run_trajectory(config, psi0, NoiseStream(42),
-                             hamiltonian=np.diag([1.0, -1.0]))
+        config = one_trajectory(np.diag([1.0, -1.0]), np.array([1, 1]) / np.sqrt(2),
+                                tau0=1.0, dt=1e-3, t_final=10.0, master_seed=42,
+                                record_stride=500)
+        rec = run_trajectory(config, 0)
         assert rec.energy_variance[-1] < 1e-6 * 2.0 ** 2
 
     def test_deterministic_record(self):
-        config = TrajectoryConfig(dt=1e-3, n_steps=500, tau0=0.5,
-                                  record_stride=50)
-        psi0 = np.array([1, 1j]) / np.sqrt(2)
-        h = np.diag([0.7, -0.7])
-        a = run_trajectory(config, psi0, NoiseStream(8), hamiltonian=h)
-        b = run_trajectory(config, psi0, NoiseStream(8), hamiltonian=h)
+        config = one_trajectory(np.diag([0.7, -0.7]), np.array([1, 1j]) / np.sqrt(2),
+                                tau0=0.5, dt=1e-3, t_final=0.5, master_seed=8,
+                                record_stride=50)
+        a = run_trajectory(config, 0)
+        b = run_trajectory(config, 0)
         assert np.array_equal(a.energy_mean, b.energy_mean)
         assert np.array_equal(a.final_state, b.final_state)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
-
-    def test_lindblad_route_records_hermitian_part(self):
-        config = TrajectoryConfig(dt=1e-3, n_steps=50, record_stride=10)
-        lop = np.diag([0.0, 1.0]).astype(complex)
-        rec = run_trajectory(config, np.array([1, 1]) / np.sqrt(2),
-                             NoiseStream(3), lindblad=lop)
-        assert rec.energy_mean[0] == pytest.approx(0.5)
-
-    def test_requires_exactly_one_generator(self):
-        config = TrajectoryConfig(dt=1e-3, n_steps=10)
-        psi0 = np.array([1.0, 0.0])
-        with pytest.raises(InvalidParameterError):
-            run_trajectory(config, psi0, NoiseStream(0))
-        with pytest.raises(InvalidParameterError):
-            run_trajectory(config, psi0, NoiseStream(0),
-                           hamiltonian=np.eye(2), lindblad=np.eye(2))
 
     def test_martingale_of_populations(self):
         # diagonal H: ensemble mean of each population is conserved; streams
@@ -386,10 +364,10 @@ class TestRunTrajectory:
         assert abs(finals.mean() - 0.7) < 4.0 * se
 
     def test_csv_output(self, tmp_path):
-        config = TrajectoryConfig(dt=1e-3, n_steps=20, tau0=0.3,
-                                  record_stride=7)
-        rec = run_trajectory(config, np.array([1, 1]) / np.sqrt(2),
-                             NoiseStream(2), hamiltonian=np.diag([1.0, -1.0]))
+        config = one_trajectory(np.diag([1.0, -1.0]), np.array([1, 1]) / np.sqrt(2),
+                                tau0=0.3, dt=1e-3, t_final=0.02, master_seed=2,
+                                record_stride=7)
+        rec = run_trajectory(config, 0)
         rec.header = {"note": "test"}
         path = tmp_path / "traj.csv"
         rec.write_csv(path)
@@ -400,23 +378,8 @@ class TestRunTrajectory:
         assert len(lines) == 2 + 4
 
 
-class TestTrajectoryConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            TrajectoryConfig(dt=0.0, n_steps=1)
-        with pytest.raises(InvalidParameterError):
-            TrajectoryConfig(dt=0.1, n_steps=0)
-        with pytest.raises(InvalidParameterError):
-            TrajectoryConfig(dt=0.1, n_steps=1, tau0=-1.0)
-        with pytest.raises(InvalidParameterError):
-            TrajectoryConfig(dt=0.1, n_steps=1, record_stride=0)
-        for hbar in (0.0, float("nan")):
-            with pytest.raises(InvalidParameterError):
-                TrajectoryConfig(dt=0.1, n_steps=1, hbar=hbar)
-
-
 def test_run_trajectory_shape_mismatch():
-    config = TrajectoryConfig(dt=1e-3, n_steps=5, tau0=0.1)
+    # a state that does not match H never reaches run_trajectory
     with pytest.raises((ShapeError, InvalidParameterError)):
-        run_trajectory(config, np.array([1.0, 0.0]), NoiseStream(0),
-                       hamiltonian=np.eye(3))
+        run_trajectory(one_trajectory(np.eye(3), np.array([1.0, 0.0]), tau0=0.1,
+                                      dt=1e-3, t_final=5e-3, master_seed=0), 0)
