@@ -41,24 +41,10 @@ def _json_float(x: float):
 
 
 def _load_config(args) -> ens.SimulationConfig:
-    """Read the config file and apply command-line overrides.
-
-    Overrides are applied in the file's declared units (seconds / joules
-    for SI configs, dimensionless otherwise).
-    """
-    with open(args.config) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InvalidParameterError("config file must contain a JSON object")
-    if getattr(args, "seed", None) is not None:
-        data["master_seed"] = args.seed
-    if getattr(args, "trajectories", None) is not None:
-        data["n_trajectories"] = args.trajectories
-    if getattr(args, "dt", None) is not None:
-        data["dt"] = args.dt
-    if getattr(args, "t_final", None) is not None:
-        data["t_final"] = args.t_final
-    return ens.config_from_dict(data)
+    """The config file with the command-line overrides applied."""
+    return ens.load_config(args.config, {
+        "master_seed": args.seed, "dt": args.dt, "t_final": args.t_final,
+        "n_trajectories": getattr(args, "trajectories", None)})
 
 
 def _out_dir(args) -> Path:
@@ -181,8 +167,7 @@ def _cmd_master(args) -> int:
     def states(t):
         for start in range(0, len(t), chunk):
             yield from master_mod.psd_master_exact(
-                rho0, config.hamiltonian, config.tau0, t[start:start + chunk],
-                config.hbar)
+                rho0, config.hamiltonian, config.tau0, t[start:start + chunk])
 
     kept = master_mod.snapshot_indices(len(times))
     snapshots = dict(zip(kept, states(times[kept])))

@@ -55,7 +55,8 @@ _CONFIG_KEYS = frozenset({
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Resolved, natural-unit description of an ensemble run."""
+    """Resolved, natural-unit (hbar = 1) description of an ensemble run;
+    __post_init__ is the one place where a run's values are checked."""
 
     hamiltonian: np.ndarray
     initial_state: np.ndarray
@@ -65,7 +66,6 @@ class SimulationConfig:
     n_trajectories: int
     master_seed: int
     record_stride: int | None = None
-    hbar: float = 1.0
     tau0_mode: str = "explicit"
     c_factor: float = 1.0
     units: str = "natural"
@@ -83,27 +83,25 @@ class SimulationConfig:
         if self.n_trajectories < 1:
             raise InvalidParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if not (np.isfinite(self.dt) and np.isfinite(self.t_final)) \
-                or self.dt <= 0.0 or self.dt > self.t_final:
+        dt = qcore.positive("dt", self.dt)
+        t_final = qcore.positive("t_final", self.t_final)
+        if dt > t_final:
             raise InvalidParameterError(
-                f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
-        steps = self.t_final / self.dt
+                f"need dt <= t_final, got dt={dt}, t_final={t_final}")
+        steps = t_final / dt
         if abs(steps - round(steps)) > _STEP_TOL * steps:
             raise InvalidParameterError(
                 f"t_final must be a whole number of steps dt, got "
                 f"t_final / dt = {steps!r}")
-        if not np.isfinite(self.hbar) or self.hbar <= 0.0:
-            raise InvalidParameterError(f"hbar must be positive, got {self.hbar}")
-        if not np.isfinite(self.tau0) or self.tau0 <= 0.0:
-            raise InvalidParameterError(
-                f"resolved tau0 must be > 0 for a diffusion run, got {self.tau0}")
+        qcore.positive("tau0", self.tau0)      # a diffusion run needs tau0 > 0
+        qcore.positive("C", self.c_factor)
         if self.record_stride is not None and self.record_stride < 1:
             raise InvalidParameterError(
                 f"record_stride must be >= 1, got {self.record_stride}")
-        phase_step = self.dt * float(np.max(np.abs(np.linalg.eigvalsh(h)))) / self.hbar
+        phase_step = dt * float(np.max(np.abs(np.linalg.eigvalsh(h))))
         if phase_step > 0.5:
             warnings.warn(
-                f"dt under-resolves the fastest phase (dt*E_max/hbar = "
+                f"dt under-resolves the fastest phase (dt*E_max = "
                 f"{phase_step:.3g}); the weak-order-1 stepper will be badly "
                 f"biased", RuntimeWarning, stacklevel=2)
 
@@ -123,7 +121,7 @@ class SimulationConfig:
             "units": self.units,
             "energy_unit_J": self.energy_unit_j if self.units == "SI" else 1.0,
             "time_unit_s": self.time_unit_s if self.units == "SI" else 1.0,
-            "hbar_internal": self.hbar,
+            "hbar_internal": 1.0,
             "tau0_mode": self.tau0_mode,
             "tau0_internal": self.tau0,
             "C": self.c_factor,
@@ -134,8 +132,8 @@ class SimulationConfig:
 def config_from_dict(data: dict) -> SimulationConfig:
     """Build a run config from its JSON form, resolving units and tau0.
 
-    Every malformed field - missing, of the wrong type, unparsable or
-    non-finite - raises InvalidParameterError.
+    Every malformed field - missing, of the wrong type or unparsable -
+    raises InvalidParameterError here; SimulationConfig checks the values.
     """
     try:
         return _parse_config(data)
@@ -145,13 +143,6 @@ def config_from_dict(data: dict) -> SimulationConfig:
         raise InvalidParameterError(f"config is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"malformed config: {exc}") from exc
-
-
-def _finite(data: dict, key: str, default=None) -> float:
-    value = float(data[key] if default is None else data.get(key, default))
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{key} must be finite, got {value}")
-    return value
 
 
 def _parse_config(data: dict) -> SimulationConfig:
@@ -164,9 +155,9 @@ def _parse_config(data: dict) -> SimulationConfig:
     h = qcore.operator_from_json(data["hamiltonian"])
     psi0 = qcore.state_from_json(data["initial_state"])
     tau0_mode = data.get("tau0_mode", "explicit")
-    c_factor = _finite(data, "C", 1.0)
-    dt = _finite(data, "dt")
-    t_final = _finite(data, "t_final")
+    c_factor = float(data.get("C", 1.0))
+    dt = float(data["dt"])
+    t_final = float(data["t_final"])
     n_traj = int(data.get("n_trajectories", 1))
     seed = int(data.get("master_seed", 0))
     stride = data.get("record_stride")
@@ -175,7 +166,7 @@ def _parse_config(data: dict) -> SimulationConfig:
     if tau0_mode == "explicit":
         if "tau0" not in data:
             raise InvalidParameterError("explicit tau0_mode requires a tau0 field")
-        tau0 = _finite(data, "tau0")
+        tau0 = float(data["tau0"])
     elif tau0_mode == "planck":
         if units != "SI":
             raise InvalidParameterError(
@@ -200,16 +191,19 @@ def _parse_config(data: dict) -> SimulationConfig:
     return SimulationConfig(
         hamiltonian=h, initial_state=psi0, tau0=tau0, dt=dt,
         t_final=t_final, n_trajectories=n_traj, master_seed=seed,
-        record_stride=stride, hbar=1.0, tau0_mode=tau0_mode,
+        record_stride=stride, tau0_mode=tau0_mode,
         c_factor=c_factor, units=units, energy_unit_j=energy_unit_j,
         time_unit_s=time_unit_s)
 
 
-def load_config(path) -> SimulationConfig:
+def load_config(path, overrides: dict | None = None) -> SimulationConfig:
+    """Read a JSON config file; each entry of overrides that is not None
+    replaces the file's field of that name, in the file's declared units."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InvalidParameterError("config file must contain a JSON object")
+    data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return config_from_dict(data)
 
 
@@ -259,7 +253,7 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
     so it replays the ensemble's trajectory with this index bit for bit
     and records <H>, Var H and the norm defect at its record times.
     """
-    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0, config.hbar)
+    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state
     return _simulate_chunk((kernel, c0, config.n_steps,
                             config.effective_record_stride, config.master_seed,
@@ -341,7 +335,7 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     pool_size = min(workers, n_chunks, os.cpu_count() or 1)
     _check_memory(config, n_chunks, pool_size, len(retain))
 
-    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0, config.hbar)
+    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     vecs = kernel.vecs
     c0 = vecs.conj().T @ config.initial_state   # <v_k | psi0>
     stride = config.effective_record_stride
@@ -385,7 +379,7 @@ def compare_ensemble_to_master(summary: EnsembleSummary) -> np.ndarray:
     config = summary.config
     rhos = master_mod.psd_master_exact(
         qcore.pure_projector(config.initial_state), config.hamiltonian,
-        config.tau0, summary.times, config.hbar)
+        config.tau0, summary.times)
     return np.array([qcore.trace_distance(p, rho)
                      for p, rho in zip(summary.mean_projector, rhos)])
 

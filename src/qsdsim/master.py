@@ -14,12 +14,14 @@ solves in closed form (psd_master_exact),
 
     rho_jk(t) = rho_jk(0) exp(-i w_jk t / hbar - tau0 w_jk^2 t / (2 hbar^2)),
 
-with w_jk = E_j - E_k.  That closed form is the only master path of the
-package: `compare` evaluates it at the record times, and the `master`
-subcommand at every step time, in chunks of MASTER_CHUNK_BYTES, writing
-each state's summary row as its chunk arrives.  integrate_master (RK4)
-with the two generators is the independent oracle the tests check the
-closed form against.
+with w_jk = E_j - E_k.  Every formula here is evaluated at hbar = 1 (SI
+configs are rescaled on load, see ensemble).
+
+That closed form is the only master path of the package: `compare`
+evaluates it at the record times, and the `master` subcommand at every
+step time, in chunks of MASTER_CHUNK_BYTES, writing each state's summary
+row as its chunk arrives.  integrate_master (RK4) with the two generators
+is the independent oracle the tests check the closed form against.
 """
 
 import csv
@@ -36,13 +38,6 @@ POSITIVITY_WARN = -1e-8
 MASTER_CHUNK_BYTES = 2 ** 20   # bytes of states per chunk of `qsdsim master`
 
 
-def _positive_hbar(hbar) -> float:
-    hbar = float(hbar)
-    if not np.isfinite(hbar) or hbar <= 0.0:
-        raise InvalidParameterError(f"hbar must be positive, got {hbar}")
-    return hbar
-
-
 def lindblad_rhs(rho, lop) -> np.ndarray:
     """L rho Ld - 1/2 {Ld L, rho}; hermitian and traceless for hermitian rho."""
     rho = np.asarray(rho, dtype=np.complex128)
@@ -54,19 +49,17 @@ def lindblad_rhs(rho, lop) -> np.ndarray:
     return lop @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
 
 
-def psd_master_rhs(rho, h, tau0: float, hbar: float = 1.0) -> np.ndarray:
+def psd_master_rhs(rho, h, tau0: float) -> np.ndarray:
     """Hamiltonian-driven master generator (commutator plus energy decoherence)."""
     rho = np.asarray(rho, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if rho.shape != h.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"shape mismatch: rho {rho.shape} vs H {h.shape}")
-    tau0, hbar = float(tau0), _positive_hbar(hbar)
-    if not np.isfinite(tau0) or tau0 < 0.0:
-        raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
+    tau0 = qcore.positive("tau0", tau0, allow_zero=True)
     comm = h @ rho - rho @ h
     h2 = h @ h
     dissipator = h @ rho @ h - 0.5 * (h2 @ rho + rho @ h2)
-    return (-1j / hbar) * comm + (tau0 / hbar ** 2) * dissipator
+    return -1j * comm + tau0 * dissipator
 
 
 def integrate_master(rho0, rhs, dt: float, t_final: float):
@@ -78,10 +71,10 @@ def integrate_master(rho0, rhs, dt: float, t_final: float):
     state is monitored (warning only - silent projection would mask
     integrator bugs).
     """
-    dt, t_final = float(dt), float(t_final)
-    if not (np.isfinite(dt) and np.isfinite(t_final)) or not 0.0 < dt <= t_final:
+    dt, t_final = qcore.positive("dt", dt), qcore.positive("t_final", t_final)
+    if dt > t_final:
         raise InvalidParameterError(
-            f"need 0 < dt <= t_final, got dt={dt}, t_final={t_final}")
+            f"need dt <= t_final, got dt={dt}, t_final={t_final}")
     n_steps = int(round(t_final / dt))
     rho = qcore.as_density(rho0)
     states = np.empty((n_steps + 1,) + rho.shape, dtype=np.complex128)
@@ -105,7 +98,7 @@ def integrate_master(rho0, rhs, dt: float, t_final: float):
     return dt * np.arange(n_steps + 1), states
 
 
-def psd_master_exact(rho0, h, tau0: float, times, hbar: float = 1.0) -> np.ndarray:
+def psd_master_exact(rho0, h, tau0: float, times) -> np.ndarray:
     """Closed-form solution of psd_master_rhs at each of `times`, (T, n, n).
 
     rho0 is rotated into the eigenbasis of H once, each entry decays at
@@ -115,28 +108,24 @@ def psd_master_exact(rho0, h, tau0: float, times, hbar: float = 1.0) -> np.ndarr
     h = qcore.as_operator(h, hermitian=True)
     if rho0.shape != h.shape:
         raise ShapeError(f"shape mismatch: rho {rho0.shape} vs H {h.shape}")
-    tau0, hbar = float(tau0), _positive_hbar(hbar)
-    if not np.isfinite(tau0) or tau0 < 0.0:
-        raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
+    tau0 = qcore.positive("tau0", tau0, allow_zero=True)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0.0):
         raise InvalidParameterError("times must be a 1-d array of finite t >= 0")
     energies, vecs = np.linalg.eigh(h)
     w = energies[:, None] - energies[None, :]
-    rate = -1j * w / hbar - 0.5 * tau0 * w * w / hbar ** 2
+    rate = -1j * w - 0.5 * tau0 * w * w
     rho_eigen = vecs.conj().T @ rho0 @ vecs
     return vecs @ (rho_eigen * np.exp(times[:, None, None] * rate)) @ vecs.conj().T
 
 
 def analytic_offdiagonal(rho0_12: complex, e1: float, e2: float, tau0: float,
-                         t: float, hbar: float = 1.0) -> complex:
+                         t: float) -> complex:
     """Closed-form off-diagonal element for a two-level diagonal hamiltonian."""
-    t, hbar = float(t), _positive_hbar(hbar)
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be >= 0, got {t}")
+    tau0 = qcore.positive("tau0", tau0, allow_zero=True)
+    t = qcore.positive("t", t, allow_zero=True)
     de = float(e1) - float(e2)
-    return complex(rho0_12) * np.exp(-1j * de * t / hbar
-                                     - tau0 * de * de * t / (2.0 * hbar ** 2))
+    return complex(rho0_12) * np.exp(-1j * de * t - tau0 * de * de * t / 2.0)
 
 
 def max_offdiagonal(rho) -> float:

@@ -17,6 +17,7 @@ bit-reproducible noise source regardless of scheduling.
 import numpy as np
 
 from .errors import InvalidParameterError
+from .qcore import positive
 
 _U64 = np.uint64
 
@@ -45,27 +46,19 @@ class NoiseStream:
         return f"NoiseStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
-def _check_dt(dt: float) -> float:
-    dt = float(dt)
-    if not np.isfinite(dt) or dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
-    return dt
-
-
 def sample_dxi(dt: float, stream: NoiseStream) -> complex:
-    """One complex Wiener increment with E|dxi|^2 = dt."""
-    dt = _check_dt(dt)
-    g = stream.standard_normal(2)
-    return complex(np.sqrt(0.5 * dt) * (g[0] + 1j * g[1]))
+    """One complex Wiener increment with E|dxi|^2 = dt: a block of one."""
+    return complex(sample_dxi_block(dt, 1, stream)[0])
 
 
 def sample_dxi_block(dt: float, n: int, stream: NoiseStream) -> np.ndarray:
     """n complex increments drawn in the same order as repeated sample_dxi calls.
 
-    Bit-identical to n successive sample_dxi draws from the same stream,
-    which is what lets batched integrators replay per-step noise exactly.
+    sample_dxi is a block of one, so n successive sample_dxi draws from the
+    same stream give the same bits, which is what lets batched integrators
+    replay per-step noise exactly.
     """
-    dt = _check_dt(dt)
+    dt = positive("dt", dt)
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")

@@ -5,6 +5,8 @@ Everything here is a pure function; arrays returned are fresh copies, so
 values can be shared freely across workers.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidParameterError, ShapeError
@@ -14,6 +16,20 @@ HERMITIAN_REPAIR_TOL = 1e-8   # largest asymmetry silently symmetrized away
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 ZERO_NORM_TOL = 1e-14
+
+
+def positive(name: str, value, allow_zero: bool = False) -> float:
+    """float(value), checked to be finite and > 0 (>= 0 with allow_zero).
+
+    The one check of a scalar parameter: anything else raises
+    InvalidParameterError naming the parameter.
+    """
+    value = float(value)
+    in_range = value >= 0.0 if allow_zero else value > 0.0
+    if not (in_range and math.isfinite(value)):
+        bound = ">= 0" if allow_zero else "positive"
+        raise InvalidParameterError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def as_state(vec, normalized: bool = True) -> np.ndarray:
@@ -33,8 +49,8 @@ def as_operator(entries, hermitian: bool = False) -> np.ndarray:
     """Validate and copy an operator matrix.
 
     With hermitian=True the matrix is symmetrized to (A + A^dag)/2; an
-    asymmetry beyond HERMITIAN_REPAIR_TOL * ||A|| is an error rather than
-    something to paper over.
+    asymmetry beyond HERMITIAN_REPAIR_TOL * max(||A||, 1) is an error
+    rather than something to paper over.
     """
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -42,11 +58,14 @@ def as_operator(entries, hermitian: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(a.view(np.float64))):
         raise InvalidParameterError("operator has non-finite entries")
     if hermitian:
-        scale = max(np.linalg.norm(a), 1.0)
-        asym = np.max(np.abs(a - a.conj().T))
-        if asym > HERMITIAN_REPAIR_TOL * scale:
+        # measured on A / m, m its largest component, so that the squares
+        # summed in the norm cannot overflow
+        m = max(float(np.max(np.abs(a.view(np.float64)))), 1.0)
+        b = a / m
+        asym = float(np.max(np.abs(b - b.conj().T)))
+        if asym > HERMITIAN_REPAIR_TOL * max(np.linalg.norm(b), 1.0 / m):
             raise InvalidParameterError(
-                f"operator flagged hermitian but |A - A^dag| = {asym:.3e}")
+                f"operator flagged hermitian but |A - A^dag| = {asym * m:.3e}")
         a = 0.5 * (a + a.conj().T)
     return a.copy()
 

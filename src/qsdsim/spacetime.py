@@ -17,12 +17,15 @@ reproduces the hamiltonian-driven diffusion step with tau0 = tau1 up to a
 global phase; `fluctuating_time_step` implements it as an independent code
 path precisely so that the equivalence can be checked rather than assumed.
 
+The propagator and its completion are evaluated at hbar = 1, like the
+rest of the package (SI configs are rescaled on load, see ensemble).
+
 Estimates: energy-superposition off-diagonals decay at
 
     rate = tau0 * dE^2 / (2 hbar^2),
 
-which `decoherence_rate` evaluates in SI units for interferometry-style
-inputs.
+which `decoherence_rate` evaluates in SI units, with the hbar of
+PhysicalConstants, for interferometry-style inputs.
 """
 
 import math
@@ -45,9 +48,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "G", "c"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidParameterError(f"{name} must be positive, got {v}")
+            qcore.positive(name, getattr(self, name))
 
 
 CODATA = PhysicalConstants()
@@ -61,10 +62,7 @@ def planck_time(constants: PhysicalConstants = CODATA) -> float:
 def fluctuation_time_constant(c_factor: float,
                               constants: PhysicalConstants = CODATA) -> float:
     """tau1 = C * T_Planck for a dimensionless C > 0."""
-    c_factor = float(c_factor)
-    if not math.isfinite(c_factor) or c_factor <= 0.0:
-        raise InvalidParameterError(f"C must be positive, got {c_factor}")
-    return c_factor * planck_time(constants)
+    return qcore.positive("C", c_factor) * planck_time(constants)
 
 
 @dataclass(frozen=True)
@@ -76,22 +74,20 @@ class NormCompletion:
     r: np.ndarray
 
 
-def norm_completion(h, psi, tau1: float, hbar: float = 1.0) -> NormCompletion:
+def norm_completion(h, psi, tau1: float) -> NormCompletion:
     """The unique (s, R) closing the norm: s = sqrt(tau1) <H>,
-    R = -(tau1 / 2 hbar) Hd^2."""
+    R = -(tau1 / 2) Hd^2."""
     h = qcore.as_operator(h, hermitian=True)
     psi = qcore.as_state(psi)
-    tau1 = float(tau1)
-    if not math.isfinite(tau1) or tau1 < 0.0:
-        raise InvalidParameterError(f"tau1 must be >= 0, got {tau1}")
+    tau1 = qcore.positive("tau1", tau1, allow_zero=True)
     mean = np.vdot(psi, h @ psi).real
     hd = h - mean * np.eye(h.shape[0])
-    r = -(0.5 * tau1 / hbar) * (hd @ hd)
+    r = -(0.5 * tau1) * (hd @ hd)
     return NormCompletion(s=float(math.sqrt(tau1) * mean), r=r)
 
 
-def ito_norm_defect(h, psi, completion: NormCompletion, tau1: float,
-                    hbar: float = 1.0) -> tuple[float, float]:
+def ito_norm_defect(h, psi, completion: NormCompletion,
+                    tau1: float) -> tuple[float, float]:
     """Ito expansion of d<psi|psi> per unit dt for a candidate completion.
 
     Returns (drift_rate, noise_coefficient): the dt coefficient of the
@@ -105,14 +101,13 @@ def ito_norm_defect(h, psi, completion: NormCompletion, tau1: float,
     mean_r = np.vdot(psi, completion.r @ psi).real
     # (sqrt(tau1) H - s I) |psi>
     gpsi = sqrt_tau * (h @ psi) - complex(completion.s) * psi
-    noise_coeff = 2.0 * abs(np.vdot(psi, gpsi)) / hbar
-    drift_rate = (2.0 * mean_r / hbar
-                  + np.vdot(gpsi, gpsi).real / hbar ** 2)
+    noise_coeff = 2.0 * abs(np.vdot(psi, gpsi))
+    drift_rate = 2.0 * mean_r + np.vdot(gpsi, gpsi).real
     return float(drift_rate), float(noise_coeff)
 
 
-def fluctuating_time_step(psi, h, tau1: float, dt: float, dxi: complex,
-                          hbar: float = 1.0) -> np.ndarray:
+def fluctuating_time_step(psi, h, tau1: float, dt: float,
+                          dxi: complex) -> np.ndarray:
     """Euler step of the norm-completed fluctuating-time propagator.
 
     Must match trajectory.psd_step with tau0 = tau1 up to a global phase
@@ -120,14 +115,12 @@ def fluctuating_time_step(psi, h, tau1: float, dt: float, dxi: complex,
     tau1 = 0 recovers a plain Schrodinger Euler step.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    comp = norm_completion(h, psi, tau1, hbar)
+    dt = qcore.positive("dt", dt)
+    comp = norm_completion(h, psi, tau1)
     h = np.asarray(h, dtype=np.complex128)
     sqrt_tau = math.sqrt(float(tau1))
     dpsi = ((-1j * (h @ psi) + comp.r @ psi) * dt
-            + (sqrt_tau * (h @ psi) - comp.s * psi) * complex(dxi)) / hbar
+            + (sqrt_tau * (h @ psi) - comp.s * psi) * complex(dxi))
     return qcore.normalize(psi + dpsi)
 
 
@@ -143,13 +136,9 @@ def decoherence_rate(delta_e: float, tau0: float,
                      constants: PhysicalConstants = CODATA) -> DecoherenceEstimate:
     """rate = tau0 * dE^2 / (2 hbar^2); the decoherence time is its inverse
     (infinite for dE = 0: degenerate superpositions never decohere)."""
-    delta_e = float(delta_e)
-    tau0 = float(tau0)
-    if not math.isfinite(tau0) or tau0 < 0.0:
-        raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
-    if not math.isfinite(delta_e):
-        raise InvalidParameterError(f"delta_e must be finite, got {delta_e}")
-    rate = tau0 * delta_e ** 2 / (2.0 * constants.hbar ** 2)
+    tau0 = qcore.positive("tau0", tau0, allow_zero=True)
+    gap = qcore.positive("|delta_e|", abs(float(delta_e)), allow_zero=True)
+    rate = tau0 * gap ** 2 / (2.0 * constants.hbar ** 2)
     time = math.inf if rate == 0.0 else 1.0 / rate
     return DecoherenceEstimate(rate_per_s=rate, decoherence_time_s=time)
 
@@ -236,14 +225,10 @@ STANDARD_GRAVITY = 9.80665  # m/s^2
 
 def delta_e_from_velocities(mass: float, v1: float, v2: float) -> float:
     """Kinetic energy gap m (v1^2 - v2^2) / 2 between two wave-packet arms."""
-    if mass <= 0.0:
-        raise InvalidParameterError(f"mass must be positive, got {mass}")
-    return 0.5 * float(mass) * (float(v1) ** 2 - float(v2) ** 2)
+    return 0.5 * qcore.positive("mass", mass) * (float(v1) ** 2 - float(v2) ** 2)
 
 
 def delta_e_from_height(mass: float, delta_h: float,
                         g: float = STANDARD_GRAVITY) -> float:
     """Potential energy gap m g dh between two interferometer arms."""
-    if mass <= 0.0:
-        raise InvalidParameterError(f"mass must be positive, got {mass}")
-    return float(mass) * float(g) * float(delta_h)
+    return qcore.positive("mass", mass) * float(g) * float(delta_h)

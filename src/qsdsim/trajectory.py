@@ -14,6 +14,9 @@ Two unravelings of the same master equation are implemented:
       d|psi> = ( -(i/hbar) Hd dt - (tau0 / 2 hbar^2) Hd^2 dt
                  + (sqrt(tau0)/hbar) Hd dxi ) |psi> ,   Hd = H - <H>.
 
+Every formula is evaluated at hbar = 1 (SI configs are rescaled on load,
+see ensemble).
+
 The two routes agree term by term (the substitution turns the -iH phase
 into -iHd), which the test suite exploits as a cross-implementation
 oracle.  Both steps are Euler-Maruyama followed by explicit
@@ -51,21 +54,16 @@ NOISE_BLOCK = 1024       # steps of noise drawn per generator call
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
 
-def lindblad_from_hamiltonian(h, tau0: float, hbar: float = 1.0) -> np.ndarray:
-    """Lindblad operator sqrt(tau0) H / hbar + i I / sqrt(tau0).
+def lindblad_from_hamiltonian(h, tau0: float) -> np.ndarray:
+    """Lindblad operator sqrt(tau0) H + i I / sqrt(tau0).
 
     Substituted into the master equation this reproduces the
     hamiltonian-driven diffusion generator exactly (see master.psd_master_rhs).
     """
-    tau0 = float(tau0)
-    hbar = float(hbar)
-    if not np.isfinite(tau0) or tau0 <= 0.0:
-        raise InvalidParameterError(f"tau0 must be positive, got {tau0}")
-    if not np.isfinite(hbar) or hbar <= 0.0:
-        raise InvalidParameterError(f"hbar must be positive, got {hbar}")
+    tau0 = qcore.positive("tau0", tau0)
     h = qcore.as_operator(h, hermitian=True)
     n = h.shape[0]
-    return (np.sqrt(tau0) / hbar) * h + (1j / np.sqrt(tau0)) * np.eye(n)
+    return np.sqrt(tau0) * h + (1j / np.sqrt(tau0)) * np.eye(n)
 
 
 def gauge_transform(lop, u: complex) -> np.ndarray:
@@ -84,10 +82,7 @@ def _check_step_args(psi, op, dt):
             or psi.shape[0] != op.shape[0]:
         raise ShapeError(
             f"dimension mismatch: operator {op.shape} vs state {psi.shape}")
-    dt = float(dt)
-    if not np.isfinite(dt) or dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    return psi, op, dt
+    return psi, op, qcore.positive("dt", dt)
 
 
 def qsd_step(psi, lop, dxi: complex, dt: float) -> np.ndarray:
@@ -103,32 +98,27 @@ def qsd_step(psi, lop, dxi: complex, dt: float) -> np.ndarray:
     return qcore.normalize(psi + (drift * dt + diffusion * complex(dxi)))
 
 
-def psd_increment(psi, h, tau0: float, dxi: complex, dt: float,
-                  hbar: float = 1.0) -> np.ndarray:
+def psd_increment(psi, h, tau0: float, dxi: complex, dt: float) -> np.ndarray:
     """Raw hamiltonian-driven state change before renormalization."""
     psi, h, dt = _check_step_args(psi, h, dt)
-    tau0 = float(tau0)
-    if not np.isfinite(tau0) or tau0 < 0.0:
-        raise InvalidParameterError(f"tau0 must be >= 0, got {tau0}")
-    hbar = float(hbar)
+    tau0 = qcore.positive("tau0", tau0, allow_zero=True)
     hpsi = h @ psi
     mean = np.vdot(psi, hpsi).real
     hd_psi = hpsi - mean * psi                       # Hd |psi>
     hd2_psi = (h @ hd_psi) - mean * hd_psi           # Hd^2 |psi>
-    return ((-1j / hbar) * dt * hd_psi
-            - (0.5 * tau0 / hbar ** 2) * dt * hd2_psi
-            + (np.sqrt(tau0) / hbar) * complex(dxi) * hd_psi)
+    return (-1j * dt * hd_psi
+            - (0.5 * tau0) * dt * hd2_psi
+            + np.sqrt(tau0) * complex(dxi) * hd_psi)
 
 
-def psd_step(psi, h, tau0: float, dxi: complex, dt: float,
-             hbar: float = 1.0) -> np.ndarray:
+def psd_step(psi, h, tau0: float, dxi: complex, dt: float) -> np.ndarray:
     """One hamiltonian-driven diffusion step, renormalized.
 
     Eigenstates of H are exact fixed points (Hd kills them), and tau0 = 0
     reduces to a plain Euler step of the phase-free Schrodinger evolution.
     """
     new = np.asarray(psi, dtype=np.complex128) \
-        + psd_increment(psi, h, tau0, dxi, dt, hbar)
+        + psd_increment(psi, h, tau0, dxi, dt)
     return qcore.normalize(new)
 
 
@@ -139,24 +129,24 @@ class _EigenKernel:
     e = sum_k |c_k|^2 E_k, and the increment of psd_increment becomes, per
     component,
 
-        c_k *= 1 + hd_k (-i dt/hbar - (tau0/2hbar^2) dt hd_k
-                         + (sqrt(tau0)/hbar) dxi),      hd_k = E_k - e.
+        c_k *= 1 + hd_k (-i dt - (tau0/2) dt hd_k + sqrt(tau0) dxi),
+                                                        hd_k = E_k - e.
 
     <H> is carried with the amplitudes: step takes the rows' <H> and
     returns the next one, which recording reuses.  Per-row values follow
     the module's determinism rule (no BLAS).
     """
 
-    def __init__(self, h, dt: float, tau0: float, hbar: float = 1.0):
+    def __init__(self, h, dt: float, tau0: float):
         self.energies, self.vecs = np.linalg.eigh(h)
         self._pairs = np.repeat(self.energies, 2)    # E_k per float of a row
         self.dt = float(dt)
-        self._drift = -1j * self.dt / hbar
-        self._curvature = -0.5 * tau0 * self.dt / hbar ** 2
-        self._diffusion = math.sqrt(tau0) / hbar
+        self._drift = -1j * self.dt
+        self._curvature = -0.5 * tau0 * self.dt
+        self._diffusion = math.sqrt(tau0)
 
     def coefficients(self, dxi) -> np.ndarray:
-        """Turn dxi of shape (steps, B) into -i dt/hbar + sqrt(tau0)/hbar dxi
+        """Turn dxi of shape (steps, B) into -i dt + sqrt(tau0) dxi
         in place (a block of noise is the largest buffer of a run); returned
         as a (steps, B, 1) view that broadcasts over a row."""
         dxi *= self._diffusion
@@ -279,7 +269,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
 
 
 def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
-                        stream: NoiseStream, hbar: float = 1.0) -> np.ndarray:
+                        stream: NoiseStream) -> np.ndarray:
     """Pre-renormalization ||psi + dpsi||^2 - 1 for n independent noise draws
     from the same initial state.
 
@@ -290,7 +280,8 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    kernel = _EigenKernel(qcore.as_operator(h, hermitian=True), dt, tau0, hbar)
+    tau0 = qcore.positive("tau0", tau0, allow_zero=True)
+    kernel = _EigenKernel(qcore.as_operator(h, hermitian=True), dt, tau0)
     coeff = kernel.coefficients(sample_dxi_block(dt, n, stream)[None, :])
     c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
     nrm_sq = np.empty(n)

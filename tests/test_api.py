@@ -1,7 +1,9 @@
 """The package's public surface: the names `from qsdsim import *` gives,
 and the module attributes the benchmark harness patches or calls."""
 
+import dataclasses
 import importlib
+import inspect
 from functools import reduce
 
 import pytest
@@ -65,3 +67,19 @@ def test_exports_are_the_pinned_api():
 def test_harness_names_resolve(module, name):
     owner = importlib.import_module(module)
     assert callable(reduce(getattr, name.split("."), owner))
+
+
+def test_no_export_takes_hbar():
+    # the package works at hbar = 1; only PhysicalConstants carries an SI hbar
+    takes = []
+    for name in qsdsim.__all__:
+        obj = getattr(qsdsim, name)
+        if name == "PhysicalConstants" or not callable(obj) \
+                or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        params = set(inspect.signature(obj).parameters)
+        if dataclasses.is_dataclass(obj):
+            params |= {f.name for f in dataclasses.fields(obj)}
+        if "hbar" in params:
+            takes.append(name)
+    assert takes == []

@@ -256,10 +256,10 @@ class TestMasterCommand:
         partial = tmp_path / "out" / "master.csv.partial"
         exact = master.psd_master_exact
 
-        def failing(rho0, h, tau0, times, hbar):
+        def failing(rho0, h, tau0, times):
             if times[0] == 1.0 and partial.exists():
                 raise MemoryError("injected in the second chunk")
-            return exact(rho0, h, tau0, times, hbar)
+            return exact(rho0, h, tau0, times)
 
         monkeypatch.setattr(master, "psd_master_exact", failing)
         with pytest.raises(MemoryError, match="second chunk"):
@@ -339,7 +339,13 @@ class TestExitCodes:
                          [[0.0, 0.0], ["minus a half", 0.0]]]},
         {"record_strid": 5},
         {"t_final": 1.001},                       # 400.4 steps of 2.5e-3
-    ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps"])
+        {"dt": float("nan")},
+        {"tau0": float("inf")},
+        {"C": float("nan")},
+        # [[1e160, 1e160], [0, 1]]: far from hermitian, with overflowing squares
+        {"hamiltonian": [[[1e160, 0.0], [1e160, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
+            "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides):
         # a fresh interpreter, so an escaping exception would show as a
         # traceback on stderr

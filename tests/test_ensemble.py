@@ -62,15 +62,14 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             make_config(tau0=0.0)        # diffusion runs need tau0 > 0
         with pytest.raises(InvalidParameterError):
+            make_config(c_factor=0.0)    # the Planck-time factor C > 0
+        with pytest.raises(InvalidParameterError):
             make_config(record_stride=0)
         with pytest.raises(InvalidParameterError):
             make_config(initial_state=np.array([1, 0, 0]))  # dim mismatch
         for t_final in (float("nan"), float("inf"), 1.001):   # 400.4 steps
             with pytest.raises(InvalidParameterError):
                 make_config(t_final=t_final)
-        for hbar in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(InvalidParameterError):
-                make_config(hbar=hbar)
 
     def test_initial_state_is_normalized(self):
         config = make_config(initial_state=np.array([3.0, 0.0]))

@@ -78,8 +78,6 @@ class TestPsdMasterRhs:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
                 psd_master_rhs(rho, np.eye(2), bad)
-            with pytest.raises(InvalidParameterError):
-                psd_master_rhs(rho, np.eye(2), 0.5, hbar=bad)
 
 
 class TestAnalyticOffdiagonal:
@@ -225,11 +223,6 @@ class TestClosedForm:
             psd_master_exact(rho0, np.eye(2), 0.1, [np.nan])
         with pytest.raises(InvalidParameterError):
             psd_master_exact(rho0, np.eye(2), 0.1, [-1.0])
-        for hbar in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(InvalidParameterError):
-                psd_master_exact(rho0, np.diag([1.0, -1.0]), 0.4, [1.0], hbar=hbar)
-            with pytest.raises(InvalidParameterError):
-                analytic_offdiagonal(0.5, 1.0, -1.0, 0.4, 1.0, hbar=hbar)
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)

@@ -111,6 +111,9 @@ class TestConstructors:
     def test_as_operator_rejects_large_asymmetry(self):
         with pytest.raises(InvalidParameterError):
             as_operator([[0.0, 1.0], [0.0, 0.0]], hermitian=True)
+        # entries whose squares overflow the norm
+        with pytest.raises(InvalidParameterError):
+            as_operator([[1e160, 1e160], [0.0, 1.0]], hermitian=True)
 
     def test_as_operator_rejects_nonsquare(self):
         with pytest.raises(ShapeError):

@@ -10,8 +10,7 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
                     ShapeError, SimulationConfig, align_global_phase,
                     gauge_transform, lindblad_from_hamiltonian, lindblad_rhs,
                     norm_defect_samples, normalize, psd_master_rhs, psd_step,
-                    qsd_step, run_ensemble, run_trajectory, sample_dxi,
-                    sample_dxi_block)
+                    qsd_step, run_ensemble, run_trajectory, sample_dxi_block)
 from qsdsim import qcore
 from qsdsim.trajectory import _EigenKernel
 from conftest import random_hermitian, random_state
@@ -27,11 +26,6 @@ class TestLindbladFromHamiltonian:
             lindblad_from_hamiltonian(np.eye(2), tau0=0.0)
         with pytest.raises(InvalidParameterError):
             lindblad_from_hamiltonian(np.eye(2), tau0=-1.0)
-
-    def test_rejects_bad_hbar(self):
-        for hbar in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(InvalidParameterError):
-                lindblad_from_hamiltonian(np.eye(2), 1.0, hbar=hbar)
 
     def test_tau0_scaling_structure(self, rng):
         h = random_hermitian(rng, 3)
@@ -132,6 +126,10 @@ class TestPsdStep:
     def test_negative_tau0_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             psd_step(random_state(rng, 2), np.eye(2), -0.1, 0.01, 1e-3)
+        for tau0 in (-0.1, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                norm_defect_samples(random_state(rng, 2), np.eye(2), tau0,
+                                    1e-3, 4, NoiseStream(0))
 
 
 def assert_rows_replay(config, rows):
@@ -230,6 +228,20 @@ def kernel_step_inputs(draw):
     return h, psi / np.linalg.norm(psi), dt, tau0, dxi
 
 
+@st.composite
+def gauge_inputs(draw):
+    """A random L (n = 2..6, entries in the unit square), a unit phase u,
+    a state, dt and a noise seed."""
+    n = draw(st.integers(2, 6))
+    a = draw(hnp.arrays(np.float64, (2, n, n), elements=_unit))
+    parts = draw(hnp.arrays(np.float64, (2, n), elements=_unit))
+    psi = parts[0] + 1j * parts[1]
+    assume(np.linalg.norm(psi) > 0.1)
+    u = np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    return (a[0] + 1j * a[1], u, psi / np.linalg.norm(psi),
+            draw(st.floats(1e-4, 1e-2)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
 class TestEigenKernelProperties:
     # one kernel step against the dense step it replaces
     @settings(max_examples=150, deadline=None)
@@ -273,21 +285,24 @@ class TestGaugeTransform:
         with pytest.raises(InvalidParameterError):
             gauge_transform(np.eye(2), 1.1)
 
-    def test_pathwise_invariance(self, rng):
-        # L -> uL with noise rotated by conj(u) reproduces the identical
-        # trajectory states
-        u = 1j
-        lop = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        psi_a = random_state(rng, 3)
-        psi_b = psi_a.copy()
-        stream = NoiseStream(17)
+    @settings(max_examples=50, deadline=None)
+    @given(gauge_inputs())
+    def test_pathwise_invariance(self, inputs):
+        # L -> uL with noise rotated by conj(u) reproduces the trajectory
+        # states and the master equation's right-hand side (criterion 8's
+        # tolerances)
+        lop, u, psi, dt, seed = inputs
+        rotated = gauge_transform(lop, u)
+        psi_a, psi_b = psi, psi.copy()
         worst = 0.0
-        for _ in range(200):
-            dxi = sample_dxi(1e-3, stream)
-            psi_a = qsd_step(psi_a, lop, dxi, 1e-3)
-            psi_b = qsd_step(psi_b, gauge_transform(lop, u), np.conj(u) * dxi, 1e-3)
+        for dxi in sample_dxi_block(dt, 100, NoiseStream(seed)):
+            psi_a = qsd_step(psi_a, lop, dxi, dt)
+            psi_b = qsd_step(psi_b, rotated, np.conj(u) * dxi, dt)
             worst = max(worst, float(np.max(np.abs(psi_a - psi_b))))
         assert worst < 1e-13
+        rho = np.outer(psi, psi.conj())
+        assert np.max(np.abs(lindblad_rhs(rho, lop)
+                             - lindblad_rhs(rho, rotated))) < 1e-14
 
     def test_master_rhs_invariant(self, rng):
         lop = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
