@@ -6,7 +6,7 @@ input, 2 numerical failure.
 """
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
@@ -32,8 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict):
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    qcore.write_json(None, payload)
 
 
 def _json_float(x: float):
@@ -48,6 +47,7 @@ def _load_config(args) -> ens.SimulationConfig:
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, created before the run starts."""
     out = Path(getattr(args, "out", None) or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -104,11 +104,11 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_trajectory(args) -> int:
     config = _load_config(args)
-    record = run_trajectory(config, args.stream)
-    record.header = {**config.header(), "stream_index": args.stream}
     out = _out_dir(args)
-    record.write_csv(out / "trajectory.csv")
-    record.write_json(out / "trajectory.json")
+    record = run_trajectory(config, args.stream)
+    header = {**config.header(), "stream_index": args.stream}
+    record.write_csv(out / "trajectory.csv", header)
+    record.write_json(out / "trajectory.json", header)
     _emit({
         "out": str(out),
         "n_steps": config.n_steps,
@@ -120,20 +120,20 @@ def _cmd_trajectory(args) -> int:
 
 def _run_ensemble(args, with_master: bool):
     config = _load_config(args)
+    out = _out_dir(args)
     summary = ens.run_ensemble(config, workers=args.workers,
                                retain=args.dump_trajectory or ())
-    if with_master:
-        summary.trace_distance_to_master = ens.compare_ensemble_to_master(summary)
-    out = _out_dir(args)
-    ens.write_summary_json(out / "summary.json", summary)
-    ens.write_ensemble_csv(out / "ensemble.csv", summary)
+    dist = ens.compare_ensemble_to_master(summary) if with_master else None
+    header = config.header()
+    ens.write_summary_json(out / "summary.json", summary, header, dist)
+    ens.write_ensemble_csv(out / "ensemble.csv", summary, header, dist)
     for k in args.dump_trajectory or []:
-        ens.write_trajectory_csv(out / f"trajectory_{k}.csv", summary, k)
-    return config, summary, out
+        ens.write_trajectory_csv(out / f"trajectory_{k}.csv", summary, k, header)
+    return summary, dist, out
 
 
 def _cmd_ensemble(args) -> int:
-    config, summary, out = _run_ensemble(args, with_master=False)
+    summary, _, out = _run_ensemble(args, with_master=False)
     _emit({
         "out": str(out),
         "n_trajectories": summary.n_trajectories,
@@ -144,8 +144,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config, summary, out = _run_ensemble(args, with_master=True)
-    dist = summary.trace_distance_to_master
+    summary, dist, out = _run_ensemble(args, with_master=True)
     _emit({
         "out": str(out),
         "n_trajectories": summary.n_trajectories,
@@ -160,30 +159,17 @@ def _cmd_master(args) -> int:
     time; each master.csv row is written as its chunk of states arrives,
     and the snapshot states are evaluated at their own times."""
     config = _load_config(args)
-    rho0 = qcore.pure_projector(config.initial_state)
-    times = config.dt * np.arange(config.n_steps + 1)
-    chunk = max(master_mod.MASTER_CHUNK_BYTES // rho0.nbytes, 1)
-
-    def states(t):
-        for start in range(0, len(t), chunk):
-            yield from master_mod.psd_master_exact(
-                rho0, config.hamiltonian, config.tau0, t[start:start + chunk])
-
-    kept = master_mod.snapshot_indices(len(times))
-    snapshots = dict(zip(kept, states(times[kept])))
     out = _out_dir(args)
+    states = functools.partial(
+        master_mod.exact_states, qcore.pure_projector(config.initial_state),
+        config.hamiltonian, config.tau0, config.dt)
+    steps = range(config.n_steps + 1)
+    snapshots = list(states(master_mod.snapshot_indices(len(steps))))
     header = config.header()
-    # a failed run leaves no master.csv behind
-    partial = out / "master.csv.partial"
-    try:
-        master_mod.write_summary_csv(partial, times, states(times), header)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    partial.replace(out / "master.csv")
-    master_mod.write_snapshots_json(out / "master_states.json", times,
-                                    snapshots, header)
-    final = snapshots[len(times) - 1]
+    master_mod.write_summary_csv(out / "master.csv", states(steps), header)
+    master_mod.write_snapshots_json(out / "master_states.json", snapshots,
+                                    header)
+    final = snapshots[-1][1]
     _emit({
         "out": str(out),
         "n_steps": config.n_steps,
@@ -206,21 +192,8 @@ def _cmd_noise_audit(args) -> int:
     dts = args.dt if args.dt else [1.0, 0.1, 0.001]
     stream = NoiseStream(args.seed, 0)
     rows = [moment_audit(dt, args.n, stream) for dt in dts]
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["dt", "n", "mean_re", "mean_im",
-                         "mean_sq_re", "mean_sq_im", "mean_abs_sq"])
-        for row in rows:
-            writer.writerow([
-                f"{row['dt']:.17g}", row["n"],
-                f"{row['mean_re']:.17g}", f"{row['mean_im']:.17g}",
-                f"{row['mean_sq_re']:.17g}", f"{row['mean_sq_im']:.17g}",
-                f"{row['mean_abs_sq']:.17g}",
-            ])
-    finally:
-        if args.out:
-            fh.close()
+    qcore.write_table(args.out, {}, list(rows[0]),
+                      [list(row.values()) for row in rows])
     return 0
 
 
@@ -315,7 +288,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.cmd](args)
-    except (InvalidParameterError, ShapeError, FileNotFoundError,
+    except (InvalidParameterError, ShapeError, OSError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"qsdsim: invalid input: {exc}\n")
         return 1

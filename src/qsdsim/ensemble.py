@@ -26,14 +26,12 @@ tau0 values finite instead of forcing 1e-44 s steps.  The conversion is
 echoed in every output header.
 """
 
-import csv
 import json
 import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,8 +222,6 @@ class EnsembleSummary:
     terminal_variances: np.ndarray       # (M,) final Var H per trajectory
     trajectories: dict[int, TrajectoryRecord]   # retained index -> series
     config: SimulationConfig
-    trace_distance_to_master: np.ndarray | None = None
-    header: dict = field(default_factory=dict)
 
     @property
     def n_trajectories(self) -> int:
@@ -251,8 +247,10 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
 
     A batch of one through _simulate_chunk from the config's initial state,
     so it replays the ensemble's trajectory with this index bit for bit
-    and records <H>, Var H and the norm defect at its record times.
+    and records <H>, Var H and the norm defect at its record times.  A run
+    that would not fit in physical memory is refused before it starts.
     """
+    _check_memory(config, n_chunks=1, pool_size=1, n_retained=1)
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state
     return _simulate_chunk((kernel, c0, config.n_steps,
@@ -364,7 +362,6 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
         terminal_variances=total.terminal_variance,
         trajectories=dict(zip(retain, total.records)),
         config=config,
-        header=config.header(),
     )
 
 
@@ -390,11 +387,9 @@ class LocalizationReport:
 
     applicable: bool
     degenerate_levels: list
-    eigenvalues: np.ndarray
     monotonicity_defect: float          # largest raw increase of mean Var H
     monotonicity_max_z: float           # that increase over its standard error
     monotone_within_tolerance: bool
-    born_frequencies: np.ndarray
     expected_populations: np.ndarray
     born_halfwidths: np.ndarray         # 4-sigma binomial
     born_within_tolerance: bool
@@ -440,11 +435,9 @@ def localization_stats(summary: EnsembleSummary,
     return LocalizationReport(
         applicable=not degenerate,
         degenerate_levels=degenerate,
-        eigenvalues=w,
         monotonicity_defect=defect,
         monotonicity_max_z=max_z,
         monotone_within_tolerance=bool(max_z <= 4.0),
-        born_frequencies=summary.born_frequencies,
         expected_populations=summary.initial_populations,
         born_halfwidths=halfwidths,
         born_within_tolerance=born_ok,
@@ -458,52 +451,42 @@ def localization_stats(summary: EnsembleSummary,
 # ---------------------------------------------------------------------------
 # Output files
 
-def write_ensemble_csv(path, summary: EnsembleSummary):
-    """Scalar series: t, e_mean, e_var_mean, trace_dist (nan when absent)."""
-    dist = summary.trace_distance_to_master
-    with open(path, "w", newline="") as fh:
-        for key, value in summary.header.items():
-            fh.write(f"# {key} = {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "e_mean", "e_var_mean", "trace_dist"])
-        for j, t in enumerate(summary.times):
-            writer.writerow([
-                f"{t:.17g}",
-                f"{summary.mean_energy[j]:.17g}",
-                f"{summary.mean_energy_variance[j]:.17g}",
-                f"{dist[j]:.17g}" if dist is not None else "nan",
-            ])
+def write_ensemble_csv(path, summary: EnsembleSummary, header: dict, dist):
+    """Scalar series: t, e_mean, e_var_mean, trace_dist (nan without the
+    trace distances `dist` to the master solution)."""
+    if dist is None:
+        dist = np.full(len(summary.times), np.nan)
+    qcore.write_table(path, header, ["t", "e_mean", "e_var_mean", "trace_dist"],
+                      zip(summary.times, summary.mean_energy,
+                          summary.mean_energy_variance, dist))
 
 
-def write_trajectory_csv(path, summary: EnsembleSummary, index: int):
+def write_trajectory_csv(path, summary: EnsembleSummary, index: int,
+                         header: dict):
     """Per-trajectory series for one retained trajectory of the ensemble."""
     if index not in summary.trajectories:
         raise InvalidParameterError(
             f"trajectory {index} was not retained by this run")
-    header = {**summary.header, "trajectory_index": index}
-    replace(summary.trajectories[index], header=header).write_csv(path)
+    summary.trajectories[index].write_csv(
+        path, {**header, "trajectory_index": index})
 
 
-def write_summary_json(path, summary: EnsembleSummary):
-    dist = summary.trace_distance_to_master
-    payload = {
-        "header": summary.header,
+def write_summary_json(path, summary: EnsembleSummary, header: dict, dist):
+    """The reductions, the final mean projector and, unless dist is None,
+    the trace distances to the master solution."""
+    qcore.write_json(path, {
+        "header": header,
         "n_trajectories": summary.n_trajectories,
         "dt": summary.config.dt,
         "t_final": summary.config.t_final,
-        "times": [float(t) for t in summary.times],
-        "mean_energy": [float(v) for v in summary.mean_energy],
-        "mean_energy_variance": [float(v) for v in summary.mean_energy_variance],
-        "eigenvalues": [float(v) for v in summary.eigenvalues],
-        "initial_populations": [float(v) for v in summary.initial_populations],
-        "born_frequencies": [float(v) for v in summary.born_frequencies],
+        "times": summary.times.tolist(),
+        "mean_energy": summary.mean_energy.tolist(),
+        "mean_energy_variance": summary.mean_energy_variance.tolist(),
+        "eigenvalues": summary.eigenvalues.tolist(),
+        "initial_populations": summary.initial_populations.tolist(),
+        "born_frequencies": summary.born_frequencies.tolist(),
         "final_mean_projector": qcore.operator_to_json(summary.mean_projector[-1]),
-        "trace_distance_to_master":
-            None if dist is None else [float(v) for v in dist],
+        "trace_distance_to_master": None if dist is None else dist.tolist(),
         "terminal_variance_max": float(summary.terminal_variances.max()),
         "terminal_variance_median": float(np.median(summary.terminal_variances)),
-    }
-    path = Path(path)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })

@@ -19,13 +19,12 @@ configs are rescaled on load, see ensemble).
 
 That closed form is the only master path of the package: `compare`
 evaluates it at the record times, and the `master` subcommand at every
-step time, in chunks of MASTER_CHUNK_BYTES, writing each state's summary
-row as its chunk arrives.  integrate_master (RK4) with the two generators
-is the independent oracle the tests check the closed form against.
+step time through exact_states, in chunks of MASTER_CHUNK_BYTES, writing
+each state's summary row as its chunk arrives.  integrate_master (RK4)
+with the two generators is the independent oracle the tests check the
+closed form against.
 """
 
-import csv
-import json
 import warnings
 
 import numpy as np
@@ -135,24 +134,29 @@ def max_offdiagonal(rho) -> float:
     return float(np.max(np.abs(rho[mask]))) if rho.shape[0] > 1 else 0.0
 
 
-def write_summary_csv(path, times, states, header: dict | None = None):
-    """Per-snapshot scalars: t, trace, purity, offdiag_abs."""
-    with open(path, "w", newline="") as fh:
-        for key, value in (header or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "trace", "purity", "offdiag_abs"])
-        for t, rho in zip(times, states):
-            writer.writerow([
-                f"{t:.17g}",
-                f"{np.trace(rho).real:.17g}",
-                f"{np.trace(rho @ rho).real:.17g}",
-                f"{max_offdiagonal(rho):.17g}",
-            ])
+def exact_states(rho0, h, tau0: float, dt: float, steps):
+    """Yield (t, rho) of psd_master_exact at t = dt * k for each step index
+    k of `steps` (a range or a list), in order.
+
+    The states are evaluated in chunks of MASTER_CHUNK_BYTES, each chunk's
+    times built from its own step indices, so no array spans all the steps.
+    """
+    chunk = max(MASTER_CHUNK_BYTES // (16 * len(rho0) ** 2), 1)   # complex128
+    for start in range(0, len(steps), chunk):
+        times = dt * np.asarray(steps[start:start + chunk])
+        yield from zip(times, psd_master_exact(rho0, h, tau0, times))
+
+
+def write_summary_csv(path, states, header: dict):
+    """One row of scalars per (t, rho) of states: t, trace, purity,
+    offdiag_abs."""
+    qcore.write_table(path, header, ["t", "trace", "purity", "offdiag_abs"],
+                      ((t, np.trace(rho).real, np.trace(rho @ rho).real,
+                        max_offdiagonal(rho)) for t, rho in states))
 
 
 def snapshot_indices(n_times: int, max_snapshots: int = 64) -> list:
-    """Time indices write_snapshots_json keeps: every
+    """Time indices of the master_states.json snapshots: every
     (n_times // max_snapshots)-th, plus the last."""
     stride = max(n_times // max_snapshots, 1)
     idx = list(range(0, n_times, stride))
@@ -161,21 +165,10 @@ def snapshot_indices(n_times: int, max_snapshots: int = 64) -> list:
     return idx
 
 
-def write_snapshots_json(path, times, states, header: dict | None = None,
-                         max_snapshots: int = 64):
-    """Dump density-operator snapshots, thinned by a stride of
-    len(times) // max_snapshots.
-
-    Only states[i] for i in snapshot_indices(len(times), max_snapshots)
-    is read, so a mapping of those indices to states will do.
-    """
-    payload = {
-        "header": header or {},
-        "snapshots": [
-            {"t": float(times[i]), "rho": qcore.operator_to_json(states[i])}
-            for i in snapshot_indices(len(times), max_snapshots)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def write_snapshots_json(path, snapshots, header: dict):
+    """Dump density-operator snapshots, given as (t, rho) pairs."""
+    qcore.write_json(path, {
+        "header": header,
+        "snapshots": [{"t": float(t), "rho": qcore.operator_to_json(rho)}
+                      for t, rho in snapshots],
+    })

@@ -1,11 +1,19 @@
-"""Dense complex linear algebra for small Hilbert spaces (n <= 64).
+"""Dense complex linear algebra for small Hilbert spaces (n <= 64), and
+the package's file formats.
 
-States are 1-d complex arrays, operators dense n x n complex arrays.
-Everything here is a pure function; arrays returned are fresh copies, so
-values can be shared freely across workers.
+States are 1-d complex arrays, operators dense n x n complex arrays.  The
+linear algebra is pure functions returning fresh copies, so values can be
+shared freely across workers.  The JSON form of states and operators and
+the two writers every output goes through, write_table and write_json,
+are the only code of the package that knows how a file looks.
 """
 
+import contextlib
+import csv
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -182,3 +190,42 @@ def operator_from_json(data) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError("operator JSON must be a square grid of [re, im] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+
+# ---------------------------------------------------------------------------
+# Output files.  Each is written to <name>.partial and renamed when complete,
+# so a failed run leaves every file whole or absent; path None is stdout.
+
+def write_table(path, header: dict, columns, rows):
+    """CSV: a `# key = value` line per header entry, the column names, then
+    one line per row, floats as %.17g (they read back bit for bit)."""
+    with _whole(path) as fh:
+        fh.writelines(f"# {key} = {value}\n" for key, value in header.items())
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def write_json(path, payload):
+    """payload as JSON, indented by 2, with a final newline."""
+    with _whole(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+@contextlib.contextmanager
+def _whole(path):
+    if path is None:
+        yield sys.stdout
+        return
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    fh = open(partial, "w", newline="")
+    try:
+        with fh:
+            yield fh
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

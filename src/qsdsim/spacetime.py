@@ -124,6 +124,17 @@ def fluctuating_time_step(psi, h, tau1: float, dt: float,
     return qcore.normalize(psi + dpsi)
 
 
+def _finite(name: str, compute) -> float:
+    """compute(), refused when it is not finite or raises OverflowError."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} is not finite: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class DecoherenceEstimate:
     """Off-diagonal decay rate and its inverse for an energy gap dE."""
@@ -138,7 +149,8 @@ def decoherence_rate(delta_e: float, tau0: float,
     (infinite for dE = 0: degenerate superpositions never decohere)."""
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
     gap = qcore.positive("|delta_e|", abs(float(delta_e)), allow_zero=True)
-    rate = tau0 * gap ** 2 / (2.0 * constants.hbar ** 2)
+    rate = _finite("decoherence rate",
+                   lambda: tau0 * gap ** 2 / (2.0 * constants.hbar ** 2))
     time = math.inf if rate == 0.0 else 1.0 / rate
     return DecoherenceEstimate(rate_per_s=rate, decoherence_time_s=time)
 
@@ -225,7 +237,9 @@ STANDARD_GRAVITY = 9.80665  # m/s^2
 
 def delta_e_from_velocities(mass: float, v1: float, v2: float) -> float:
     """Kinetic energy gap m (v1^2 - v2^2) / 2 between two wave-packet arms."""
-    return 0.5 * qcore.positive("mass", mass) * (float(v1) ** 2 - float(v2) ** 2)
+    mass = qcore.positive("mass", mass)
+    return _finite("kinetic energy gap",
+                   lambda: 0.5 * mass * (float(v1) ** 2 - float(v2) ** 2))
 
 
 def delta_e_from_height(mass: float, delta_h: float,

@@ -37,10 +37,8 @@ replays as a batch of one.  A sum per batch (the projector at a record
 time) may use BLAS, because batch boundaries are fixed.
 """
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,32 +296,21 @@ class TrajectoryRecord:
     energy_variance: np.ndarray
     norm_drift: np.ndarray
     final_state: np.ndarray
-    header: dict = field(default_factory=dict)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            for key, value in self.header.items():
-                fh.write(f"# {key} = {value}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "e_mean", "e_var", "norm_drift"])
-            for row in zip(self.times, self.energy_mean,
-                           self.energy_variance, self.norm_drift):
-                writer.writerow([f"{v:.17g}" for v in row])
+    def write_csv(self, path, header: dict):
+        qcore.write_table(path, header, ["t", "e_mean", "e_var", "norm_drift"],
+                          zip(self.times, self.energy_mean,
+                              self.energy_variance, self.norm_drift))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "header": self.header,
-            "times": [float(t) for t in self.times],
-            "energy_mean": [float(v) for v in self.energy_mean],
-            "energy_variance": [float(v) for v in self.energy_variance],
-            "norm_drift": [float(v) for v in self.norm_drift],
+    def write_json(self, path, header: dict):
+        qcore.write_json(path, {
+            "header": header,
+            "times": self.times.tolist(),
+            "energy_mean": self.energy_mean.tolist(),
+            "energy_variance": self.energy_variance.tolist(),
+            "norm_drift": self.norm_drift.tolist(),
             "final_state": qcore.state_to_json(self.final_state),
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        })
 
 
 def record_count(n_steps: int, stride: int) -> int:

@@ -1,10 +1,13 @@
 """The package's public surface: the names `from qsdsim import *` gives,
-and the module attributes the benchmark harness patches or calls."""
+the module attributes the benchmark harness patches or calls, and the one
+place that writes files."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +86,37 @@ def test_no_export_takes_hbar():
         if "hbar" in params:
             takes.append(name)
     assert takes == []
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    name = ast.unparse(call.func)
+    if name in ("json.dump", "csv.writer") or name.startswith("np.save") \
+            or name.endswith((".write_text", ".write_bytes", ".tofile")):
+        return True
+    if name != "open" and not name.endswith(".open"):
+        return False
+    args = call.args[1:] if name == "open" else call.args   # Path.open(mode)
+    mode = next(iter(args), None) or next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and set(mode.value) <= set("rbt"))
+
+
+def test_only_qcore_writes_files():
+    # the on-disk format lives in qcore.write_table and qcore.write_json,
+    # which write through qcore._whole
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and _writes_a_file(node):
+            found.add((module, where, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(qsdsim.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == {("qcore", "write_table", "csv.writer"),
+                     ("qcore", "write_json", "json.dump"),
+                     ("qcore", "_whole", "open")}

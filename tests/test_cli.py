@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import os
 import subprocess
@@ -39,6 +41,18 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def assert_invalid_input_in_fresh_interpreter(*argv):
+    # a fresh interpreter, so an escaping exception would show as a
+    # traceback on stderr
+    src = str(Path(qsdsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qsdsim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("qsdsim: invalid input")
+    assert "Traceback" not in proc.stderr
+
+
 class TestConstants:
     def test_planck_time_reported(self, capsys):
         code, out = run_cli(capsys, "constants")
@@ -76,6 +90,14 @@ class TestEstimate:
                             "--delta-h", "0.15", "--g", "10.0")
         payload = json.loads(out)
         assert payload["delta_E_J"] == pytest.approx(1e-25 * 10.0 * 0.15)
+
+    @pytest.mark.parametrize("argv", [
+        ["--delta-e", "1e200"],                        # the square overflows
+        ["--mass", "1", "--v1", "1e200", "--v2", "0"],
+        ["--delta-e", "1e150"],                        # the rate overflows
+    ], ids=["delta-e-squared", "velocity-squared", "rate"])
+    def test_overflow_is_invalid_input(self, argv):
+        assert_invalid_input_in_fresh_interpreter("estimate", *argv)
 
     def test_conflicting_forms_rejected(self, capsys):
         assert run_cli(capsys, "estimate", "--delta-e", "1", "--delta-h", "1")[0] == 1
@@ -203,10 +225,12 @@ class TestMasterCommand:
             lambda rho: master.psd_master_rhs(rho, config.hamiltonian,
                                               config.tau0),
             config.dt, config.t_final)
-        master.write_summary_csv(tmp_path / "master.csv", times, states,
+        master.write_summary_csv(tmp_path / "master.csv", zip(times, states),
                                  config.header())
-        master.write_snapshots_json(tmp_path / "master_states.json", times,
-                                    states, config.header())
+        master.write_snapshots_json(
+            tmp_path / "master_states.json",
+            [(times[i], states[i]) for i in master.snapshot_indices(len(times))],
+            config.header())
 
         got = (tmp_path / "out" / "master.csv").read_text().splitlines()
         want = (tmp_path / "master.csv").read_text().splitlines()
@@ -265,6 +289,90 @@ class TestMasterCommand:
         with pytest.raises(MemoryError, match="second chunk"):
             main(["master", "--config", str(path), "--out", str(tmp_path / "out")])
         assert list((tmp_path / "out").glob("master*")) == []
+
+    def test_long_run_streams_its_first_rows(self, monkeypatch, tmp_path):
+        # 10^12 steps: an array of the step times alone would take 8 TB
+        path = write_master_config(tmp_path, np.diag([0.5, -0.5]), 1e-3, 1e9)
+        partial = tmp_path / "out" / "master.csv.partial"
+        exact, sizes = master.psd_master_exact, []
+
+        class Stop(Exception):
+            pass
+
+        def stop_in_third_chunk(rho0, h, tau0, times):
+            if partial.exists():             # the rows, not the snapshots
+                sizes.append(partial.stat().st_size)
+                if len(sizes) == 3:
+                    raise Stop
+            return exact(rho0, h, tau0, times)
+
+        monkeypatch.setattr(master, "psd_master_exact", stop_in_third_chunk)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                main(["master", "--config", str(path),
+                      "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sizes[0] == 0 < sizes[1] < sizes[2]   # rows arrive chunk by chunk
+        assert peak < 16e6                  # measured 3.6 MB: 1 MiB chunks
+        assert list((tmp_path / "out").glob("master*")) == []
+
+
+class _FullDisk:
+    """A text file whose fourth write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes == 4:
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+        return self._fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+RUN = ("--config", "{config}", "--out", "{out}")
+WRITES = [                  # every output file and a command that writes it
+    ("summary.json", ("compare", *RUN)),
+    ("ensemble.csv", ("compare", *RUN)),
+    ("trajectory_1.csv", ("compare", *RUN, "--dump-trajectory", "1")),
+    ("trajectory.csv", ("trajectory", *RUN)),
+    ("trajectory.json", ("trajectory", *RUN)),
+    ("master.csv", ("master", *RUN)),
+    ("master_states.json", ("master", *RUN)),
+    ("audit.csv", ("noise-audit", "--n", "100", "--out", "{out}/audit.csv")),
+]
+
+
+@pytest.mark.parametrize("name, argv", WRITES, ids=[w[0] for w in WRITES])
+def test_failed_write_leaves_no_file(capsys, monkeypatch, config_path, name,
+                                     argv):
+    # the fourth write to `name` (or to the file it is staged in) fails
+    out = config_path.parent / "out"
+    out.mkdir()
+    real_open = builtins.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        staged = Path(file).name in (name, name + ".partial")
+        return _FullDisk(fh) if staged and "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", open_)
+    assert main([arg.format(config=config_path, out=out) for arg in argv]) == 1
+    assert "injected" in capsys.readouterr().err
+    assert list(out.glob(name + "*")) == []
 
 
 class TestSpacetimeCheck:
@@ -332,40 +440,42 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "qsdsim: numerical failure: trajectory 0 failed at step 1:")
 
-    @pytest.mark.parametrize("overrides", [
-        {"t_final": float("nan")},
-        {"t_final": float("inf")},
-        {"hamiltonian": [[["0.5", 0.0], [0.0, 0.0]],
-                         [[0.0, 0.0], ["minus a half", 0.0]]]},
-        {"record_strid": 5},
-        {"t_final": 1.001},                       # 400.4 steps of 2.5e-3
-        {"dt": float("nan")},
-        {"tau0": float("inf")},
-        {"C": float("nan")},
+    COMPARE = ("compare", "--config", "{config}", "--out", "{dir}/out")
+
+    @pytest.mark.parametrize("overrides, argv", [
+        ({"t_final": float("nan")}, COMPARE),
+        ({"t_final": float("inf")}, COMPARE),
+        ({"hamiltonian": [[["0.5", 0.0], [0.0, 0.0]],
+                          [[0.0, 0.0], ["minus a half", 0.0]]]}, COMPARE),
+        ({"record_strid": 5}, COMPARE),
+        ({"t_final": 1.001}, COMPARE),            # 400.4 steps of 2.5e-3
+        ({"dt": float("nan")}, COMPARE),
+        ({"tau0": float("inf")}, COMPARE),
+        ({"C": float("nan")}, COMPARE),
         # [[1e160, 1e160], [0, 1]]: far from hermitian, with overflowing squares
-        {"hamiltonian": [[[1e160, 0.0], [1e160, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        ({"hamiltonian": [[[1e160, 0.0], [1e160, 0.0]],
+                          [[0.0, 0.0], [1.0, 0.0]]]}, COMPARE),
+        ({}, ("compare", "--config", "{dir}", "--out", "{dir}/out")),
+        ({}, ("compare", "--config", "{config}", "--out", "{config}")),
+        ({}, ("noise-audit", "--n", "10", "--out", "{config}/audit.csv")),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
-            "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry"])
-    def test_malformed_config_is_invalid_input(self, config_path, overrides):
-        # a fresh interpreter, so an escaping exception would show as a
-        # traceback on stderr
+            "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
+            "config-is-directory", "out-is-file", "out-under-file"])
+    def test_malformed_config_is_invalid_input(self, config_path, overrides,
+                                               argv):
         data = json.loads(config_path.read_text())
         data.update(overrides)
         config_path.write_text(json.dumps(data))
-        src = str(Path(qsdsim.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsdsim.cli", "compare", "--config",
-             str(config_path), "--out", str(config_path.parent / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("qsdsim: invalid input")
-        assert "Traceback" not in proc.stderr
+        assert_invalid_input_in_fresh_interpreter(*(
+            arg.format(config=config_path, dir=config_path.parent)
+            for arg in argv))
 
     @pytest.mark.parametrize("argv, overrides", [
-        ([], {"dt": 1e-12, "record_stride": 1}),     # 10^12 record points
-        (["--dump-trajectory", "40"], {}),          # indices are 0..39
-    ], ids=["over-memory-budget", "dump-index-out-of-range"])
+        (["ensemble"], {"dt": 1e-12, "record_stride": 1}),   # 10^12 record points
+        (["ensemble", "--dump-trajectory", "40"], {}),      # indices are 0..39
+        (["trajectory"], {"dt": 1e-12, "record_stride": 1}),
+    ], ids=["over-memory-budget", "dump-index-out-of-range",
+            "trajectory-over-memory-budget"])
     def test_refused_before_integration(self, capsys, monkeypatch, config_path,
                                         argv, overrides):
         def fail(args):
@@ -374,8 +484,8 @@ class TestExitCodes:
         data = json.loads(config_path.read_text())
         data.update(overrides)
         config_path.write_text(json.dumps(data))
-        code = main(["ensemble", "--config", str(config_path),
-                     "--out", str(config_path.parent / "out"), *argv])
+        code = main([argv[0], "--config", str(config_path),
+                     "--out", str(config_path.parent / "out"), *argv[1:]])
         assert code == 1
         assert capsys.readouterr().err.startswith("qsdsim: invalid input")
 

@@ -397,17 +397,17 @@ class TestOutputs:
     def test_csv_and_json(self, tmp_path):
         config = make_config(n_trajectories=16)
         summary = run_ensemble(config)
-        summary.trace_distance_to_master = compare_ensemble_to_master(summary)
+        dist = compare_ensemble_to_master(summary)
 
         csv_path = tmp_path / "ensemble.csv"
-        write_ensemble_csv(csv_path, summary)
+        write_ensemble_csv(csv_path, summary, config.header(), dist)
         lines = csv_path.read_text().splitlines()
         header_lines = [ln for ln in lines if ln.startswith("#")]
         assert any("units = natural" in ln for ln in header_lines)
         assert lines[len(header_lines)] == "t,e_mean,e_var_mean,trace_dist"
 
         json_path = tmp_path / "summary.json"
-        write_summary_json(json_path, summary)
+        write_summary_json(json_path, summary, config.header(), dist)
         payload = json.loads(json_path.read_text())
         assert payload["n_trajectories"] == 16
         assert len(payload["times"]) == len(summary.times)
@@ -418,16 +418,16 @@ class TestOutputs:
     def test_trajectory_csv(self, tmp_path):
         summary = run_ensemble(make_config(n_trajectories=4), retain=[2])
         path = tmp_path / "trajectory_2.csv"
-        write_trajectory_csv(path, summary, 2)
+        write_trajectory_csv(path, summary, 2, {})
         lines = path.read_text().splitlines()
         assert "t,e_mean,e_var,norm_drift" in lines
         with pytest.raises(InvalidParameterError):
-            write_trajectory_csv(tmp_path / "x.csv", summary, 99)
+            write_trajectory_csv(tmp_path / "x.csv", summary, 99, {})
 
     def test_nan_column_without_master(self, tmp_path):
         summary = run_ensemble(make_config(n_trajectories=4))
         path = tmp_path / "e.csv"
-        write_ensemble_csv(path, summary)
+        write_ensemble_csv(path, summary, {}, None)
         assert path.read_text().splitlines()[-1].endswith(",nan")
 
 

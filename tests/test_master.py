@@ -178,7 +178,7 @@ class TestOutputs:
         rho0 = pure_projector(np.array([1, 1]) / np.sqrt(2))
         times, states = integrate_master(rho0, rhs, 0.05, 0.5)
         path = tmp_path / "master.csv"
-        write_summary_csv(path, times, states, header={"units": "natural"})
+        write_summary_csv(path, zip(times, states), {"units": "natural"})
         lines = path.read_text().splitlines()
         assert lines[0] == "# units = natural"
         assert lines[1] == "t,trace,purity,offdiag_abs"
