@@ -2,7 +2,7 @@
 
 Subcommands: trajectory, ensemble, master, compare, spacetime-check,
 estimate, constants, noise-audit.  Exit codes: 0 success, 1 invalid
-input, 2 numerical failure.
+input or a failed output write, 2 numerical failure.
 """
 
 import argparse
@@ -18,7 +18,8 @@ from . import ensemble as ens
 from . import master as master_mod
 from . import qcore, spacetime
 from .ensemble import run_trajectory
-from .errors import DegenerateStateError, InvalidParameterError, ShapeError
+from .errors import (DegenerateStateError, InvalidParameterError, OutputError,
+                     ShapeError)
 from .noise import NoiseStream, moment_audit
 
 
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.cmd](args)
+    except OutputError as exc:
+        sys.stderr.write(f"qsdsim: {exc}\n")
+        return 1
     except (InvalidParameterError, ShapeError, OSError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"qsdsim: invalid input: {exc}\n")

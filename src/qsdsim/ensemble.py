@@ -5,13 +5,14 @@ energy-eigenbasis amplitudes, where the PSD step is elementwise
 (trajectory._EigenKernel), in fixed-size batches of 512, each trajectory
 drawing from its own counter-based noise stream keyed by (master_seed,
 trajectory_index).  Determinism rule: values per trajectory come only
-from elementwise ops and row-wise einsum, so they do not depend on the
-batch a trajectory lands in; sums per batch (the projector) may use BLAS,
-because batch boundaries are fixed.  Each batch reduces its own
-trajectories at every record time as it steps them (sums of the
-eigenbasis projector, <H> and Var H, the spread of Var H, the largest
-norm defect, winner counts) and keeps per-trajectory series only for the
-trajectories asked for.  The parent folds those partial sums
+from elementwise ops and sums along a row, so they do not depend on the
+batch a trajectory lands in or on how record points are buffered; sums
+per batch may use BLAS (the projector, one call per record point),
+because batch boundaries are fixed.  Each batch buffers the states of its
+record points and reduces a buffer at a time (sums of the eigenbasis
+projector, <H> and Var H, the spread of Var H, the largest norm defect,
+winner counts), keeping per-trajectory series only for the trajectories
+asked for.  The parent folds those partial sums
 in batch-index order, so no array of all trajectories at all record times
 is ever built, and because batches and fold order are fixed a run's output
 is bit-identical for any worker count.  The mean projector is rotated
@@ -40,8 +41,8 @@ from . import qcore, spacetime
 from .errors import InvalidParameterError, QsdError
 from .noise import NoiseStream
 from .trajectory import (NOISE_BLOCK, TrajectoryRecord, _BatchSums,
-                         _EigenKernel, _integrate_eigenbasis, record_count,
-                         record_steps)
+                         _EigenKernel, _integrate_eigenbasis, batch_buffers,
+                         record_count, record_steps)
 
 CHUNK_SIZE = 512         # trajectories per batch; independent of worker count
 MAX_RECORD_POINTS = 10_000
@@ -232,7 +233,7 @@ def _simulate_chunk(args) -> _BatchSums:
     """Integrate and reduce trajectories [start, start+count) as one batch.
 
     Runs in worker processes on energy-eigenbasis amplitudes.  Per-row
-    values come from elementwise ops and row-wise einsum only, so chunk
+    values come from elementwise ops and sums along a row only, so chunk
     boundaries never leak into a trajectory's values and trajectory k
     matches run_trajectory on stream k bit for bit.  `keep` holds the
     chunk-local rows whose series are retained.
@@ -290,24 +291,20 @@ def _check_memory(config: SimulationConfig, n_chunks: int, pool_size: int,
 
     The estimate assumes every chunk's reductions are waiting in the parent
     at once, next to the running totals and the mean projector with its
-    temporaries; each worker holds one chunk's reductions and a noise block.
+    temporaries; each worker holds one chunk's reductions, a noise block
+    and the chunk's noise group and record buffers.
     """
     n = config.hamiltonian.shape[0]
-    t = record_count(config.n_steps, config.effective_record_stride)
+    stride = config.effective_record_stride
+    t = record_count(config.n_steps, stride)
     sums = t * (16 * n * n + 5 * 8)             # projector sum, 4 sums, times
     parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
         + 8 * config.n_trajectories
-    worker = sums + NOISE_BLOCK * CHUNK_SIZE * (16 + 8)
-    need = parent + pool_size * worker
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):   # no sysconf figure here
-        return
-    if need > physical:
-        raise InvalidParameterError(
-            f"run needs about {need / 2 ** 20:.0f} MiB for {t} record points "
-            f"at n={n}, more than the {physical / 2 ** 20:.0f} MiB of physical "
-            f"memory; raise record_stride or lower n_trajectories")
+    worker = sums + NOISE_BLOCK * CHUNK_SIZE * (16 + 8) \
+        + batch_buffers(CHUNK_SIZE, n, NOISE_BLOCK, stride)[2]
+    qcore.check_memory(parent + pool_size * worker,
+                       f"run of {t} record points at n={n}",
+                       "raise record_stride or lower n_trajectories")
 
 
 def run_ensemble(config: SimulationConfig, workers: int = 1,

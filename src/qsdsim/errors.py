@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: invalid input (parameter, shape)
-exits 1; a numerical failure (a trajectory's degenerate state) exits 2.
+The CLI maps these onto exit codes: invalid input (parameter, shape) and
+a failed output write exit 1; a numerical failure (a trajectory's
+degenerate state) exits 2.
 IntegrationFailureError is raised only by the RK4 oracle
 (master.integrate_master), which no CLI path runs.
 """
@@ -17,6 +18,10 @@ class InvalidParameterError(QsdError, ValueError):
 
 class ShapeError(QsdError, ValueError):
     """Array dimensions do not match the operation's contract."""
+
+
+class OutputError(QsdError):
+    """An output file could not be written to the end (a full disk, say)."""
 
 
 class DegenerateStateError(QsdError, ArithmeticError):

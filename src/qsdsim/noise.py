@@ -17,7 +17,7 @@ bit-reproducible noise source regardless of scheduling.
 import numpy as np
 
 from .errors import InvalidParameterError
-from .qcore import positive
+from .qcore import check_memory, positive
 
 _U64 = np.uint64
 
@@ -39,8 +39,8 @@ class NoiseStream:
         key = np.array([self.master_seed, self.stream_index], dtype=_U64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None) -> np.ndarray:
+        return self._gen.standard_normal(size, out=out)
 
     def __repr__(self):
         return f"NoiseStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
@@ -63,14 +63,37 @@ def sample_dxi_block(dt: float, n: int, stream: NoiseStream) -> np.ndarray:
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     g = stream.standard_normal((n, 2))
-    return np.sqrt(0.5 * dt) * (g[:, 0] + 1j * g[:, 1])
+    g *= np.sqrt(0.5 * dt)
+    return g.view(np.complex128)[:, 0]
+
+
+def fill_dxi_blocks(dt: float, streams, out, scratch):
+    """Column j of out (steps, len(streams)) gets the next `steps`
+    increments of streams[j], the bits of sample_dxi_block(dt, steps,
+    streams[j]).
+
+    The streams are drawn a group at a time into the float buffer scratch
+    (group, >= steps, 2), which is scaled once and copied into out.
+    """
+    steps = out.shape[0]
+    scale = np.sqrt(0.5 * positive("dt", dt))
+    for j in range(0, len(streams), len(scratch)):
+        part = scratch[:len(streams) - j, :steps]
+        for g, stream in zip(part, streams[j:j + len(part)]):
+            stream.standard_normal(out=g)
+        part *= scale
+        out[:, j:j + len(part)] = part.view(np.complex128)[..., 0].T
 
 
 def moment_audit(dt: float, n: int, stream: NoiseStream) -> dict:
     """Empirical moments of n complex increments at step dt.
 
     Returns the column set emitted by the `noise-audit` CLI subcommand.
+    A sample that would not fit in physical memory (32 bytes per increment
+    at the peak) is refused before it is drawn.
     """
+    n = int(n)
+    check_memory(32 * n, f"a noise audit of {n} increments", "lower n")
     dxi = sample_dxi_block(dt, n, stream)
     return {
         "dt": float(dt),

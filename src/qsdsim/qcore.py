@@ -12,12 +12,14 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateStateError, InvalidParameterError, ShapeError
+from .errors import (DegenerateStateError, InvalidParameterError, OutputError,
+                     ShapeError)
 
 HERMITIAN_TOL = 1e-12     # relative asymmetry allowed on hermitian operators
 HERMITIAN_REPAIR_TOL = 1e-8   # largest asymmetry silently symmetrized away
@@ -38,6 +40,21 @@ def positive(name: str, value, allow_zero: bool = False) -> float:
         bound = ">= 0" if allow_zero else "positive"
         raise InvalidParameterError(f"{name} must be {bound}, got {value}")
     return value
+
+
+def check_memory(need: float, what: str, advice: str):
+    """Refuse work whose estimated peak of `need` bytes exceeds physical
+    memory, before it starts: InvalidParameterError naming `what` and
+    `advice`.  Where the platform gives no sysconf figure, nothing is
+    checked."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > physical:
+        raise InvalidParameterError(
+            f"{what} needs about {need / 2 ** 20:.0f} MiB, more than the "
+            f"{physical / 2 ** 20:.0f} MiB of physical memory; {advice}")
 
 
 def as_state(vec, normalized: bool = True) -> np.ndarray:
@@ -195,16 +212,27 @@ def operator_from_json(data) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Output files.  Each is written to <name>.partial and renamed when complete,
 # so a failed run leaves every file whole or absent; path None is stdout.
+# A file that cannot be opened raises the OSError (a bad path is invalid
+# input); a write that fails after that raises OutputError.
 
 def write_table(path, header: dict, columns, rows):
     """CSV: a `# key = value` line per header entry, the column names, then
     one line per row, floats as %.17g (they read back bit for bit)."""
+    # a row of floats only is formatted in one operation; csv.writer
+    # writes the same bytes (no float text needs quoting)
+    floats = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with _whole(path) as fh:
         fh.writelines(f"# {key} = {value}\n" for key, value in header.items())
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        for row in rows:
+            row = tuple(row)
+            if len(row) == len(columns) \
+                    and all([isinstance(v, float) for v in row]):
+                fh.write(floats % row)
+            else:
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                                 for v in row])
 
 
 def write_json(path, payload):
@@ -226,6 +254,9 @@ def _whole(path):
         with fh:
             yield fh
         partial.replace(path)
-    except BaseException:
+    except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OutputError(
+                f"cannot write {path}: {exc.strerror or exc}") from exc
         raise

@@ -31,10 +31,15 @@ the ensemble (and ensemble.run_trajectory, a batch of one) and
 norm_defect_samples; the dense psd_step and qsd_step are its test oracles.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
-norm) comes only from elementwise ops and row-wise einsum, whose bits do
-not depend on how many rows share a batch, so trajectory k of an ensemble
-replays as a batch of one.  A sum per batch (the projector at a record
-time) may use BLAS, because batch boundaries are fixed.
+norm) comes only from elementwise ops and sums along a row (row-wise
+einsum, or a left-to-right sum), whose bits depend neither on how many
+rows share a batch nor on how many record points share a flush, so
+trajectory k of an ensemble replays as a batch of one.  Record points are
+buffered and reduced a buffer at a time; the sums per batch taken there
+(<H>, Var H and its spread) run along the row axis of each record point,
+and the projector of each record point is the same BLAS call as when it
+is reduced alone.  A sum per batch may use BLAS because batch boundaries
+are fixed.
 """
 
 import math
@@ -44,11 +49,13 @@ import numpy as np
 
 from . import qcore
 from .errors import DegenerateStateError, InvalidParameterError, ShapeError
-from .noise import NoiseStream, sample_dxi_block
+from .noise import NoiseStream, fill_dxi_blocks, sample_dxi_block
 from .noise import sample_dxi  # noqa: F401  (looked up here by perfbench/tracing.py)
 
 _UNIT_PHASE_TOL = 1e-12
 NOISE_BLOCK = 1024       # steps of noise drawn per generator call
+BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
+NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
 
@@ -156,10 +163,21 @@ class _EigenKernel:
         return np.einsum("bi,bi,i->b", v, v, self._pairs)
 
     def variance(self, c, e) -> np.ndarray:
-        """Var H of each row, given its <H> e."""
-        w = c.view(np.float64)
-        hd = self._pairs - e[:, None]
-        return np.einsum("bi,bi,bi,bi->b", w, w, hd, hd)
+        """Var H of each row of c (..., B, n), given its <H> e (..., B).
+
+        Each float w of a row adds ((w w) hd) hd, summed over the row
+        left to right: the bits of einsum("bi,bi,bi,bi->b") on one batch,
+        for any number of record points at once.
+        """
+        w = np.moveaxis(c.view(np.float64), -1, 0)
+        hd = self._pairs.reshape((-1,) + (1,) * e.ndim) - e
+        terms = np.multiply(w, w, out=np.empty(w.shape))
+        terms *= hd
+        terms *= hd
+        v = terms[0].copy()
+        for t in terms[1:]:
+            v += t
+        return v
 
     def step(self, c, e, coeff, nrm_sq):
         """One step of rows c with <H> e and per-row coefficients coeff
@@ -199,16 +217,34 @@ class _BatchSums:
     records: list                    # TrajectoryRecord of each retained row
 
 
+def batch_buffers(count: int, n: int, block: int, stride: int):
+    """(noise group, record capacity, bytes) of the buffers of a batch of
+    count rows of dimension n that draws noise `block` steps at a time.
+
+    The noise group buffer and the record buffer with its flush
+    temporaries share BATCH_BUFFER_BYTES.  The capacity is at least one
+    record point, which alone can exceed the budget at large B n, and at
+    most the record points of one block.
+    """
+    group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
+    per_point = count * (48 * n + 48)   # amplitudes, <H>, norm^2, temporaries
+    capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
+                          block // stride + 2))
+    return group, capacity, 16 * group * block + capacity * per_point
+
+
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
                           stride: int, keep=()) -> _BatchSums:
     """Integrate one trajectory per noise stream from eigenbasis amplitudes c0.
 
-    Row b draws its increments from streams[b] in blocks (sample_dxi_block,
+    Row b draws its increments from streams[b] in blocks (fill_dxi_blocks,
     bit-identical to per-step sample_dxi), so a trajectory's values do not
     depend on which other streams share its batch.  At every step of
-    record_steps(n_steps, stride) the batch is reduced on the spot; the
-    rows listed in keep also record <H>, Var H and the norm defect
-    ||psi + dpsi|| - 1 of the step just taken, and their final state.
+    record_steps(n_steps, stride) the rows' amplitudes, <H> and squared
+    norm go into a record buffer; a flush reduces every buffered record
+    point at once, when the buffer is full and at the end of each noise
+    block.  The rows listed in keep also record <H>, Var H and the norm
+    defect ||psi + dpsi|| - 1 of the step just taken, and their final state.
     """
     count, n = len(streams), len(c0)
     n_rec = record_count(n_steps, stride)
@@ -216,43 +252,64 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     proj = np.empty((n_rec, n, n), dtype=np.complex128)
     e_sum, v_sum, v_m2, drift_max = (np.empty(n_rec) for _ in range(4))
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
+    block_len = min(NOISE_BLOCK, n_steps)
+    group, capacity, _ = batch_buffers(count, n, block_len, stride)
+    scratch = np.empty((group, block_len, 2))
+    held_c = np.empty((capacity, count, n), dtype=np.complex128)
+    held_e, held_nrm_sq = np.empty((2, capacity, count))
+    dxi = np.empty((block_len, count), dtype=np.complex128)
+    norms = np.empty(dxi.shape)
+    held = done = 0          # record points buffered, and reduced before them
+    terminal = None
+
+    def hold(c, e, nrm_sq):
+        nonlocal held
+        held_c[held], held_e[held], held_nrm_sq[held] = c, e, nrm_sq
+        held += 1
+        if held == capacity:
+            flush()
+
+    def flush():
+        nonlocal held, done, terminal
+        if not held:
+            return
+        pos = slice(done, done + held)
+        for i in range(held):     # a sum over rows: BLAS, one call per point
+            np.matmul(held_c[i].T, held_c[i].conj(), out=proj[done + i])
+        e = held_e[:held]
+        v = kernel.variance(held_c[:held], e)
+        d = np.sqrt(held_nrm_sq[:held]) - 1.0
+        e_sum[pos], v_sum[pos] = e.sum(axis=1), v.sum(axis=1)
+        v_m2[pos] = np.square(v - (v_sum[pos] / count)[:, None]).sum(axis=1)
+        drift_max[pos] = np.abs(d).max(axis=1)
+        energy[:, pos], variance[:, pos], defect[:, pos] = \
+            e[:, keep].T, v[:, keep].T, d[:, keep].T
+        terminal = v[-1].copy()
+        done += held
+        held = 0
+
     c = np.tile(c0, (count, 1))
     e = kernel.mean_energy(c)
-    nrm_sq = np.ones(count)
-    dxi = np.empty((min(NOISE_BLOCK, n_steps), count), dtype=np.complex128)
-    norms = np.empty(dxi.shape)
-
-    def record(pos):
-        v = kernel.variance(c, e)
-        d = np.sqrt(nrm_sq) - 1.0
-        np.matmul(c.T, c.conj(), out=proj[pos])      # a sum over rows: BLAS
-        e_sum[pos], v_sum[pos] = e.sum(), v.sum()
-        v_m2[pos] = np.square(v - v_sum[pos] / count).sum()
-        drift_max[pos] = np.abs(d).max()
-        energy[:, pos], variance[:, pos], defect[:, pos] = e[keep], v[keep], d[keep]
-        return v
-
-    terminal = record(0)
+    hold(c, e, 1.0)
     for start in range(0, n_steps, NOISE_BLOCK):
         block = min(NOISE_BLOCK, n_steps - start)
-        for j, s in enumerate(streams):
-            dxi[:block, j] = sample_dxi_block(kernel.dt, block, s)
+        fill_dxi_blocks(kernel.dt, streams, dxi[:block], scratch)
         coeff = kernel.coefficients(dxi[:block])
         # a failed row runs on as nan/inf to the end of the block, where its
         # first bad step is reported
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(block):
-                nrm_sq = norms[i]
-                c, e = kernel.step(c, e, coeff[i], nrm_sq)
+                c, e = kernel.step(c, e, coeff[i], norms[i])
                 step = start + i + 1
                 if step % stride == 0 or step == n_steps:
-                    terminal = record(-(-step // stride))   # ceil(step/stride)
+                    hold(c, e, norms[i])
         bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
         if bad.any():
             i, b = divmod(int(np.argmax(bad)), count)
             raise DegenerateStateError(
                 f"trajectory {streams[b].stream_index} failed at step "
                 f"{start + i + 1}: norm^2 = {norms[i, b]!r}")
+        flush()
     times = kernel.dt * record_steps(n_steps, stride).astype(float)
     records = [TrajectoryRecord(times=times, energy_mean=energy[r],
                                 energy_variance=variance[r],

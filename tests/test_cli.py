@@ -371,7 +371,10 @@ def test_failed_write_leaves_no_file(capsys, monkeypatch, config_path, name,
 
     monkeypatch.setattr(builtins, "open", open_)
     assert main([arg.format(config=config_path, out=out) for arg in argv]) == 1
-    assert "injected" in capsys.readouterr().err
+    # a failed write is not invalid input
+    assert capsys.readouterr().err == (
+        f"qsdsim: cannot write {out / name}: "
+        f"injected: no space left on device\n")
     assert list(out.glob(name + "*")) == []
 
 
@@ -458,9 +461,12 @@ class TestExitCodes:
         ({}, ("compare", "--config", "{dir}", "--out", "{dir}/out")),
         ({}, ("compare", "--config", "{config}", "--out", "{config}")),
         ({}, ("noise-audit", "--n", "10", "--out", "{config}/audit.csv")),
+        # 10^12 increments: refused before any is drawn
+        ({}, ("noise-audit", "--n", "1000000000000", "--dt", "1")),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
             "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
-            "config-is-directory", "out-is-file", "out-under-file"])
+            "config-is-directory", "out-is-file", "out-under-file",
+            "audit-over-memory"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides,
                                                argv):
         data = json.loads(config_path.read_text())

@@ -4,6 +4,7 @@ from scipy import stats
 
 from qsdsim import (InvalidParameterError, NoiseStream, sample_dxi,
                     sample_dxi_block)
+from qsdsim import noise
 from qsdsim.noise import moment_audit
 
 
@@ -47,6 +48,12 @@ class TestComplexIncrement:
         b = np.mean(np.abs(sample_dxi_block(2 * dt0, 400_000, NoiseStream(3, 1))) ** 2)
         assert abs(b / a - 2.0) < 0.05
 
+    def test_block_is_the_scaled_normal_pairs(self):
+        # sqrt(dt/2) (g_re + i g_im), with g drawn as (n, 2) normals
+        g = NoiseStream(12, 3).standard_normal((100_000, 2))
+        block = sample_dxi_block(0.07, 100_000, NoiseStream(12, 3))
+        assert np.array_equal(block, np.sqrt(0.5 * 0.07) * (g[:, 0] + 1j * g[:, 1]))
+
     def test_block_matches_sequential_draws(self):
         block = sample_dxi_block(0.3, 50, NoiseStream(99, 4))
         s = NoiseStream(99, 4)
@@ -76,6 +83,14 @@ def test_moment_audit_fields():
     assert set(audit) == {"dt", "n", "mean_re", "mean_im", "mean_sq_re",
                           "mean_sq_im", "mean_abs_sq"}
     assert abs(audit["mean_abs_sq"] - 0.5) < 0.05
+
+
+def test_moment_audit_refuses_a_sample_over_physical_memory(monkeypatch):
+    def draw(*args):
+        raise AssertionError("increments were drawn")
+    monkeypatch.setattr(noise, "sample_dxi_block", draw)
+    with pytest.raises(InvalidParameterError, match="physical memory"):
+        moment_audit(1.0, 10 ** 12, NoiseStream(1))
 
 
 def test_master_seed_uses_64_bits():

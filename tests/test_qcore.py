@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -156,3 +159,28 @@ class TestJson:
             qcore.state_from_json([[1.0, 0.0, 0.0]])
         with pytest.raises(ShapeError):
             qcore.operator_from_json([[[1.0, 0.0]], [[0.0, 0.0]]])
+
+
+def test_write_table_rows_are_the_csv_writer_bytes(tmp_path):
+    # float rows take the one-format-string path, the others csv.writer;
+    # both give what csv.writer gives for every row
+    columns = ["a", "b", "c"]
+    rows = [
+        (float("nan"), float("inf"), -float("inf")),
+        (-0.0, 5e-324, -5e-324),
+        (np.float64(0.1), np.float64(-1e300), 1.0 / 3.0),
+        (np.float64("nan"), np.float64(-0.0), np.float64(2.0) ** 60),
+        (0.5, 7, 1e-12),                       # an int: csv.writer
+        ("x,y", 2.5, True),                    # quoting and a bool
+        (1.5, 2.5),                            # short row
+    ]
+    path = tmp_path / "t.csv"
+    qcore.write_table(path, {"k": 1}, columns, iter(rows))
+    expected = io.StringIO(newline="")
+    expected.write("# k = 1\n")
+    writer = csv.writer(expected)
+    writer.writerow(columns)
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    with open(path, newline="") as fh:
+        assert fh.read() == expected.getvalue()

@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +12,9 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
                     gauge_transform, lindblad_from_hamiltonian, lindblad_rhs,
                     norm_defect_samples, normalize, psd_master_rhs, psd_step,
                     qsd_step, run_ensemble, run_trajectory, sample_dxi_block)
-from qsdsim import qcore
-from qsdsim.trajectory import _EigenKernel
+from qsdsim import qcore, trajectory
+from qsdsim.noise import fill_dxi_blocks
+from qsdsim.trajectory import _EigenKernel, _integrate_eigenbasis
 from conftest import random_hermitian, random_state
 
 
@@ -273,6 +276,110 @@ class TestEigenKernelProperties:
         c_next, e_next = kernel.step(c, kernel.mean_energy(c), coeff[0], nrm_sq)
         assert np.array_equal(c_next, c)
         assert e_next[0] == kernel.energies[k % len(h)]
+
+
+class _PoisonedStream(NoiseStream):
+    """A noise stream whose increment at one step is 1e300, so a row that
+    is not an eigenstate overflows there."""
+
+    def __init__(self, master_seed, stream_index, step):
+        super().__init__(master_seed, stream_index)
+        self.step, self.drawn = step, 0
+
+    def standard_normal(self, size=None, out=None):
+        g = super().standard_normal(size, out=out)
+        first, self.drawn = self.drawn, self.drawn + len(g)
+        if first < self.step <= self.drawn:
+            g[self.step - first - 1] = 1e300
+        return g
+
+
+def batch_inputs(n, count, seed):
+    """An eigenbasis kernel of a random H (n x n) and a random c0."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n)
+    h /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(h))))
+    kernel = _EigenKernel(h, 2e-3, 0.4)
+    return kernel, kernel.vecs.conj().T @ random_state(rng, n)
+
+
+class TestRecordBuffer:
+    # the flush reduces buffered record points with the bits of reducing
+    # each point on the spot
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]),
+           st.sampled_from([1, 3, 512]), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
+    def test_variance_is_the_einsum(self, n, rows, points, seed, scale):
+        rng = np.random.default_rng(seed)
+        kernel = _EigenKernel(np.diag(scale * rng.standard_normal(n)), 1e-3,
+                              0.4)
+        c = rng.standard_normal((points, rows, n)) \
+            + 1j * rng.standard_normal((points, rows, n))
+        e = scale * rng.standard_normal((points, rows))
+        v = kernel.variance(c, e)
+        for k in range(points):
+            w = c[k].view(np.float64)
+            hd = kernel._pairs - e[k][:, None]
+            assert np.array_equal(v[k],
+                                  np.einsum("bi,bi,bi,bi->b", w, w, hd, hd))
+
+    def test_capacity_one_gives_the_same_sums(self, monkeypatch):
+        # stride 1, so every step is a record point; 1100 steps are a
+        # multiple of neither NOISE_BLOCK nor the buffer capacity, and 40
+        # rows are enough for the order of a sum over rows to show
+        kernel, c0 = batch_inputs(4, 40, seed=8)
+        n_steps, keep = 1100, [1, 39]
+        _, capacity, _ = trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1)
+        assert 1 < capacity < n_steps and n_steps % capacity
+        assert n_steps % trajectory.NOISE_BLOCK
+
+        def run():
+            streams = [NoiseStream(6, j) for j in range(40)]
+            return _integrate_eigenbasis(kernel, c0, streams, n_steps, 1, keep)
+
+        buffered = run()
+        monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
+        assert trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1)[1] == 1
+        single = run()
+        for name in ("count", "projector_sum", "energy_sum", "variance_sum",
+                     "variance_m2", "max_norm_drift", "winners",
+                     "terminal_variance"):
+            assert np.array_equal(getattr(buffered, name),
+                                  getattr(single, name)), name
+        for a, b in zip(buffered.records, single.records, strict=True):
+            for name in ("times", "energy_mean", "energy_variance",
+                         "norm_drift", "final_state"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_grouped_fill_is_sample_dxi_block(self):
+        # 7 streams in groups of 3 (the last one partial), 40 of the 50
+        # steps the buffer holds; each stream's second block continues it
+        dt = 0.03
+        streams = [NoiseStream(4, j) for j in range(7)]
+        alone = [NoiseStream(4, j) for j in range(7)]
+        scratch = np.empty((3, 50, 2))
+        out = np.empty((40, 7), dtype=np.complex128)
+        for _ in range(2):
+            fill_dxi_blocks(dt, streams, out, scratch)
+            expected = [sample_dxi_block(dt, 40, s) for s in alone]
+            assert np.array_equal(out, np.stack(expected, axis=1))
+
+    @pytest.mark.parametrize("poisoned, expected", [
+        ({2: 1500}, "trajectory 2 failed at step 1500:"),
+        ({2: 1500, 4: 1100}, "trajectory 4 failed at step 1100:"),
+        ({0: 7}, "trajectory 0 failed at step 7:"),
+    ])
+    def test_failure_inside_a_buffered_block(self, poisoned, expected):
+        # the failing row runs on as nan through flushes of the buffer; the
+        # first bad step of the block is still the one reported
+        kernel, c0 = batch_inputs(3, 5, seed=9)
+        streams = [_PoisonedStream(3, j, poisoned.get(j, 0)) for j in range(5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateStateError, match=expected):
+                _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0, 2])
 
 
 class TestGaugeTransform:
