@@ -4,19 +4,15 @@ The parent diagonalizes H once; trajectories are then integrated as
 energy-eigenbasis amplitudes, where the PSD step is elementwise
 (trajectory._EigenKernel), in fixed-size batches of 512, each trajectory
 drawing from its own counter-based noise stream keyed by (master_seed,
-trajectory_index).  Determinism rule: values per trajectory come only
-from elementwise ops and sums along a row, so they do not depend on the
-batch a trajectory lands in or on how record points are buffered; sums
-per batch may use BLAS (the projector, one call per record point),
-because batch boundaries are fixed.  Each batch buffers the states of its
-record points and reduces a buffer at a time (sums of the eigenbasis
-projector, <H> and Var H, the spread of Var H, the largest norm defect,
-winner counts), keeping per-trajectory series only for the trajectories
-asked for.  The parent folds those partial sums
-in batch-index order, so no array of all trajectories at all record times
-is ever built, and because batches and fold order are fixed a run's output
-is bit-identical for any worker count.  The mean projector is rotated
-back from the eigenbasis once per record time.  Peak memory is estimated
+trajectory_index).  Each batch reduces its trajectories at every record
+time (sums of the eigenbasis projector, <H> and Var H, the spread of
+Var H, the largest norm defect, winner counts), keeping per-trajectory
+series only for the trajectories asked for.  The parent folds those
+partial sums in batch-index order, so no array of all trajectories at all
+record times is ever built.  Batches and fold order are fixed, so under
+the determinism rule of the trajectory module a run's output is
+bit-identical for any worker count.  The mean projector is rotated back
+from the eigenbasis once per record time.  Peak memory is estimated
 before the first batch starts, and a run that would not fit in physical
 memory is refused.
 
@@ -40,9 +36,9 @@ from . import master as master_mod
 from . import qcore, spacetime
 from .errors import InvalidParameterError, QsdError
 from .noise import NoiseStream
-from .trajectory import (NOISE_BLOCK, TrajectoryRecord, _BatchSums,
-                         _EigenKernel, _integrate_eigenbasis, batch_buffers,
-                         record_count, record_steps)
+from .trajectory import (TrajectoryRecord, _BatchSums, _EigenKernel,
+                         _integrate_eigenbasis, batch_buffers, record_count,
+                         record_steps)
 
 CHUNK_SIZE = 512         # trajectories per batch; independent of worker count
 MAX_RECORD_POINTS = 10_000
@@ -232,11 +228,11 @@ class EnsembleSummary:
 def _simulate_chunk(args) -> _BatchSums:
     """Integrate and reduce trajectories [start, start+count) as one batch.
 
-    Runs in worker processes on energy-eigenbasis amplitudes.  Per-row
-    values come from elementwise ops and sums along a row only, so chunk
-    boundaries never leak into a trajectory's values and trajectory k
-    matches run_trajectory on stream k bit for bit.  `keep` holds the
-    chunk-local rows whose series are retained.
+    Runs in worker processes on energy-eigenbasis amplitudes.  By the
+    trajectory module's determinism rule, chunk boundaries never leak into
+    a trajectory's values, so trajectory k matches run_trajectory on
+    stream k bit for bit.  `keep` holds the chunk-local rows whose series
+    are retained.
     """
     kernel, c0, n_steps, stride, seed, start, count, keep = args
     streams = [NoiseStream(seed, start + j) for j in range(count)]
@@ -291,8 +287,8 @@ def _check_memory(config: SimulationConfig, n_chunks: int, pool_size: int,
 
     The estimate assumes every chunk's reductions are waiting in the parent
     at once, next to the running totals and the mean projector with its
-    temporaries; each worker holds one chunk's reductions, a noise block
-    and the chunk's noise group and record buffers.
+    temporaries; each worker holds one chunk's reductions and the chunk's
+    working buffers (trajectory.batch_buffers).
     """
     n = config.hamiltonian.shape[0]
     stride = config.effective_record_stride
@@ -300,8 +296,7 @@ def _check_memory(config: SimulationConfig, n_chunks: int, pool_size: int,
     sums = t * (16 * n * n + 5 * 8)             # projector sum, 4 sums, times
     parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
         + 8 * config.n_trajectories
-    worker = sums + NOISE_BLOCK * CHUNK_SIZE * (16 + 8) \
-        + batch_buffers(CHUNK_SIZE, n, NOISE_BLOCK, stride)[2]
+    worker = sums + batch_buffers(CHUNK_SIZE, n, config.n_steps, stride)[2]
     qcore.check_memory(parent + pool_size * worker,
                        f"run of {t} record points at n={n}",
                        "raise record_stride or lower n_trajectories")
@@ -384,20 +379,14 @@ class LocalizationReport:
 
     applicable: bool
     degenerate_levels: list
-    monotonicity_defect: float          # largest raw increase of mean Var H
-    monotonicity_max_z: float           # that increase over its standard error
+    monotonicity_max_z: float           # largest rise of mean Var H, in SEs
     monotone_within_tolerance: bool
-    expected_populations: np.ndarray
-    born_halfwidths: np.ndarray         # 4-sigma binomial
-    born_within_tolerance: bool
+    born_within_tolerance: bool         # within 4-sigma binomial bounds
     terminal_variance_max: float
-    terminal_variance_median: float
-    variance_threshold: float
-    localized_fraction: float
+    localized_fraction: float           # Var H <= 1e-6 (E_max - E_min)^2
 
 
-def localization_stats(summary: EnsembleSummary,
-                       variance_threshold: float | None = None) -> LocalizationReport:
+def localization_stats(summary: EnsembleSummary) -> LocalizationReport:
     """Monotonicity of mean Var H, terminal variances, and Born frequencies.
 
     With a degenerate spectrum the localization statistics are flagged
@@ -410,15 +399,12 @@ def localization_stats(summary: EnsembleSummary,
         (i, i + 1) for i in range(len(w) - 1)
         if abs(w[i + 1] - w[i]) <= 1e-12 * scale
     ]
-    spread = float(w[-1] - w[0])
-    if variance_threshold is None:
-        variance_threshold = 1e-6 * spread ** 2 if spread > 0 else 0.0
+    threshold = 1e-6 * float(w[-1] - w[0]) ** 2
 
     m = summary.n_trajectories
     se = summary.energy_variance_se
     diffs = np.diff(summary.mean_energy_variance)
     se_diff = np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
-    defect = float(max(np.max(diffs, initial=0.0), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se_diff > 0, diffs / se_diff, np.where(diffs > 0, np.inf, 0.0))
     max_z = float(np.max(z, initial=0.0))
@@ -432,16 +418,11 @@ def localization_stats(summary: EnsembleSummary,
     return LocalizationReport(
         applicable=not degenerate,
         degenerate_levels=degenerate,
-        monotonicity_defect=defect,
         monotonicity_max_z=max_z,
         monotone_within_tolerance=bool(max_z <= 4.0),
-        expected_populations=summary.initial_populations,
-        born_halfwidths=halfwidths,
         born_within_tolerance=born_ok,
         terminal_variance_max=float(term.max()),
-        terminal_variance_median=float(np.median(term)),
-        variance_threshold=float(variance_threshold),
-        localized_fraction=float(np.mean(term < variance_threshold)),
+        localized_fraction=float(np.mean(term <= threshold)),
     )
 
 

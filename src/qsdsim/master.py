@@ -31,6 +31,7 @@ import numpy as np
 
 from . import qcore
 from .errors import IntegrationFailureError, InvalidParameterError, ShapeError
+from .trajectory import record_steps
 
 TRACE_DRIFT_LIMIT = 1e-6
 POSITIVITY_WARN = -1e-8
@@ -136,7 +137,7 @@ def max_offdiagonal(rho) -> float:
 
 def exact_states(rho0, h, tau0: float, dt: float, steps):
     """Yield (t, rho) of psd_master_exact at t = dt * k for each step index
-    k of `steps` (a range or a list), in order.
+    k of `steps` (a range or an array), in order.
 
     The states are evaluated in chunks of MASTER_CHUNK_BYTES, each chunk's
     times built from its own step indices, so no array spans all the steps.
@@ -155,14 +156,11 @@ def write_summary_csv(path, states, header: dict):
                         max_offdiagonal(rho)) for t, rho in states))
 
 
-def snapshot_indices(n_times: int, max_snapshots: int = 64) -> list:
-    """Time indices of the master_states.json snapshots: every
-    (n_times // max_snapshots)-th, plus the last."""
-    stride = max(n_times // max_snapshots, 1)
-    idx = list(range(0, n_times, stride))
-    if idx[-1] != n_times - 1:
-        idx.append(n_times - 1)
-    return idx
+def snapshot_indices(n_times: int) -> np.ndarray:
+    """Time indices of the master_states.json snapshots: the record grid
+    (trajectory.record_steps) of n_times - 1 steps at stride
+    max(n_times // 64, 1), i.e. every stride-th index plus the last."""
+    return record_steps(n_times - 1, max(n_times // 64, 1))
 
 
 def write_snapshots_json(path, snapshots, header: dict):

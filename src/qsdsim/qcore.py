@@ -9,7 +9,6 @@ are the only code of the package that knows how a file looks.
 """
 
 import contextlib
-import csv
 import json
 import math
 import os
@@ -217,22 +216,13 @@ def operator_from_json(data) -> np.ndarray:
 
 def write_table(path, header: dict, columns, rows):
     """CSV: a `# key = value` line per header entry, the column names, then
-    one line per row, floats as %.17g (they read back bit for bit)."""
-    # a row of floats only is formatted in one operation; csv.writer
-    # writes the same bytes (no float text needs quoting)
-    floats = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    one line per row of numbers, each as %.17g (a float reads back bit for
+    bit, an int below 2^53 prints exactly), lines ending in CRLF."""
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with _whole(path) as fh:
         fh.writelines(f"# {key} = {value}\n" for key, value in header.items())
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            row = tuple(row)
-            if len(row) == len(columns) \
-                    and all([isinstance(v, float) for v in row]):
-                fh.write(floats % row)
-            else:
-                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                                 for v in row])
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_json(path, payload):
@@ -245,7 +235,16 @@ def write_json(path, payload):
 @contextlib.contextmanager
 def _whole(path):
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            # stdout drops what it still buffers, so the interpreter's own
+            # flush at exit does not fail a second time
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise OutputError(
+                f"cannot write <stdout>: {exc.strerror or exc}") from exc
         return
     path = Path(path)
     partial = path.with_name(path.name + ".partial")

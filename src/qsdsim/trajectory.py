@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import DegenerateStateError, InvalidParameterError, ShapeError
+from .errors import DegenerateStateError, InvalidParameterError
 from .noise import NoiseStream, fill_dxi_blocks, sample_dxi_block
 from .noise import sample_dxi  # noqa: F401  (looked up here by perfbench/tracing.py)
 
@@ -83,10 +83,7 @@ def gauge_transform(lop, u: complex) -> np.ndarray:
 def _check_step_args(psi, op, dt):
     psi = np.asarray(psi, dtype=np.complex128)
     op = np.asarray(op, dtype=np.complex128)
-    if op.ndim != 2 or op.shape[0] != op.shape[1] or psi.ndim != 1 \
-            or psi.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"dimension mismatch: operator {op.shape} vs state {psi.shape}")
+    qcore._check_match(op, psi)
     return psi, op, qcore.positive("dt", dt)
 
 
@@ -138,8 +135,8 @@ class _EigenKernel:
                                                         hd_k = E_k - e.
 
     <H> is carried with the amplitudes: step takes the rows' <H> and
-    returns the next one, which recording reuses.  Per-row values follow
-    the module's determinism rule (no BLAS).
+    returns the next one, which recording reuses.  Every method keeps the
+    module's determinism rule.
     """
 
     def __init__(self, h, dt: float, tau0: float):
@@ -217,20 +214,24 @@ class _BatchSums:
     records: list                    # TrajectoryRecord of each retained row
 
 
-def batch_buffers(count: int, n: int, block: int, stride: int):
-    """(noise group, record capacity, bytes) of the buffers of a batch of
-    count rows of dimension n that draws noise `block` steps at a time.
+def batch_buffers(count: int, n: int, n_steps: int, stride: int):
+    """(noise group, record capacity, bytes) of the working buffers of a
+    batch of count rows of dimension n over n_steps steps.
 
-    The noise group buffer and the record buffer with its flush
-    temporaries share BATCH_BUFFER_BYTES.  The capacity is at least one
-    record point, which alone can exceed the budget at large B n, and at
-    most the record points of one block.
+    The batch draws noise min(NOISE_BLOCK, n_steps) steps at a time; the
+    bytes cover that noise block with its norms, the noise group buffer
+    and the record buffer with its flush temporaries.  The last two share
+    BATCH_BUFFER_BYTES.  The capacity is at least one record point, which
+    alone can exceed the budget at large B n, and at most the record points
+    of one block.
     """
+    block = min(NOISE_BLOCK, n_steps)
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
     per_point = count * (48 * n + 48)   # amplitudes, <H>, norm^2, temporaries
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
-    return group, capacity, 16 * group * block + capacity * per_point
+    noise = count * block * (16 + 8)    # dxi and the norms of its steps
+    return group, capacity, noise + 16 * group * block + capacity * per_point
 
 
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
@@ -253,7 +254,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     e_sum, v_sum, v_m2, drift_max = (np.empty(n_rec) for _ in range(4))
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     block_len = min(NOISE_BLOCK, n_steps)
-    group, capacity, _ = batch_buffers(count, n, block_len, stride)
+    group, capacity, _ = batch_buffers(count, n, n_steps, stride)
     scratch = np.empty((group, block_len, 2))
     held_c = np.empty((capacity, count, n), dtype=np.complex128)
     held_e, held_nrm_sq = np.empty((2, capacity, count))

@@ -117,6 +117,5 @@ def test_only_qcore_writes_files():
 
     for path in sorted(Path(qsdsim.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert found == {("qcore", "write_table", "csv.writer"),
-                     ("qcore", "write_json", "json.dump"),
+    assert found == {("qcore", "write_json", "json.dump"),
                      ("qcore", "_whole", "open")}

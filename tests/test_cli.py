@@ -407,6 +407,28 @@ class TestNoiseAudit:
         assert path.read_text().startswith("dt,n,")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["constants"], ["noise-audit", "--n", "100"]],
+                         ids=["constants", "noise-audit"])
+def test_failed_stdout_write_exits_1(argv, unbuffered):
+    # a fresh interpreter whose stdout is a full device: one line on
+    # stderr, no traceback, whether the write or the final flush fails
+    src = str(Path(qsdsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qsdsim.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("qsdsim: cannot write <stdout>: "
+                           "No space left on device\n")
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["definitely-not-a-command"]) == 1

@@ -379,11 +379,22 @@ class TestLocalizationStats:
         assert report.monotone_within_tolerance
         assert report.born_within_tolerance
         # eigenvalues ascending: level -1 carries 0.2, level +1 carries 0.8
-        assert np.allclose(report.expected_populations, [0.2, 0.8], atol=1e-12)
+        assert np.allclose(summary.initial_populations, [0.2, 0.8], atol=1e-12)
         assert report.localized_fraction > 0.999
         assert report.terminal_variance_max < 1e-6 * 2.0 ** 2
         assert summary.mean_energy_variance[-1] \
             < 0.05 * summary.mean_energy_variance[0]
+
+    def test_one_level_is_localized(self):
+        # a spectrum of zero spread: every terminal Var H is exactly 0,
+        # which counts as localized
+        config = make_config(hamiltonian=np.array([[0.7]]),
+                             initial_state=np.array([1.0]), n_trajectories=5)
+        summary = run_ensemble(config)
+        report = localization_stats(summary)
+        assert np.all(summary.terminal_variances == 0.0)
+        assert report.applicable
+        assert report.localized_fraction == 1.0
 
     def test_degenerate_spectrum_flagged(self):
         config = make_config(hamiltonian=np.diag([0.5, 0.5]))

@@ -8,7 +8,7 @@ from qsdsim import (IntegrationFailureError, InvalidParameterError,
                     ShapeError, analytic_offdiagonal, integrate_master,
                     lindblad_from_hamiltonian, lindblad_rhs, psd_master_exact,
                     psd_master_rhs, pure_projector)
-from qsdsim.master import max_offdiagonal, write_summary_csv
+from qsdsim.master import max_offdiagonal, snapshot_indices, write_summary_csv
 from qsdsim.trajectory import record_steps
 from conftest import random_density, random_hermitian, random_state
 
@@ -183,6 +183,15 @@ class TestOutputs:
         assert lines[0] == "# units = natural"
         assert lines[1] == "t,trace,purity,offdiag_abs"
         assert len(lines) == 2 + len(times)
+
+    @pytest.mark.parametrize("n_times", [2, 63, 64, 65, 1001])
+    def test_snapshot_grid(self, n_times):
+        # every stride-th time index plus the last, stride n_times // 64
+        stride = max(n_times // 64, 1)
+        idx = snapshot_indices(n_times)
+        gaps = np.diff(idx)
+        assert idx[0] == 0 and idx[-1] == n_times - 1
+        assert np.all(gaps[:-1] == stride) and 0 < gaps[-1] <= stride
 
     def test_max_offdiagonal(self):
         rho = np.array([[0.5, 0.2j], [-0.2j, 0.5]])

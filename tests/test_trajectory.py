@@ -1,4 +1,5 @@
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -352,6 +353,25 @@ class TestRecordBuffer:
             for name in ("times", "energy_mean", "energy_variance",
                          "norm_drift", "final_state"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("n_steps", [100, 2000])
+    def test_buffer_estimate_covers_a_batch(self, n_steps):
+        # what a batch allocates besides its reductions is what
+        # batch_buffers states, with a noise block shorter than NOISE_BLOCK
+        # or not
+        kernel, c0 = batch_inputs(4, 512, seed=2)
+        streams = [NoiseStream(1, j) for j in range(512)]
+        tracemalloc.start()
+        try:
+            sums = _integrate_eigenbasis(kernel, c0, streams, n_steps, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        reductions = sum(a.nbytes for a in (
+            sums.projector_sum, sums.energy_sum, sums.variance_sum,
+            sums.variance_m2, sums.max_norm_drift))
+        estimate = trajectory.batch_buffers(512, 4, n_steps, 1)[2]
+        assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
 
     def test_grouped_fill_is_sample_dxi_block(self):
         # 7 streams in groups of 3 (the last one partial), 40 of the 50
