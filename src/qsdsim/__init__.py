@@ -19,12 +19,11 @@ from .noise import NoiseStream, sample_dxi, sample_dxi_block
 from .qcore import (align_global_phase, as_density, as_operator, as_state,
                     expectation, normalize, pure_projector, trace_distance,
                     variance)
-from .spacetime import (CODATA, DecoherenceEstimate, NormCompletion,
-                        PhysicalConstants, decoherence_rate,
-                        delta_e_from_height, delta_e_from_velocities,
-                        equivalence_report, fluctuating_time_step,
-                        fluctuation_time_constant, ito_norm_defect,
-                        norm_completion, planck_time)
+from .spacetime import (DecoherenceEstimate, NormCompletion,
+                        decoherence_rate, delta_e_from_height,
+                        delta_e_from_velocities, equivalence_report,
+                        fluctuating_time_step, fluctuation_time_constant,
+                        ito_norm_defect, norm_completion, planck_time)
 from .trajectory import (TrajectoryRecord, gauge_transform,
                          lindblad_from_hamiltonian, norm_defect_samples,
                          psd_step, qsd_step)
@@ -32,7 +31,6 @@ from .trajectory import (TrajectoryRecord, gauge_transform,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CODATA",
     "DecoherenceEstimate",
     "DegenerateStateError",
     "EnsembleSummary",
@@ -41,7 +39,6 @@ __all__ = [
     "LocalizationReport",
     "NoiseStream",
     "NormCompletion",
-    "PhysicalConstants",
     "QsdError",
     "ShapeError",
     "SimulationConfig",

@@ -55,12 +55,11 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_constants(args) -> int:
-    c = spacetime.CODATA
     _emit({
-        "planck_time_s": spacetime.planck_time(c),
-        "hbar_J_s": c.hbar,
-        "G_m3_per_kg_s2": c.G,
-        "c_m_per_s": c.c,
+        "planck_time_s": spacetime.planck_time(),
+        "hbar_J_s": spacetime.HBAR,
+        "G_m3_per_kg_s2": spacetime.G,
+        "c_m_per_s": spacetime.C_LIGHT,
     })
     return 0
 

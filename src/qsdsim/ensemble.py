@@ -26,7 +26,6 @@ echoed in every output header.
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import master as master_mod
 from . import qcore, spacetime
-from .errors import InvalidParameterError, QsdError
+from .errors import DegenerateStateError, InvalidParameterError, QsdError
 from .noise import NoiseStream
 from .trajectory import (TrajectoryRecord, _BatchSums, _EigenKernel,
                          _integrate_eigenbasis, batch_buffers, record_count,
@@ -68,13 +67,20 @@ class SimulationConfig:
     time_unit_s: float | None = None
 
     def __post_init__(self):
-        h = qcore.as_operator(self.hamiltonian, hermitian=True)
-        psi = qcore.normalize(qcore.as_state(self.initial_state, normalized=False))
+        h = qcore.as_operator(self.hamiltonian)
+        try:
+            psi = qcore.normalize(
+                qcore.as_state(self.initial_state, normalized=False))
+        except DegenerateStateError as exc:
+            raise InvalidParameterError(f"initial_state: {exc}") from exc
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "initial_state", psi)
         if h.shape[0] != psi.shape[0]:
             raise InvalidParameterError(
                 f"hamiltonian {h.shape} does not match state dim {psi.shape[0]}")
+        for name in ("n_trajectories", "master_seed", "record_stride"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.n_trajectories < 1:
             raise InvalidParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}")
@@ -93,12 +99,6 @@ class SimulationConfig:
         if self.record_stride is not None and self.record_stride < 1:
             raise InvalidParameterError(
                 f"record_stride must be >= 1, got {self.record_stride}")
-        phase_step = dt * float(np.max(np.abs(np.linalg.eigvalsh(h))))
-        if phase_step > 0.5:
-            warnings.warn(
-                f"dt under-resolves the fastest phase (dt*E_max = "
-                f"{phase_step:.3g}); the weak-order-1 stepper will be badly "
-                f"biased", RuntimeWarning, stacklevel=2)
 
     @property
     def n_steps(self) -> int:
@@ -122,6 +122,13 @@ class SimulationConfig:
             "C": self.c_factor,
             "master_seed": self.master_seed,
         }
+
+
+def _whole(name: str, value) -> int:
+    """value as an int: a whole number such as 3 or 3.0, not a bool."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def config_from_dict(data: dict) -> SimulationConfig:
@@ -150,13 +157,12 @@ def _parse_config(data: dict) -> SimulationConfig:
     h = qcore.operator_from_json(data["hamiltonian"])
     psi0 = qcore.state_from_json(data["initial_state"])
     tau0_mode = data.get("tau0_mode", "explicit")
+    booleans = sorted(key for key, value in data.items() if isinstance(value, bool))
+    if booleans:
+        raise InvalidParameterError(f"{booleans[0]} is true or false, not a number")
     c_factor = float(data.get("C", 1.0))
     dt = float(data["dt"])
     t_final = float(data["t_final"])
-    n_traj = int(data.get("n_trajectories", 1))
-    seed = int(data.get("master_seed", 0))
-    stride = data.get("record_stride")
-    stride = None if stride is None else int(stride)
 
     if tau0_mode == "explicit":
         if "tau0" not in data:
@@ -173,20 +179,20 @@ def _parse_config(data: dict) -> SimulationConfig:
 
     energy_unit_j = time_unit_s = None
     if units == "SI":
-        hbar_si = spacetime.CODATA.hbar
-        h_herm = qcore.as_operator(h, hermitian=True)
-        scale = float(np.max(np.abs(np.linalg.eigvalsh(h_herm))))
+        h = qcore.as_operator(h)
+        scale = float(np.max(np.abs(np.linalg.eigvalsh(h))))
         e0 = scale if scale > 0.0 else 1.0
-        h = h_herm / e0
-        to_natural_time = e0 / hbar_si
+        h /= e0
+        to_natural_time = e0 / spacetime.HBAR
         dt *= to_natural_time
         t_final *= to_natural_time
         tau0 *= to_natural_time
-        energy_unit_j, time_unit_s = e0, hbar_si / e0
+        energy_unit_j, time_unit_s = e0, spacetime.HBAR / e0
     return SimulationConfig(
         hamiltonian=h, initial_state=psi0, tau0=tau0, dt=dt,
-        t_final=t_final, n_trajectories=n_traj, master_seed=seed,
-        record_stride=stride, tau0_mode=tau0_mode,
+        t_final=t_final, n_trajectories=data.get("n_trajectories", 1),
+        master_seed=data.get("master_seed", 0),
+        record_stride=data.get("record_stride"), tau0_mode=tau0_mode,
         c_factor=c_factor, units=units, energy_unit_j=energy_unit_j,
         time_unit_s=time_unit_s)
 
@@ -247,7 +253,7 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
     and records <H>, Var H and the norm defect at its record times.  A run
     that would not fit in physical memory is refused before it starts.
     """
-    _check_memory(config, n_chunks=1, pool_size=1, n_retained=1)
+    _check_memory(config, rows=1, n_chunks=1, pool_size=1, n_retained=1)
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state
     return _simulate_chunk((kernel, c0, config.n_steps,
@@ -281,14 +287,14 @@ def _fold(parts) -> _BatchSums:
     return total
 
 
-def _check_memory(config: SimulationConfig, n_chunks: int, pool_size: int,
-                  n_retained: int):
+def _check_memory(config: SimulationConfig, rows: int, n_chunks: int,
+                  pool_size: int, n_retained: int):
     """Refuse a run whose estimated peak memory exceeds physical memory.
 
     The estimate assumes every chunk's reductions are waiting in the parent
     at once, next to the running totals and the mean projector with its
-    temporaries; each worker holds one chunk's reductions and the chunk's
-    working buffers (trajectory.batch_buffers).
+    temporaries; each worker holds one chunk's reductions and the working
+    buffers of a batch of `rows` rows (trajectory.batch_buffers).
     """
     n = config.hamiltonian.shape[0]
     stride = config.effective_record_stride
@@ -296,7 +302,8 @@ def _check_memory(config: SimulationConfig, n_chunks: int, pool_size: int,
     sums = t * (16 * n * n + 5 * 8)             # projector sum, 4 sums, times
     parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
         + 8 * config.n_trajectories
-    worker = sums + batch_buffers(CHUNK_SIZE, n, config.n_steps, stride)[2]
+    worker = sums + batch_buffers(rows, n, config.n_steps, stride,
+                                  min(rows, n_retained))[2]
     qcore.check_memory(parent + pool_size * worker,
                        f"run of {t} record points at n={n}",
                        "raise record_stride or lower n_trajectories")
@@ -323,7 +330,7 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
             f"trajectory index {outside[0]} outside 0..{m - 1}")
     n_chunks = -(-m // CHUNK_SIZE)
     pool_size = min(workers, n_chunks, os.cpu_count() or 1)
-    _check_memory(config, n_chunks, pool_size, len(retain))
+    _check_memory(config, min(CHUNK_SIZE, m), n_chunks, pool_size, len(retain))
 
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     vecs = kernel.vecs

@@ -105,7 +105,7 @@ def psd_master_exact(rho0, h, tau0: float, times) -> np.ndarray:
     its own rate, and each state is rotated back; no time stepping.
     """
     rho0 = qcore.as_density(rho0)
-    h = qcore.as_operator(h, hermitian=True)
+    h = qcore.as_operator(h)
     if rho0.shape != h.shape:
         raise ShapeError(f"shape mismatch: rho {rho0.shape} vs H {h.shape}")
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)

@@ -69,29 +69,25 @@ def as_state(vec, normalized: bool = True) -> np.ndarray:
     return psi.copy()
 
 
-def as_operator(entries, hermitian: bool = False) -> np.ndarray:
-    """Validate and copy an operator matrix.
-
-    With hermitian=True the matrix is symmetrized to (A + A^dag)/2; an
-    asymmetry beyond HERMITIAN_REPAIR_TOL * max(||A||, 1) is an error
-    rather than something to paper over.
+def as_operator(entries) -> np.ndarray:
+    """Validate a hermitian operator; returns a copy symmetrized to
+    (A + A^dag)/2.  An asymmetry beyond HERMITIAN_REPAIR_TOL * max(||A||, 1)
+    is an error rather than something to paper over.
     """
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ShapeError(f"operator must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise InvalidParameterError("operator has non-finite entries")
-    if hermitian:
-        # measured on A / m, m its largest component, so that the squares
-        # summed in the norm cannot overflow
-        m = max(float(np.max(np.abs(a.view(np.float64)))), 1.0)
-        b = a / m
-        asym = float(np.max(np.abs(b - b.conj().T)))
-        if asym > HERMITIAN_REPAIR_TOL * max(np.linalg.norm(b), 1.0 / m):
-            raise InvalidParameterError(
-                f"operator flagged hermitian but |A - A^dag| = {asym * m:.3e}")
-        a = 0.5 * (a + a.conj().T)
-    return a.copy()
+    # measured on A / m, m its largest component, so that the squares
+    # summed in the norm cannot overflow
+    m = max(float(np.max(np.abs(a.view(np.float64)))), 1.0)
+    b = a / m
+    asym = float(np.max(np.abs(b - b.conj().T)))
+    if asym > HERMITIAN_REPAIR_TOL * max(np.linalg.norm(b), 1.0 / m):
+        raise InvalidParameterError(
+            f"operator flagged hermitian but |A - A^dag| = {asym * m:.3e}")
+    return 0.5 * (a + a.conj().T)
 
 
 def as_density(entries) -> np.ndarray:

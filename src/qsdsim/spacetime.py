@@ -24,8 +24,9 @@ Estimates: energy-superposition off-diagonals decay at
 
     rate = tau0 * dE^2 / (2 hbar^2),
 
-which `decoherence_rate` evaluates in SI units, with the hbar of
-PhysicalConstants, for interferometry-style inputs.
+which `decoherence_rate` evaluates in SI units, with the CODATA hbar
+(HBAR, like G and C_LIGHT a fixed module constant), for
+interferometry-style inputs.
 """
 
 import math
@@ -38,31 +39,19 @@ from .errors import InvalidParameterError
 from .noise import NoiseStream, sample_dxi
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """hbar [J s], G [m^3 kg^-1 s^-2], c [m/s]; defaults are CODATA values."""
-
-    hbar: float = 1.054571817e-34
-    G: float = 6.67430e-11
-    c: float = 299792458.0
-
-    def __post_init__(self):
-        for name in ("hbar", "G", "c"):
-            qcore.positive(name, getattr(self, name))
+HBAR = 1.054571817e-34     # J s, CODATA
+G = 6.67430e-11            # m^3 kg^-1 s^-2, CODATA
+C_LIGHT = 299792458.0      # m/s, exact
 
 
-CODATA = PhysicalConstants()
+def planck_time() -> float:
+    """sqrt(hbar G / c^5), about 5.39e-44 s."""
+    return math.sqrt(HBAR * G / C_LIGHT ** 5)
 
 
-def planck_time(constants: PhysicalConstants = CODATA) -> float:
-    """sqrt(hbar G / c^5), about 5.39e-44 s for CODATA inputs."""
-    return math.sqrt(constants.hbar * constants.G / constants.c ** 5)
-
-
-def fluctuation_time_constant(c_factor: float,
-                              constants: PhysicalConstants = CODATA) -> float:
+def fluctuation_time_constant(c_factor: float) -> float:
     """tau1 = C * T_Planck for a dimensionless C > 0."""
-    return qcore.positive("C", c_factor) * planck_time(constants)
+    return qcore.positive("C", c_factor) * planck_time()
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,7 @@ class NormCompletion:
 def norm_completion(h, psi, tau1: float) -> NormCompletion:
     """The unique (s, R) closing the norm: s = sqrt(tau1) <H>,
     R = -(tau1 / 2) Hd^2."""
-    h = qcore.as_operator(h, hermitian=True)
+    h = qcore.as_operator(h)
     psi = qcore.as_state(psi)
     tau1 = qcore.positive("tau1", tau1, allow_zero=True)
     mean = np.vdot(psi, h @ psi).real
@@ -143,14 +132,13 @@ class DecoherenceEstimate:
     decoherence_time_s: float
 
 
-def decoherence_rate(delta_e: float, tau0: float,
-                     constants: PhysicalConstants = CODATA) -> DecoherenceEstimate:
+def decoherence_rate(delta_e: float, tau0: float) -> DecoherenceEstimate:
     """rate = tau0 * dE^2 / (2 hbar^2); the decoherence time is its inverse
     (infinite for dE = 0: degenerate superpositions never decohere)."""
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
     gap = qcore.positive("|delta_e|", abs(float(delta_e)), allow_zero=True)
     rate = _finite("decoherence rate",
-                   lambda: tau0 * gap ** 2 / (2.0 * constants.hbar ** 2))
+                   lambda: tau0 * gap ** 2 / (2.0 * HBAR ** 2))
     time = math.inf if rate == 0.0 else 1.0 / rate
     return DecoherenceEstimate(rate_per_s=rate, decoherence_time_s=time)
 
@@ -174,6 +162,7 @@ def equivalence_report(n_samples: int = 500, seed: int = 7, dt: float = 1e-10,
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
+    tolerance = qcore.positive("tolerance", tolerance)
     rng = np.random.default_rng(seed)
     stream = NoiseStream(seed, 0)
     max_dev = 0.0

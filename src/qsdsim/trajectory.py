@@ -43,6 +43,7 @@ are fixed.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ def lindblad_from_hamiltonian(h, tau0: float) -> np.ndarray:
     hamiltonian-driven diffusion generator exactly (see master.psd_master_rhs).
     """
     tau0 = qcore.positive("tau0", tau0)
-    h = qcore.as_operator(h, hermitian=True)
+    h = qcore.as_operator(h)
     n = h.shape[0]
     return np.sqrt(tau0) * h + (1j / np.sqrt(tau0)) * np.eye(n)
 
@@ -143,6 +144,11 @@ class _EigenKernel:
         self.energies, self.vecs = np.linalg.eigh(h)
         self._pairs = np.repeat(self.energies, 2)    # E_k per float of a row
         self.dt = float(dt)
+        phase_step = self.dt * float(np.max(np.abs(self.energies)))
+        if phase_step > 0.5:
+            warnings.warn(f"dt under-resolves the fastest phase (dt*E_max = "
+                          f"{phase_step:.3g}); the weak-order-1 stepper will "
+                          "be badly biased", RuntimeWarning, stacklevel=2)
         self._drift = -1j * self.dt
         self._curvature = -0.5 * tau0 * self.dt
         self._diffusion = math.sqrt(tau0)
@@ -214,16 +220,18 @@ class _BatchSums:
     records: list                    # TrajectoryRecord of each retained row
 
 
-def batch_buffers(count: int, n: int, n_steps: int, stride: int):
+def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
     """(noise group, record capacity, bytes) of the working buffers of a
-    batch of count rows of dimension n over n_steps steps.
+    batch of count rows of dimension n over n_steps steps, kept of them
+    recording their series.
 
     The batch draws noise min(NOISE_BLOCK, n_steps) steps at a time; the
-    bytes cover that noise block with its norms, the noise group buffer
-    and the record buffer with its flush temporaries.  The last two share
-    BATCH_BUFFER_BYTES.  The capacity is at least one record point, which
-    alone can exceed the budget at large B n, and at most the record points
-    of one block.
+    bytes cover that noise block with its norms, the noise group buffer,
+    the record buffer with its flush temporaries (the last two share
+    BATCH_BUFFER_BYTES), the step's arrays, the kept series and the record
+    times.  The capacity is at least one record point, which alone can
+    exceed the budget at large B n, and at most the record points of one
+    block.
     """
     block = min(NOISE_BLOCK, n_steps)
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
@@ -231,7 +239,10 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int):
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
     noise = count * block * (16 + 8)    # dxi and the norms of its steps
-    return group, capacity, noise + 16 * group * block + capacity * per_point
+    step = count * (40 * n + 8)         # the carried c and <H>, hd and f
+    series = (24 * kept + 8) * record_count(n_steps, stride)   # and times
+    return group, capacity, (noise + 16 * group * block + capacity * per_point
+                             + step + series)
 
 
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
@@ -254,7 +265,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     e_sum, v_sum, v_m2, drift_max = (np.empty(n_rec) for _ in range(4))
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     block_len = min(NOISE_BLOCK, n_steps)
-    group, capacity, _ = batch_buffers(count, n, n_steps, stride)
+    group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
     scratch = np.empty((group, block_len, 2))
     held_c = np.empty((capacity, count, n), dtype=np.complex128)
     held_e, held_nrm_sq = np.empty((2, capacity, count))
@@ -337,7 +348,7 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
-    kernel = _EigenKernel(qcore.as_operator(h, hermitian=True), dt, tau0)
+    kernel = _EigenKernel(qcore.as_operator(h), dt, tau0)
     coeff = kernel.coefficients(sample_dxi_block(dt, n, stream)[None, :])
     c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
     nrm_sq = np.empty(n)

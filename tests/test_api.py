@@ -16,9 +16,9 @@ import qsdsim
 # The public API, pinned: adding or dropping an export is a deliberate
 # change to this list.
 PUBLIC = set("""
-    CODATA DecoherenceEstimate DegenerateStateError EnsembleSummary
+    DecoherenceEstimate DegenerateStateError EnsembleSummary
     IntegrationFailureError InvalidParameterError LocalizationReport
-    NoiseStream NormCompletion PhysicalConstants QsdError ShapeError
+    NoiseStream NormCompletion QsdError ShapeError
     SimulationConfig TrajectoryRecord
     align_global_phase analytic_offdiagonal as_density as_operator as_state
     compare_ensemble_to_master config_from_dict decoherence_rate
@@ -73,11 +73,11 @@ def test_harness_names_resolve(module, name):
 
 
 def test_no_export_takes_hbar():
-    # the package works at hbar = 1; only PhysicalConstants carries an SI hbar
+    # the package works at hbar = 1; only spacetime.HBAR is an SI hbar
     takes = []
     for name in qsdsim.__all__:
         obj = getattr(qsdsim, name)
-        if name == "PhysicalConstants" or not callable(obj) \
+        if not callable(obj) \
                 or isinstance(obj, type) and issubclass(obj, Exception):
             continue
         params = set(inspect.signature(obj).parameters)

@@ -485,10 +485,19 @@ class TestExitCodes:
         ({}, ("noise-audit", "--n", "10", "--out", "{config}/audit.csv")),
         # 10^12 increments: refused before any is drawn
         ({}, ("noise-audit", "--n", "1000000000000", "--dt", "1")),
+        ({"initial_state": [[0.0, 0.0], [0.0, 0.0]]}, COMPARE),
+        ({"n_trajectories": 2.7, "record_stride": 1.5}, COMPARE),
+        ({"n_trajectories": True}, COMPARE),
+        ({"dt": True}, COMPARE),
+        ({}, ("spacetime-check", "--samples", "3", "--tolerance", "nan")),
+        ({}, ("spacetime-check", "--samples", "3", "--tolerance", "0")),
+        ({}, ("spacetime-check", "--samples", "3", "--tolerance", "-1")),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
             "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
             "config-is-directory", "out-is-file", "out-under-file",
-            "audit-over-memory"])
+            "audit-over-memory", "zero-state", "fractional-counts",
+            "bool-count", "bool-dt", "tolerance-nan", "tolerance-zero",
+            "tolerance-negative"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides,
                                                argv):
         data = json.loads(config_path.read_text())

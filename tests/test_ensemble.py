@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,13 @@ class TestConfig:
             make_config(record_stride=0)
         with pytest.raises(InvalidParameterError):
             make_config(initial_state=np.array([1, 0, 0]))  # dim mismatch
+        with pytest.raises(InvalidParameterError):
+            make_config(initial_state=np.zeros(2))   # cannot be normalized
+        for field, value in (("n_trajectories", 2.7), ("n_trajectories", True),
+                             ("master_seed", 0.5), ("record_stride", 1.5)):
+            with pytest.raises(InvalidParameterError, match=field):
+                make_config(**{field: value})
+        assert make_config(n_trajectories=100.0).n_trajectories == 100
         for t_final in (float("nan"), float("inf"), 1.001):   # 400.4 steps
             with pytest.raises(InvalidParameterError):
                 make_config(t_final=t_final)
@@ -95,7 +103,7 @@ class TestConfig:
             t_final=1e-14,
         )
         config = config_from_dict(data)
-        hbar = spacetime.CODATA.hbar
+        hbar = spacetime.HBAR
         assert config.energy_unit_j == pytest.approx(e_scale)
         assert config.time_unit_s == pytest.approx(hbar / e_scale)
         # the rescaled hamiltonian has unit spectral radius
@@ -119,7 +127,7 @@ class TestConfig:
         )
         del data["tau0"]
         config = config_from_dict(data)
-        expected = 2.0 * spacetime.planck_time() * 1e-19 / spacetime.CODATA.hbar
+        expected = 2.0 * spacetime.planck_time() * 1e-19 / spacetime.HBAR
         assert config.tau0 == pytest.approx(expected)
 
     def test_unknown_key_rejected(self):
@@ -443,5 +451,10 @@ class TestOutputs:
 
 
 def test_unresolved_time_step_warns():
+    # the stepper warns, not the config: a master solution is exact at any dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = make_config(dt=0.9, t_final=1.8,
+                             hamiltonian=np.diag([5.0, -5.0]))
     with pytest.warns(RuntimeWarning, match="under-resolves"):
-        make_config(dt=0.9, t_final=1.8, hamiltonian=np.diag([5.0, -5.0]))
+        run_ensemble(config)

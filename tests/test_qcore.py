@@ -108,15 +108,15 @@ class TestConstructors:
 
     def test_as_operator_symmetrizes_small_asymmetry(self):
         a = np.array([[1.0, 0.5 + 1e-10j], [0.5, 2.0]])
-        h = as_operator(a, hermitian=True)
+        h = as_operator(a)
         assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
     def test_as_operator_rejects_large_asymmetry(self):
         with pytest.raises(InvalidParameterError):
-            as_operator([[0.0, 1.0], [0.0, 0.0]], hermitian=True)
+            as_operator([[0.0, 1.0], [0.0, 0.0]])
         # entries whose squares overflow the norm
         with pytest.raises(InvalidParameterError):
-            as_operator([[1e160, 1e160], [0.0, 1.0]], hermitian=True)
+            as_operator([[1e160, 1e160], [0.0, 1.0]])
 
     def test_as_operator_rejects_nonsquare(self):
         with pytest.raises(ShapeError):

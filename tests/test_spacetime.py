@@ -3,12 +3,13 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from qsdsim import (CODATA, InvalidParameterError, PhysicalConstants,
-                    align_global_phase, decoherence_rate,
+from qsdsim import (InvalidParameterError, align_global_phase,
+                    decoherence_rate,
                     delta_e_from_height, delta_e_from_velocities,
                     equivalence_report, fluctuating_time_step,
                     fluctuation_time_constant, ito_norm_defect, normalize,
                     norm_completion, planck_time, psd_step)
+from qsdsim import spacetime
 from qsdsim.spacetime import NormCompletion
 from conftest import random_hermitian, random_state
 
@@ -20,25 +21,11 @@ class TestPlanckTime:
         # one significant figure: ~5e-44 s
         assert round(t_pl * 1e44) == 5
 
-    def test_quadrupling_g_doubles(self):
-        base = planck_time()
-        scaled = planck_time(PhysicalConstants(G=4 * CODATA.G))
-        assert scaled == pytest.approx(2.0 * base, rel=1e-14)
-
-    def test_natural_units(self):
-        assert planck_time(PhysicalConstants(hbar=1.0, G=1.0, c=1.0)) == 1.0
-
     def test_against_high_precision_reference(self):
         getcontext().prec = 50
-        ref = (Decimal(repr(CODATA.hbar)) * Decimal(repr(CODATA.G))
-               / Decimal(repr(CODATA.c)) ** 5).sqrt()
+        ref = (Decimal(repr(spacetime.HBAR)) * Decimal(repr(spacetime.G))
+               / Decimal(repr(spacetime.C_LIGHT)) ** 5).sqrt()
         assert planck_time() == pytest.approx(float(ref), rel=1e-15)
-
-    def test_invalid_constants_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            PhysicalConstants(hbar=-1.0)
-        with pytest.raises(InvalidParameterError):
-            PhysicalConstants(c=0.0)
 
 
 class TestFluctuationTimeConstant:
@@ -140,7 +127,7 @@ class TestDecoherenceRate:
 
     def test_direct_evaluation(self):
         est = decoherence_rate(1e-19, 5.39e-44)
-        expected = 5.39e-44 * 1e-38 / (2 * CODATA.hbar ** 2)
+        expected = 5.39e-44 * 1e-38 / (2 * spacetime.HBAR ** 2)
         assert est.rate_per_s == pytest.approx(expected, rel=1e-12)
         assert est.rate_per_s == pytest.approx(2.4e-14, rel=2e-2)
 

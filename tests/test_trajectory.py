@@ -198,13 +198,13 @@ class TestEigenKernel:
 
     def test_failure_names_trajectory_and_step(self):
         # the overflowing step is reported with its trajectory index and step
+        config = one_trajectory(np.diag([1e160, -1e160]),
+                                np.array([1.0, 1.0]) / np.sqrt(2),
+                                tau0=1.0, dt=0.5, t_final=5.0, master_seed=1)
         with np.errstate(all="ignore"), \
-                pytest.warns(RuntimeWarning, match="under-resolves"):
-            config = one_trajectory(np.diag([1e160, -1e160]),
-                                    np.array([1.0, 1.0]) / np.sqrt(2),
-                                    tau0=1.0, dt=0.5, t_final=5.0, master_seed=1)
-        with np.errstate(all="ignore"), pytest.raises(
-                DegenerateStateError, match="trajectory 2 failed at step 1:"):
+                pytest.warns(RuntimeWarning, match="under-resolves"), \
+                pytest.raises(DegenerateStateError,
+                              match="trajectory 2 failed at step 1:"):
             run_trajectory(config, 2)
 
 
@@ -312,6 +312,7 @@ class TestRecordBuffer:
     @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]),
            st.sampled_from([1, 3, 512]), st.integers(1, 4),
            st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
+    @pytest.mark.filterwarnings("ignore:dt under-resolves:RuntimeWarning")
     def test_variance_is_the_einsum(self, n, rows, points, seed, scale):
         rng = np.random.default_rng(seed)
         kernel = _EigenKernel(np.diag(scale * rng.standard_normal(n)), 1e-3,
@@ -332,7 +333,8 @@ class TestRecordBuffer:
         # rows are enough for the order of a sum over rows to show
         kernel, c0 = batch_inputs(4, 40, seed=8)
         n_steps, keep = 1100, [1, 39]
-        _, capacity, _ = trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1)
+        _, capacity, _ = trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK,
+                                                  1, len(keep))
         assert 1 < capacity < n_steps and n_steps % capacity
         assert n_steps % trajectory.NOISE_BLOCK
 
@@ -342,7 +344,8 @@ class TestRecordBuffer:
 
         buffered = run()
         monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
-        assert trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1)[1] == 1
+        assert trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1,
+                                        len(keep))[1] == 1
         single = run()
         for name in ("count", "projector_sum", "energy_sum", "variance_sum",
                      "variance_m2", "max_norm_drift", "winners",
@@ -354,23 +357,29 @@ class TestRecordBuffer:
                          "norm_drift", "final_state"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
-    @pytest.mark.parametrize("n_steps", [100, 2000])
-    def test_buffer_estimate_covers_a_batch(self, n_steps):
+    @pytest.mark.parametrize("n, rows, n_steps, stride, kept", [
+        (4, 512, 100, 1, 0), (4, 512, 2000, 1, 0),
+        (8, 1, 6000, 100, 1),       # a lone trajectory, as run_trajectory runs it
+        (64, 128, 200, 5, 0),
+    ], ids=["100", "2000", "one-kept-row", "n64-128-rows"])
+    def test_buffer_estimate_covers_a_batch(self, n, rows, n_steps, stride,
+                                            kept):
         # what a batch allocates besides its reductions is what
         # batch_buffers states, with a noise block shorter than NOISE_BLOCK
         # or not
-        kernel, c0 = batch_inputs(4, 512, seed=2)
-        streams = [NoiseStream(1, j) for j in range(512)]
+        kernel, c0 = batch_inputs(n, rows, seed=2)
+        streams = [NoiseStream(1, j) for j in range(rows)]
         tracemalloc.start()
         try:
-            sums = _integrate_eigenbasis(kernel, c0, streams, n_steps, 1)
+            sums = _integrate_eigenbasis(kernel, c0, streams, n_steps, stride,
+                                         list(range(kept)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         reductions = sum(a.nbytes for a in (
             sums.projector_sum, sums.energy_sum, sums.variance_sum,
             sums.variance_m2, sums.max_norm_drift))
-        estimate = trajectory.batch_buffers(512, 4, n_steps, 1)[2]
+        estimate = trajectory.batch_buffers(rows, n, n_steps, stride, kept)[2]
         assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
 
     def test_grouped_fill_is_sample_dxi_block(self):
