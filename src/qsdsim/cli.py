@@ -2,7 +2,8 @@
 
 Subcommands: trajectory, ensemble, master, compare, spacetime-check,
 estimate, constants, noise-audit.  Exit codes: 0 success, 1 invalid
-input or a failed output write, 2 numerical failure.
+input or a failed output write, 2 numerical failure.  A warning raised
+during a command prints as one `qsdsim: warning:` line.
 """
 
 import argparse
@@ -10,6 +11,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +279,10 @@ _COMMANDS = {
 }
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"qsdsim: warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -286,6 +292,10 @@ def main(argv=None) -> int:
     if args.cmd is None:
         parser.print_usage(sys.stderr)
         return 1
+    # only the printed form changes: a caller recording warnings still
+    # receives them
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return _COMMANDS[args.cmd](args)
     except OutputError as exc:
@@ -298,6 +308,8 @@ def main(argv=None) -> int:
     except DegenerateStateError as exc:
         sys.stderr.write(f"qsdsim: numerical failure: {exc}\n")
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

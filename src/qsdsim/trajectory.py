@@ -27,19 +27,22 @@ mean.
 H is time-independent, so production runs step in its eigenbasis, where
 Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
-the ensemble (and ensemble.run_trajectory, a batch of one) and
-norm_defect_samples; the dense psd_step and qsd_step are its test oracles.
+the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
+its test oracles.  A batch of B rows steps as a (B, n) array; a batch of
+one (ensemble.run_trajectory, or a last batch with a single row) steps as
+a rank-1 row (n,) with scalar <H>, coefficient and norm, which saves most
+of NumPy's per-call overhead.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row (row-wise
 einsum, or a left-to-right sum), whose bits depend neither on how many
-rows share a batch nor on how many record points share a flush, so
-trajectory k of an ensemble replays as a batch of one.  Record points are
-buffered and reduced a buffer at a time; the sums per batch taken there
-(<H>, Var H and its spread) run along the row axis of each record point,
-and the projector of each record point is the same BLAS call as when it
-is reduced alone.  A sum per batch may use BLAS because batch boundaries
-are fixed.
+rows share a batch, nor on whether the row steps alone as rank 1, nor on
+how many record points share a flush, so trajectory k of an ensemble
+replays as a batch of one.  Record points are buffered and reduced a
+buffer at a time; the sums per batch taken there (<H>, Var H and its
+spread) run along the row axis of each record point, and the projector of
+each record point is the same BLAS call as when it is reduced alone.  A
+sum per batch may use BLAS because batch boundaries are fixed.
 """
 
 import math
@@ -52,6 +55,11 @@ from . import qcore
 from .errors import DegenerateStateError, InvalidParameterError
 from .noise import NoiseStream, fill_dxi_blocks, sample_dxi_block
 from .noise import sample_dxi  # noqa: F401  (looked up here by perfbench/tracing.py)
+
+try:     # np.einsum without its Python wrapper: the same C routine and bits
+    from numpy._core._multiarray_umath import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 _UNIT_PHASE_TOL = 1e-12
 NOISE_BLOCK = 1024       # steps of noise drawn per generator call
@@ -126,7 +134,8 @@ def psd_step(psi, h, tau0: float, dxi: complex, dt: float) -> np.ndarray:
 
 
 class _EigenKernel:
-    """The PSD step on energy-eigenbasis amplitudes c of shape (B, n).
+    """The PSD step on energy-eigenbasis amplitudes c of shape (..., n):
+    (B, n) for a batch of rows, (n,) for a rank-1 row.
 
     In the eigenbasis of H (columns of `vecs`), Hd = diag(E - e) with
     e = sum_k |c_k|^2 E_k, and the increment of psd_increment becomes, per
@@ -154,16 +163,17 @@ class _EigenKernel:
         self._diffusion = math.sqrt(tau0)
 
     def coefficients(self, dxi) -> np.ndarray:
-        """Turn dxi of shape (steps, B) into -i dt + sqrt(tau0) dxi
-        in place (a block of noise is the largest buffer of a run); returned
-        as a (steps, B, 1) view that broadcasts over a row."""
+        """Turn dxi of shape (steps, B) or (steps,) into -i dt + sqrt(tau0)
+        dxi in place (a block of noise is the largest buffer of a run);
+        returned as a view that broadcasts over rows: (steps, B, 1), or
+        the (steps,) scalars of a rank-1 row."""
         dxi *= self._diffusion
         dxi += self._drift
-        return dxi[..., None]
+        return dxi.reshape(dxi.shape + (1,) * (dxi.ndim - 1))
 
     def mean_energy(self, c) -> np.ndarray:
         v = c.view(np.float64)
-        return np.einsum("bi,bi,i->b", v, v, self._pairs)
+        return _einsum("...i,...i,i->...", v, v, self._pairs)
 
     def variance(self, c, e) -> np.ndarray:
         """Var H of each row of c (..., B, n), given its <H> e (..., B).
@@ -182,21 +192,33 @@ class _EigenKernel:
             v += t
         return v
 
-    def step(self, c, e, coeff, nrm_sq):
-        """One step of rows c with <H> e and per-row coefficients coeff
-        (B, 1); writes each row's squared norm before renormalization into
-        nrm_sq and returns the renormalized amplitudes with their <H>."""
-        hd = self.energies - e[:, None]
-        f = coeff + self._curvature * hd
+    def step(self, c, e, coeff):
+        """One step of rows c (B, n) with <H> e (B,) and coefficients coeff
+        (B, 1), or of a rank-1 row c (n,) with scalars e and coeff; returns
+        the renormalized amplitudes, their <H> (mean_energy) and each row's
+        squared norm before renormalization.
+
+        hd is formed negated, as <H> - E_k, and the update re-signed to
+        1 - (coeff - curvature hd) hd: IEEE negation is exact, so these are
+        the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>.
+        """
+        hd = np.subtract.outer(e, self.energies)
+        f = coeff - self._curvature * hd
         f *= hd
-        f += 1.0
-        f *= c
+        np.subtract(1.0, f, out=f)
+        # not in place: NumPy runs an in-place multiply of one element as
+        # a reduction, without the fused multiply-add of its vector loop,
+        # which would give a rank-1 row at n = 1 other bits than its batch row
+        f = f * c
         w = f.view(np.float64)
-        np.einsum("bi,bi->b", w, w, out=nrm_sq)
+        nrm_sq = _einsum("...i,...i->...", w, w)
         # times the reciprocal, on the float view: the bits of a complex
-        # divide by a real, without the complex arithmetic
-        w *= np.reciprocal(np.sqrt(nrm_sq))[:, None]
-        return f, self.mean_energy(f)
+        # divide by a real, without the complex arithmetic; transposed, a
+        # row's norm broadcasts along its floats
+        columns = w.T
+        columns *= np.reciprocal(np.sqrt(nrm_sq))
+        # mean_energy of f, on the float view at hand
+        return f, _einsum("...i,...i,i->...", w, w, self._pairs), nrm_sq
 
 
 @dataclass
@@ -228,10 +250,11 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
     The batch draws noise min(NOISE_BLOCK, n_steps) steps at a time; the
     bytes cover that noise block with its norms, the noise group buffer,
     the record buffer with its flush temporaries (the last two share
-    BATCH_BUFFER_BYTES), the step's arrays, the kept series and the record
-    times.  The capacity is at least one record point, which alone can
-    exceed the budget at large B n, and at most the record points of one
-    block.
+    BATCH_BUFFER_BYTES) and the two buffers of up to np.getbufsize()
+    floats NumPy's iterator may take for a flush's elementwise ops, the
+    step's arrays, the kept series and the record times.  The capacity is
+    at least one record point, which alone can exceed the budget at large
+    B n, and at most the record points of one block.
     """
     block = min(NOISE_BLOCK, n_steps)
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
@@ -239,10 +262,11 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
     noise = count * block * (16 + 8)    # dxi and the norms of its steps
-    step = count * (40 * n + 8)         # the carried c and <H>, hd and f
+    iterator = 16 * min(np.getbufsize(), capacity * count * 2 * n)
+    step = count * (56 * n + 16)   # the carried c and <H>, hd, f, f * c
     series = (24 * kept + 8) * record_count(n_steps, stride)   # and times
     return group, capacity, (noise + 16 * group * block + capacity * per_point
-                             + step + series)
+                             + iterator + step + series)
 
 
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
@@ -300,18 +324,19 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         done += held
         held = 0
 
-    c = np.tile(c0, (count, 1))
+    rows = slice(None) if count > 1 else 0   # a batch of one is a rank-1 row
+    c = np.tile(c0, (count, 1))[rows]
     e = kernel.mean_energy(c)
     hold(c, e, 1.0)
     for start in range(0, n_steps, NOISE_BLOCK):
         block = min(NOISE_BLOCK, n_steps - start)
         fill_dxi_blocks(kernel.dt, streams, dxi[:block], scratch)
-        coeff = kernel.coefficients(dxi[:block])
+        coeff = kernel.coefficients(dxi[:block, rows])
         # a failed row runs on as nan/inf to the end of the block, where its
         # first bad step is reported
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(block):
-                c, e = kernel.step(c, e, coeff[i], norms[i])
+                c, e, norms[i, rows] = kernel.step(c, e, coeff[i])
                 step = start + i + 1
                 if step % stride == 0 or step == n_steps:
                     hold(c, e, norms[i])
@@ -322,6 +347,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
                 f"trajectory {streams[b].stream_index} failed at step "
                 f"{start + i + 1}: norm^2 = {norms[i, b]!r}")
         flush()
+    c = c.reshape(count, n)
     times = kernel.dt * record_steps(n_steps, stride).astype(float)
     records = [TrajectoryRecord(times=times, energy_mean=energy[r],
                                 energy_variance=variance[r],
@@ -351,9 +377,7 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     kernel = _EigenKernel(qcore.as_operator(h), dt, tau0)
     coeff = kernel.coefficients(sample_dxi_block(dt, n, stream)[None, :])
     c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
-    nrm_sq = np.empty(n)
-    kernel.step(c, kernel.mean_energy(c), coeff[0], nrm_sq)
-    return nrm_sq - 1.0
+    return kernel.step(c, kernel.mean_energy(c), coeff[0])[2] - 1.0
 
 
 @dataclass

@@ -429,6 +429,28 @@ def test_failed_stdout_write_exits_1(argv, unbuffered):
                            "No space left on device\n")
 
 
+@pytest.mark.parametrize("command", ["compare", "trajectory"])
+def test_unresolved_time_step_warns_in_one_line(tmp_path, command):
+    # dt * E_max = 1: the run goes on, and a fresh interpreter prints the
+    # warning as one qsdsim line, without a file name or source line
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "hamiltonian": qcore.operator_to_json(np.diag([5.0, -5.0])),
+        "initial_state": qcore.state_to_json(np.array([0.6, 0.8])),
+        "tau0": 0.4, "dt": 0.2, "t_final": 2.0, "n_trajectories": 8,
+        "master_seed": 1}))
+    src = str(Path(qsdsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qsdsim.cli", command,
+                           "--config", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "qsdsim: warning: dt under-resolves the fastest phase (dt*E_max = 1); "
+        "the weak-order-1 stepper will be badly biased"]
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["definitely-not-a-command"]) == 1

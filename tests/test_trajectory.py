@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -163,10 +163,9 @@ class TestEigenKernel:
         coeff = kernel.coefficients(dxi[:, None].copy())   # in place
         c = (vecs.conj().T @ psi)[None, :]
         e = kernel.mean_energy(c)
-        nrm_sq = np.empty(1)
         deviations = []
         for k in range(200):
-            c, e = kernel.step(c, e, coeff[k], nrm_sq)
+            c, e, _ = kernel.step(c, e, coeff[k])
             psi = psd_step(psi, h, tau0, dxi[k], dt)
             deviations.append(float(np.max(np.abs(vecs @ c[0] - psi))))
         assert deviations[0] < 1e-12
@@ -195,6 +194,17 @@ class TestEigenKernel:
             hamiltonian=h, initial_state=psi0, tau0=0.4, dt=5e-3,
             t_final=0.25, n_trajectories=515, master_seed=5,
             record_stride=10), rows=(0, 511, 514))
+
+    def test_trailing_batch_of_one_replays(self):
+        # M = 513: row 512 is a batch of one inside the ensemble, stepped
+        # as a rank-1 row like run_trajectory, next to a full batch
+        rng = np.random.default_rng(513)
+        h = random_hermitian(rng, 4)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        assert_rows_replay(SimulationConfig(
+            hamiltonian=h, initial_state=random_state(rng, 4), tau0=0.4,
+            dt=5e-3, t_final=0.25, n_trajectories=513, master_seed=8,
+            record_stride=10), rows=(511, 512))
 
     def test_failure_names_trajectory_and_step(self):
         # the overflowing step is reported with its trajectory index and step
@@ -254,8 +264,7 @@ class TestEigenKernelProperties:
         kernel = _EigenKernel(h, dt, tau0)
         coeff = kernel.coefficients(np.array([[dxi]]))
         c = (kernel.vecs.conj().T @ psi)[None, :]
-        nrm_sq = np.empty(1)
-        c_next, e_next = kernel.step(c, kernel.mean_energy(c), coeff[0], nrm_sq)
+        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
         dense = psd_step(psi, h, tau0, dxi, dt)
         assert np.max(np.abs(kernel.vecs @ c_next[0] - dense)) < 1e-12
         assert abs(np.linalg.norm(c_next[0]) - 1.0) < 1e-14
@@ -273,10 +282,91 @@ class TestEigenKernelProperties:
         c = np.zeros((1, len(h)), dtype=np.complex128)
         c[0, k % len(h)] = 1.0
         coeff = kernel.coefficients(np.array([[dxi]]))
-        nrm_sq = np.empty(1)
-        c_next, e_next = kernel.step(c, kernel.mean_energy(c), coeff[0], nrm_sq)
+        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
         assert np.array_equal(c_next, c)
         assert e_next[0] == kernel.energies[k % len(h)]
+
+
+def reference_step(kernel, c, e, coeff):
+    """The kernel step in its direct form, on rows c (B, n) with
+    coefficients (B, 1): hd = E - <H> with a trailing axis, f += 1, an
+    in-place product with c and np.einsum."""
+    hd = kernel.energies - e[:, None]
+    f = coeff + kernel._curvature * hd
+    f *= hd
+    f += 1.0
+    f *= c
+    w = f.view(np.float64)
+    nrm_sq = np.empty(len(c))
+    np.einsum("bi,bi->b", w, w, out=nrm_sq)
+    w *= np.reciprocal(np.sqrt(nrm_sq))[:, None]
+    return f, np.einsum("bi,bi,i->b", w, w, kernel._pairs), nrm_sq
+
+
+def batch_step_case(n, rows, seed, dt, tau0, k):
+    """A kernel of a random H (n x n, spectral radius <= 1), rows random
+    rows with eigenstate k % n in row 0, their <H> and the raw dxi of one
+    step."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n)
+    h /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(h))))
+    kernel = _EigenKernel(h, dt, tau0)
+    c = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    c[0] = 0.0
+    c[0, k % n] = 1.0
+    dxi = np.sqrt(dt / 2) * (rng.standard_normal(rows)
+                             + 1j * rng.standard_normal(rows))
+    return kernel, c, kernel.mean_energy(c), dxi
+
+
+# physical coefficients: dt*E_max below 0.5, tau0 = 0 included
+batch_step_args = dict(
+    n=st.integers(1, 64), rows=st.sampled_from([3, 512]),
+    seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(1e-5, 0.49),
+    tau0=st.just(0.0) | st.floats(0.01, 2.0), k=st.integers(0, 63))
+
+
+class TestRankOneStep:
+    # a batch of one steps as a rank-1 row through the same kernel, with
+    # the bits of its row in any batch
+
+    @settings(max_examples=60, deadline=None)
+    @given(**batch_step_args)
+    # n = 1: an in-place product with c would run as a reduction there
+    @example(n=1, rows=512, seed=3, dt=0.3, tau0=0.4, k=0)
+    def test_row_alone_is_its_batch_row(self, n, rows, seed, dt, tau0, k):
+        kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
+        batch = kernel.step(c, e, kernel.coefficients(dxi[None, :].copy())[0])
+        for b in range(len(c)):
+            assert kernel.mean_energy(c[b]) == e[b]
+            coeff = kernel.coefficients(dxi[b:b + 1].copy())[0]
+            c_next, e_next, nrm_sq = kernel.step(c[b], e[b], coeff)
+            assert np.array_equal(c_next, batch[0][b])
+            assert e_next == batch[1][b] and nrm_sq == batch[2][b]
+
+    @settings(max_examples=60, deadline=None)
+    @given(**batch_step_args)
+    def test_step_is_the_reference_formula(self, n, rows, seed, dt, tau0, k):
+        kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
+        coeff = kernel.coefficients(dxi[None, :].copy())[0]
+        for got, expected in zip(kernel.step(c, e, coeff),
+                                 reference_step(kernel, c, e, coeff),
+                                 strict=True):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_public_einsum_gives_the_same_bits(self, monkeypatch, rows):
+        # the private C einsum is np.einsum without its Python wrapper
+        kernel, c0 = batch_inputs(4, rows, seed=4)
+
+        def run():
+            streams = [NoiseStream(2, j) for j in range(rows)]
+            return _integrate_eigenbasis(kernel, c0, streams, 1100, 7, [0])
+
+        private = run()
+        monkeypatch.setattr(trajectory, "_einsum", np.einsum)
+        assert_sums_equal(run(), private)
 
 
 class _PoisonedStream(NoiseStream):
@@ -293,6 +383,18 @@ class _PoisonedStream(NoiseStream):
         if first < self.step <= self.drawn:
             g[self.step - first - 1] = 1e300
         return g
+
+
+def assert_sums_equal(a, b):
+    """Two _BatchSums hold the same bits, retained series included."""
+    for name in ("count", "projector_sum", "energy_sum", "variance_sum",
+                 "variance_m2", "max_norm_drift", "winners",
+                 "terminal_variance"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for x, y in zip(a.records, b.records, strict=True):
+        for name in ("times", "energy_mean", "energy_variance", "norm_drift",
+                     "final_state"):
+            assert np.array_equal(getattr(x, name), getattr(y, name)), name
 
 
 def batch_inputs(n, count, seed):
@@ -346,22 +448,15 @@ class TestRecordBuffer:
         monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
         assert trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1,
                                         len(keep))[1] == 1
-        single = run()
-        for name in ("count", "projector_sum", "energy_sum", "variance_sum",
-                     "variance_m2", "max_norm_drift", "winners",
-                     "terminal_variance"):
-            assert np.array_equal(getattr(buffered, name),
-                                  getattr(single, name)), name
-        for a, b in zip(buffered.records, single.records, strict=True):
-            for name in ("times", "energy_mean", "energy_variance",
-                         "norm_drift", "final_state"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert_sums_equal(buffered, run())
 
     @pytest.mark.parametrize("n, rows, n_steps, stride, kept", [
         (4, 512, 100, 1, 0), (4, 512, 2000, 1, 0),
         (8, 1, 6000, 100, 1),       # a lone trajectory, as run_trajectory runs it
+        (8, 1, 500, 1, 1),          # one row, a flush of 501 points
         (64, 128, 200, 5, 0),
-    ], ids=["100", "2000", "one-kept-row", "n64-128-rows"])
+    ], ids=["100", "2000", "one-kept-row", "one-row-stride-1",
+            "n64-128-rows"])
     def test_buffer_estimate_covers_a_batch(self, n, rows, n_steps, stride,
                                             kept):
         # what a batch allocates besides its reductions is what
