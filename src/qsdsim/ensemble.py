@@ -50,7 +50,9 @@ _CONFIG_KEYS = frozenset({
 @dataclass(frozen=True)
 class SimulationConfig:
     """Resolved, natural-unit (hbar = 1) description of an ensemble run;
-    __post_init__ is the one place where a run's values are checked."""
+    __post_init__ is the one place where a run's values are checked, and
+    resolves a record_stride of None to max(1, ceil(n_steps /
+    MAX_RECORD_POINTS)), which dataclasses.replace then keeps."""
 
     hamiltonian: np.ndarray
     initial_state: np.ndarray
@@ -63,8 +65,8 @@ class SimulationConfig:
     tau0_mode: str = "explicit"
     c_factor: float = 1.0
     units: str = "natural"
-    energy_unit_j: float | None = None
-    time_unit_s: float | None = None
+    energy_unit_j: float = 1.0
+    time_unit_s: float = 1.0
 
     def __post_init__(self):
         h = qcore.as_operator(self.hamiltonian)
@@ -80,7 +82,7 @@ class SimulationConfig:
                 f"hamiltonian {h.shape} does not match state dim {psi.shape[0]}")
         for name in ("n_trajectories", "master_seed", "record_stride"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _whole(name, getattr(self, name)))
+                object.__setattr__(self, name, qcore.whole(name, getattr(self, name)))
         if self.n_trajectories < 1:
             raise InvalidParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}")
@@ -96,7 +98,10 @@ class SimulationConfig:
                 f"t_final / dt = {steps!r}")
         qcore.positive("tau0", self.tau0)      # a diffusion run needs tau0 > 0
         qcore.positive("C", self.c_factor)
-        if self.record_stride is not None and self.record_stride < 1:
+        if self.record_stride is None:
+            object.__setattr__(self, "record_stride", max(
+                1, math.ceil(self.n_steps / MAX_RECORD_POINTS)))
+        if self.record_stride < 1:
             raise InvalidParameterError(
                 f"record_stride must be >= 1, got {self.record_stride}")
 
@@ -104,31 +109,18 @@ class SimulationConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
-    @property
-    def effective_record_stride(self) -> int:
-        if self.record_stride is not None:
-            return self.record_stride
-        return max(1, math.ceil(self.n_steps / MAX_RECORD_POINTS))
-
     def header(self) -> dict:
         """Unit-conversion echo placed at the top of every output file."""
         return {
             "units": self.units,
-            "energy_unit_J": self.energy_unit_j if self.units == "SI" else 1.0,
-            "time_unit_s": self.time_unit_s if self.units == "SI" else 1.0,
+            "energy_unit_J": self.energy_unit_j,
+            "time_unit_s": self.time_unit_s,
             "hbar_internal": 1.0,
             "tau0_mode": self.tau0_mode,
             "tau0_internal": self.tau0,
             "C": self.c_factor,
             "master_seed": self.master_seed,
         }
-
-
-def _whole(name: str, value) -> int:
-    """value as an int: a whole number such as 3 or 3.0, not a bool."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def config_from_dict(data: dict) -> SimulationConfig:
@@ -177,7 +169,7 @@ def _parse_config(data: dict) -> SimulationConfig:
         raise InvalidParameterError(
             f"tau0_mode must be 'explicit' or 'planck', got {tau0_mode!r}")
 
-    energy_unit_j = time_unit_s = None
+    energy_unit_j = time_unit_s = 1.0
     if units == "SI":
         h = qcore.as_operator(h)
         scale = float(np.max(np.abs(np.linalg.eigvalsh(h))))
@@ -257,7 +249,7 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state
     return _simulate_chunk((kernel, c0, config.n_steps,
-                            config.effective_record_stride, config.master_seed,
+                            config.record_stride, config.master_seed,
                             stream_index, 1, [0])).records[0]
 
 
@@ -297,7 +289,7 @@ def _check_memory(config: SimulationConfig, rows: int, n_chunks: int,
     buffers of a batch of `rows` rows (trajectory.batch_buffers).
     """
     n = config.hamiltonian.shape[0]
-    stride = config.effective_record_stride
+    stride = config.record_stride
     t = record_count(config.n_steps, stride)
     sums = t * (16 * n * n + 5 * 8)             # projector sum, 4 sums, times
     parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
@@ -335,7 +327,7 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     vecs = kernel.vecs
     c0 = vecs.conj().T @ config.initial_state   # <v_k | psi0>
-    stride = config.effective_record_stride
+    stride = config.record_stride
     jobs = [(kernel, c0, config.n_steps, stride, config.master_seed, start,
              min(CHUNK_SIZE, m - start),
              [k - start for k in retain if start <= k < start + CHUNK_SIZE])

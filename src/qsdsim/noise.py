@@ -17,7 +17,7 @@ bit-reproducible noise source regardless of scheduling.
 import numpy as np
 
 from .errors import InvalidParameterError
-from .qcore import check_memory, positive
+from .qcore import check_memory, positive, whole
 
 _U64 = np.uint64
 
@@ -59,7 +59,7 @@ def sample_dxi_block(dt: float, n: int, stream: NoiseStream) -> np.ndarray:
     replay per-step noise exactly.
     """
     dt = positive("dt", dt)
-    n = int(n)
+    n = whole("n", n)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     g = stream.standard_normal((n, 2))
@@ -92,12 +92,12 @@ def moment_audit(dt: float, n: int, stream: NoiseStream) -> dict:
     A sample that would not fit in physical memory (32 bytes per increment
     at the peak) is refused before it is drawn.
     """
-    n = int(n)
+    n = whole("n", n)
     check_memory(32 * n, f"a noise audit of {n} increments", "lower n")
     dxi = sample_dxi_block(dt, n, stream)
     return {
         "dt": float(dt),
-        "n": int(n),
+        "n": n,
         "mean_re": float(np.mean(dxi.real)),
         "mean_im": float(np.mean(dxi.imag)),
         "mean_sq_re": float(np.mean(dxi.real ** 2)),

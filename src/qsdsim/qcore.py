@@ -41,6 +41,13 @@ def positive(name: str, value, allow_zero: bool = False) -> float:
     return value
 
 
+def whole(name: str, value) -> int:
+    """value as an int: a whole number such as 3 or 3.0, not a bool."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def check_memory(need: float, what: str, advice: str):
     """Refuse work whose estimated peak of `need` bytes exceeds physical
     memory, before it starts: InvalidParameterError naming `what` and

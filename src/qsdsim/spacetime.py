@@ -159,7 +159,7 @@ def equivalence_report(n_samples: int = 500, seed: int = 7, dt: float = 1e-10,
     """
     from .trajectory import psd_step
 
-    n_samples = int(n_samples)
+    n_samples = qcore.whole("n_samples", n_samples)
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
     tolerance = qcore.positive("tolerance", tolerance)

@@ -281,6 +281,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     point at once, when the buffer is full and at the end of each noise
     block.  The rows listed in keep also record <H>, Var H and the norm
     defect ||psi + dpsi|| - 1 of the step just taken, and their final state.
+    Each row's final Var H is taken once, from its final amplitudes.
     """
     count, n = len(streams), len(c0)
     n_rec = record_count(n_steps, stride)
@@ -296,7 +297,6 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     dxi = np.empty((block_len, count), dtype=np.complex128)
     norms = np.empty(dxi.shape)
     held = done = 0          # record points buffered, and reduced before them
-    terminal = None
 
     def hold(c, e, nrm_sq):
         nonlocal held
@@ -306,7 +306,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
             flush()
 
     def flush():
-        nonlocal held, done, terminal
+        nonlocal held, done
         if not held:
             return
         pos = slice(done, done + held)
@@ -320,7 +320,6 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         drift_max[pos] = np.abs(d).max(axis=1)
         energy[:, pos], variance[:, pos], defect[:, pos] = \
             e[:, keep].T, v[:, keep].T, d[:, keep].T
-        terminal = v[-1].copy()
         done += held
         held = 0
 
@@ -345,9 +344,9 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
             i, b = divmod(int(np.argmax(bad)), count)
             raise DegenerateStateError(
                 f"trajectory {streams[b].stream_index} failed at step "
-                f"{start + i + 1}: norm^2 = {norms[i, b]!r}")
+                f"{start + i + 1}: norm^2 = {float(norms[i, b])!r}")
         flush()
-    c = c.reshape(count, n)
+    c, e = c.reshape(count, n), np.reshape(e, count)
     times = kernel.dt * record_steps(n_steps, stride).astype(float)
     records = [TrajectoryRecord(times=times, energy_mean=energy[r],
                                 energy_variance=variance[r],
@@ -358,7 +357,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         count=count, projector_sum=proj, energy_sum=e_sum, variance_sum=v_sum,
         variance_m2=v_m2, max_norm_drift=drift_max,
         winners=np.bincount(np.argmax(np.abs(c) ** 2, axis=1), minlength=n),
-        terminal_variance=terminal, records=records)
+        terminal_variance=kernel.variance(c[None], e[None])[0], records=records)
 
 
 def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
@@ -366,18 +365,18 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     """Pre-renormalization ||psi + dpsi||^2 - 1 for n independent noise draws
     from the same initial state.
 
-    The sample mean estimates the O(dt^2) discretization defect; individual
-    draws fluctuate at O(dt) around it with zero mean.
+    psi's eigenbasis row, with its scalar <H>, steps once against the (n, 1)
+    coefficients of the draws, which broadcast it over them.  The sample
+    mean estimates the O(dt^2) discretization defect; individual draws
+    fluctuate at O(dt) around it with zero mean.
     """
     psi = qcore.as_state(psi)
-    n = int(n)
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
+    dxi = sample_dxi_block(dt, n, stream)
     kernel = _EigenKernel(qcore.as_operator(h), dt, tau0)
-    coeff = kernel.coefficients(sample_dxi_block(dt, n, stream)[None, :])
-    c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
-    return kernel.step(c, kernel.mean_energy(c), coeff[0])[2] - 1.0
+    c0 = kernel.vecs.conj().T @ psi
+    coeff = kernel.coefficients(dxi[None, :])[0]
+    return kernel.step(c0, kernel.mean_energy(c0), coeff)[2] - 1.0
 
 
 @dataclass

@@ -484,8 +484,10 @@ class TestExitCodes:
                 pytest.warns(RuntimeWarning, match="under-resolves"):
             assert main(["trajectory", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(
-            "qsdsim: numerical failure: trajectory 0 failed at step 1:")
+        err = capsys.readouterr().err
+        assert err == ("qsdsim: numerical failure: trajectory 0 failed at "
+                       "step 1: norm^2 = nan\n")
+        assert "np.float64" not in err
 
     COMPARE = ("compare", "--config", "{config}", "--out", "{dir}/out")
 

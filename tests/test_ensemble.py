@@ -85,13 +85,35 @@ class TestConfig:
 
     def test_auto_record_stride_caps_points(self):
         config = make_config(dt=1e-5, t_final=2.0, record_stride=None)
-        assert config.n_steps / config.effective_record_stride <= 10_000
+        assert config.n_steps / config.record_stride <= 10_000
+
+    @pytest.mark.parametrize("dt, t_final, stride", [
+        (1e-5, 2.0, 20),            # 200 000 steps
+        (1e-3, 10.001, 2),          # 10 001 steps
+        (1e-3, 10.0, 1),            # 10 000 steps
+        (0.5, 1.0, 1)])
+    def test_omitted_record_stride_is_resolved(self, dt, t_final, stride):
+        # max(1, ceil(n_steps / 10 000)), held as an int from construction on
+        assert make_config(dt=dt, t_final=t_final,
+                           record_stride=None).record_stride == stride
+        resolved = SimulationConfig(
+            hamiltonian=np.eye(2), initial_state=np.array([1.0, 0.0]),
+            tau0=0.4, dt=dt, t_final=t_final, n_trajectories=1,
+            master_seed=0).record_stride
+        assert type(resolved) is int and resolved == stride
+        assert config_from_dict(config_json_dict(
+            dt=dt, t_final=t_final)).record_stride == stride
+        assert make_config(dt=dt, t_final=t_final,
+                           record_stride=3).record_stride == 3
 
     def test_from_dict_natural(self):
         config = config_from_dict(config_json_dict())
         assert config.tau0 == 0.4
         assert config.units == "natural"
-        assert config.header()["energy_unit_J"] == 1.0
+        assert config.header() == {
+            "units": "natural", "energy_unit_J": 1.0, "time_unit_s": 1.0,
+            "hbar_internal": 1.0, "tau0_mode": "explicit",
+            "tau0_internal": 0.4, "C": 1.0, "master_seed": 3}
 
     def test_from_dict_si_rescales(self):
         e_scale = 2e-19

@@ -17,6 +17,15 @@ class TestComplexIncrement:
             with pytest.raises(InvalidParameterError):
                 sample_dxi_block(dt, 4, s)
 
+    def test_rejects_a_count_that_is_not_a_whole_number(self):
+        for n, message in ((0, ">= 1"), (-3, ">= 1"), (2.5, "whole number"),
+                           (True, "whole number")):
+            with pytest.raises(InvalidParameterError, match=message):
+                sample_dxi_block(1e-3, n, NoiseStream(1))
+            with pytest.raises(InvalidParameterError, match=message):
+                moment_audit(1e-3, n, NoiseStream(1))
+        assert len(sample_dxi_block(1e-3, 3.0, NoiseStream(1))) == 3
+
     def test_moments(self):
         s = NoiseStream(7)
         n = 1_000_000

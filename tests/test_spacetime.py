@@ -162,6 +162,12 @@ class TestArgumentGuards:
         with pytest.raises(InvalidParameterError):
             fluctuating_time_step(psi, np.eye(2), 1.0, 0.0, 0.01j)
 
+    def test_equivalence_report_needs_a_whole_sample_count(self):
+        for n_samples, message in ((0, ">= 1"), (2.5, "whole number"),
+                                   (True, "whole number")):
+            with pytest.raises(InvalidParameterError, match=message):
+                equivalence_report(n_samples=n_samples)
+
     def test_norm_completion_rejects_negative_tau1(self, rng):
         with pytest.raises(InvalidParameterError):
             norm_completion(np.eye(2), random_state(rng, 2), -0.5)

@@ -201,10 +201,15 @@ class TestEigenKernel:
         rng = np.random.default_rng(513)
         h = random_hermitian(rng, 4)
         h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-        assert_rows_replay(SimulationConfig(
+        config = SimulationConfig(
             hamiltonian=h, initial_state=random_state(rng, 4), tau0=0.4,
             dt=5e-3, t_final=0.25, n_trajectories=513, master_seed=8,
-            record_stride=10), rows=(511, 512))
+            record_stride=10)
+        assert_rows_replay(config, rows=(511, 512))
+        # the terminal Var H of the batch of one is its last recorded Var H
+        summary = run_ensemble(config, retain=[512])
+        assert summary.terminal_variances[512] \
+            == summary.trajectories[512].energy_variance[-1]
 
     def test_failure_names_trajectory_and_step(self):
         # the overflowing step is reported with its trajectory index and step
@@ -214,7 +219,8 @@ class TestEigenKernel:
         with np.errstate(all="ignore"), \
                 pytest.warns(RuntimeWarning, match="under-resolves"), \
                 pytest.raises(DegenerateStateError,
-                              match="trajectory 2 failed at step 1:"):
+                              match=r"trajectory 2 failed at step 1: "
+                                    r"norm\^2 = nan$"):
             run_trajectory(config, 2)
 
 
@@ -567,6 +573,30 @@ class TestNormDiscipline:
         measured = norm_defect_samples(psi, h, tau0, dt, 600_000,
                                        NoiseStream(9)).mean()
         assert measured == pytest.approx(expected, rel=0.15)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("dt", [1e-3, 0.3])
+    def test_samples_are_the_kernel_step_of_n_rows(self, dim, dt):
+        # the one stepped row broadcast over the draws gives the bits of
+        # stepping n copies of it as a batch
+        rng = np.random.default_rng(dim)
+        h, psi = random_hermitian(rng, dim), random_state(rng, dim)
+        n = 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            samples = norm_defect_samples(psi, h, 0.6, dt, n, NoiseStream(3, dim))
+            kernel = _EigenKernel(h, dt, 0.6)
+        c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
+        coeff = kernel.coefficients(
+            sample_dxi_block(dt, n, NoiseStream(3, dim))[None, :])
+        expected = kernel.step(c, kernel.mean_energy(c), coeff[0])[2] - 1.0
+        assert np.array_equal(samples, expected)
+
+    def test_sample_count_is_a_whole_number(self, rng):
+        for n in (0, 2.5, True):
+            with pytest.raises(InvalidParameterError, match="n must be"):
+                norm_defect_samples(random_state(rng, 2), np.eye(2), 1.0,
+                                    1e-3, n, NoiseStream(0))
 
 
 def one_trajectory(h, psi0, **fields):
