@@ -7,10 +7,9 @@ hamiltonian-driven diffusion, and computes Planck-scale decoherence
 estimates for matter-interferometry scenarios.
 """
 
-from .ensemble import (EnsembleSummary, LocalizationReport, SimulationConfig,
+from .ensemble import (EnsembleSummary, SimulationConfig,
                        compare_ensemble_to_master, config_from_dict,
-                       load_config, localization_stats, run_ensemble,
-                       run_trajectory)
+                       load_config, run_ensemble, run_trajectory)
 from .errors import (DegenerateStateError, IntegrationFailureError,
                      InvalidParameterError, QsdError, ShapeError)
 from .master import (analytic_offdiagonal, integrate_master, lindblad_rhs,
@@ -36,7 +35,6 @@ __all__ = [
     "EnsembleSummary",
     "IntegrationFailureError",
     "InvalidParameterError",
-    "LocalizationReport",
     "NoiseStream",
     "NormCompletion",
     "QsdError",
@@ -63,7 +61,6 @@ __all__ = [
     "lindblad_from_hamiltonian",
     "lindblad_rhs",
     "load_config",
-    "localization_stats",
     "norm_completion",
     "norm_defect_samples",
     "normalize",

@@ -1,15 +1,15 @@
-"""Ensemble runs, ensemble-vs-master reconciliation, localization statistics.
+"""Ensemble runs and ensemble-vs-master reconciliation.
 
 The parent diagonalizes H once; trajectories are then integrated as
 energy-eigenbasis amplitudes, where the PSD step is elementwise
 (trajectory._EigenKernel), in fixed-size batches of 512, each trajectory
 drawing from its own counter-based noise stream keyed by (master_seed,
 trajectory_index).  Each batch reduces its trajectories at every record
-time (sums of the eigenbasis projector, <H> and Var H, the spread of
-Var H, the largest norm defect, winner counts), keeping per-trajectory
-series only for the trajectories asked for.  The parent folds those
-partial sums in batch-index order, so no array of all trajectories at all
-record times is ever built.  Batches and fold order are fixed, so under
+time (sums of the eigenbasis projector, <H> and Var H, the largest norm
+defect, winner counts), keeping per-trajectory series only for the
+trajectories asked for.  The parent folds those partial sums in
+batch-index order, so no array of all trajectories at all record times is
+ever built.  Batches and fold order are fixed, so under
 the determinism rule of the trajectory module a run's output is
 bit-identical for any worker count.  The mean projector is rotated back
 from the eigenbasis once per record time.  Peak memory is estimated
@@ -81,7 +81,7 @@ class SimulationConfig:
             raise InvalidParameterError(
                 f"hamiltonian {h.shape} does not match state dim {psi.shape[0]}")
         for name in ("n_trajectories", "master_seed", "record_stride"):
-            if getattr(self, name) is not None:
+            if name != "record_stride" or self.record_stride is not None:
                 object.__setattr__(self, name, qcore.whole(name, getattr(self, name)))
         if self.n_trajectories < 1:
             raise InvalidParameterError(
@@ -209,7 +209,6 @@ class EnsembleSummary:
     mean_projector: np.ndarray           # (T, n, n)
     mean_energy: np.ndarray              # (T,)
     mean_energy_variance: np.ndarray     # (T,)
-    energy_variance_se: np.ndarray       # (T,) standard error of the above
     max_norm_drift: np.ndarray           # (T,) largest |norm defect| over all
     eigenvalues: np.ndarray              # (n,) ascending
     initial_populations: np.ndarray      # (n,) in the energy eigenbasis
@@ -254,9 +253,8 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
 
 
 def _fold(parts) -> _BatchSums:
-    """Merge chunk reductions in the order given: sums add, the Var H
-    spreads combine by Chan's pairwise formula, norm defects take the max,
-    per-trajectory values concatenate."""
+    """Merge chunk reductions in the order given: sums add, max_norm_drift
+    takes the max, winners add, per-trajectory values concatenate."""
     total, terminal, records = None, [], []
     for part in parts:
         terminal.append(part.terminal_variance)
@@ -264,10 +262,6 @@ def _fold(parts) -> _BatchSums:
         if total is None:
             total = part
             continue
-        n_a, n_b = total.count, part.count
-        delta = part.variance_sum / n_b - total.variance_sum / n_a
-        total.variance_m2 += part.variance_m2 + delta ** 2 * (n_a * n_b / (n_a + n_b))
-        total.count = n_a + n_b
         total.projector_sum += part.projector_sum
         total.energy_sum += part.energy_sum
         total.variance_sum += part.variance_sum
@@ -291,7 +285,7 @@ def _check_memory(config: SimulationConfig, rows: int, n_chunks: int,
     n = config.hamiltonian.shape[0]
     stride = config.record_stride
     t = record_count(config.n_steps, stride)
-    sums = t * (16 * n * n + 5 * 8)             # projector sum, 4 sums, times
+    sums = t * (16 * n * n + 4 * 8)             # projector sum, 3 sums, times
     parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
         + 8 * config.n_trajectories
     worker = sums + batch_buffers(rows, n, config.n_steps, stride,
@@ -338,14 +332,11 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             total = _fold(pool.map(_simulate_chunk, jobs))
 
-    se = np.sqrt(total.variance_m2 / ((m - 1) * m)) if m > 1 \
-        else np.zeros_like(total.variance_m2)
     return EnsembleSummary(
         times=config.dt * record_steps(config.n_steps, stride).astype(float),
         mean_projector=vecs @ (total.projector_sum / m) @ vecs.conj().T,
         mean_energy=total.energy_sum / m,
         mean_energy_variance=total.variance_sum / m,
-        energy_variance_se=se,
         max_norm_drift=total.max_norm_drift,
         eigenvalues=kernel.energies,
         initial_populations=np.abs(c0) ** 2,
@@ -370,59 +361,6 @@ def compare_ensemble_to_master(summary: EnsembleSummary) -> np.ndarray:
         config.tau0, summary.times)
     return np.array([qcore.trace_distance(p, rho)
                      for p, rho in zip(summary.mean_projector, rhos)])
-
-
-@dataclass
-class LocalizationReport:
-    """Energy-localization diagnostics for a finished ensemble."""
-
-    applicable: bool
-    degenerate_levels: list
-    monotonicity_max_z: float           # largest rise of mean Var H, in SEs
-    monotone_within_tolerance: bool
-    born_within_tolerance: bool         # within 4-sigma binomial bounds
-    terminal_variance_max: float
-    localized_fraction: float           # Var H <= 1e-6 (E_max - E_min)^2
-
-
-def localization_stats(summary: EnsembleSummary) -> LocalizationReport:
-    """Monotonicity of mean Var H, terminal variances, and Born frequencies.
-
-    With a degenerate spectrum the localization statistics are flagged
-    inapplicable across the degenerate subspace (trajectories cannot
-    select between degenerate levels).
-    """
-    w = summary.eigenvalues
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    degenerate = [
-        (i, i + 1) for i in range(len(w) - 1)
-        if abs(w[i + 1] - w[i]) <= 1e-12 * scale
-    ]
-    threshold = 1e-6 * float(w[-1] - w[0]) ** 2
-
-    m = summary.n_trajectories
-    se = summary.energy_variance_se
-    diffs = np.diff(summary.mean_energy_variance)
-    se_diff = np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se_diff > 0, diffs / se_diff, np.where(diffs > 0, np.inf, 0.0))
-    max_z = float(np.max(z, initial=0.0))
-
-    halfwidths = 4.0 * np.sqrt(summary.initial_populations
-                               * (1.0 - summary.initial_populations) / m)
-    born_dev = np.abs(summary.born_frequencies - summary.initial_populations)
-    born_ok = bool(np.all(born_dev <= halfwidths + 1e-15))
-
-    term = summary.terminal_variances
-    return LocalizationReport(
-        applicable=not degenerate,
-        degenerate_levels=degenerate,
-        monotonicity_max_z=max_z,
-        monotone_within_tolerance=bool(max_z <= 4.0),
-        born_within_tolerance=born_ok,
-        terminal_variance_max=float(term.max()),
-        localized_fraction=float(np.mean(term <= threshold)),
-    )
 
 
 # ---------------------------------------------------------------------------

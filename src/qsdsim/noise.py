@@ -31,11 +31,13 @@ class NoiseStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        if stream_index < 0:
+        stream_index = whole("stream_index", stream_index)
+        if not 0 <= stream_index < 2 ** 64:
             raise InvalidParameterError(
-                f"stream_index must be non-negative, got {stream_index}")
+                f"stream_index must be non-negative and below 2^64, got "
+                f"{stream_index}")
         self.master_seed = int(master_seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_index = int(stream_index)
+        self.stream_index = stream_index
         key = np.array([self.master_seed, self.stream_index], dtype=_U64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

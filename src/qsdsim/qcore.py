@@ -42,8 +42,13 @@ def positive(name: str, value, allow_zero: bool = False) -> float:
 
 
 def whole(name: str, value) -> int:
-    """value as an int: a whole number such as 3 or 3.0, not a bool."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """value as an int: a whole number such as 3 or 3.0, not a bool or None."""
+    try:   # an int is whole even beyond float range
+        integral = not isinstance(value, bool) and (
+            isinstance(value, int) or float(value).is_integer())
+    except (TypeError, ValueError):   # None, "x"
+        integral = False
+    if not integral:
         raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

@@ -163,8 +163,8 @@ def equivalence_report(n_samples: int = 500, seed: int = 7, dt: float = 1e-10,
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
     tolerance = qcore.positive("tolerance", tolerance)
-    rng = np.random.default_rng(seed)
     stream = NoiseStream(seed, 0)
+    rng = np.random.default_rng(stream.master_seed)   # seed wrapped to 64 bits
     max_dev = 0.0
     max_good_defect = 0.0
     min_perturbed_defect = math.inf

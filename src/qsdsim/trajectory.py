@@ -39,10 +39,10 @@ einsum, or a left-to-right sum), whose bits depend neither on how many
 rows share a batch, nor on whether the row steps alone as rank 1, nor on
 how many record points share a flush, so trajectory k of an ensemble
 replays as a batch of one.  Record points are buffered and reduced a
-buffer at a time; the sums per batch taken there (<H>, Var H and its
-spread) run along the row axis of each record point, and the projector of
-each record point is the same BLAS call as when it is reduced alone.  A
-sum per batch may use BLAS because batch boundaries are fixed.
+buffer at a time; the sums per batch taken there (<H> and Var H) run
+along the row axis of each record point, and the projector of each record
+point is the same BLAS call as when it is reduced alone.  A sum per batch
+may use BLAS because batch boundaries are fixed.
 """
 
 import math
@@ -225,17 +225,13 @@ class _EigenKernel:
 class _BatchSums:
     """Reductions of a batch of trajectories, one entry per record time.
 
-    The projector sum is in the energy eigenbasis; variance_m2 is the sum
-    of squared deviations of Var H about the batch mean, so batches merge
-    with Chan's pairwise formula.  Per-trajectory series exist only for the
-    retained rows.
+    The projector sum is in the energy eigenbasis.  Per-trajectory series
+    exist only for the retained rows.
     """
 
-    count: int
     projector_sum: np.ndarray        # (T, n, n)  sum_b c_b c_b^H
     energy_sum: np.ndarray           # (T,)  sum_b <H>_b
     variance_sum: np.ndarray         # (T,)  sum_b Var_b H
-    variance_m2: np.ndarray          # (T,)  sum_b (Var_b H - batch mean)^2
     max_norm_drift: np.ndarray       # (T,)  max_b |norm defect|
     winners: np.ndarray              # (n,)  rows whose largest final |c_k| is k
     terminal_variance: np.ndarray    # (B,)  final Var H of every row
@@ -287,7 +283,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     n_rec = record_count(n_steps, stride)
     keep = np.asarray(keep, dtype=np.intp)
     proj = np.empty((n_rec, n, n), dtype=np.complex128)
-    e_sum, v_sum, v_m2, drift_max = (np.empty(n_rec) for _ in range(4))
+    e_sum, v_sum, drift_max = (np.empty(n_rec) for _ in range(3))
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     block_len = min(NOISE_BLOCK, n_steps)
     group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
@@ -316,7 +312,6 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         v = kernel.variance(held_c[:held], e)
         d = np.sqrt(held_nrm_sq[:held]) - 1.0
         e_sum[pos], v_sum[pos] = e.sum(axis=1), v.sum(axis=1)
-        v_m2[pos] = np.square(v - (v_sum[pos] / count)[:, None]).sum(axis=1)
         drift_max[pos] = np.abs(d).max(axis=1)
         energy[:, pos], variance[:, pos], defect[:, pos] = \
             e[:, keep].T, v[:, keep].T, d[:, keep].T
@@ -354,8 +349,8 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
                                 final_state=kernel.vecs @ c[b])
                for r, b in enumerate(keep)]
     return _BatchSums(
-        count=count, projector_sum=proj, energy_sum=e_sum, variance_sum=v_sum,
-        variance_m2=v_m2, max_norm_drift=drift_max,
+        projector_sum=proj, energy_sum=e_sum, variance_sum=v_sum,
+        max_norm_drift=drift_max,
         winners=np.bincount(np.argmax(np.abs(c) ** 2, axis=1), minlength=n),
         terminal_variance=kernel.variance(c[None], e[None])[0], records=records)
 
@@ -411,5 +406,7 @@ def record_count(n_steps: int, stride: int) -> int:
 
 
 def record_steps(n_steps: int, stride: int) -> np.ndarray:
-    """Step indices stored in a record: every stride-th step plus the last."""
-    return np.minimum(np.arange(record_count(n_steps, stride)) * stride, n_steps)
+    """Step indices stored in a record: every stride-th step plus the last
+    (a stride beyond n_steps, which records the same, is cut to fit int64)."""
+    return np.minimum(np.arange(record_count(n_steps, stride))
+                      * min(stride, n_steps), n_steps)

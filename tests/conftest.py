@@ -18,6 +18,23 @@ def random_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def variance_rise_z(summary):
+    """Largest rise of mean Var H between record times, in standard errors.
+
+    The standard error at each record time is std(ddof=1) / sqrt(M) of the
+    retained Var H series, so every trajectory must be retained.  Where the
+    spread is 0, a rise counts as infinite and anything else as 0.
+    """
+    var = np.array([rec.energy_variance
+                    for rec in summary.trajectories.values()])
+    se = var.std(axis=0, ddof=1) / np.sqrt(len(var))
+    rise = np.diff(summary.mean_energy_variance)
+    spread = np.hypot(se[1:], se[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(spread > 0, rise / spread, np.where(rise > 0, np.inf, 0.0))
+    return float(np.max(z, initial=0.0))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import qsdsim
 # change to this list.
 PUBLIC = set("""
     DecoherenceEstimate DegenerateStateError EnsembleSummary
-    IntegrationFailureError InvalidParameterError LocalizationReport
+    IntegrationFailureError InvalidParameterError
     NoiseStream NormCompletion QsdError ShapeError
     SimulationConfig TrajectoryRecord
     align_global_phase analytic_offdiagonal as_density as_operator as_state
@@ -25,7 +26,7 @@ PUBLIC = set("""
     delta_e_from_height delta_e_from_velocities equivalence_report
     expectation fluctuating_time_step fluctuation_time_constant
     gauge_transform integrate_master ito_norm_defect
-    lindblad_from_hamiltonian lindblad_rhs load_config localization_stats
+    lindblad_from_hamiltonian lindblad_rhs load_config
     norm_completion norm_defect_samples normalize planck_time
     psd_master_exact psd_master_rhs psd_step pure_projector qsd_step
     run_ensemble run_trajectory sample_dxi sample_dxi_block trace_distance
@@ -54,6 +55,13 @@ HARNESS = [
     ("qsdsim.trajectory", "TrajectoryRecord.write_csv"),
     ("qsdsim.trajectory", "TrajectoryRecord.write_json"),
 ]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_every_export_resolves():

@@ -387,6 +387,13 @@ class TestSpacetimeCheck:
         assert payload["passed"]
         assert payload["max_deviation"] < 1e-12
 
+    def test_negative_seed_wraps(self, capsys):
+        # -1 seeds as 2^64 - 1, as in every other command
+        code, out = run_cli(capsys, "spacetime-check", "--samples", "100",
+                            "--seed", "-1")
+        assert code == 0
+        assert json.loads(out)["passed"]
+
 
 class TestNoiseAudit:
     def test_csv_columns(self, capsys):
@@ -490,6 +497,7 @@ class TestExitCodes:
         assert "np.float64" not in err
 
     COMPARE = ("compare", "--config", "{config}", "--out", "{dir}/out")
+    MASTER = ("master", "--config", "{config}", "--out", "{dir}/out")
 
     @pytest.mark.parametrize("overrides, argv", [
         ({"t_final": float("nan")}, COMPARE),
@@ -516,12 +524,18 @@ class TestExitCodes:
         ({}, ("spacetime-check", "--samples", "3", "--tolerance", "nan")),
         ({}, ("spacetime-check", "--samples", "3", "--tolerance", "0")),
         ({}, ("spacetime-check", "--samples", "3", "--tolerance", "-1")),
+        ({"master_seed": None}, COMPARE),
+        ({"master_seed": None}, MASTER),
+        ({"n_trajectories": None}, COMPARE),
+        ({}, ("trajectory", "--config", "{config}", "--out", "{dir}/out",
+              "--stream", str(2 ** 64))),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
             "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
             "config-is-directory", "out-is-file", "out-under-file",
             "audit-over-memory", "zero-state", "fractional-counts",
             "bool-count", "bool-dt", "tolerance-nan", "tolerance-zero",
-            "tolerance-negative"])
+            "tolerance-negative", "null-seed", "null-seed-master",
+            "null-count", "stream-2-to-64"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides,
                                                argv):
         data = json.loads(config_path.read_text())

@@ -83,8 +83,18 @@ class TestStreams:
         assert "stream_index=3" in repr(t)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="non-negative"):
             NoiseStream(1, -1)
+
+    @pytest.mark.parametrize("index, reason", [
+        (2.5, "whole"), (True, "whole"), (None, "whole"),
+        (2 ** 64, "below 2"), (10 ** 400, "below 2")])
+    def test_index_not_below_2_64_or_not_whole_rejected(self, index, reason):
+        with pytest.raises(InvalidParameterError, match=reason):
+            NoiseStream(1, index)
+
+    def test_largest_index_accepted(self):
+        assert NoiseStream(1, 2 ** 64 - 1).stream_index == 2 ** 64 - 1
 
 
 def test_moment_audit_fields():

@@ -393,9 +393,8 @@ class _PoisonedStream(NoiseStream):
 
 def assert_sums_equal(a, b):
     """Two _BatchSums hold the same bits, retained series included."""
-    for name in ("count", "projector_sum", "energy_sum", "variance_sum",
-                 "variance_m2", "max_norm_drift", "winners",
-                 "terminal_variance"):
+    for name in ("projector_sum", "energy_sum", "variance_sum",
+                 "max_norm_drift", "winners", "terminal_variance"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for x, y in zip(a.records, b.records, strict=True):
         for name in ("times", "energy_mean", "energy_variance", "norm_drift",
@@ -479,7 +478,7 @@ class TestRecordBuffer:
             tracemalloc.stop()
         reductions = sum(a.nbytes for a in (
             sums.projector_sum, sums.energy_sum, sums.variance_sum,
-            sums.variance_m2, sums.max_norm_drift))
+            sums.max_norm_drift))
         estimate = trajectory.batch_buffers(rows, n, n_steps, stride, kept)[2]
         assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
 
