@@ -65,8 +65,7 @@ class SimulationConfig:
     tau0_mode: str = "explicit"
     c_factor: float = 1.0
     units: str = "natural"
-    energy_unit_j: float = 1.0
-    time_unit_s: float = 1.0
+    energy_unit_j: float = 1.0     # joules per energy unit; 1.0 if natural
 
     def __post_init__(self):
         h = qcore.as_operator(self.hamiltonian)
@@ -80,30 +79,47 @@ class SimulationConfig:
         if h.shape[0] != psi.shape[0]:
             raise InvalidParameterError(
                 f"hamiltonian {h.shape} does not match state dim {psi.shape[0]}")
+        for name, allowed in (("units", ("natural", "SI")),
+                              ("tau0_mode", ("explicit", "planck"))):
+            if getattr(self, name) not in allowed:
+                raise InvalidParameterError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name in ("n_trajectories", "master_seed", "record_stride"):
             if name != "record_stride" or self.record_stride is not None:
                 object.__setattr__(self, name, qcore.whole(name, getattr(self, name)))
         if self.n_trajectories < 1:
             raise InvalidParameterError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        dt = qcore.positive("dt", self.dt)
-        t_final = qcore.positive("t_final", self.t_final)
-        if dt > t_final:
+        for name in ("tau0", "dt", "t_final", "c_factor", "energy_unit_j"):
+            object.__setattr__(self, name, qcore.positive(name, getattr(self, name)))
+        if self.units == "natural" and (self.energy_unit_j != 1.0
+                                        or self.tau0_mode == "planck"):
+            raise InvalidParameterError(   # the Planck time is an SI scale
+                f"natural units need energy_unit_j 1.0 and an explicit tau0, got "
+                f"{self.energy_unit_j} and tau0_mode {self.tau0_mode!r}")
+        if self.tau0_mode == "planck" and not math.isclose(
+                self.tau0, self.energy_unit_j / spacetime.HBAR
+                * spacetime.fluctuation_time_constant(self.c_factor), rel_tol=1e-12):
             raise InvalidParameterError(
-                f"need dt <= t_final, got dt={dt}, t_final={t_final}")
-        steps = t_final / dt
+                f"tau0_mode 'planck' needs tau0 = C * planck time, got {self.tau0!r}")
+        if self.dt > self.t_final:
+            raise InvalidParameterError(
+                f"need dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
+        steps = self.t_final / self.dt
         if abs(steps - round(steps)) > _STEP_TOL * steps:
             raise InvalidParameterError(
                 f"t_final must be a whole number of steps dt, got "
                 f"t_final / dt = {steps!r}")
-        qcore.positive("tau0", self.tau0)      # a diffusion run needs tau0 > 0
-        qcore.positive("C", self.c_factor)
         if self.record_stride is None:
             object.__setattr__(self, "record_stride", max(
                 1, math.ceil(self.n_steps / MAX_RECORD_POINTS)))
         if self.record_stride < 1:
             raise InvalidParameterError(
                 f"record_stride must be >= 1, got {self.record_stride}")
+
+    @property
+    def time_unit_s(self) -> float:
+        return spacetime.HBAR / self.energy_unit_j if self.units == "SI" else 1.0
 
     @property
     def n_steps(self) -> int:
@@ -126,8 +142,8 @@ class SimulationConfig:
 def config_from_dict(data: dict) -> SimulationConfig:
     """Build a run config from its JSON form, resolving units and tau0.
 
-    Every malformed field - missing, of the wrong type or unparsable -
-    raises InvalidParameterError here; SimulationConfig checks the values.
+    Decodes the JSON and rescales SI input to natural units; a malformed
+    field raises InvalidParameterError, SimulationConfig checks the values.
     """
     try:
         return _parse_config(data)
@@ -144,49 +160,28 @@ def _parse_config(data: dict) -> SimulationConfig:
     if unknown:
         raise InvalidParameterError(f"unknown config keys: {', '.join(unknown)}")
     units = data.get("units", "natural")
-    if units not in ("natural", "SI"):
-        raise InvalidParameterError(f"units must be 'natural' or 'SI', got {units!r}")
+    tau0_mode = data.get("tau0_mode", "explicit")
     h = qcore.operator_from_json(data["hamiltonian"])
     psi0 = qcore.state_from_json(data["initial_state"])
-    tau0_mode = data.get("tau0_mode", "explicit")
-    booleans = sorted(key for key, value in data.items() if isinstance(value, bool))
-    if booleans:
-        raise InvalidParameterError(f"{booleans[0]} is true or false, not a number")
-    c_factor = float(data.get("C", 1.0))
-    dt = float(data["dt"])
-    t_final = float(data["t_final"])
+    c_factor = qcore.positive("C", data.get("C", 1.0))
+    dt = qcore.positive("dt", data["dt"])
+    t_final = qcore.positive("t_final", data["t_final"])
+    tau0 = (spacetime.fluctuation_time_constant(c_factor) if tau0_mode == "planck"
+            else qcore.positive("tau0", data["tau0"]))
 
-    if tau0_mode == "explicit":
-        if "tau0" not in data:
-            raise InvalidParameterError("explicit tau0_mode requires a tau0 field")
-        tau0 = float(data["tau0"])
-    elif tau0_mode == "planck":
-        if units != "SI":
-            raise InvalidParameterError(
-                "tau0_mode 'planck' needs SI units (the Planck time is an absolute scale)")
-        tau0 = spacetime.fluctuation_time_constant(c_factor)
-    else:
-        raise InvalidParameterError(
-            f"tau0_mode must be 'explicit' or 'planck', got {tau0_mode!r}")
-
-    energy_unit_j = time_unit_s = 1.0
+    energy_unit_j = 1.0
     if units == "SI":
         h = qcore.as_operator(h)
-        scale = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-        e0 = scale if scale > 0.0 else 1.0
-        h /= e0
-        to_natural_time = e0 / spacetime.HBAR
-        dt *= to_natural_time
-        t_final *= to_natural_time
-        tau0 *= to_natural_time
-        energy_unit_j, time_unit_s = e0, spacetime.HBAR / e0
+        energy_unit_j = float(np.max(np.abs(np.linalg.eigvalsh(h)))) or 1.0
+        h /= energy_unit_j
+        to_natural_time = energy_unit_j / spacetime.HBAR
+        dt, t_final, tau0 = (x * to_natural_time for x in (dt, t_final, tau0))
     return SimulationConfig(
         hamiltonian=h, initial_state=psi0, tau0=tau0, dt=dt,
         t_final=t_final, n_trajectories=data.get("n_trajectories", 1),
         master_seed=data.get("master_seed", 0),
         record_stride=data.get("record_stride"), tau0_mode=tau0_mode,
-        c_factor=c_factor, units=units, energy_unit_j=energy_unit_j,
-        time_unit_s=time_unit_s)
+        c_factor=c_factor, units=units, energy_unit_j=energy_unit_j)
 
 
 def load_config(path, overrides: dict | None = None) -> SimulationConfig:
@@ -306,10 +301,11 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     trajectory aborts the run, reporting its index (dropping it silently
     would bias the ensemble mean).
     """
+    workers = qcore.whole("workers", workers)
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     m = config.n_trajectories
-    retain = sorted({int(k) for k in retain})
+    retain = sorted({qcore.whole("retain", k) for k in retain})
     outside = [k for k in retain if not 0 <= k < m]
     if outside:
         raise InvalidParameterError(

@@ -36,7 +36,7 @@ class NoiseStream:
             raise InvalidParameterError(
                 f"stream_index must be non-negative and below 2^64, got "
                 f"{stream_index}")
-        self.master_seed = int(master_seed) & 0xFFFFFFFFFFFFFFFF
+        self.master_seed = whole("master_seed", master_seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_index = stream_index
         key = np.array([self.master_seed, self.stream_index], dtype=_U64)
         self._gen = np.random.Generator(np.random.Philox(key=key))

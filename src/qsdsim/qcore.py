@@ -30,9 +30,11 @@ ZERO_NORM_TOL = 1e-14
 def positive(name: str, value, allow_zero: bool = False) -> float:
     """float(value), checked to be finite and > 0 (>= 0 with allow_zero).
 
-    The one check of a scalar parameter: anything else raises
-    InvalidParameterError naming the parameter.
+    The one check of a scalar parameter: anything else, a bool included,
+    raises InvalidParameterError naming the parameter.
     """
+    if isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
     value = float(value)
     in_range = value >= 0.0 if allow_zero else value > 0.0
     if not (in_range and math.isfinite(value)):

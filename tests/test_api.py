@@ -33,6 +33,13 @@ PUBLIC = set("""
     variance
 """.split())
 
+# SimulationConfig's fields and the keys of its header(), in order: a new
+# run value or header entry is a deliberate change to these lists.
+CONFIG_FIELDS = """hamiltonian initial_state tau0 dt t_final n_trajectories
+    master_seed record_stride tau0_mode c_factor units energy_unit_j""".split()
+HEADER_KEYS = """units energy_unit_J time_unit_s hbar_internal tau0_mode
+    tau0_internal C master_seed""".split()
+
 # (module, attribute) pairs that perfbench/tracing.py wraps and
 # perfbench/child.py calls, looked up where those scripts look them up;
 # dropping one breaks `perfbench/run.py --trace 1`.
@@ -71,6 +78,15 @@ def test_every_export_resolves():
 
 def test_exports_are_the_pinned_api():
     assert set(qsdsim.__all__) == PUBLIC
+
+
+def test_config_fields_and_header_are_pinned():
+    assert [field.name for field in dataclasses.fields(
+        qsdsim.SimulationConfig)] == CONFIG_FIELDS
+    config = qsdsim.SimulationConfig(
+        hamiltonian=[[1, 0], [0, -1]], initial_state=[1, 0], tau0=1.0,
+        dt=1.0, t_final=1.0, n_trajectories=1, master_seed=0)
+    assert list(config.header()) == HEADER_KEYS
 
 
 @pytest.mark.parametrize("module, name", HARNESS,

@@ -529,13 +529,17 @@ class TestExitCodes:
         ({"n_trajectories": None}, COMPARE),
         ({}, ("trajectory", "--config", "{config}", "--out", "{dir}/out",
               "--stream", str(2 ** 64))),
+        ({"units": "kelvin"}, COMPARE),
+        ({"tau0_mode": "foo"}, COMPARE),
+        ({"tau0_mode": "planck"}, COMPARE),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
             "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
             "config-is-directory", "out-is-file", "out-under-file",
             "audit-over-memory", "zero-state", "fractional-counts",
             "bool-count", "bool-dt", "tolerance-nan", "tolerance-zero",
             "tolerance-negative", "null-seed", "null-seed-master",
-            "null-count", "stream-2-to-64"])
+            "null-count", "stream-2-to-64", "units-unknown",
+            "tau0-mode-unknown", "planck-natural"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides,
                                                argv):
         data = json.loads(config_path.read_text())

@@ -79,6 +79,29 @@ class TestConfig:
         for t_final in (float("nan"), float("inf"), 1.001):   # 400.4 steps
             with pytest.raises(InvalidParameterError):
                 make_config(t_final=t_final)
+        si = dict(units="SI", energy_unit_j=2e-19)
+        for overrides, message in (
+                ({"units": "banana"}, "units"),
+                ({"tau0_mode": "foo"}, "tau0_mode"),
+                ({"tau0_mode": "planck"}, "natural units"),
+                ({"energy_unit_j": 2.0}, "natural units"),
+                ({**si, "energy_unit_j": 0.0}, "energy_unit_j"),
+                ({**si, "energy_unit_j": -1.0}, "energy_unit_j"),
+                ({**si, "energy_unit_j": float("nan")}, "energy_unit_j"),
+                ({**si, "tau0_mode": "planck"}, "planck"),   # 0.4 is not C T_P
+                *(({name: True}, name)
+                  for name in ("tau0", "dt", "t_final", "c_factor"))):
+            with pytest.raises(InvalidParameterError, match=message):
+                make_config(**overrides)
+        config = make_config(tau0=2, dt=1, t_final=np.float32(4), c_factor=3,
+                             record_stride=None)
+        assert all(type(getattr(config, name)) is float for name in (
+            "tau0", "dt", "t_final", "c_factor", "energy_unit_j"))
+        assert config.time_unit_s == 1.0
+        planck = make_config(**si, tau0_mode="planck", c_factor=2.0,
+                             tau0=2.0 * spacetime.planck_time() * 2e-19
+                             / spacetime.HBAR)
+        assert planck.time_unit_s == spacetime.HBAR / 2e-19
 
     def test_initial_state_is_normalized(self):
         config = make_config(initial_state=np.array([3.0, 0.0]))
@@ -137,7 +160,7 @@ class TestConfig:
         config = config_from_dict(data)
         hbar = spacetime.HBAR
         assert config.energy_unit_j == pytest.approx(e_scale)
-        assert config.time_unit_s == pytest.approx(hbar / e_scale)
+        assert config.time_unit_s == hbar / config.energy_unit_j
         # the rescaled hamiltonian has unit spectral radius
         assert np.max(np.abs(np.linalg.eigvalsh(config.hamiltonian))) \
             == pytest.approx(1.0)
@@ -236,6 +259,14 @@ class TestRunEnsemble:
     def test_workers_argument_validated(self):
         with pytest.raises(InvalidParameterError):
             run_ensemble(make_config(), workers=0)
+        for workers in (True, 2.5, None):
+            with pytest.raises(InvalidParameterError, match="workers"):
+                run_ensemble(make_config(), workers=workers)
+        with pytest.raises(InvalidParameterError, match="retain"):
+            run_ensemble(make_config(), retain=[2.5])
+        config = make_config(n_trajectories=4)
+        assert np.array_equal(run_ensemble(config, workers=2.0).mean_energy,
+                              run_ensemble(config).mean_energy)
 
     def test_born_frequencies_sum_to_one(self):
         summary = run_ensemble(make_config(n_trajectories=128))

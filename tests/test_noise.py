@@ -26,6 +26,14 @@ class TestComplexIncrement:
                 moment_audit(1e-3, n, NoiseStream(1))
         assert len(sample_dxi_block(1e-3, 3.0, NoiseStream(1))) == 3
 
+    def test_master_seed_is_a_whole_number(self):
+        assert NoiseStream(3.0).master_seed == 3
+        assert NoiseStream(-1).master_seed == 2 ** 64 - 1     # wraps to 64 bits
+        assert NoiseStream(2 ** 64 + 5).master_seed == 5
+        for seed in (2.5, None, True):
+            with pytest.raises(InvalidParameterError, match="master_seed"):
+                NoiseStream(seed, 0)
+
     def test_moments(self):
         s = NoiseStream(7)
         n = 1_000_000
