@@ -2,19 +2,24 @@
 
 The parent diagonalizes H once; trajectories are then integrated as
 energy-eigenbasis amplitudes, where the PSD step is elementwise
-(trajectory._EigenKernel), in fixed-size batches of 512, each trajectory
-drawing from its own counter-based noise stream keyed by (master_seed,
-trajectory_index).  Each batch reduces its trajectories at every record
-time (sums of the eigenbasis projector, <H> and Var H, the largest norm
-defect, winner counts), keeping per-trajectory series only for the
-trajectories asked for.  The parent folds those partial sums in
-batch-index order, so no array of all trajectories at all record times is
-ever built.  Batches and fold order are fixed, so under
-the determinism rule of the trajectory module a run's output is
-bit-identical for any worker count.  The mean projector is rotated back
-from the eigenbasis once per record time.  Peak memory is estimated
-before the first batch starts, and a run that would not fit in physical
-memory is refused.
+(trajectory._EigenKernel), each trajectory drawing from its own
+counter-based noise stream keyed by (master_seed, trajectory_index).
+
+The chunk is the unit of reduction: CHUNK_SIZE consecutive trajectories,
+fixed whatever the worker count.  Each chunk reduces its trajectories at
+every record time (sums of the eigenbasis projector, <H> and Var H, the
+largest norm defect, winner counts), keeping per-trajectory series only
+for the trajectories asked for.  The parent folds those partial sums in
+chunk-index order, so no array of all trajectories at all record times is
+ever built.  The batch is the unit of stepping: a job steps a run of
+consecutive chunks as one batch, as many as BATCH_AMPLITUDES allows but
+no more than keeps every worker busy, which spares NumPy per-call
+overhead at small n.  Chunks and fold order are fixed, and the trajectory
+module's determinism rule keeps a chunk's reductions the same in any
+batch, so a run's output is bit-identical for any worker count and any
+job width.  The mean projector is rotated back from the eigenbasis once
+per record time.  Peak memory is estimated before the first job starts,
+and a run that would not fit in physical memory is refused.
 
 Units: all integration happens in natural units (hbar = 1).  SI configs
 are rescaled on load - the energy unit E0 is the largest |eigenvalue| of
@@ -23,10 +28,10 @@ tau0 values finite instead of forcing 1e-44 s steps.  The conversion is
 echoed in every output header.
 """
 
+import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +44,8 @@ from .trajectory import (TrajectoryRecord, _BatchSums, _EigenKernel,
                          _integrate_eigenbasis, batch_buffers, record_count,
                          record_steps)
 
-CHUNK_SIZE = 512         # trajectories per batch; independent of worker count
+CHUNK_SIZE = 512         # trajectories per reduction, for any worker count
+BATCH_AMPLITUDES = 8192  # rows x n a job steps at once, if above one chunk
 MAX_RECORD_POINTS = 10_000
 _STEP_TOL = 1e-9         # relative slack of t_final / dt about a whole number
 _CONFIG_KEYS = frozenset({
@@ -217,41 +223,58 @@ class EnsembleSummary:
         return self.config.n_trajectories
 
 
-def _simulate_chunk(args) -> _BatchSums:
-    """Integrate and reduce trajectories [start, start+count) as one batch.
+def _simulate_job(args) -> list[_BatchSums]:
+    """Integrate trajectories `rows` (a range) as one batch and reduce them
+    a chunk at a time, returning one _BatchSums per chunk.
 
     Runs in worker processes on energy-eigenbasis amplitudes.  By the
-    trajectory module's determinism rule, chunk boundaries never leak into
-    a trajectory's values, so trajectory k matches run_trajectory on
-    stream k bit for bit.  `keep` holds the chunk-local rows whose series
-    are retained.
+    trajectory module's determinism rule, batch and chunk boundaries never
+    leak into a trajectory's values, so trajectory k matches run_trajectory
+    on stream k bit for bit.  `keep` holds the batch rows whose series are
+    retained.
     """
-    kernel, c0, n_steps, stride, seed, start, count, keep = args
-    streams = [NoiseStream(seed, start + j) for j in range(count)]
-    return _integrate_eigenbasis(kernel, c0, streams, n_steps, stride, keep)
+    kernel, c0, n_steps, stride, seed, rows, keep = args
+    streams = [NoiseStream(seed, k) for k in rows]
+    return _integrate_eigenbasis(kernel, c0, streams, n_steps, stride, keep,
+                                 CHUNK_SIZE)
+
+
+def _jobs(m: int, n: int, pool_size: int) -> list[range]:
+    """Trajectory ranges of the jobs of an M = m run at dimension n: runs of
+    consecutive chunks, as many as BATCH_AMPLITUDES holds (one at least)
+    and at most ceil(chunks / pool_size), spread evenly over the jobs."""
+    n_chunks = -(-m // CHUNK_SIZE)
+    width = min(max(1, BATCH_AMPLITUDES // (CHUNK_SIZE * n)),
+                -(-n_chunks // pool_size))
+    n_jobs = -(-n_chunks // width)
+    edges = [min(m, CHUNK_SIZE * (j * n_chunks // n_jobs))
+             for j in range(n_jobs + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRecord:
     """Trajectory `stream_index` of the config's ensemble, alone.
 
-    A batch of one through _simulate_chunk from the config's initial state,
+    A batch of one through _simulate_job from the config's initial state,
     so it replays the ensemble's trajectory with this index bit for bit
     and records <H>, Var H and the norm defect at its record times.  A run
     that would not fit in physical memory is refused before it starts.
     """
-    _check_memory(config, rows=1, n_chunks=1, pool_size=1, n_retained=1)
+    _check_memory(config, [range(1)], pool_size=1, n_retained=1)
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state
-    return _simulate_chunk((kernel, c0, config.n_steps,
-                            config.record_stride, config.master_seed,
-                            stream_index, 1, [0])).records[0]
+    return _simulate_job((kernel, c0, config.n_steps, config.record_stride,
+                          config.master_seed,
+                          range(stream_index, stream_index + 1),
+                          [0]))[0].records[0]
 
 
-def _fold(parts) -> _BatchSums:
-    """Merge chunk reductions in the order given: sums add, max_norm_drift
-    takes the max, winners add, per-trajectory values concatenate."""
+def _fold(jobs) -> _BatchSums:
+    """Merge the chunk reductions of jobs in the order given: sums add,
+    max_norm_drift takes the max, winners add, per-trajectory values
+    concatenate."""
     total, terminal, records = None, [], []
-    for part in parts:
+    for part in itertools.chain.from_iterable(jobs):
         terminal.append(part.terminal_variance)
         records += part.records
         if total is None:
@@ -268,23 +291,27 @@ def _fold(parts) -> _BatchSums:
     return total
 
 
-def _check_memory(config: SimulationConfig, rows: int, n_chunks: int,
-                  pool_size: int, n_retained: int):
-    """Refuse a run whose estimated peak memory exceeds physical memory.
+def _check_memory(config: SimulationConfig, jobs, pool_size: int,
+                  n_retained: int):
+    """Refuse a run of `jobs` (trajectory ranges) whose estimated peak
+    memory exceeds physical memory.
 
     The estimate assumes every chunk's reductions are waiting in the parent
     at once, next to the running totals and the mean projector with its
-    temporaries; each worker holds one chunk's reductions and the working
-    buffers of a batch of `rows` rows (trajectory.batch_buffers).
+    temporaries; each worker holds the reductions of the chunks of the
+    widest job and the working buffers of its batch
+    (trajectory.batch_buffers).
     """
     n = config.hamiltonian.shape[0]
     stride = config.record_stride
     t = record_count(config.n_steps, stride)
     sums = t * (16 * n * n + 4 * 8)             # projector sum, 3 sums, times
+    n_chunks = sum(-(-len(rows) // CHUNK_SIZE) for rows in jobs)
+    widest = max(len(rows) for rows in jobs)
     parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
         + 8 * config.n_trajectories
-    worker = sums + batch_buffers(rows, n, config.n_steps, stride,
-                                  min(rows, n_retained))[2]
+    worker = -(-widest // CHUNK_SIZE) * sums + batch_buffers(
+        widest, n, config.n_steps, stride, min(widest, n_retained))[2]
     qcore.check_memory(parent + pool_size * worker,
                        f"run of {t} record points at n={n}",
                        "raise record_stride or lower n_trajectories")
@@ -295,11 +322,13 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     """Run n_trajectories independent diffusion trajectories and reduce them.
 
     Deterministic for a given master_seed regardless of `workers`: stream
-    index = trajectory index, batch boundaries are fixed, and batch
-    reductions are folded in index order.  Per-trajectory series are kept
-    only for the indices in `retain` (summary.trajectories).  Any failing
-    trajectory aborts the run, reporting its index (dropping it silently
-    would bias the ensemble mean).
+    index = trajectory index, chunk boundaries are fixed, and chunk
+    reductions are folded in index order, however many chunks a job steps
+    as one batch.  Per-trajectory series are kept only for the indices in
+    `retain` (summary.trajectories).  Any failing trajectory aborts the
+    run, reporting its index (dropping it silently would bias the ensemble
+    mean): the failure of the lowest failing chunk, as with one chunk per
+    job.
     """
     workers = qcore.whole("workers", workers)
     if workers < 1:
@@ -310,23 +339,23 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     if outside:
         raise InvalidParameterError(
             f"trajectory index {outside[0]} outside 0..{m - 1}")
-    n_chunks = -(-m // CHUNK_SIZE)
-    pool_size = min(workers, n_chunks, os.cpu_count() or 1)
-    _check_memory(config, min(CHUNK_SIZE, m), n_chunks, pool_size, len(retain))
+    pool_size = min(workers, os.cpu_count() or 1)
+    jobs = _jobs(m, config.hamiltonian.shape[0], pool_size)
+    pool_size = min(pool_size, len(jobs))
+    _check_memory(config, jobs, pool_size, len(retain))
 
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     vecs = kernel.vecs
     c0 = vecs.conj().T @ config.initial_state   # <v_k | psi0>
     stride = config.record_stride
-    jobs = [(kernel, c0, config.n_steps, stride, config.master_seed, start,
-             min(CHUNK_SIZE, m - start),
-             [k - start for k in retain if start <= k < start + CHUNK_SIZE])
-            for start in range(0, m, CHUNK_SIZE)]
+    args = [(kernel, c0, config.n_steps, stride, config.master_seed, rows,
+             [k - rows.start for k in retain if k in rows]) for rows in jobs]
     if pool_size == 1:
-        total = _fold(map(_simulate_chunk, jobs))
-    else:
+        total = _fold(map(_simulate_job, args))
+    else:   # concurrent.futures takes 5-8 ms to import: only a pool pays it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            total = _fold(pool.map(_simulate_chunk, jobs))
+            total = _fold(pool.map(_simulate_job, args))
 
     return EnsembleSummary(
         times=config.dt * record_steps(config.n_steps, stride).astype(float),

@@ -11,6 +11,7 @@ are the only code of the package that knows how a file looks.
 import contextlib
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -30,12 +31,15 @@ ZERO_NORM_TOL = 1e-14
 def positive(name: str, value, allow_zero: bool = False) -> float:
     """float(value), checked to be finite and > 0 (>= 0 with allow_zero).
 
-    The one check of a scalar parameter: anything else, a bool included,
-    raises InvalidParameterError naming the parameter.
+    The one check of a scalar parameter: anything else, a bool, str, None
+    or complex included, raises InvalidParameterError naming the parameter.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:   # an int beyond float range
+        value = math.inf if value > 0 else -math.inf
     in_range = value >= 0.0 if allow_zero else value > 0.0
     if not (in_range and math.isfinite(value)):
         bound = ">= 0" if allow_zero else "positive"
@@ -44,13 +48,11 @@ def positive(name: str, value, allow_zero: bool = False) -> float:
 
 
 def whole(name: str, value) -> int:
-    """value as an int: a whole number such as 3 or 3.0, not a bool or None."""
-    try:   # an int is whole even beyond float range
-        integral = not isinstance(value, bool) and (
-            isinstance(value, int) or float(value).is_integer())
-    except (TypeError, ValueError):   # None, "x"
-        integral = False
-    if not integral:
+    """value as an int: a whole number such as 3 or 3.0, not a bool, str,
+    None or complex."""
+    integral = isinstance(value, (int, numbers.Integral)) or (   # of any size
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
         raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

@@ -29,20 +29,23 @@ Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
 the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
 its test oracles.  A batch of B rows steps as a (B, n) array; a batch of
-one (ensemble.run_trajectory, or a last batch with a single row) steps as
-a rank-1 row (n,) with scalar <H>, coefficient and norm, which saves most
-of NumPy's per-call overhead.
+one (ensemble.run_trajectory, or an ensemble job of a single trajectory)
+steps as a rank-1 row (n,) with scalar <H>, coefficient and norm, which
+saves most of NumPy's per-call overhead.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row (row-wise
 einsum, or a left-to-right sum), whose bits depend neither on how many
 rows share a batch, nor on whether the row steps alone as rank 1, nor on
 how many record points share a flush, so trajectory k of an ensemble
-replays as a batch of one.  Record points are buffered and reduced a
-buffer at a time; the sums per batch taken there (<H> and Var H) run
-along the row axis of each record point, and the projector of each record
-point is the same BLAS call as when it is reduced alone.  A sum per batch
-may use BLAS because batch boundaries are fixed.
+replays as a batch of one.  The batch is the unit of stepping and the
+chunk, a fixed range of its rows, the unit of reduction: record points
+are buffered and reduced a buffer at a time, each chunk on its own row
+slice, where the sums (<H> and Var H) run along the row axis of each
+record point and the projector of each record point is the same BLAS
+call as when the chunk is reduced alone.  A sum per chunk may use BLAS
+because chunk boundaries are fixed, so a chunk's sums do not depend on
+how many chunks share its batch.
 """
 
 import math
@@ -62,7 +65,8 @@ except ImportError:
     _einsum = np.einsum
 
 _UNIT_PHASE_TOL = 1e-12
-NOISE_BLOCK = 1024       # steps of noise drawn per generator call
+NOISE_BLOCK = 1024       # steps of noise drawn per generator call, up to
+NOISE_BLOCK_ROWS = 512   # rows; a wider batch draws fewer steps at a time
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
@@ -238,21 +242,33 @@ class _BatchSums:
     records: list                    # TrajectoryRecord of each retained row
 
 
+def _noise_block(count: int, n_steps: int) -> int:
+    """Steps of noise a batch of count rows draws per generator call:
+    NOISE_BLOCK, fewer for a batch wider than NOISE_BLOCK_ROWS so that the
+    block keeps the bytes it has at NOISE_BLOCK_ROWS rows, and at most
+    n_steps."""
+    return max(1, min(NOISE_BLOCK, NOISE_BLOCK * NOISE_BLOCK_ROWS // count,
+                      n_steps))
+
+
 def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
     """(noise group, record capacity, bytes) of the working buffers of a
     batch of count rows of dimension n over n_steps steps, kept of them
     recording their series.
 
-    The batch draws noise min(NOISE_BLOCK, n_steps) steps at a time; the
-    bytes cover that noise block with its norms, the noise group buffer,
-    the record buffer with its flush temporaries (the last two share
-    BATCH_BUFFER_BYTES) and the two buffers of up to np.getbufsize()
-    floats NumPy's iterator may take for a flush's elementwise ops, the
-    step's arrays, the kept series and the record times.  The capacity is
-    at least one record point, which alone can exceed the budget at large
+    The batch draws noise _noise_block(count, n_steps) steps at a time, so
+    the noise block with its norms (24 bytes a row and step) stays under
+    NOISE_BLOCK x NOISE_BLOCK_ROWS x 24 bytes, 12 MiB, however many chunks
+    the batch steps.  The bytes cover that noise block with its norms, the
+    noise group buffer, the record buffer with its flush temporaries (the
+    last two share BATCH_BUFFER_BYTES) and the two buffers of up to
+    np.getbufsize() floats NumPy's iterator may take for a flush's
+    elementwise ops, the step's arrays, the kept series and the record
+    times; not the reductions of the batch's chunks.  The capacity is at
+    least one record point, which alone can exceed the budget at large
     B n, and at most the record points of one block.
     """
-    block = min(NOISE_BLOCK, n_steps)
+    block = _noise_block(count, n_steps)
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
     per_point = count * (48 * n + 48)   # amplitudes, <H>, norm^2, temporaries
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
@@ -266,26 +282,40 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
 
 
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
-                          stride: int, keep=()) -> _BatchSums:
-    """Integrate one trajectory per noise stream from eigenbasis amplitudes c0.
+                          stride: int, keep=(), chunk: int | None = None
+                          ) -> list[_BatchSums]:
+    """Integrate one trajectory per noise stream from eigenbasis amplitudes
+    c0, as one batch, and reduce it a chunk of `chunk` consecutive rows at
+    a time (the last chunk may be shorter; None makes the batch one chunk).
 
-    Row b draws its increments from streams[b] in blocks (fill_dxi_blocks,
-    bit-identical to per-step sample_dxi), so a trajectory's values do not
-    depend on which other streams share its batch.  At every step of
-    record_steps(n_steps, stride) the rows' amplitudes, <H> and squared
-    norm go into a record buffer; a flush reduces every buffered record
-    point at once, when the buffer is full and at the end of each noise
-    block.  The rows listed in keep also record <H>, Var H and the norm
-    defect ||psi + dpsi|| - 1 of the step just taken, and their final state.
-    Each row's final Var H is taken once, from its final amplitudes.
+    The batch is the unit of stepping: row b draws its increments from
+    streams[b] in blocks (fill_dxi_blocks, bit-identical to per-step
+    sample_dxi), so a trajectory's values do not depend on which other
+    streams share its batch.  The chunk is the unit of reduction: at every
+    step of record_steps(n_steps, stride) the rows' amplitudes, <H> and
+    squared norm go into a record buffer, and a flush reduces every
+    buffered record point at once, each chunk on its own row slice, when
+    the buffer is full and at the end of each noise block.  So each chunk's
+    _BatchSums, returned in row order, holds the bits of that chunk run as
+    a batch of its own.  The rows listed in keep (batch rows) also record
+    <H>, Var H and the norm defect ||psi + dpsi|| - 1 of the step just
+    taken, and their final state, in the _BatchSums of their chunk.  Each
+    row's final Var H is taken once, from its final amplitudes.
+
+    A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
+    The batch raises DegenerateStateError for the failed chunk of lowest
+    index, naming its first bad step and, at that step, its lowest failed
+    row: what that chunk raises alone, whichever chunks share its batch.
     """
     count, n = len(streams), len(c0)
+    chunk = chunk or count
+    starts = range(0, count, chunk)
     n_rec = record_count(n_steps, stride)
     keep = np.asarray(keep, dtype=np.intp)
-    proj = np.empty((n_rec, n, n), dtype=np.complex128)
-    e_sum, v_sum, drift_max = (np.empty(n_rec) for _ in range(3))
+    proj = np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
+    e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
-    block_len = min(NOISE_BLOCK, n_steps)
+    block_len = _noise_block(count, n_steps)
     group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
     scratch = np.empty((group, block_len, 2))
     held_c = np.empty((capacity, count, n), dtype=np.complex128)
@@ -293,6 +323,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     dxi = np.empty((block_len, count), dtype=np.complex128)
     norms = np.empty(dxi.shape)
     held = done = 0          # record points buffered, and reduced before them
+    failed = {}              # chunk -> the error of its first bad step
 
     def hold(c, e, nrm_sq):
         nonlocal held
@@ -306,13 +337,18 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         if not held:
             return
         pos = slice(done, done + held)
-        for i in range(held):     # a sum over rows: BLAS, one call per point
-            np.matmul(held_c[i].T, held_c[i].conj(), out=proj[done + i])
         e = held_e[:held]
         v = kernel.variance(held_c[:held], e)
         d = np.sqrt(held_nrm_sq[:held]) - 1.0
-        e_sum[pos], v_sum[pos] = e.sum(axis=1), v.sum(axis=1)
-        drift_max[pos] = np.abs(d).max(axis=1)
+        drift = np.abs(d)
+        for j, lo in enumerate(starts):
+            rows = slice(lo, lo + chunk)
+            for i in range(held):   # a sum over rows: BLAS, a call per point
+                np.matmul(held_c[i, rows].T, held_c[i, rows].conj(),
+                          out=proj[j, done + i])
+            e_sum[j, pos], v_sum[j, pos] = (e[:, rows].sum(axis=1),
+                                            v[:, rows].sum(axis=1))
+            drift_max[j, pos] = drift[:, rows].max(axis=1)
         energy[:, pos], variance[:, pos], defect[:, pos] = \
             e[:, keep].T, v[:, keep].T, d[:, keep].T
         done += held
@@ -322,12 +358,12 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     c = np.tile(c0, (count, 1))[rows]
     e = kernel.mean_energy(c)
     hold(c, e, 1.0)
-    for start in range(0, n_steps, NOISE_BLOCK):
-        block = min(NOISE_BLOCK, n_steps - start)
+    for start in range(0, n_steps, block_len):
+        block = min(block_len, n_steps - start)
         fill_dxi_blocks(kernel.dt, streams, dxi[:block], scratch)
         coeff = kernel.coefficients(dxi[:block, rows])
-        # a failed row runs on as nan/inf to the end of the block, where its
-        # first bad step is reported
+        # a failed row runs on as nan/inf, and is reported at the end of
+        # the block, or of the batch if a chunk before its own may fail later
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(block):
                 c, e, norms[i, rows] = kernel.step(c, e, coeff[i])
@@ -335,24 +371,34 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
                 if step % stride == 0 or step == n_steps:
                     hold(c, e, norms[i])
         bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
-        if bad.any():
-            i, b = divmod(int(np.argmax(bad)), count)
-            raise DegenerateStateError(
-                f"trajectory {streams[b].stream_index} failed at step "
-                f"{start + i + 1}: norm^2 = {float(norms[i, b])!r}")
+        for j, lo in enumerate(starts):
+            part = bad[:, lo:lo + chunk]
+            if j not in failed and part.any():
+                i, b = divmod(int(np.argmax(part)), part.shape[1])
+                b += lo
+                failed[j] = DegenerateStateError(
+                    f"trajectory {streams[b].stream_index} failed at step "
+                    f"{start + i + 1}: norm^2 = {float(norms[i, b])!r}")
+        if 0 in failed:
+            raise failed[0]
         flush()
+    if failed:
+        raise failed[min(failed)]
     c, e = c.reshape(count, n), np.reshape(e, count)
     times = kernel.dt * record_steps(n_steps, stride).astype(float)
-    records = [TrajectoryRecord(times=times, energy_mean=energy[r],
-                                energy_variance=variance[r],
-                                norm_drift=defect[r],
-                                final_state=kernel.vecs @ c[b])
-               for r, b in enumerate(keep)]
-    return _BatchSums(
-        projector_sum=proj, energy_sum=e_sum, variance_sum=v_sum,
-        max_norm_drift=drift_max,
-        winners=np.bincount(np.argmax(np.abs(c) ** 2, axis=1), minlength=n),
-        terminal_variance=kernel.variance(c[None], e[None])[0], records=records)
+    records = [[] for _ in starts]
+    for r, b in enumerate(keep):
+        records[b // chunk].append(TrajectoryRecord(
+            times=times, energy_mean=energy[r], energy_variance=variance[r],
+            norm_drift=defect[r], final_state=kernel.vecs @ c[b]))
+    terminal = kernel.variance(c[None], e[None])[0]
+    return [_BatchSums(
+        projector_sum=proj[j], energy_sum=e_sum[j], variance_sum=v_sum[j],
+        max_norm_drift=drift_max[j],
+        winners=np.bincount(np.argmax(np.abs(c[lo:lo + chunk]) ** 2, axis=1),
+                            minlength=n),
+        terminal_variance=terminal[lo:lo + chunk], records=records[j])
+        for j, lo in enumerate(starts)]
 
 
 def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,

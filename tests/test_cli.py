@@ -532,6 +532,9 @@ class TestExitCodes:
         ({"units": "kelvin"}, COMPARE),
         ({"tau0_mode": "foo"}, COMPARE),
         ({"tau0_mode": "planck"}, COMPARE),
+        ({"dt": "2.5e-3"}, COMPARE),
+        ({"n_trajectories": "20", "master_seed": "7"}, COMPARE),
+        ({"dt": None}, COMPARE),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
             "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
             "config-is-directory", "out-is-file", "out-under-file",
@@ -539,7 +542,8 @@ class TestExitCodes:
             "bool-count", "bool-dt", "tolerance-nan", "tolerance-zero",
             "tolerance-negative", "null-seed", "null-seed-master",
             "null-count", "stream-2-to-64", "units-unknown",
-            "tau0-mode-unknown", "planck-natural"])
+            "tau0-mode-unknown", "planck-natural", "string-dt",
+            "string-counts", "null-dt"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides,
                                                argv):
         data = json.loads(config_path.read_text())
@@ -559,7 +563,7 @@ class TestExitCodes:
                                         argv, overrides):
         def fail(args):
             raise AssertionError("a trajectory chunk was started")
-        monkeypatch.setattr(qsdsim.ensemble, "_simulate_chunk", fail)
+        monkeypatch.setattr(qsdsim.ensemble, "_simulate_job", fail)
         data = json.loads(config_path.read_text())
         data.update(overrides)
         config_path.write_text(json.dumps(data))

@@ -72,7 +72,11 @@ class TestConfig:
             make_config(initial_state=np.zeros(2))   # cannot be normalized
         for field, value in (("n_trajectories", 2.7), ("n_trajectories", True),
                              ("n_trajectories", None), ("master_seed", 0.5),
-                             ("master_seed", None), ("record_stride", 1.5)):
+                             ("master_seed", None), ("record_stride", 1.5),
+                             ("n_trajectories", "20"), ("master_seed", "7"),
+                             ("dt", "2.5e-3"), ("dt", None), ("tau0", 0.4 + 0j),
+                             ("t_final", np.complex128(1.0)),
+                             ("tau0", 10 ** 400)):
             with pytest.raises(InvalidParameterError, match=field):
                 make_config(**{field: value})
         assert make_config(n_trajectories=100.0).n_trajectories == 100
@@ -315,6 +319,41 @@ class TestStreamedReductions:
                 assert np.array_equal(rec.energy_mean,
                                       other.trajectories[k].energy_mean)
 
+    def test_worker_counts_write_identical_files(self, tmp_path):
+        # 2600 trajectories at n = 2 are 6 chunks, the last one ragged,
+        # which pools of 1, 2 and 3 step as batches of 6, 3 and 2 chunks
+        # (run_ensemble caps the pool at the CPU count)
+        assert [[len(rows) for rows in ensemble._jobs(2600, 2, p)]
+                for p in (1, 2, 3)] == [[2600], [1536, 1064], [1024, 1024, 552]]
+        config = make_config(n_trajectories=2600, t_final=0.1, record_stride=4)
+        retain, header = [0, 511, 512, 2599], config.header()
+        files = []
+        for workers in (1, 2, 3):
+            summary = run_ensemble(config, workers=workers, retain=retain)
+            dist = compare_ensemble_to_master(summary)
+            out = tmp_path / str(workers)
+            out.mkdir()
+            write_summary_json(out / "summary.json", summary, header, dist)
+            write_ensemble_csv(out / "ensemble.csv", summary, header, dist)
+            for k in retain:
+                write_trajectory_csv(out / f"trajectory_{k}.csv", summary, k,
+                                     header)
+            files.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(files[0]) == 6
+        assert files[0] == files[1] == files[2]
+
+    def test_jobs_are_whole_chunks_under_the_amplitude_budget(self):
+        # criterion 6's 10 chunks at n = 2 make 2 jobs of 5, one per worker
+        # of 2 and under the 4096 rows of the budget at 1; at n = 64 a job
+        # is one chunk, the most the budget holds
+        assert [len(rows) for rows in ensemble._jobs(5000, 2, 1)] == [2560, 2440]
+        assert [len(rows) for rows in ensemble._jobs(5000, 2, 2)] == [2560, 2440]
+        assert [len(rows) for rows in ensemble._jobs(1030, 64, 1)] == [512, 512, 6]
+        for m, n, pool in ((1, 2, 1), (513, 8, 4), (9999, 4, 3)):
+            jobs = ensemble._jobs(m, n, pool)
+            assert [k for rows in jobs for k in rows] == list(range(m))
+            assert all(rows.start % ensemble.CHUNK_SIZE == 0 for rows in jobs)
+
     def test_worker_counts_agree_with_dense_hamiltonian(self):
         # n = 64 sums the projector with BLAS in every batch; batches are
         # fixed, so the folded reductions do not depend on the pool
@@ -347,7 +386,7 @@ class TestStreamedReductions:
     def _refuse_chunks(self, monkeypatch):
         def fail(args):
             raise AssertionError("a trajectory chunk was started")
-        monkeypatch.setattr(ensemble, "_simulate_chunk", fail)
+        monkeypatch.setattr(ensemble, "_simulate_job", fail)
 
     def test_over_budget_run_refused_before_integration(self, monkeypatch):
         self._refuse_chunks(monkeypatch)

@@ -392,14 +392,15 @@ class _PoisonedStream(NoiseStream):
 
 
 def assert_sums_equal(a, b):
-    """Two _BatchSums hold the same bits, retained series included."""
-    for name in ("projector_sum", "energy_sum", "variance_sum",
-                 "max_norm_drift", "winners", "terminal_variance"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for x, y in zip(a.records, b.records, strict=True):
-        for name in ("times", "energy_mean", "energy_variance", "norm_drift",
-                     "final_state"):
-            assert np.array_equal(getattr(x, name), getattr(y, name)), name
+    """Two lists of _BatchSums hold the same bits, retained series included."""
+    for p, q in zip(a, b, strict=True):
+        for name in ("projector_sum", "energy_sum", "variance_sum",
+                     "max_norm_drift", "winners", "terminal_variance"):
+            assert np.array_equal(getattr(p, name), getattr(q, name)), name
+        for x, y in zip(p.records, q.records, strict=True):
+            for name in ("times", "energy_mean", "energy_variance",
+                         "norm_drift", "final_state"):
+                assert np.array_equal(getattr(x, name), getattr(y, name)), name
 
 
 def batch_inputs(n, count, seed):
@@ -460,25 +461,26 @@ class TestRecordBuffer:
         (8, 1, 6000, 100, 1),       # a lone trajectory, as run_trajectory runs it
         (8, 1, 500, 1, 1),          # one row, a flush of 501 points
         (64, 128, 200, 5, 0),
+        (2, 2000, 600, 1, 0),       # four chunks, a noise block of 262 steps
     ], ids=["100", "2000", "one-kept-row", "one-row-stride-1",
-            "n64-128-rows"])
+            "n64-128-rows", "n2-four-chunks"])
     def test_buffer_estimate_covers_a_batch(self, n, rows, n_steps, stride,
                                             kept):
         # what a batch allocates besides its reductions is what
         # batch_buffers states, with a noise block shorter than NOISE_BLOCK
-        # or not
+        # or not, and cut to the bytes of 512 rows
         kernel, c0 = batch_inputs(n, rows, seed=2)
         streams = [NoiseStream(1, j) for j in range(rows)]
         tracemalloc.start()
         try:
             sums = _integrate_eigenbasis(kernel, c0, streams, n_steps, stride,
-                                         list(range(kept)))
+                                         list(range(kept)), 512)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        reductions = sum(a.nbytes for a in (
-            sums.projector_sum, sums.energy_sum, sums.variance_sum,
-            sums.max_norm_drift))
+        reductions = sum(a.nbytes for part in sums for a in (
+            part.projector_sum, part.energy_sum, part.variance_sum,
+            part.max_norm_drift))
         estimate = trajectory.batch_buffers(rows, n, n_steps, stride, kept)[2]
         assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
 
@@ -509,6 +511,49 @@ class TestRecordBuffer:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateStateError, match=expected):
                 _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0, 2])
+
+    @pytest.mark.parametrize("n, rows, chunk", [(2, 1030, 512), (4, 7, 3)],
+                             ids=["n2-1030-rows", "n4-7-rows"])
+    def test_chunks_of_a_wide_batch_are_the_chunks_alone(self, n, rows,
+                                                         chunk):
+        # each chunk of a batch reduces to the bits of that chunk run as a
+        # batch of its own: the last chunk is ragged (6 rows, or one row,
+        # which alone steps as a rank-1 row), kept rows span the chunks,
+        # and 1030 rows draw noise in shorter blocks than 512 rows do
+        kernel, c0 = batch_inputs(n, rows, seed=5)
+        keep = [0, chunk - 1, chunk, rows - 1]
+
+        def run(lo, hi, chunk=None):
+            streams = [NoiseStream(7, j) for j in range(lo, hi)]
+            return _integrate_eigenbasis(
+                kernel, c0, streams, 1100, 7,
+                [k - lo for k in keep if lo <= k < hi], chunk)
+
+        alone = [run(lo, min(lo + chunk, rows))[0]
+                 for lo in range(0, rows, chunk)]
+        assert_sums_equal(run(0, rows, chunk), alone)
+
+    @pytest.mark.parametrize("poisoned, lowest, expected", [
+        ({4: 7, 1: 1500}, 0, "trajectory 1 failed at step 1500:"),
+        ({6: 7, 4: 1500, 5: 1500}, 1, "trajectory 4 failed at step 1500:"),
+    ], ids=["first-chunk-fails-later", "middle-chunk-fails-later"])
+    def test_failure_names_the_lowest_failing_chunk(self, poisoned, lowest,
+                                                    expected):
+        # chunks of 3 rows fail in different noise blocks; the batch runs
+        # its failed rows on as nan, without a warning, and names what its
+        # lowest failing chunk names alone
+        kernel, c0 = batch_inputs(3, 7, seed=9)
+
+        def run(lo, hi, chunk=None):
+            streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
+                       for j in range(lo, hi)]
+            _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0], chunk)
+
+        for lo, hi, chunk in ((0, 7, 3), (3 * lowest, 3 * lowest + 3, None)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateStateError, match=expected):
+                    run(lo, hi, chunk)
 
 
 class TestGaugeTransform:
