@@ -31,7 +31,6 @@ echoed in every output header.
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,12 +230,21 @@ def _simulate_job(args) -> list[_BatchSums]:
     trajectory module's determinism rule, batch and chunk boundaries never
     leak into a trajectory's values, so trajectory k matches run_trajectory
     on stream k bit for bit.  `keep` holds the batch rows whose series are
-    retained.
+    retained, and `helper` whether a forked process may draw the noise
+    while the batch steps, which does not change a bit.
     """
-    kernel, c0, n_steps, stride, seed, rows, keep = args
+    kernel, c0, n_steps, stride, seed, rows, keep, helper = args
+    # Freeing a 1 MiB block raises glibc malloc's dynamic thresholds: blocks
+    # under 1 MiB then come from the heap, and up to 2 MiB freed at its top
+    # is kept instead of being returned to the system.  Without it, whether
+    # the step's 128 KiB temporaries (128 rows at n = 64) were returned and
+    # faulted back in at every step (+70 % run time) depended on where
+    # earlier allocations had left the heap's top.  Other allocators just
+    # allocate and free it.
+    np.empty(1 << 17)
     streams = [NoiseStream(seed, k) for k in rows]
     return _integrate_eigenbasis(kernel, c0, streams, n_steps, stride, keep,
-                                 CHUNK_SIZE)
+                                 CHUNK_SIZE, helper)
 
 
 def _jobs(m: int, n: int, pool_size: int) -> list[range]:
@@ -257,8 +265,9 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
 
     A batch of one through _simulate_job from the config's initial state,
     so it replays the ensemble's trajectory with this index bit for bit
-    and records <H>, Var H and the norm defect at its record times.  A run
-    that would not fit in physical memory is refused before it starts.
+    and records <H>, Var H and the norm defect at its record times, with a
+    noise helper process when a CPU is spare for it.  A run that would not
+    fit in physical memory is refused before it starts.
     """
     _check_memory(config, [range(1)], pool_size=1, n_retained=1)
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
@@ -266,7 +275,7 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
     return _simulate_job((kernel, c0, config.n_steps, config.record_stride,
                           config.master_seed,
                           range(stream_index, stream_index + 1),
-                          [0]))[0].records[0]
+                          [0], qcore.usable_cpus() >= 2))[0].records[0]
 
 
 def _fold(jobs) -> _BatchSums:
@@ -296,19 +305,23 @@ def _check_memory(config: SimulationConfig, jobs, pool_size: int,
     """Refuse a run of `jobs` (trajectory ranges) whose estimated peak
     memory exceeds physical memory.
 
-    The estimate assumes every chunk's reductions are waiting in the parent
-    at once, next to the running totals and the mean projector with its
-    temporaries; each worker holds the reductions of the chunks of the
+    With a pool, the estimate assumes every chunk's reductions are waiting
+    in the parent at once; without one, the parent folds a job's
+    reductions before it runs the next, so it holds those of the widest
+    job.  Next to them are the running totals and the mean projector with
+    its temporaries.  Each worker holds the reductions of the chunks of the
     widest job and the working buffers of its batch
-    (trajectory.batch_buffers).
+    (trajectory.batch_buffers, which count the noise group buffer in the
+    worker or in its noise helper process, whichever draws).
     """
     n = config.hamiltonian.shape[0]
     stride = config.record_stride
     t = record_count(config.n_steps, stride)
     sums = t * (16 * n * n + 4 * 8)             # projector sum, 3 sums, times
-    n_chunks = sum(-(-len(rows) // CHUNK_SIZE) for rows in jobs)
     widest = max(len(rows) for rows in jobs)
-    parent = (n_chunks + 3) * sums + n_retained * t * 4 * 8 \
+    held = (sum(-(-len(rows) // CHUNK_SIZE) for rows in jobs) if pool_size > 1
+            else -(-widest // CHUNK_SIZE))
+    parent = (held + 3) * sums + n_retained * t * 4 * 8 \
         + 8 * config.n_trajectories
     worker = -(-widest // CHUNK_SIZE) * sums + batch_buffers(
         widest, n, config.n_steps, stride, min(widest, n_retained))[2]
@@ -328,7 +341,10 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     `retain` (summary.trajectories).  Any failing trajectory aborts the
     run, reporting its index (dropping it silently would bias the ensemble
     mean): the failure of the lowest failing chunk, as with one chunk per
-    job.
+    job.  The pool has at most as many workers as this process has usable
+    CPUs (qcore.usable_cpus); when there are twice as many, each job forks
+    a helper process that draws its noise while it steps, which changes no
+    bit either.
     """
     workers = qcore.whole("workers", workers)
     if workers < 1:
@@ -339,17 +355,20 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     if outside:
         raise InvalidParameterError(
             f"trajectory index {outside[0]} outside 0..{m - 1}")
-    pool_size = min(workers, os.cpu_count() or 1)
+    cpus = qcore.usable_cpus()
+    pool_size = min(workers, cpus)
     jobs = _jobs(m, config.hamiltonian.shape[0], pool_size)
     pool_size = min(pool_size, len(jobs))
     _check_memory(config, jobs, pool_size, len(retain))
+    helper = cpus >= 2 * pool_size      # a spare CPU for each job's noise
 
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     vecs = kernel.vecs
     c0 = vecs.conj().T @ config.initial_state   # <v_k | psi0>
     stride = config.record_stride
     args = [(kernel, c0, config.n_steps, stride, config.master_seed, rows,
-             [k - rows.start for k in retain if k in rows]) for rows in jobs]
+             [k - rows.start for k in retain if k in rows], helper)
+            for rows in jobs]
     if pool_size == 1:
         total = _fold(map(_simulate_job, args))
     else:   # concurrent.futures takes 5-8 ms to import: only a pool pays it

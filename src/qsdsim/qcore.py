@@ -72,6 +72,14 @@ def check_memory(need: float, what: str, advice: str):
             f"{physical / 2 ** 20:.0f} MiB of physical memory; {advice}")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def as_state(vec, normalized: bool = True) -> np.ndarray:
     """Validate and copy a state vector; optionally require unit norm."""
     psi = np.asarray(vec, dtype=np.complex128)

@@ -46,9 +46,16 @@ record point and the projector of each record point is the same BLAS
 call as when the chunk is reduced alone.  A sum per chunk may use BLAS
 because chunk boundaries are fixed, so a chunk's sums do not depend on
 how many chunks share its batch.
+
+A batch that draws more than one noise block draws block k+1 while it
+steps block k, in a helper process forked for the batch when a CPU is
+spare (see _NoiseBlocks), else itself between the two.  Each stream
+draws the same numbers in the same order either way, so no output bit
+depends on which does the drawing.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -65,7 +72,7 @@ except ImportError:
     _einsum = np.einsum
 
 _UNIT_PHASE_TOL = 1e-12
-NOISE_BLOCK = 1024       # steps of noise drawn per generator call, up to
+NOISE_BLOCK = 1024       # steps of noise in a full block, up to
 NOISE_BLOCK_ROWS = 512   # rows; a wider batch draws fewer steps at a time
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
@@ -243,12 +250,17 @@ class _BatchSums:
 
 
 def _noise_block(count: int, n_steps: int) -> int:
-    """Steps of noise a batch of count rows draws per generator call:
-    NOISE_BLOCK, fewer for a batch wider than NOISE_BLOCK_ROWS so that the
-    block keeps the bytes it has at NOISE_BLOCK_ROWS rows, and at most
-    n_steps."""
-    return max(1, min(NOISE_BLOCK, NOISE_BLOCK * NOISE_BLOCK_ROWS // count,
-                      n_steps))
+    """Steps of noise a batch of count rows draws per generator call.
+
+    A full block is NOISE_BLOCK steps, fewer for a batch wider than
+    NOISE_BLOCK_ROWS so that it keeps the bytes it has at NOISE_BLOCK_ROWS
+    rows.  A batch of at most a full block draws its n_steps at once, into
+    one buffer.  A longer batch draws 3/5 of a full block at a time, into
+    two buffers that take turns: both (16 bytes a row and step each) with
+    the norms (8) hold no more than a full block with its norms (24).
+    """
+    full = max(1, min(NOISE_BLOCK, NOISE_BLOCK * NOISE_BLOCK_ROWS // count))
+    return n_steps if n_steps <= full else max(1, 3 * full // 5)
 
 
 def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
@@ -256,24 +268,27 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
     batch of count rows of dimension n over n_steps steps, kept of them
     recording their series.
 
-    The batch draws noise _noise_block(count, n_steps) steps at a time, so
-    the noise block with its norms (24 bytes a row and step) stays under
+    The batch draws noise _noise_block(count, n_steps) steps at a time,
+    into one buffer or two that take turns, so the noise buffers with the
+    norms of a block (16 bytes a row and step per buffer, and 8) stay under
     NOISE_BLOCK x NOISE_BLOCK_ROWS x 24 bytes, 12 MiB, however many chunks
-    the batch steps.  The bytes cover that noise block with its norms, the
-    noise group buffer, the record buffer with its flush temporaries (the
-    last two share BATCH_BUFFER_BYTES) and the two buffers of up to
-    np.getbufsize() floats NumPy's iterator may take for a flush's
-    elementwise ops, the step's arrays, the kept series and the record
-    times; not the reductions of the batch's chunks.  The capacity is at
-    least one record point, which alone can exceed the budget at large
-    B n, and at most the record points of one block.
+    the batch steps.  The bytes cover those buffers with the norms, the
+    noise group buffer of the process that draws (the batch's own, or its
+    helper's), the record buffer with its flush temporaries (the last two
+    share BATCH_BUFFER_BYTES) and the two buffers of up to np.getbufsize()
+    floats NumPy's iterator may take for a flush's elementwise ops, the
+    step's arrays, the kept series and the record times; not the
+    reductions of the batch's chunks.  The capacity is at least one record
+    point, which alone can exceed the budget at large B n, and at most the
+    record points of one block.
     """
     block = _noise_block(count, n_steps)
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
     per_point = count * (48 * n + 48)   # amplitudes, <H>, norm^2, temporaries
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
-    noise = count * block * (16 + 8)    # dxi and the norms of its steps
+    buffers = min(2, -(-n_steps // block))
+    noise = count * block * (16 * buffers + 8)   # dxi, and the norms of a block
     iterator = 16 * min(np.getbufsize(), capacity * count * 2 * n)
     step = count * (56 * n + 16)   # the carried c and <H>, hd, f, f * c
     series = (24 * kept + 8) * record_count(n_steps, stride)   # and times
@@ -281,9 +296,121 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
                              + iterator + step + series)
 
 
+class _NoiseBlocks:
+    """The noise blocks of a batch of streams, in order: block k holds
+    steps k * block_len onwards, at most block_len of them.
+
+    Blocks take turns in two buffers (one, if the batch draws one block),
+    so that block k+1 can be drawn while block k is stepped.  Used as a
+    context manager; block(k) returns block k once it is drawn, and tells
+    the drawer that the buffer of block k-1 is free.  Without a helper,
+    block(k) draws it itself.  With one, a process forked on entry draws
+    every block from its copies of the streams (the parent's copies are
+    not advanced) into an anonymous shared mmap, and the two processes
+    pass a byte per block over two pipes: "block ready" to the parent and
+    "buffer free" to the helper.  The helper writes nothing to stdout or
+    stderr and leaves with os._exit; on exit the parent kills and reaps
+    it, on every path, and a helper that dies makes block() raise.  If the
+    fork fails, the batch draws its blocks itself.
+    """
+
+    def __init__(self, dt: float, streams, n_steps: int, block_len: int,
+                 group: int, helper: bool):
+        self.dt, self.streams, self.group = dt, streams, group
+        self.n_steps, self.block_len = n_steps, block_len
+        self.n_blocks = -(-n_steps // block_len)
+        shape = (min(2, self.n_blocks), block_len, len(streams))
+        self._helper = helper and self.n_blocks > 1 and hasattr(os, "fork")
+        self._pid = self._scratch = None
+        if self._helper:    # mmap and signal take 1.5 ms to import: only a
+            import mmap     # helper pays it
+            shared = mmap.mmap(-1, 16 * math.prod(shape))
+            self._buffers = np.frombuffer(shared, dtype=np.complex128
+                                          ).reshape(shape)
+        else:
+            self._buffers = np.empty(shape, dtype=np.complex128)
+
+    def _out(self, k: int) -> np.ndarray:
+        """The buffer of block k, cut to its steps."""
+        return self._buffers[k % 2, :min(self.block_len,
+                                         self.n_steps - k * self.block_len)]
+
+    def _draw(self, k: int) -> np.ndarray:
+        """Draw block k into its buffer, in the process that calls."""
+        if self._scratch is None:
+            self._scratch = np.empty((self.group, self.block_len, 2))
+        out = self._out(k)
+        fill_dxi_blocks(self.dt, self.streams, out, self._scratch)
+        return out
+
+    def __enter__(self):
+        if not self._helper:
+            return self
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on forking a process with threads
+                # (BLAS's); the helper only draws and copies numbers
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:     # no process to spare: the batch draws itself
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            return self
+        if pid == 0:
+            code = 1
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                os.closerange(1, 3)     # no stdout or stderr
+                for k in range(self.n_blocks):
+                    if k >= 2 and not os.read(free_r, 1):
+                        break       # the parent is gone
+                    self._draw(k)
+                    os.write(ready_w, b"\0")
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(ready_w)
+        os.close(free_r)
+        self._pid, self._ready, self._free = pid, ready_r, free_w
+        return self
+
+    def block(self, k: int) -> np.ndarray:
+        if self._pid is None:
+            return self._draw(k)
+        try:
+            if 0 < k < self.n_blocks - 1:
+                os.write(self._free, b"\0")
+            ready = os.read(self._ready, 1)
+        except BrokenPipeError:
+            ready = b""
+        if not ready:
+            pid, self._pid = self._pid, None
+            self._close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise RuntimeError(
+                f"the noise helper process {pid} ended (exit status {status}) "
+                f"before noise block {k} of {self.n_blocks} was drawn")
+        return self._out(k)
+
+    def _close(self):
+        os.close(self._ready)
+        os.close(self._free)
+
+    def __exit__(self, *exc):
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            self._close()
+            import signal
+            os.kill(pid, signal.SIGKILL)    # done, or drawing for nobody
+            os.waitpid(pid, 0)
+
+
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
-                          stride: int, keep=(), chunk: int | None = None
-                          ) -> list[_BatchSums]:
+                          stride: int, keep=(), chunk: int | None = None,
+                          helper: bool = False) -> list[_BatchSums]:
     """Integrate one trajectory per noise stream from eigenbasis amplitudes
     c0, as one batch, and reduce it a chunk of `chunk` consecutive rows at
     a time (the last chunk may be shorter; None makes the batch one chunk).
@@ -302,6 +429,10 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     taken, and their final state, in the _BatchSums of their chunk.  Each
     row's final Var H is taken once, from its final amplitudes.
 
+    With helper true, a batch that draws more than one noise block draws
+    them in a forked helper process while it steps (_NoiseBlocks), with
+    the same bits; the streams it was given are then not advanced.
+
     A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
     The batch raises DegenerateStateError for the failed chunk of lowest
     index, naming its first bad step and, at that step, its lowest failed
@@ -317,11 +448,10 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     block_len = _noise_block(count, n_steps)
     group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
-    scratch = np.empty((group, block_len, 2))
+    noise = _NoiseBlocks(kernel.dt, streams, n_steps, block_len, group, helper)
     held_c = np.empty((capacity, count, n), dtype=np.complex128)
     held_e, held_nrm_sq = np.empty((2, capacity, count))
-    dxi = np.empty((block_len, count), dtype=np.complex128)
-    norms = np.empty(dxi.shape)
+    norms = np.empty((block_len, count))
     held = done = 0          # record points buffered, and reduced before them
     failed = {}              # chunk -> the error of its first bad step
 
@@ -358,30 +488,32 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     c = np.tile(c0, (count, 1))[rows]
     e = kernel.mean_energy(c)
     hold(c, e, 1.0)
-    for start in range(0, n_steps, block_len):
-        block = min(block_len, n_steps - start)
-        fill_dxi_blocks(kernel.dt, streams, dxi[:block], scratch)
-        coeff = kernel.coefficients(dxi[:block, rows])
-        # a failed row runs on as nan/inf, and is reported at the end of
-        # the block, or of the batch if a chunk before its own may fail later
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in range(block):
-                c, e, norms[i, rows] = kernel.step(c, e, coeff[i])
-                step = start + i + 1
-                if step % stride == 0 or step == n_steps:
-                    hold(c, e, norms[i])
-        bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
-        for j, lo in enumerate(starts):
-            part = bad[:, lo:lo + chunk]
-            if j not in failed and part.any():
-                i, b = divmod(int(np.argmax(part)), part.shape[1])
-                b += lo
-                failed[j] = DegenerateStateError(
-                    f"trajectory {streams[b].stream_index} failed at step "
-                    f"{start + i + 1}: norm^2 = {float(norms[i, b])!r}")
-        if 0 in failed:
-            raise failed[0]
-        flush()
+    with noise:
+        for k in range(noise.n_blocks):
+            dxi = noise.block(k)
+            start, block = k * block_len, len(dxi)
+            coeff = kernel.coefficients(dxi[:, rows])
+            # a failed row runs on as nan/inf, and is reported at the end of
+            # the block, or of the batch if a chunk before its own may fail
+            # later
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for i in range(block):
+                    c, e, norms[i, rows] = kernel.step(c, e, coeff[i])
+                    step = start + i + 1
+                    if step % stride == 0 or step == n_steps:
+                        hold(c, e, norms[i])
+            bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
+            for j, lo in enumerate(starts):
+                part = bad[:, lo:lo + chunk]
+                if j not in failed and part.any():
+                    i, b = divmod(int(np.argmax(part)), part.shape[1])
+                    b += lo
+                    failed[j] = DegenerateStateError(
+                        f"trajectory {streams[b].stream_index} failed at step "
+                        f"{start + i + 1}: norm^2 = {float(norms[i, b])!r}")
+            if 0 in failed:
+                raise failed[0]
+            flush()
     if failed:
         raise failed[min(failed)]
     c, e = c.reshape(count, n), np.reshape(e, count)

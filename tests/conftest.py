@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+
+from qsdsim import qcore
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -38,3 +42,23 @@ def variance_rise_z(summary):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which the test process still has a child, running
+    or unreaped (a noise helper process, say)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid: {pid})")
+
+
+def force_noise_path(monkeypatch, helper: bool, pool_size: int = 1):
+    """Make run_ensemble and run_trajectory see pool_size usable CPUs, or
+    twice as many, so that a pool of pool_size draws its noise in-process,
+    or in helper processes."""
+    cpus = 2 * pool_size if helper else pool_size
+    monkeypatch.setattr(qcore, "usable_cpus", lambda: cpus)

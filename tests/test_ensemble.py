@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 import warnings
 
@@ -13,7 +14,8 @@ from qsdsim import (InvalidParameterError, SimulationConfig, as_density,
 from qsdsim import ensemble, qcore
 from qsdsim.ensemble import (write_ensemble_csv, write_summary_json,
                              write_trajectory_csv)
-from conftest import random_hermitian, random_state, variance_rise_z
+from conftest import (force_noise_path, random_hermitian, random_state,
+                      variance_rise_z)
 
 
 def make_config(**overrides):
@@ -342,6 +344,69 @@ class TestStreamedReductions:
         assert len(files[0]) == 6
         assert files[0] == files[1] == files[2]
 
+    def test_noise_paths_write_identical_files(self, tmp_path, monkeypatch):
+        # 1100 steps are more than one noise block for every job: pools of
+        # 1, 2 and 3 draw the noise in-process or in a helper per job, and
+        # every file keeps its bytes
+        config = make_config(n_trajectories=1030, t_final=2.75,
+                             record_stride=25)
+        retain, header = [0, 511, 512, 1029], config.header()
+        files = []
+        for workers in (1, 2, 3):
+            for helper in (False, True):
+                force_noise_path(monkeypatch, helper, workers)
+                summary = run_ensemble(config, workers=workers, retain=retain)
+                dist = compare_ensemble_to_master(summary)
+                out = tmp_path / f"{workers}-{helper}"
+                out.mkdir()
+                write_summary_json(out / "summary.json", summary, header, dist)
+                write_ensemble_csv(out / "ensemble.csv", summary, header, dist)
+                for k in retain:
+                    write_trajectory_csv(out / f"trajectory_{k}.csv", summary,
+                                         k, header)
+                files.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(files[0]) == 6
+        assert all(f == files[0] for f in files[1:])
+
+    def test_pool_and_helper_follow_the_usable_cpus(self, monkeypatch):
+        # the pool is capped at the usable CPUs, and a job forks a noise
+        # helper when there are two per worker
+        import concurrent.futures
+
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                args = list(args)
+                seen.append({a[-1] for a in args})
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        config = make_config(n_trajectories=1030, t_final=0.1)
+        for cpus, expected in ((1, []), (3, [3, {False}]), (6, [3, {True}]),
+                               (8, [3, {True}])):
+            seen.clear()
+            monkeypatch.setattr(qcore, "usable_cpus", lambda: cpus)
+            run_ensemble(config, workers=4)
+            assert seen == expected
+
+    def test_usable_cpus_is_the_affinity_mask(self, monkeypatch):
+        assert qcore.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert qcore.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert qcore.usable_cpus() == 1
+
     def test_jobs_are_whole_chunks_under_the_amplitude_budget(self):
         # criterion 6's 10 chunks at n = 2 make 2 jobs of 5, one per worker
         # of 2 and under the 4096 rows of the budget at 1; at n = 64 a job
@@ -394,6 +459,25 @@ class TestStreamedReductions:
         config = make_config(dt=1e-12, t_final=1.0, record_stride=1)
         with pytest.raises(InvalidParameterError, match="physical memory"):
             run_ensemble(config)
+
+    def test_serial_estimate_holds_one_job(self, monkeypatch):
+        # without a pool the parent folds each job before the next starts:
+        # beyond the 8 bytes of each terminal Var H, the estimate does not
+        # grow with M once the jobs are as wide as the amplitude budget
+        class Estimated(Exception):
+            pass
+
+        def capture(need, what, advice):
+            raise Estimated(need)
+
+        monkeypatch.setattr(qcore, "check_memory", capture)
+        force_noise_path(monkeypatch, False)
+        sizes, needs = (8192, 16384, 40960), []
+        for m in sizes:
+            with pytest.raises(Estimated) as info:
+                run_ensemble(make_config(n_trajectories=m, record_stride=1))
+            needs.append(info.value.args[0])
+        assert np.array_equal(np.diff(needs), 8 * np.diff(sizes))
 
     def test_retained_index_checked_before_integration(self, monkeypatch):
         self._refuse_chunks(monkeypatch)

@@ -1,4 +1,5 @@
-
+import itertools
+import os
 import tracemalloc
 import warnings
 
@@ -16,7 +17,7 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
 from qsdsim import qcore, trajectory
 from qsdsim.noise import fill_dxi_blocks
 from qsdsim.trajectory import _EigenKernel, _integrate_eigenbasis
-from conftest import random_hermitian, random_state
+from conftest import force_noise_path, random_hermitian, random_state
 
 
 class TestLindbladFromHamiltonian:
@@ -468,21 +469,29 @@ class TestRecordBuffer:
                                             kept):
         # what a batch allocates besides its reductions is what
         # batch_buffers states, with a noise block shorter than NOISE_BLOCK
-        # or not, and cut to the bytes of 512 rows
+        # or not, and cut to the bytes of 512 rows, drawn in-process or by
+        # a helper; tracemalloc sees neither the shared noise buffers nor
+        # the helper's group buffer, so those are added to what it measures
         kernel, c0 = batch_inputs(n, rows, seed=2)
-        streams = [NoiseStream(1, j) for j in range(rows)]
-        tracemalloc.start()
-        try:
-            sums = _integrate_eigenbasis(kernel, c0, streams, n_steps, stride,
-                                         list(range(kept)), 512)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        reductions = sum(a.nbytes for part in sums for a in (
-            part.projector_sum, part.energy_sum, part.variance_sum,
-            part.max_norm_drift))
-        estimate = trajectory.batch_buffers(rows, n, n_steps, stride, kept)[2]
-        assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
+        group, _, estimate = trajectory.batch_buffers(rows, n, n_steps, stride,
+                                                      kept)
+        block = trajectory._noise_block(rows, n_steps)
+        for helper in (False, True):
+            streams = [NoiseStream(1, j) for j in range(rows)]
+            tracemalloc.start()
+            try:
+                sums = _integrate_eigenbasis(kernel, c0, streams, n_steps,
+                                             stride, list(range(kept)), 512,
+                                             helper)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            reductions = sum(a.nbytes for part in sums for a in (
+                part.projector_sum, part.energy_sum, part.variance_sum,
+                part.max_norm_drift))
+            if helper and block < n_steps:
+                peak += 16 * block * (2 * rows + group)
+            assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
 
     def test_grouped_fill_is_sample_dxi_block(self):
         # 7 streams in groups of 3 (the last one partial), 40 of the 50
@@ -504,13 +513,17 @@ class TestRecordBuffer:
     ])
     def test_failure_inside_a_buffered_block(self, poisoned, expected):
         # the failing row runs on as nan through flushes of the buffer; the
-        # first bad step of the block is still the one reported
+        # first bad step of the block is still the one reported, whether
+        # the batch or its helper draws the poisoned noise
         kernel, c0 = batch_inputs(3, 5, seed=9)
-        streams = [_PoisonedStream(3, j, poisoned.get(j, 0)) for j in range(5)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateStateError, match=expected):
-                _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0, 2])
+        for helper in (False, True):
+            streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
+                       for j in range(5)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateStateError, match=expected):
+                    _integrate_eigenbasis(kernel, c0, streams, 2100, 1,
+                                          [0, 2], helper=helper)
 
     @pytest.mark.parametrize("n, rows, chunk", [(2, 1030, 512), (4, 7, 3)],
                              ids=["n2-1030-rows", "n4-7-rows"])
@@ -544,16 +557,128 @@ class TestRecordBuffer:
         # lowest failing chunk names alone
         kernel, c0 = batch_inputs(3, 7, seed=9)
 
-        def run(lo, hi, chunk=None):
+        def run(lo, hi, chunk, helper):
             streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
                        for j in range(lo, hi)]
-            _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0], chunk)
+            _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0], chunk,
+                                  helper)
 
         for lo, hi, chunk in ((0, 7, 3), (3 * lowest, 3 * lowest + 3, None)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DegenerateStateError, match=expected):
-                    run(lo, hi, chunk)
+            for helper in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DegenerateStateError, match=expected):
+                        run(lo, hi, chunk, helper)
+
+
+class _DyingStream(NoiseStream):
+    """A noise stream whose copy in another process (a noise helper) ends
+    that process once it has drawn `steps` increments."""
+
+    def __init__(self, master_seed, stream_index, steps):
+        super().__init__(master_seed, stream_index)
+        self.steps, self.drawn, self.owner = steps, 0, os.getpid()
+
+    def standard_normal(self, size=None, out=None):
+        if os.getpid() != self.owner and self.drawn >= self.steps:
+            os._exit(3)
+        g = super().standard_normal(size, out=out)
+        self.drawn += len(g)
+        return g
+
+
+class TestNoiseHelper:
+    # a batch of more than one noise block may draw its noise in a forked
+    # helper process; the bits are those of drawing it in-process, and the
+    # helper is reaped on every path (conftest.no_child_process_left)
+
+    def test_helper_draws_the_same_bits(self):
+        kernel, c0 = batch_inputs(3, 40, seed=3)
+
+        def run(helper):
+            streams = [NoiseStream(5, j) for j in range(40)]
+            return _integrate_eigenbasis(kernel, c0, streams, 2500, 3,
+                                         [0, 39], 16, helper)
+
+        assert trajectory._noise_block(40, 2500) < 2500
+        assert_sums_equal(run(True), run(False))
+
+    def test_a_failed_fork_draws_in_process(self, monkeypatch):
+        kernel, c0 = batch_inputs(3, 40, seed=3)
+
+        def run(helper):
+            streams = [NoiseStream(5, j) for j in range(40)]
+            return _integrate_eigenbasis(kernel, c0, streams, 2500, 3,
+                                         [0, 39], 16, helper)
+
+        expected = run(False)
+
+        def fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert_sums_equal(run(True), expected)
+
+    @pytest.mark.parametrize("ensemble_helper", [False, True])
+    @pytest.mark.parametrize("trajectory_helper", [False, True])
+    def test_rows_replay_across_noise_paths(self, monkeypatch,
+                                            ensemble_helper,
+                                            trajectory_helper):
+        # 1500 steps are three noise blocks, so a helper is forked wherever
+        # a spare CPU is seen
+        rng = np.random.default_rng(17)
+        config = SimulationConfig(
+            hamiltonian=random_hermitian(rng, 5),
+            initial_state=random_state(rng, 5), tau0=0.4, dt=2e-3,
+            t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25)
+        assert trajectory._noise_block(7, config.n_steps) < config.n_steps
+        force_noise_path(monkeypatch, ensemble_helper)
+        summary = run_ensemble(config, retain=range(3))
+        force_noise_path(monkeypatch, trajectory_helper)
+        for k in range(3):
+            rec, row = run_trajectory(config, k), summary.trajectories[k]
+            for name in ("energy_mean", "energy_variance", "norm_drift",
+                         "final_state"):
+                assert np.array_equal(getattr(rec, name), getattr(row, name))
+
+    def test_a_dying_helper_raises(self):
+        # the helper ends as it starts its third block; the batch says
+        # so instead of waiting for noise that never comes
+        kernel, c0 = batch_inputs(3, 5, seed=9)
+        streams = [_DyingStream(3, j, 700) for j in range(5)]
+        with pytest.raises(RuntimeError, match=r"noise helper process \d+ "
+                           r"ended \(exit status 3\) before noise block"):
+            _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0],
+                                  helper=True)
+
+    def test_numerical_failure_reaps_the_helper(self, monkeypatch):
+        # the row fails at step 1, while the helper draws the next block
+        config = one_trajectory(np.diag([1e160, -1e160]),
+                                np.array([1.0, 1.0]) / np.sqrt(2),
+                                tau0=1.0, dt=0.5, t_final=1000.0,
+                                master_seed=1)
+        force_noise_path(monkeypatch, True)
+        with np.errstate(all="ignore"), \
+                pytest.warns(RuntimeWarning, match="under-resolves"), \
+                pytest.raises(DegenerateStateError,
+                              match="trajectory 0 failed at step 1: "):
+            run_ensemble(config)
+
+    def test_interrupt_reaps_the_helper(self, monkeypatch):
+        kernel, c0 = batch_inputs(2, 3, seed=1)
+        steps = itertools.count()
+        step = kernel.step
+
+        def interrupted(*args):
+            if next(steps) == 1000:
+                raise KeyboardInterrupt
+            return step(*args)
+
+        monkeypatch.setattr(kernel, "step", interrupted)
+        streams = [NoiseStream(2, j) for j in range(3)]
+        with pytest.raises(KeyboardInterrupt):
+            _integrate_eigenbasis(kernel, c0, streams, 3000, 10, [],
+                                  helper=True)
 
 
 class TestGaugeTransform:
