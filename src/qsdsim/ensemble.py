@@ -40,8 +40,8 @@ from . import qcore, spacetime
 from .errors import DegenerateStateError, InvalidParameterError, QsdError
 from .noise import NoiseStream
 from .trajectory import (TrajectoryRecord, _BatchSums, _EigenKernel,
-                         _integrate_eigenbasis, batch_buffers, record_count,
-                         record_steps)
+                         _integrate_eigenbasis, batch_buffers, helper_bytes,
+                         record_count, record_steps)
 
 CHUNK_SIZE = 512         # trajectories per reduction, for any worker count
 BATCH_AMPLITUDES = 8192  # rows x n a job steps at once, if above one chunk
@@ -269,13 +269,14 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
     noise helper process when a CPU is spare for it.  A run that would not
     fit in physical memory is refused before it starts.
     """
-    _check_memory(config, [range(1)], pool_size=1, n_retained=1)
+    helper = qcore.usable_cpus() >= 2
+    _check_memory(config, [range(1)], pool_size=1, n_retained=1, helper=helper)
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state
     return _simulate_job((kernel, c0, config.n_steps, config.record_stride,
                           config.master_seed,
                           range(stream_index, stream_index + 1),
-                          [0], qcore.usable_cpus() >= 2))[0].records[0]
+                          [0], helper))[0].records[0]
 
 
 def _fold(jobs) -> _BatchSums:
@@ -301,7 +302,7 @@ def _fold(jobs) -> _BatchSums:
 
 
 def _check_memory(config: SimulationConfig, jobs, pool_size: int,
-                  n_retained: int):
+                  n_retained: int, helper: bool):
     """Refuse a run of `jobs` (trajectory ranges) whose estimated peak
     memory exceeds physical memory.
 
@@ -312,7 +313,9 @@ def _check_memory(config: SimulationConfig, jobs, pool_size: int,
     its temporaries.  Each worker holds the reductions of the chunks of the
     widest job and the working buffers of its batch
     (trajectory.batch_buffers, which count the noise group buffer in the
-    worker or in its noise helper process, whichever draws).
+    worker or in its noise helper process, whichever draws); with helper
+    true, also the pages its noise helper copies on write
+    (trajectory.helper_bytes).
     """
     n = config.hamiltonian.shape[0]
     stride = config.record_stride
@@ -325,6 +328,8 @@ def _check_memory(config: SimulationConfig, jobs, pool_size: int,
         + 8 * config.n_trajectories
     worker = -(-widest // CHUNK_SIZE) * sums + batch_buffers(
         widest, n, config.n_steps, stride, min(widest, n_retained))[2]
+    if helper:
+        worker += helper_bytes(widest, config.n_steps, worker)
     qcore.check_memory(parent + pool_size * worker,
                        f"run of {t} record points at n={n}",
                        "raise record_stride or lower n_trajectories")
@@ -359,8 +364,8 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     pool_size = min(workers, cpus)
     jobs = _jobs(m, config.hamiltonian.shape[0], pool_size)
     pool_size = min(pool_size, len(jobs))
-    _check_memory(config, jobs, pool_size, len(retain))
     helper = cpus >= 2 * pool_size      # a spare CPU for each job's noise
+    _check_memory(config, jobs, pool_size, len(retain), helper)
 
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     vecs = kernel.vecs
@@ -403,8 +408,7 @@ def compare_ensemble_to_master(summary: EnsembleSummary) -> np.ndarray:
     rhos = master_mod.psd_master_exact(
         qcore.pure_projector(config.initial_state), config.hamiltonian,
         config.tau0, summary.times)
-    return np.array([qcore.trace_distance(p, rho)
-                     for p, rho in zip(summary.mean_projector, rhos)])
+    return qcore.trace_distance(summary.mean_projector, rhos)
 
 
 # ---------------------------------------------------------------------------

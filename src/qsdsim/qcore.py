@@ -176,15 +176,31 @@ def pure_projector(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def trace_distance(rho1, rho2) -> float:
-    """Half the sum of |eigenvalues| of rho1 - rho2."""
+def trace_distance(rho1, rho2):
+    """Half the sum of |eigenvalues| of rho1 - rho2: a float for two
+    (n, n) operators, an array (...) for two stacks (..., n, n).
+
+    A stack is taken a group of pairs at a time, at most 4096 entries per
+    group, so that its temporaries stay as small as a pair's at large n;
+    each pair gets the bits of taking it alone (the same LAPACK call per
+    matrix and the same sum per row).
+    """
     rho1 = np.asarray(rho1, dtype=np.complex128)
     rho2 = np.asarray(rho2, dtype=np.complex128)
-    if rho1.shape != rho2.shape:
-        raise ShapeError(f"shape mismatch: {rho1.shape} vs {rho2.shape}")
-    diff = rho1 - rho2
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    if rho1.shape != rho2.shape or rho1.ndim < 2 \
+            or rho1.shape[-1] != rho1.shape[-2]:
+        raise ShapeError(f"need two square operators or stacks of the same "
+                         f"shape, got {rho1.shape} vs {rho2.shape}")
+    n = rho1.shape[-1]
+    a, b = rho1.reshape(-1, n, n), rho2.reshape(-1, n, n)
+    dist = np.empty(len(a))
+    group = max(1, 4096 // (n * n))
+    for k in range(0, len(a), group):
+        diff = a[k:k + group] - b[k:k + group]
+        diff = 0.5 * (diff + np.swapaxes(diff.conj(), -1, -2))
+        dist[k:k + group] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)),
+                                         axis=-1)
+    return float(dist[0]) if rho1.ndim == 2 else dist.reshape(rho1.shape[:-2])
 
 
 def align_global_phase(psi, reference) -> np.ndarray:

@@ -31,7 +31,10 @@ the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
 its test oracles.  A batch of B rows steps as a (B, n) array; a batch of
 one (ensemble.run_trajectory, or an ensemble job of a single trajectory)
 steps as a rank-1 row (n,) with scalar <H>, coefficient and norm, which
-saves most of NumPy's per-call overhead.
+saves most of NumPy's per-call overhead.  The step's ops run along whole
+contiguous arrays, not per row: the energy offsets of a batch are one
+subtraction of its <H>, each repeated n times, and the energies, tiled
+once per batch width.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row (row-wise
@@ -42,16 +45,18 @@ replays as a batch of one.  The batch is the unit of stepping and the
 chunk, a fixed range of its rows, the unit of reduction: record points
 are buffered and reduced a buffer at a time, each chunk on its own row
 slice, where the sums (<H> and Var H) run along the row axis of each
-record point and the projector of each record point is the same BLAS
-call as when the chunk is reduced alone.  A sum per chunk may use BLAS
-because chunk boundaries are fixed, so a chunk's sums do not depend on
-how many chunks share its batch.
+record point and the projectors of all buffered points are one stacked
+BLAS call per chunk, which runs the same zgemm on each point's matrices
+as a call per point, as when the chunk is reduced alone.  A sum per
+chunk may use BLAS because chunk boundaries are fixed, so a chunk's sums
+do not depend on how many chunks share its batch.
 
-A batch that draws more than one noise block draws block k+1 while it
-steps block k, in a helper process forked for the batch when a CPU is
-spare (see _NoiseBlocks), else itself between the two.  Each stream
-draws the same numbers in the same order either way, so no output bit
-depends on which does the drawing.
+A batch that draws more than one noise block draws block k+1, and turns
+it into step coefficients, while it steps block k, in a helper process
+forked for the batch when a CPU is spare (see _NoiseBlocks), else itself
+between the two.  Each stream draws the same numbers in the same order
+either way, and the coefficients are the same elementwise ops on them,
+so no output bit depends on which process does the drawing.
 """
 
 import math
@@ -76,6 +81,8 @@ NOISE_BLOCK = 1024       # steps of noise in a full block, up to
 NOISE_BLOCK_ROWS = 512   # rows; a wider batch draws fewer steps at a time
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
+HELPER_BASE_BYTES = 3 << 20    # a noise helper's copied pages, besides
+HELPER_STREAM_BYTES = 1 << 10  # its batch's (see helper_bytes)
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
 
@@ -163,6 +170,7 @@ class _EigenKernel:
     def __init__(self, h, dt: float, tau0: float):
         self.energies, self.vecs = np.linalg.eigh(h)
         self._pairs = np.repeat(self.energies, 2)    # E_k per float of a row
+        self._tiled = self.energies    # E_k per amplitude of the last batch
         self.dt = float(dt)
         phase_step = self.dt * float(np.max(np.abs(self.energies)))
         if phase_step > 0.5:
@@ -175,7 +183,8 @@ class _EigenKernel:
 
     def coefficients(self, dxi) -> np.ndarray:
         """Turn dxi of shape (steps, B) or (steps,) into -i dt + sqrt(tau0)
-        dxi in place (a block of noise is the largest buffer of a run);
+        dxi in place (a block of noise is the largest buffer of a run;
+        _NoiseBlocks turns each block in the process that draws it);
         returned as a view that broadcasts over rows: (steps, B, 1), or
         the (steps,) scalars of a rank-1 row."""
         dxi *= self._diffusion
@@ -211,9 +220,19 @@ class _EigenKernel:
 
         hd is formed negated, as <H> - E_k, and the update re-signed to
         1 - (coeff - curvature hd) hd: IEEE negation is exact, so these are
-        the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>.
+        the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>.  For
+        a batch, hd is one contiguous pass: each row's <H> repeated n times
+        minus the energies tiled over the batch's rows, made once per batch
+        width (np.subtract.outer would run an inner loop only n long per
+        row); a rank-1 row subtracts the energies from its scalar <H>.
         """
-        hd = np.subtract.outer(e, self.energies)
+        if c.ndim == 1:
+            hd = e - self.energies
+        else:
+            hd = np.repeat(e, len(self.energies))
+            if self._tiled.size != hd.size:
+                self._tiled = np.tile(self.energies, len(c))
+            hd = np.subtract(hd, self._tiled, out=hd).reshape(c.shape)
         f = coeff - self._curvature * hd
         f *= hd
         np.subtract(1.0, f, out=f)
@@ -290,15 +309,37 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
     buffers = min(2, -(-n_steps // block))
     noise = count * block * (16 * buffers + 8)   # dxi, and the norms of a block
     iterator = 16 * min(np.getbufsize(), capacity * count * 2 * n)
-    step = count * (56 * n + 16)   # the carried c and <H>, hd, f, f * c
+    step = count * (64 * n + 16)   # c and <H>, tiled E, hd, f, f * c
     series = (24 * kept + 8) * record_count(n_steps, stride)   # and times
     return group, capacity, (noise + 16 * group * block + capacity * per_point
                              + iterator + step + series)
 
 
+def helper_bytes(count: int, n_steps: int, batch: int) -> int:
+    """Memory a noise helper process adds to a batch of count streams over
+    n_steps steps whose own memory (reductions and working buffers) is
+    `batch` bytes: none if the batch draws one block, which forks no
+    helper.
+
+    The two processes share every page until one writes it, so the helper
+    comes to hold a copy of each page written after the fork: of the
+    batch's memory, up to all of it, and besides it the interpreter's and
+    the streams' pages, a base and a term per stream.  Those two are the
+    upper envelope of the helper's peak Private_Dirty less `batch`,
+    measured in a test process (stride 1, 1 to 8192 streams): 1.0 to 2.0
+    MiB up to 128 streams and 3.5 MiB at 8192.
+    """
+    if _noise_block(count, n_steps) >= n_steps:
+        return 0
+    return batch + HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count
+
+
 class _NoiseBlocks:
-    """The noise blocks of a batch of streams, in order: block k holds
-    steps k * block_len onwards, at most block_len of them.
+    """The coefficient blocks of a batch of streams, in order: block k
+    holds kernel.coefficients of the increments of steps k * block_len
+    onwards, at most block_len of them, as (steps, len(streams)).  The
+    process that draws a block also turns it into coefficients, in place,
+    so the stepping process only takes its broadcasting view.
 
     Blocks take turns in two buffers (one, if the batch draws one block),
     so that block k+1 can be drawn while block k is stepped.  Used as a
@@ -314,9 +355,9 @@ class _NoiseBlocks:
     fork fails, the batch draws its blocks itself.
     """
 
-    def __init__(self, dt: float, streams, n_steps: int, block_len: int,
-                 group: int, helper: bool):
-        self.dt, self.streams, self.group = dt, streams, group
+    def __init__(self, kernel: _EigenKernel, streams, n_steps: int,
+                 block_len: int, group: int, helper: bool):
+        self.kernel, self.streams, self.group = kernel, streams, group
         self.n_steps, self.block_len = n_steps, block_len
         self.n_blocks = -(-n_steps // block_len)
         shape = (min(2, self.n_blocks), block_len, len(streams))
@@ -336,11 +377,13 @@ class _NoiseBlocks:
                                          self.n_steps - k * self.block_len)]
 
     def _draw(self, k: int) -> np.ndarray:
-        """Draw block k into its buffer, in the process that calls."""
+        """Draw block k into its buffer and turn it into coefficients, in
+        the process that calls."""
         if self._scratch is None:
             self._scratch = np.empty((self.group, self.block_len, 2))
         out = self._out(k)
-        fill_dxi_blocks(self.dt, self.streams, out, self._scratch)
+        fill_dxi_blocks(self.kernel.dt, self.streams, out, self._scratch)
+        self.kernel.coefficients(out)
         return out
 
     def __enter__(self):
@@ -448,7 +491,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     block_len = _noise_block(count, n_steps)
     group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
-    noise = _NoiseBlocks(kernel.dt, streams, n_steps, block_len, group, helper)
+    noise = _NoiseBlocks(kernel, streams, n_steps, block_len, group, helper)
     held_c = np.empty((capacity, count, n), dtype=np.complex128)
     held_e, held_nrm_sq = np.empty((2, capacity, count))
     norms = np.empty((block_len, count))
@@ -463,6 +506,9 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
             flush()
 
     def flush():
+        """Reduce the buffered record points, each chunk on its rows: the
+        sums along rows per point, and the projectors of all points in one
+        stacked matmul, the same zgemm per point as a call per point."""
         nonlocal held, done
         if not held:
             return
@@ -473,9 +519,8 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         drift = np.abs(d)
         for j, lo in enumerate(starts):
             rows = slice(lo, lo + chunk)
-            for i in range(held):   # a sum over rows: BLAS, a call per point
-                np.matmul(held_c[i, rows].T, held_c[i, rows].conj(),
-                          out=proj[j, done + i])
+            part = held_c[:held, rows]
+            np.matmul(part.transpose(0, 2, 1), part.conj(), out=proj[j, pos])
             e_sum[j, pos], v_sum[j, pos] = (e[:, rows].sum(axis=1),
                                             v[:, rows].sum(axis=1))
             drift_max[j, pos] = drift[:, rows].max(axis=1)
@@ -485,14 +530,14 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         held = 0
 
     rows = slice(None) if count > 1 else 0   # a batch of one is a rank-1 row
+    by_row = (slice(None), rows) + ((None,) if count > 1 else ())
     c = np.tile(c0, (count, 1))[rows]
     e = kernel.mean_energy(c)
     hold(c, e, 1.0)
     with noise:
         for k in range(noise.n_blocks):
-            dxi = noise.block(k)
-            start, block = k * block_len, len(dxi)
-            coeff = kernel.coefficients(dxi[:, rows])
+            coeff = noise.block(k)[by_row]   # (steps, B, 1), or (steps,)
+            start, block = k * block_len, len(coeff)
             # a failed row runs on as nan/inf, and is reported at the end of
             # the block, or of the batch if a chunk before its own may fail
             # later

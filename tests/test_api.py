@@ -1,12 +1,15 @@
 """The package's public surface: the names `from qsdsim import *` gives,
-the module attributes the benchmark harness patches or calls, and the one
-place that writes files."""
+the module attributes the benchmark harness patches or calls, the one
+place that writes files, and the modules an import does not load."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -143,3 +146,16 @@ def test_only_qcore_writes_files():
         visit(ast.parse(path.read_text()), path.stem, None)
     assert found == {("qcore", "write_json", "json.dump"),
                      ("qcore", "_whole", "open")}
+
+
+def test_import_loads_no_process_modules():
+    # a pool, a noise helper's shared buffer and its kill are imported by
+    # the runs that use them, which spares every other run 1.5 to 8 ms
+    src = str(Path(qsdsim.__file__).resolve().parents[1])
+    code = ("import sys, qsdsim, qsdsim.cli; print(' '.join(m for m in ("
+            "'concurrent.futures', 'mmap', 'signal', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.split() == []

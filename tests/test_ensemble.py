@@ -11,7 +11,7 @@ from qsdsim import (InvalidParameterError, SimulationConfig, as_density,
                     integrate_master, load_config, psd_master_rhs,
                     pure_projector, run_ensemble, spacetime,
                     trace_distance)
-from qsdsim import ensemble, qcore
+from qsdsim import ensemble, qcore, trajectory
 from qsdsim.ensemble import (write_ensemble_csv, write_summary_json,
                              write_trajectory_csv)
 from conftest import (force_noise_path, random_hermitian, random_state,
@@ -478,6 +478,30 @@ class TestStreamedReductions:
                 run_ensemble(make_config(n_trajectories=m, record_stride=1))
             needs.append(info.value.args[0])
         assert np.array_equal(np.diff(needs), 8 * np.diff(sizes))
+
+    def test_helper_path_charges_the_helper(self, monkeypatch):
+        # with a CPU spare for a noise helper, a run of more than one noise
+        # block is also charged the pages its helper copies, and a run of
+        # one block, which forks no helper, is not
+        class Estimated(Exception):
+            pass
+
+        def capture(need, what, advice):
+            raise Estimated(need)
+
+        def need(helper, **fields):
+            force_noise_path(monkeypatch, helper)
+            with pytest.raises(Estimated) as info:
+                run_ensemble(make_config(**fields))
+            return info.value.args[0]
+
+        monkeypatch.setattr(qcore, "check_memory", capture)
+        assert need(True) == need(False)
+        worker = 2 * 51 * (16 * 4 + 32) + trajectory.batch_buffers(
+            600, 2, 2000, 40, 0)[2]     # two chunks of 51 record points
+        assert need(True, n_trajectories=600, t_final=5.0) \
+            - need(False, n_trajectories=600, t_final=5.0) \
+            == trajectory.helper_bytes(600, 2000, worker) > worker
 
     def test_retained_index_checked_before_integration(self, monkeypatch):
         self._refuse_chunks(monkeypatch)

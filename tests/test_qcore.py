@@ -84,6 +84,26 @@ class TestProjectorAndDistance:
             assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
             assert dab <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    def test_stack_is_each_pair_alone(self, rng, n):
+        # one call on stacks (T, n, n) gives the bits of T calls on pairs,
+        # in one group of pairs, or in groups of 16 (the last one 8) at
+        # n = 16, or a pair at a time at n = 64
+        a = np.array([random_density(rng, n) for _ in range(40)])
+        b = np.array([random_density(rng, n) for _ in range(40)])
+        dist = trace_distance(a, b)
+        assert dist.shape == (40,)
+        assert np.array_equal(dist, [trace_distance(p, q)
+                                     for p, q in zip(a, b)])
+        assert np.array_equal(trace_distance(a.reshape(4, 10, n, n),
+                                             b.reshape(4, 10, n, n)),
+                              dist.reshape(4, 10))
+        assert isinstance(trace_distance(a[0], b[0]), float)
+        for x, y in ((a, b[:39]), (a[0, 0], b[0, 0]),
+                     (a[..., :0], b[..., :0])):
+            with pytest.raises(ShapeError):
+                trace_distance(x, y)
+
 
 class TestNormalize:
     def test_unit_norm_result(self, rng):

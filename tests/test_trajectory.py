@@ -327,9 +327,10 @@ def batch_step_case(n, rows, seed, dt, tau0, k):
     return kernel, c, kernel.mean_energy(c), dxi
 
 
-# physical coefficients: dt*E_max below 0.5, tau0 = 0 included
+# physical coefficients: dt*E_max below 0.5, tau0 = 0 included; 2000
+# rows is the width of the README compare run's batch
 batch_step_args = dict(
-    n=st.integers(1, 64), rows=st.sampled_from([3, 512]),
+    n=st.integers(1, 64), rows=st.sampled_from([3, 512, 2000]),
     seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(1e-5, 0.49),
     tau0=st.just(0.0) | st.floats(0.01, 2.0), k=st.integers(0, 63))
 
@@ -342,6 +343,7 @@ class TestRankOneStep:
     @given(**batch_step_args)
     # n = 1: an in-place product with c would run as a reduction there
     @example(n=1, rows=512, seed=3, dt=0.3, tau0=0.4, k=0)
+    @example(n=2, rows=2000, seed=5, dt=2.5e-3, tau0=0.4, k=1)
     def test_row_alone_is_its_batch_row(self, n, rows, seed, dt, tau0, k):
         kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
         batch = kernel.step(c, e, kernel.coefficients(dxi[None, :].copy())[0])
@@ -354,6 +356,7 @@ class TestRankOneStep:
 
     @settings(max_examples=60, deadline=None)
     @given(**batch_step_args)
+    @example(n=2, rows=2000, seed=5, dt=2.5e-3, tau0=0.4, k=1)
     def test_step_is_the_reference_formula(self, n, rows, seed, dt, tau0, k):
         kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
         coeff = kernel.coefficients(dxi[None, :].copy())[0]
@@ -456,6 +459,38 @@ class TestRecordBuffer:
         assert trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1,
                                         len(keep))[1] == 1
         assert_sums_equal(buffered, run())
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 64])
+    @pytest.mark.parametrize("one_point", [False, True],
+                             ids=["full-flushes", "one-point-flushes"])
+    def test_projector_is_each_point_alone(self, monkeypatch, n, one_point):
+        # every record point's projector sum, in each chunk of 8 rows (the
+        # last one 4), has the bits of c.T @ c.conj() of that point's rows
+        # taken alone; stride 1 over 1100 steps fills the record buffer
+        # several times in each noise block, or flushes every point alone
+        kernel, c0 = batch_inputs(n, 20, seed=n)
+        if one_point:
+            monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
+        capacity = trajectory.batch_buffers(20, n, 1100, 1, 0)[1]
+        block = trajectory._noise_block(20, 1100)
+        assert capacity == 1 if one_point else 1 < capacity < block
+        states = [np.tile(c0, (20, 1))]
+        step = kernel.step
+
+        def recording(c, e, coeff):
+            out = step(c, e, coeff)
+            states.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(kernel, "step", recording)
+        streams = [NoiseStream(9, j) for j in range(20)]
+        sums = _integrate_eigenbasis(kernel, c0, streams, 1100, 1, (), 8)
+        assert len(states) == 1101
+        for j, part in enumerate(sums):
+            for t, c in enumerate(states):
+                rows = c[8 * j:8 * j + 8]
+                assert np.array_equal(part.projector_sum[t],
+                                      rows.T @ rows.conj())
 
     @pytest.mark.parametrize("n, rows, n_steps, stride, kept", [
         (4, 512, 100, 1, 0), (4, 512, 2000, 1, 0),
@@ -603,6 +638,25 @@ class TestNoiseHelper:
         assert trajectory._noise_block(40, 2500) < 2500
         assert_sums_equal(run(True), run(False))
 
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_blocks_are_the_coefficients_of_each_stream(self, count, helper):
+        # four blocks of 300 steps, the last one 100, drawn two streams at
+        # a time; column j of block k holds kernel.coefficients of stream
+        # j's increments of those steps
+        kernel, _ = batch_inputs(3, count, seed=6)
+        streams = [NoiseStream(8, j) for j in range(count)]
+        alone = [NoiseStream(8, j) for j in range(count)]
+        with trajectory._NoiseBlocks(kernel, streams, 1000, 300, 2,
+                                     helper) as noise:
+            assert noise.n_blocks == 4
+            for k in range(4):
+                steps = min(300, 1000 - 300 * k)
+                expected = [kernel.coefficients(
+                    sample_dxi_block(kernel.dt, steps, s)) for s in alone]
+                assert np.array_equal(noise.block(k),
+                                      np.stack(expected, axis=1))
+
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
 
@@ -640,6 +694,40 @@ class TestNoiseHelper:
             for name in ("energy_mean", "energy_variance", "norm_drift",
                          "final_state"):
                 assert np.array_equal(getattr(rec, name), getattr(row, name))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
+                        reason="reads the helper's /proc/<pid>/smaps_rollup")
+    @pytest.mark.parametrize("n, rows, n_steps", [
+        (8, 1, 6000), (2, 64, 3000), (4, 512, 2000), (2, 2000, 2000)])
+    def test_helper_estimate_covers_its_copied_pages(self, monkeypatch, n,
+                                                     rows, n_steps):
+        # the helper's Private_Dirty, read at each block the batch takes
+        # while the helper draws the next, stays within helper_bytes of
+        # the batch's buffers and reductions
+        kernel, c0 = batch_inputs(n, rows, seed=4)
+        peaks = []
+        block = trajectory._NoiseBlocks.block
+
+        def polled(self, k):
+            out = block(self, k)
+            try:
+                with open(f"/proc/{self._pid}/smaps_rollup") as fh:
+                    peaks.extend(1024 * int(line.split()[1]) for line in fh
+                                 if line.startswith("Private_Dirty:"))
+            except ProcessLookupError:   # it drew its last block and left
+                pass
+            return out
+
+        monkeypatch.setattr(trajectory._NoiseBlocks, "block", polled)
+        streams = [NoiseStream(1, j) for j in range(rows)]
+        sums = _integrate_eigenbasis(kernel, c0, streams, n_steps, 1, [0],
+                                     512, True)
+        batch = trajectory.batch_buffers(rows, n, n_steps, 1, 1)[2] + sum(
+            a.nbytes for part in sums for a in (
+                part.projector_sum, part.energy_sum, part.variance_sum,
+                part.max_norm_drift))
+        assert len(peaks) >= 2
+        assert max(peaks) <= trajectory.helper_bytes(rows, n_steps, batch)
 
     def test_a_dying_helper_raises(self):
         # the helper ends as it starts its third block; the batch says
