@@ -314,7 +314,7 @@ def _check_memory(config: SimulationConfig, jobs, pool_size: int,
     widest job and the working buffers of its batch
     (trajectory.batch_buffers, which count the noise group buffer in the
     worker or in its noise helper process, whichever draws); with helper
-    true, also the pages its noise helper copies on write
+    true, also the pages its noise helper comes to hold
     (trajectory.helper_bytes).
     """
     n = config.hamiltonian.shape[0]
@@ -329,7 +329,7 @@ def _check_memory(config: SimulationConfig, jobs, pool_size: int,
     worker = -(-widest // CHUNK_SIZE) * sums + batch_buffers(
         widest, n, config.n_steps, stride, min(widest, n_retained))[2]
     if helper:
-        worker += helper_bytes(widest, config.n_steps, worker)
+        worker += helper_bytes(widest, config.n_steps)
     qcore.check_memory(parent + pool_size * worker,
                        f"run of {t} record points at n={n}",
                        "raise record_stride or lower n_trajectories")

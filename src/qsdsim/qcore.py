@@ -192,9 +192,10 @@ def trace_distance(rho1, rho2):
         raise ShapeError(f"need two square operators or stacks of the same "
                          f"shape, got {rho1.shape} vs {rho2.shape}")
     n = rho1.shape[-1]
-    a, b = rho1.reshape(-1, n, n), rho2.reshape(-1, n, n)
-    dist = np.empty(len(a))
-    group = max(1, 4096 // (n * n))
+    count = math.prod(rho1.shape[:-2])
+    a, b = rho1.reshape(count, n, n), rho2.reshape(count, n, n)
+    dist = np.empty(count)
+    group = max(1, 4096 // max(n * n, 1))
     for k in range(0, len(a), group):
         diff = a[k:k + group] - b[k:k + group]
         diff = 0.5 * (diff + np.swapaxes(diff.conj(), -1, -2))

@@ -34,7 +34,7 @@ steps as a rank-1 row (n,) with scalar <H>, coefficient and norm, which
 saves most of NumPy's per-call overhead.  The step's ops run along whole
 contiguous arrays, not per row: the energy offsets of a batch are one
 subtraction of its <H>, each repeated n times, and the energies, tiled
-once per batch width.
+once per batch.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row (row-wise
@@ -81,8 +81,8 @@ NOISE_BLOCK = 1024       # steps of noise in a full block, up to
 NOISE_BLOCK_ROWS = 512   # rows; a wider batch draws fewer steps at a time
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
-HELPER_BASE_BYTES = 3 << 20    # a noise helper's copied pages, besides
-HELPER_STREAM_BYTES = 1 << 10  # its batch's (see helper_bytes)
+HELPER_BASE_BYTES = 5 << 20    # a noise helper's copied pages: a base
+HELPER_STREAM_BYTES = 1 << 10  # and a term per stream (see helper_bytes)
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
 
@@ -170,7 +170,6 @@ class _EigenKernel:
     def __init__(self, h, dt: float, tau0: float):
         self.energies, self.vecs = np.linalg.eigh(h)
         self._pairs = np.repeat(self.energies, 2)    # E_k per float of a row
-        self._tiled = self.energies    # E_k per amplitude of the last batch
         self.dt = float(dt)
         phase_step = self.dt * float(np.max(np.abs(self.energies)))
         if phase_step > 0.5:
@@ -212,7 +211,7 @@ class _EigenKernel:
             v += t
         return v
 
-    def step(self, c, e, coeff):
+    def step(self, c, e, coeff, tiled=None):
         """One step of rows c (B, n) with <H> e (B,) and coefficients coeff
         (B, 1), or of a rank-1 row c (n,) with scalars e and coeff; returns
         the renormalized amplitudes, their <H> (mean_energy) and each row's
@@ -222,17 +221,18 @@ class _EigenKernel:
         1 - (coeff - curvature hd) hd: IEEE negation is exact, so these are
         the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>.  For
         a batch, hd is one contiguous pass: each row's <H> repeated n times
-        minus the energies tiled over the batch's rows, made once per batch
-        width (np.subtract.outer would run an inner loop only n long per
-        row); a rank-1 row subtracts the energies from its scalar <H>.
+        minus `tiled`, the energies tiled over the batch's rows (B n,),
+        which a caller that steps the batch many times makes once
+        (np.subtract.outer would run an inner loop only n long per row); a
+        rank-1 row subtracts the energies from its scalar <H>.
         """
         if c.ndim == 1:
             hd = e - self.energies
         else:
+            if tiled is None:
+                tiled = np.tile(self.energies, len(c))
             hd = np.repeat(e, len(self.energies))
-            if self._tiled.size != hd.size:
-                self._tiled = np.tile(self.energies, len(c))
-            hd = np.subtract(hd, self._tiled, out=hd).reshape(c.shape)
+            hd = np.subtract(hd, tiled, out=hd).reshape(c.shape)
         f = coeff - self._curvature * hd
         f *= hd
         np.subtract(1.0, f, out=f)
@@ -315,23 +315,25 @@ def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
                              + iterator + step + series)
 
 
-def helper_bytes(count: int, n_steps: int, batch: int) -> int:
+def helper_bytes(count: int, n_steps: int) -> int:
     """Memory a noise helper process adds to a batch of count streams over
-    n_steps steps whose own memory (reductions and working buffers) is
-    `batch` bytes: none if the batch draws one block, which forks no
+    n_steps steps: none if the batch draws one block, which forks no
     helper.
 
     The two processes share every page until one writes it, so the helper
-    comes to hold a copy of each page written after the fork: of the
-    batch's memory, up to all of it, and besides it the interpreter's and
-    the streams' pages, a base and a term per stream.  Those two are the
-    upper envelope of the helper's peak Private_Dirty less `batch`,
-    measured in a test process (stride 1, 1 to 8192 streams): 1.0 to 2.0
-    MiB up to 128 streams and 3.5 MiB at 8192.
+    comes to hold its own buffers and a copy of each page it or the batch
+    writes after the fork.  It is forked before the batch allocates (see
+    _integrate_eigenbasis), so that leaves out the batch's reductions and
+    working buffers, and comes to the interpreter's pages and the
+    streams': a base and a term per stream.  They are the upper envelope,
+    with a margin, of the helper's peak Private_Dirty (the shared noise
+    buffers left out) in a fresh interpreter at stride 1: 2.4 to 2.8 MiB
+    for 1 to 64 streams, 4.1 MiB for 256 rows at n = 32, 3.7 MiB for 2000
+    streams and 7.4 MiB for 8192.
     """
     if _noise_block(count, n_steps) >= n_steps:
         return 0
-    return batch + HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count
+    return HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count
 
 
 class _NoiseBlocks:
@@ -486,55 +488,63 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     starts = range(0, count, chunk)
     n_rec = record_count(n_steps, stride)
     keep = np.asarray(keep, dtype=np.intp)
-    proj = np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
-    e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
-    energy, variance, defect = (np.empty((len(keep), n_rec)) for _ in range(3))
     block_len = _noise_block(count, n_steps)
     group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
     noise = _NoiseBlocks(kernel, streams, n_steps, block_len, group, helper)
-    held_c = np.empty((capacity, count, n), dtype=np.complex128)
-    held_e, held_nrm_sq = np.empty((2, capacity, count))
-    norms = np.empty((block_len, count))
-    held = done = 0          # record points buffered, and reduced before them
-    failed = {}              # chunk -> the error of its first bad step
-
-    def hold(c, e, nrm_sq):
-        nonlocal held
-        held_c[held], held_e[held], held_nrm_sq[held] = c, e, nrm_sq
-        held += 1
-        if held == capacity:
-            flush()
-
-    def flush():
-        """Reduce the buffered record points, each chunk on its rows: the
-        sums along rows per point, and the projectors of all points in one
-        stacked matmul, the same zgemm per point as a call per point."""
-        nonlocal held, done
-        if not held:
-            return
-        pos = slice(done, done + held)
-        e = held_e[:held]
-        v = kernel.variance(held_c[:held], e)
-        d = np.sqrt(held_nrm_sq[:held]) - 1.0
-        drift = np.abs(d)
-        for j, lo in enumerate(starts):
-            rows = slice(lo, lo + chunk)
-            part = held_c[:held, rows]
-            np.matmul(part.transpose(0, 2, 1), part.conj(), out=proj[j, pos])
-            e_sum[j, pos], v_sum[j, pos] = (e[:, rows].sum(axis=1),
-                                            v[:, rows].sum(axis=1))
-            drift_max[j, pos] = drift[:, rows].max(axis=1)
-        energy[:, pos], variance[:, pos], defect[:, pos] = \
-            e[:, keep].T, v[:, keep].T, d[:, keep].T
-        done += held
-        held = 0
-
-    rows = slice(None) if count > 1 else 0   # a batch of one is a rank-1 row
-    by_row = (slice(None), rows) + ((None,) if count > 1 else ())
-    c = np.tile(c0, (count, 1))[rows]
-    e = kernel.mean_energy(c)
-    hold(c, e, 1.0)
+    # a helper is forked on entry, before the batch allocates, so that the
+    # batch's buffers are new pages, not pages it shares with the helper,
+    # which would keep a copy of each one the batch writes (except pages
+    # the process freed before the fork and its allocator hands out again)
     with noise:
+        proj = np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
+        e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
+        energy, variance, defect = (np.empty((len(keep), n_rec))
+                                    for _ in range(3))
+        held_c = np.empty((capacity, count, n), dtype=np.complex128)
+        held_e, held_nrm_sq = np.empty((2, capacity, count))
+        norms = np.empty((block_len, count))
+        held = done = 0      # record points buffered, and reduced before them
+        failed = {}          # chunk -> the error of its first bad step
+
+        def hold(c, e, nrm_sq):
+            nonlocal held
+            held_c[held], held_e[held], held_nrm_sq[held] = c, e, nrm_sq
+            held += 1
+            if held == capacity:
+                flush()
+
+        def flush():
+            """Reduce the buffered record points, each chunk on its rows:
+            the sums along rows per point, and the projectors of all points
+            in one stacked matmul, the same zgemm per point as a call per
+            point."""
+            nonlocal held, done
+            if not held:
+                return
+            pos = slice(done, done + held)
+            e = held_e[:held]
+            v = kernel.variance(held_c[:held], e)
+            d = np.sqrt(held_nrm_sq[:held]) - 1.0
+            drift = np.abs(d)
+            for j, lo in enumerate(starts):
+                rows = slice(lo, lo + chunk)
+                part = held_c[:held, rows]
+                np.matmul(part.transpose(0, 2, 1), part.conj(),
+                          out=proj[j, pos])
+                e_sum[j, pos], v_sum[j, pos] = (e[:, rows].sum(axis=1),
+                                                v[:, rows].sum(axis=1))
+                drift_max[j, pos] = drift[:, rows].max(axis=1)
+            energy[:, pos], variance[:, pos], defect[:, pos] = \
+                e[:, keep].T, v[:, keep].T, d[:, keep].T
+            done += held
+            held = 0
+
+        rows = slice(None) if count > 1 else 0  # a batch of one: a rank-1 row
+        by_row = (slice(None), rows) + ((None,) if count > 1 else ())
+        c = np.tile(c0, (count, 1))[rows]
+        tiled = np.tile(kernel.energies, count)
+        e = kernel.mean_energy(c)
+        hold(c, e, 1.0)
         for k in range(noise.n_blocks):
             coeff = noise.block(k)[by_row]   # (steps, B, 1), or (steps,)
             start, block = k * block_len, len(coeff)
@@ -543,7 +553,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
             # later
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for i in range(block):
-                    c, e, norms[i, rows] = kernel.step(c, e, coeff[i])
+                    c, e, norms[i, rows] = kernel.step(c, e, coeff[i], tiled)
                     step = start + i + 1
                     if step % stride == 0 or step == n_steps:
                         hold(c, e, norms[i])

@@ -99,6 +99,11 @@ class TestProjectorAndDistance:
                                              b.reshape(4, 10, n, n)),
                               dist.reshape(4, 10))
         assert isinstance(trace_distance(a[0], b[0]), float)
+        # empty operators are at distance 0, as taken alone
+        assert trace_distance(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+        assert np.array_equal(trace_distance(np.zeros((3, 0, 0)),
+                                             np.zeros((3, 0, 0))), np.zeros(3))
+        assert trace_distance(a[:0], b[:0]).shape == (0,)
         for x, y in ((a, b[:39]), (a[0, 0], b[0, 0]),
                      (a[..., :0], b[..., :0])):
             with pytest.raises(ShapeError):

@@ -1,7 +1,10 @@
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,8 +480,8 @@ class TestRecordBuffer:
         states = [np.tile(c0, (20, 1))]
         step = kernel.step
 
-        def recording(c, e, coeff):
-            out = step(c, e, coeff)
+        def recording(*args):
+            out = step(*args)
             states.append(out[0].copy())
             return out
 
@@ -622,6 +625,44 @@ class _DyingStream(NoiseStream):
         return g
 
 
+HELPER_PEAK = """
+import sys
+import numpy as np
+from qsdsim import trajectory
+from qsdsim.noise import NoiseStream
+
+def dirty(pid, shared):
+    total = 0
+    with open(f"/proc/{pid}/smaps") as fh:
+        for line in fh:
+            field = line.split()
+            if not field[0].endswith(":"):       # a mapping
+                start = int(field[0].split("-")[0], 16)
+            elif field[0] == "Private_Dirty:" and start != shared:
+                total += 1024 * int(field[1])
+    return total
+
+block, peaks = trajectory._NoiseBlocks.block, []
+
+def polled(self, k):
+    out = block(self, k)
+    try:
+        peaks.append(dirty(self._pid, self._buffers.ctypes.data))
+    except ProcessLookupError:      # it drew its last block and left
+        pass
+    return out
+
+trajectory._NoiseBlocks.block = polled
+n, rows, n_steps = map(int, sys.argv[1:])
+kernel = trajectory._EigenKernel(np.diag(np.linspace(-1, 1, n)), 2e-3, 0.4)
+streams = [NoiseStream(1, j) for j in range(rows)]
+c0 = np.full(n, 1 / np.sqrt(n), dtype=complex)
+trajectory._integrate_eigenbasis(kernel, c0, streams, n_steps, 1, [0], 512,
+                                 True)
+print(max(peaks) if len(peaks) >= 2 else 0)
+"""
+
+
 class TestNoiseHelper:
     # a batch of more than one noise block may draw its noise in a forked
     # helper process; the bits are those of drawing it in-process, and the
@@ -695,39 +736,25 @@ class TestNoiseHelper:
                          "final_state"):
                 assert np.array_equal(getattr(rec, name), getattr(row, name))
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
-                        reason="reads the helper's /proc/<pid>/smaps_rollup")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                        reason="reads the helper's /proc/<pid>/smaps")
     @pytest.mark.parametrize("n, rows, n_steps", [
-        (8, 1, 6000), (2, 64, 3000), (4, 512, 2000), (2, 2000, 2000)])
-    def test_helper_estimate_covers_its_copied_pages(self, monkeypatch, n,
-                                                     rows, n_steps):
-        # the helper's Private_Dirty, read at each block the batch takes
-        # while the helper draws the next, stays within helper_bytes of
-        # the batch's buffers and reductions
-        kernel, c0 = batch_inputs(n, rows, seed=4)
-        peaks = []
-        block = trajectory._NoiseBlocks.block
-
-        def polled(self, k):
-            out = block(self, k)
-            try:
-                with open(f"/proc/{self._pid}/smaps_rollup") as fh:
-                    peaks.extend(1024 * int(line.split()[1]) for line in fh
-                                 if line.startswith("Private_Dirty:"))
-            except ProcessLookupError:   # it drew its last block and left
-                pass
-            return out
-
-        monkeypatch.setattr(trajectory._NoiseBlocks, "block", polled)
-        streams = [NoiseStream(1, j) for j in range(rows)]
-        sums = _integrate_eigenbasis(kernel, c0, streams, n_steps, 1, [0],
-                                     512, True)
-        batch = trajectory.batch_buffers(rows, n, n_steps, 1, 1)[2] + sum(
-            a.nbytes for part in sums for a in (
-                part.projector_sum, part.energy_sum, part.variance_sum,
-                part.max_norm_drift))
-        assert len(peaks) >= 2
-        assert max(peaks) <= trajectory.helper_bytes(rows, n_steps, batch)
+        (8, 1, 6000), (16, 1, 12000), (2, 64, 3000), (32, 256, 3000),
+        (4, 512, 2000), (4, 1024, 6000), (2, 2000, 2000), (1, 8192, 2000)])
+    def test_helper_estimate_covers_its_copied_pages(self, n, rows, n_steps):
+        # in a fresh interpreter, as a CLI run starts, the helper's
+        # Private_Dirty, read at each block the batch takes while the
+        # helper draws the next, stays within helper_bytes, also where the
+        # batch's reductions at stride 1 (49 MB at n = 16) are many times
+        # that; the shared noise buffers, which batch_buffers counts, are
+        # left out: a page of them is private to the helper until the
+        # batch reads it
+        src = str(Path(trajectory.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", HELPER_PEAK, str(n), str(rows), str(n_steps)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert 0 < int(proc.stdout) <= trajectory.helper_bytes(rows, n_steps)
 
     def test_a_dying_helper_raises(self):
         # the helper ends as it starts its third block; the batch says
