@@ -320,16 +320,21 @@ def helper_bytes(count: int, n_steps: int) -> int:
     n_steps steps: none if the batch draws one block, which forks no
     helper.
 
-    The two processes share every page until one writes it, so the helper
-    comes to hold its own buffers and a copy of each page it or the batch
-    writes after the fork.  It is forked before the batch allocates (see
-    _integrate_eigenbasis), so that leaves out the batch's reductions and
-    working buffers, and comes to the interpreter's pages and the
-    streams': a base and a term per stream.  They are the upper envelope,
-    with a margin, of the helper's peak Private_Dirty (the shared noise
-    buffers left out) in a fresh interpreter at stride 1: 2.4 to 2.8 MiB
-    for 1 to 64 streams, 4.1 MiB for 256 rows at n = 32, 3.7 MiB for 2000
-    streams and 7.4 MiB for 8192.
+    The two processes share every page that is resident at the fork until
+    one of them writes it, so the helper comes to hold its own buffers
+    and a copy of each such page either writes: the interpreter's and the
+    streams', a base and a term per stream.  The batch's reductions and
+    working buffers are not among them: the helper is forked before the
+    batch allocates them, and pages the batch has not written are not
+    resident.  The two terms are the upper envelope, with a margin, of
+    the helper's peak Private_Dirty (the shared noise buffers left out)
+    at stride 1 in a fresh interpreter: 2.4 to 2.8 MiB for 1 to 64
+    streams, also with 49 MB of reductions, 4.1 MiB for 256 rows at
+    n = 32, 3.7 MiB for 2000 streams and 7.4 MiB for 8192 (4.9 and 8.6
+    MiB for a second batch of 2000 or 8192 in the same process).  A
+    process that has freed more memory than that before the fork may
+    have its allocator hand the batch pages that are still shared, and
+    the helper then keeps copies of them too.
     """
     if _noise_block(count, n_steps) >= n_steps:
         return 0
@@ -491,10 +496,8 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     block_len = _noise_block(count, n_steps)
     group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
     noise = _NoiseBlocks(kernel, streams, n_steps, block_len, group, helper)
-    # a helper is forked on entry, before the batch allocates, so that the
-    # batch's buffers are new pages, not pages it shares with the helper,
-    # which would keep a copy of each one the batch writes (except pages
-    # the process freed before the fork and its allocator hands out again)
+    # a helper is forked on entry, before the batch allocates and writes
+    # its buffers (see helper_bytes)
     with noise:
         proj = np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
         e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
