@@ -18,8 +18,10 @@ overhead at small n.  Chunks and fold order are fixed, and the trajectory
 module's determinism rule keeps a chunk's reductions the same in any
 batch, so a run's output is bit-identical for any worker count and any
 job width.  The mean projector is rotated back from the eigenbasis once
-per record time.  Peak memory is estimated before the first job starts,
-and a run that would not fit in physical memory is refused.
+per record time.  One runner (_run) serves run_ensemble and run_trajectory,
+whose trajectory is a one-row job: it sizes the pool, decides whether a
+CPU is spare for noise helpers, and refuses a run whose estimated peak
+memory (a worker's is trajectory.batch_plan's) exceeds physical memory.
 
 Units: all integration happens in natural units (hbar = 1).  SI configs
 are rescaled on load - the energy unit E0 is the largest |eigenvalue| of
@@ -40,8 +42,8 @@ from . import qcore, spacetime
 from .errors import DegenerateStateError, InvalidParameterError, QsdError
 from .noise import NoiseStream
 from .trajectory import (TrajectoryRecord, _BatchSums, _EigenKernel,
-                         _integrate_eigenbasis, batch_buffers, helper_bytes,
-                         record_count, record_steps)
+                         _integrate_eigenbasis, batch_plan, record_count,
+                         record_steps, reduction_bytes)
 
 CHUNK_SIZE = 512         # trajectories per reduction, for any worker count
 BATCH_AMPLITUDES = 8192  # rows x n a job steps at once, if above one chunk
@@ -230,10 +232,10 @@ def _simulate_job(args) -> list[_BatchSums]:
     trajectory module's determinism rule, batch and chunk boundaries never
     leak into a trajectory's values, so trajectory k matches run_trajectory
     on stream k bit for bit.  `keep` holds the batch rows whose series are
-    retained, and `helper` whether a forked process may draw the noise
+    retained, and `spare_cpu` whether a forked process may draw the noise
     while the batch steps, which does not change a bit.
     """
-    kernel, c0, n_steps, stride, seed, rows, keep, helper = args
+    kernel, c0, n_steps, stride, seed, rows, keep, spare_cpu = args
     # Freeing a 1 MiB block raises glibc malloc's dynamic thresholds: blocks
     # under 1 MiB then come from the heap, and up to 2 MiB freed at its top
     # is kept instead of being returned to the system.  Without it, whether
@@ -244,7 +246,7 @@ def _simulate_job(args) -> list[_BatchSums]:
     np.empty(1 << 17)
     streams = [NoiseStream(seed, k) for k in rows]
     return _integrate_eigenbasis(kernel, c0, streams, n_steps, stride, keep,
-                                 CHUNK_SIZE, helper)
+                                 CHUNK_SIZE, spare_cpu)
 
 
 def _jobs(m: int, n: int, pool_size: int) -> list[range]:
@@ -263,20 +265,12 @@ def _jobs(m: int, n: int, pool_size: int) -> list[range]:
 def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRecord:
     """Trajectory `stream_index` of the config's ensemble, alone.
 
-    A batch of one through _simulate_job from the config's initial state,
-    so it replays the ensemble's trajectory with this index bit for bit
-    and records <H>, Var H and the norm defect at its record times, with a
-    noise helper process when a CPU is spare for it.  A run that would not
-    fit in physical memory is refused before it starts.
+    A one-row job of the ensemble's runner (_run), so it replays the
+    ensemble's trajectory with this index bit for bit, recording <H>, Var H
+    and the norm defect at its record times.
     """
-    helper = qcore.usable_cpus() >= 2
-    _check_memory(config, [range(1)], pool_size=1, n_retained=1, helper=helper)
-    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
-    c0 = kernel.vecs.conj().T @ config.initial_state
-    return _simulate_job((kernel, c0, config.n_steps, config.record_stride,
-                          config.master_seed,
-                          range(stream_index, stream_index + 1),
-                          [0], helper))[0].records[0]
+    k = qcore.whole("stream_index", stream_index)
+    return _run(config, range(k, k + 1), 1, [k])[2].records[0]
 
 
 def _fold(jobs) -> _BatchSums:
@@ -302,37 +296,59 @@ def _fold(jobs) -> _BatchSums:
 
 
 def _check_memory(config: SimulationConfig, jobs, pool_size: int,
-                  n_retained: int, helper: bool):
+                  n_retained: int, spare_cpu: bool):
     """Refuse a run of `jobs` (trajectory ranges) whose estimated peak
     memory exceeds physical memory.
 
     With a pool, the estimate assumes every chunk's reductions are waiting
     in the parent at once; without one, the parent folds a job's
     reductions before it runs the next, so it holds those of the widest
-    job.  Next to them are the running totals and the mean projector with
-    its temporaries.  Each worker holds the reductions of the chunks of the
-    widest job and the working buffers of its batch
-    (trajectory.batch_buffers, which count the noise group buffer in the
-    worker or in its noise helper process, whichever draws); with helper
-    true, also the pages its noise helper comes to hold
-    (trajectory.helper_bytes).
+    job.  Next to them are the running totals, the mean projector with
+    its temporaries, the retained series and a final Var H per trajectory
+    of the jobs.  Each worker holds what trajectory.batch_plan states for
+    the widest job: its chunks' reductions, its working buffers and, if
+    the batch forks a noise helper, the pages the helper comes to hold.
     """
     n = config.hamiltonian.shape[0]
-    stride = config.record_stride
-    t = record_count(config.n_steps, stride)
-    sums = t * (16 * n * n + 4 * 8)             # projector sum, 3 sums, times
+    t = record_count(config.n_steps, config.record_stride)
     widest = max(len(rows) for rows in jobs)
     held = (sum(-(-len(rows) // CHUNK_SIZE) for rows in jobs) if pool_size > 1
             else -(-widest // CHUNK_SIZE))
-    parent = (held + 3) * sums + n_retained * t * 4 * 8 \
-        + 8 * config.n_trajectories
-    worker = -(-widest // CHUNK_SIZE) * sums + batch_buffers(
-        widest, n, config.n_steps, stride, min(widest, n_retained))[2]
-    if helper:
-        worker += helper_bytes(widest, config.n_steps)
+    parent = (held + 3) * reduction_bytes(n, t) + n_retained * t * 4 * 8 \
+        + 8 * sum(map(len, jobs))
+    worker = batch_plan(widest, n, config.n_steps, config.record_stride,
+                        min(widest, n_retained), CHUNK_SIZE, spare_cpu).bytes
     qcore.check_memory(parent + pool_size * worker,
                        f"run of {t} record points at n={n}",
                        "raise record_stride or lower n_trajectories")
+
+
+def _run(config: SimulationConfig, rows: range, workers: int, retain):
+    """Run trajectories `rows` of the config's ensemble, keeping the series
+    of the sorted indices in retain; returns the kernel, the eigenbasis c0
+    and the fold of every chunk's reductions.  The pool has at most
+    `workers`, this process's usable CPUs (qcore.usable_cpus) and the jobs;
+    a CPU is spare for each job's noise helper if there are twice as many
+    CPUs as workers.  A run that would not fit is refused before it starts.
+    """
+    cpus = qcore.usable_cpus()
+    pool_size = min(workers, cpus)
+    jobs = [rows[j.start:j.stop]
+            for j in _jobs(len(rows), config.hamiltonian.shape[0], pool_size)]
+    pool_size = min(pool_size, len(jobs))
+    spare_cpu = cpus >= 2 * pool_size
+    _check_memory(config, jobs, pool_size, len(retain), spare_cpu)
+    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
+    c0 = kernel.vecs.conj().T @ config.initial_state   # <v_k | psi0>
+    args = [(kernel, c0, config.n_steps, config.record_stride,
+             config.master_seed, job, [k - job.start for k in retain if k in job],
+             spare_cpu) for job in jobs]
+    if pool_size == 1:
+        return kernel, c0, _fold(map(_simulate_job, args))
+    # concurrent.futures takes 5-8 ms to import: only a pool pays it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        return kernel, c0, _fold(pool.map(_simulate_job, args))
 
 
 def run_ensemble(config: SimulationConfig, workers: int = 1,
@@ -346,10 +362,8 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     `retain` (summary.trajectories).  Any failing trajectory aborts the
     run, reporting its index (dropping it silently would bias the ensemble
     mean): the failure of the lowest failing chunk, as with one chunk per
-    job.  The pool has at most as many workers as this process has usable
-    CPUs (qcore.usable_cpus); when there are twice as many, each job forks
-    a helper process that draws its noise while it steps, which changes no
-    bit either.
+    job.  The pool and the noise helpers follow the usable CPUs (_run),
+    which changes no bit either.
     """
     workers = qcore.whole("workers", workers)
     if workers < 1:
@@ -360,29 +374,11 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     if outside:
         raise InvalidParameterError(
             f"trajectory index {outside[0]} outside 0..{m - 1}")
-    cpus = qcore.usable_cpus()
-    pool_size = min(workers, cpus)
-    jobs = _jobs(m, config.hamiltonian.shape[0], pool_size)
-    pool_size = min(pool_size, len(jobs))
-    helper = cpus >= 2 * pool_size      # a spare CPU for each job's noise
-    _check_memory(config, jobs, pool_size, len(retain), helper)
-
-    kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
+    kernel, c0, total = _run(config, range(m), workers, retain)
     vecs = kernel.vecs
-    c0 = vecs.conj().T @ config.initial_state   # <v_k | psi0>
-    stride = config.record_stride
-    args = [(kernel, c0, config.n_steps, stride, config.master_seed, rows,
-             [k - rows.start for k in retain if k in rows], helper)
-            for rows in jobs]
-    if pool_size == 1:
-        total = _fold(map(_simulate_job, args))
-    else:   # concurrent.futures takes 5-8 ms to import: only a pool pays it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            total = _fold(pool.map(_simulate_job, args))
-
     return EnsembleSummary(
-        times=config.dt * record_steps(config.n_steps, stride).astype(float),
+        times=config.dt * record_steps(config.n_steps,
+                                       config.record_stride).astype(float),
         mean_projector=vecs @ (total.projector_sum / m) @ vecs.conj().T,
         mean_energy=total.energy_sum / m,
         mean_energy_variance=total.variance_sum / m,

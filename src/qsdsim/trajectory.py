@@ -56,7 +56,8 @@ it into step coefficients, while it steps block k, in a helper process
 forked for the batch when a CPU is spare (see _NoiseBlocks), else itself
 between the two.  Each stream draws the same numbers in the same order
 either way, and the coefficients are the same elementwise ops on them,
-so no output bit depends on which process does the drawing.
+so no output bit depends on which process does the drawing.  batch_plan
+decides all this once per batch, and states the memory it takes.
 """
 
 import math
@@ -82,7 +83,7 @@ NOISE_BLOCK_ROWS = 512   # rows; a wider batch draws fewer steps at a time
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
 HELPER_BASE_BYTES = 5 << 20    # a noise helper's copied pages: a base
-HELPER_STREAM_BYTES = 1 << 10  # and a term per stream (see helper_bytes)
+HELPER_STREAM_BYTES = 1 << 10  # and a term per stream (see batch_plan)
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
 
@@ -268,77 +269,74 @@ class _BatchSums:
     records: list                    # TrajectoryRecord of each retained row
 
 
-def _noise_block(count: int, n_steps: int) -> int:
-    """Steps of noise a batch of count rows draws per generator call.
+def reduction_bytes(n: int, n_rec: int) -> int:
+    """Bytes of one chunk's reductions at n_rec record points (the
+    projector sum and three series of _BatchSums) with the record times."""
+    return n_rec * (16 * n * n + 4 * 8)
 
-    A full block is NOISE_BLOCK steps, fewer for a batch wider than
-    NOISE_BLOCK_ROWS so that it keeps the bytes it has at NOISE_BLOCK_ROWS
-    rows.  A batch of at most a full block draws its n_steps at once, into
-    one buffer.  A longer batch draws 3/5 of a full block at a time, into
-    two buffers that take turns: both (16 bytes a row and step each) with
-    the norms (8) hold no more than a full block with its norms (24).
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """What a batch decides once, before it steps (see batch_plan)."""
+
+    block: int      # steps of noise drawn per generator call
+    group: int      # streams drawn at once
+    capacity: int   # record points buffered between flushes
+    helper: bool    # whether a forked helper process draws the noise
+    bytes: int      # what a worker holds for the batch
+
+
+def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
+               chunk: int, spare_cpu: bool) -> BatchPlan:
+    """The plan of a batch of count rows of dimension n over n_steps steps,
+    in chunks of `chunk` rows, kept of them recording their series.
+
+    A full noise block is NOISE_BLOCK steps, fewer above NOISE_BLOCK_ROWS
+    rows so that it keeps its bytes.  A batch of at most a full block
+    draws its n_steps at once; a longer one draws 3/5 of a full block at a
+    time, into two buffers that take turns: both (16 bytes a row and step
+    each) with the norms (8) hold no more than a full block with its norms
+    (24), 12 MiB.  The record capacity is at least one point, which alone
+    can exceed the budget at large B n, and at most the points of a block.
+    A batch of more than one block forks a noise helper if spare_cpu is
+    true and the platform has os.fork.
+
+    The bytes count the chunks' reductions (reduction_bytes each), the
+    noise buffers with the norms, the group buffer of the process that
+    draws, the record buffer with its flush temporaries (the last two
+    share BATCH_BUFFER_BYTES), the two buffers of up to np.getbufsize()
+    floats NumPy's iterator may take for a flush, the step's arrays, the
+    kept series and the record times.  A helper adds the pages it comes to
+    hold: a copy of each page resident at the fork that either process
+    writes, the interpreter's and the streams', a base and a term per
+    stream.  The batch's reductions and buffers are not among them: the
+    helper is forked before the batch allocates them.  The terms are the
+    upper envelope, with a margin, of the helper's peak Private_Dirty (the
+    shared noise buffers left out) at stride 1 in a fresh interpreter: 2.4
+    to 2.8 MiB for 1 to 64 streams, also with 49 MB of reductions, 4.1 MiB
+    for 256 rows at n = 32, 3.7 MiB for 2000 streams and 7.4 MiB for 8192
+    (4.9 and 8.6 MiB for a second batch of 2000 or 8192 in the same
+    process).  A process that freed more than that before the fork may
+    have its allocator hand the batch pages that are still shared, and the
+    helper then keeps copies of them too.
     """
     full = max(1, min(NOISE_BLOCK, NOISE_BLOCK * NOISE_BLOCK_ROWS // count))
-    return n_steps if n_steps <= full else max(1, 3 * full // 5)
-
-
-def batch_buffers(count: int, n: int, n_steps: int, stride: int, kept: int):
-    """(noise group, record capacity, bytes) of the working buffers of a
-    batch of count rows of dimension n over n_steps steps, kept of them
-    recording their series.
-
-    The batch draws noise _noise_block(count, n_steps) steps at a time,
-    into one buffer or two that take turns, so the noise buffers with the
-    norms of a block (16 bytes a row and step per buffer, and 8) stay under
-    NOISE_BLOCK x NOISE_BLOCK_ROWS x 24 bytes, 12 MiB, however many chunks
-    the batch steps.  The bytes cover those buffers with the norms, the
-    noise group buffer of the process that draws (the batch's own, or its
-    helper's), the record buffer with its flush temporaries (the last two
-    share BATCH_BUFFER_BYTES) and the two buffers of up to np.getbufsize()
-    floats NumPy's iterator may take for a flush's elementwise ops, the
-    step's arrays, the kept series and the record times; not the
-    reductions of the batch's chunks.  The capacity is at least one record
-    point, which alone can exceed the budget at large B n, and at most the
-    record points of one block.
-    """
-    block = _noise_block(count, n_steps)
+    block = n_steps if n_steps <= full else max(1, 3 * full // 5)
+    n_blocks = -(-n_steps // block)
+    helper = spare_cpu and n_blocks > 1 and hasattr(os, "fork")
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
     per_point = count * (48 * n + 48)   # amplitudes, <H>, norm^2, temporaries
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
-    buffers = min(2, -(-n_steps // block))
-    noise = count * block * (16 * buffers + 8)   # dxi, and the norms of a block
-    iterator = 16 * min(np.getbufsize(), capacity * count * 2 * n)
-    step = count * (64 * n + 16)   # c and <H>, tiled E, hd, f, f * c
-    series = (24 * kept + 8) * record_count(n_steps, stride)   # and times
-    return group, capacity, (noise + 16 * group * block + capacity * per_point
-                             + iterator + step + series)
-
-
-def helper_bytes(count: int, n_steps: int) -> int:
-    """Memory a noise helper process adds to a batch of count streams over
-    n_steps steps: none if the batch draws one block, which forks no
-    helper.
-
-    The two processes share every page that is resident at the fork until
-    one of them writes it, so the helper comes to hold its own buffers
-    and a copy of each such page either writes: the interpreter's and the
-    streams', a base and a term per stream.  The batch's reductions and
-    working buffers are not among them: the helper is forked before the
-    batch allocates them, and pages the batch has not written are not
-    resident.  The two terms are the upper envelope, with a margin, of
-    the helper's peak Private_Dirty (the shared noise buffers left out)
-    at stride 1 in a fresh interpreter: 2.4 to 2.8 MiB for 1 to 64
-    streams, also with 49 MB of reductions, 4.1 MiB for 256 rows at
-    n = 32, 3.7 MiB for 2000 streams and 7.4 MiB for 8192 (4.9 and 8.6
-    MiB for a second batch of 2000 or 8192 in the same process).  A
-    process that has freed more memory than that before the fork may
-    have its allocator hand the batch pages that are still shared, and
-    the helper then keeps copies of them too.
-    """
-    if _noise_block(count, n_steps) >= n_steps:
-        return 0
-    return HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count
+    n_rec = record_count(n_steps, stride)
+    held = (-(-count // chunk) * reduction_bytes(n, n_rec)
+            + count * block * (16 * min(2, n_blocks) + 8)  # dxi, block's norms
+            + 16 * group * block + capacity * per_point
+            + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
+            + count * (64 * n + 16)   # c and <H>, tiled E, hd, f, f * c
+            + (24 * kept + 8) * n_rec   # kept series and times
+            + (HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count if helper else 0))
+    return BatchPlan(block, group, capacity, helper, held)
 
 
 class _NoiseBlocks:
@@ -352,7 +350,8 @@ class _NoiseBlocks:
     so that block k+1 can be drawn while block k is stepped.  Used as a
     context manager; block(k) returns block k once it is drawn, and tells
     the drawer that the buffer of block k-1 is free.  Without a helper,
-    block(k) draws it itself.  With one, a process forked on entry draws
+    block(k) draws it itself.  With one (batch_plan decides, and a batch
+    of one block has none), a process forked on entry draws
     every block from its copies of the streams (the parent's copies are
     not advanced) into an anonymous shared mmap, and the two processes
     pass a byte per block over two pipes: "block ready" to the parent and
@@ -368,7 +367,7 @@ class _NoiseBlocks:
         self.n_steps, self.block_len = n_steps, block_len
         self.n_blocks = -(-n_steps // block_len)
         shape = (min(2, self.n_blocks), block_len, len(streams))
-        self._helper = helper and self.n_blocks > 1 and hasattr(os, "fork")
+        self._helper = helper
         self._pid = self._scratch = None
         if self._helper:    # mmap and signal take 1.5 ms to import: only a
             import mmap     # helper pays it
@@ -460,7 +459,7 @@ class _NoiseBlocks:
 
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
                           stride: int, keep=(), chunk: int | None = None,
-                          helper: bool = False) -> list[_BatchSums]:
+                          spare_cpu: bool = False) -> list[_BatchSums]:
     """Integrate one trajectory per noise stream from eigenbasis amplitudes
     c0, as one batch, and reduce it a chunk of `chunk` consecutive rows at
     a time (the last chunk may be shorter; None makes the batch one chunk).
@@ -479,9 +478,10 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     taken, and their final state, in the _BatchSums of their chunk.  Each
     row's final Var H is taken once, from its final amplitudes.
 
-    With helper true, a batch that draws more than one noise block draws
-    them in a forked helper process while it steps (_NoiseBlocks), with
-    the same bits; the streams it was given are then not advanced.
+    With spare_cpu true, a batch that draws more than one noise block
+    draws them in a forked helper process while it steps (batch_plan,
+    _NoiseBlocks), with the same bits; the streams it was given are then
+    not advanced.
 
     A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
     The batch raises DegenerateStateError for the failed chunk of lowest
@@ -493,19 +493,19 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     starts = range(0, count, chunk)
     n_rec = record_count(n_steps, stride)
     keep = np.asarray(keep, dtype=np.intp)
-    block_len = _noise_block(count, n_steps)
-    group, capacity, _ = batch_buffers(count, n, n_steps, stride, len(keep))
-    noise = _NoiseBlocks(kernel, streams, n_steps, block_len, group, helper)
+    plan = batch_plan(count, n, n_steps, stride, len(keep), chunk, spare_cpu)
+    noise = _NoiseBlocks(kernel, streams, n_steps, plan.block, plan.group,
+                         plan.helper)
     # a helper is forked on entry, before the batch allocates and writes
-    # its buffers (see helper_bytes)
+    # its buffers (see batch_plan)
     with noise:
         proj = np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
         e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
         energy, variance, defect = (np.empty((len(keep), n_rec))
                                     for _ in range(3))
-        held_c = np.empty((capacity, count, n), dtype=np.complex128)
-        held_e, held_nrm_sq = np.empty((2, capacity, count))
-        norms = np.empty((block_len, count))
+        held_c = np.empty((plan.capacity, count, n), dtype=np.complex128)
+        held_e, held_nrm_sq = np.empty((2, plan.capacity, count))
+        norms = np.empty((plan.block, count))
         held = done = 0      # record points buffered, and reduced before them
         failed = {}          # chunk -> the error of its first bad step
 
@@ -513,7 +513,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
             nonlocal held
             held_c[held], held_e[held], held_nrm_sq[held] = c, e, nrm_sq
             held += 1
-            if held == capacity:
+            if held == plan.capacity:
                 flush()
 
         def flush():
@@ -550,7 +550,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
         hold(c, e, 1.0)
         for k in range(noise.n_blocks):
             coeff = noise.block(k)[by_row]   # (steps, B, 1), or (steps,)
-            start, block = k * block_len, len(coeff)
+            start, block = k * plan.block, len(coeff)
             # a failed row runs on as nan/inf, and is reported at the end of
             # the block, or of the batch if a chunk before its own may fail
             # later

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from qsdsim import qcore
+from qsdsim import qcore, trajectory
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -62,3 +62,12 @@ def force_noise_path(monkeypatch, helper: bool, pool_size: int = 1):
     or in helper processes."""
     cpus = 2 * pool_size if helper else pool_size
     monkeypatch.setattr(qcore, "usable_cpus", lambda: cpus)
+
+
+def helper_term(count, n, n_steps, stride):
+    """What trajectory.batch_plan charges a batch (chunks of 512 rows, no
+    kept series) for its noise helper: its bytes with a spare CPU minus
+    its bytes without one."""
+    plan = [trajectory.batch_plan(count, n, n_steps, stride, 0, 512, spare)
+            for spare in (True, False)]
+    return plan[0].bytes - plan[1].bytes

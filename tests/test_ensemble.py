@@ -2,6 +2,7 @@ import json
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from qsdsim import (InvalidParameterError, SimulationConfig, as_density,
                     integrate_master, load_config, psd_master_rhs,
                     pure_projector, run_ensemble, spacetime,
                     trace_distance)
-from qsdsim import ensemble, qcore, trajectory
-from qsdsim.ensemble import (write_ensemble_csv, write_summary_json,
-                             write_trajectory_csv)
-from conftest import (force_noise_path, random_hermitian, random_state,
-                      variance_rise_z)
+from qsdsim import ensemble, qcore
+from qsdsim.ensemble import (run_trajectory, write_ensemble_csv,
+                             write_summary_json, write_trajectory_csv)
+from conftest import (force_noise_path, helper_term, random_hermitian,
+                      random_state, variance_rise_z)
 
 
 def make_config(**overrides):
@@ -31,6 +32,20 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return SimulationConfig(**base)
+
+
+def estimate(monkeypatch, run, *args, **kwargs):
+    """The bytes `run` passes to qcore.check_memory, which then stops it."""
+    class Estimated(Exception):
+        pass
+
+    def capture(need, what, advice):
+        raise Estimated(need)
+
+    monkeypatch.setattr(qcore, "check_memory", capture)
+    with pytest.raises(Estimated) as info:
+        run(*args, **kwargs)
+    return info.value.args[0]
 
 
 def series(summary, name):
@@ -499,7 +514,7 @@ class TestStreamedReductions:
         assert need(True) == need(False)
         assert need(True, n_trajectories=600, t_final=5.0) \
             - need(False, n_trajectories=600, t_final=5.0) \
-            == trajectory.helper_bytes(600, 2000) > 0
+            == helper_term(600, 2, 2000, 40) > 0
         # a trajectory with 4.6 GB of projector sums (n = 64, stride 1,
         # 70 000 steps) is charged no more for its helper than a small
         # run: the helper is forked before the batch allocates them, so
@@ -509,7 +524,41 @@ class TestStreamedReductions:
                    t_final=175.0, record_stride=1)
         assert need(False, **big) > 4.5e9
         assert need(True, **big) - need(False, **big) \
-            == trajectory.helper_bytes(1, 70000) < 8 << 20
+            == helper_term(1, 64, 70000, 1) < 8 << 20
+
+    def test_trajectory_is_charged_its_own_row(self, monkeypatch):
+        # run_trajectory holds one final Var H, not one per trajectory of
+        # the config's ensemble; 2000 steps take a helper where a CPU is
+        # spare
+        config = make_config(t_final=5.0)
+        for helper in (False, True):
+            force_noise_path(monkeypatch, helper)
+            assert estimate(monkeypatch, run_trajectory, config, 0) \
+                == estimate(monkeypatch, run_ensemble,
+                            replace(config, n_trajectories=1), retain=[0])
+
+    def test_no_fork_charges_and_runs_no_helper(self, monkeypatch):
+        # with a CPU spare but no os.fork, a run of four noise blocks is
+        # estimated and run as without a spare CPU
+        config = make_config(n_trajectories=600, t_final=5.0)
+        monkeypatch.delattr(os, "fork")
+        needs, summaries = [], []
+        for helper in (True, False):
+            force_noise_path(monkeypatch, helper)
+            with monkeypatch.context() as m:
+                needs.append(estimate(m, run_ensemble, config))
+            summaries.append(run_ensemble(config, retain=[0, 599]))
+        assert needs[0] == needs[1]
+        spare, alone = summaries
+        for name in ("mean_projector", "mean_energy", "mean_energy_variance",
+                     "max_norm_drift", "born_frequencies",
+                     "terminal_variances"):
+            assert np.array_equal(getattr(spare, name), getattr(alone, name))
+        for k in (0, 599):
+            for name in ("energy_mean", "energy_variance", "norm_drift",
+                         "final_state"):
+                assert np.array_equal(getattr(spare.trajectories[k], name),
+                                      getattr(alone.trajectories[k], name))
 
     def test_retained_index_checked_before_integration(self, monkeypatch):
         self._refuse_chunks(monkeypatch)

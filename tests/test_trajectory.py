@@ -20,7 +20,8 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
 from qsdsim import qcore, trajectory
 from qsdsim.noise import fill_dxi_blocks
 from qsdsim.trajectory import _EigenKernel, _integrate_eigenbasis
-from conftest import force_noise_path, random_hermitian, random_state
+from conftest import (force_noise_path, helper_term, random_hermitian,
+                      random_state)
 
 
 class TestLindbladFromHamiltonian:
@@ -448,8 +449,8 @@ class TestRecordBuffer:
         # rows are enough for the order of a sum over rows to show
         kernel, c0 = batch_inputs(4, 40, seed=8)
         n_steps, keep = 1100, [1, 39]
-        _, capacity, _ = trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK,
-                                                  1, len(keep))
+        capacity = trajectory.batch_plan(40, 4, trajectory.NOISE_BLOCK, 1,
+                                         len(keep), 40, False).capacity
         assert 1 < capacity < n_steps and n_steps % capacity
         assert n_steps % trajectory.NOISE_BLOCK
 
@@ -459,8 +460,8 @@ class TestRecordBuffer:
 
         buffered = run()
         monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
-        assert trajectory.batch_buffers(40, 4, trajectory.NOISE_BLOCK, 1,
-                                        len(keep))[1] == 1
+        assert trajectory.batch_plan(40, 4, trajectory.NOISE_BLOCK, 1,
+                                     len(keep), 40, False).capacity == 1
         assert_sums_equal(buffered, run())
 
     @pytest.mark.parametrize("n", [1, 2, 4, 64])
@@ -474,9 +475,9 @@ class TestRecordBuffer:
         kernel, c0 = batch_inputs(n, 20, seed=n)
         if one_point:
             monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
-        capacity = trajectory.batch_buffers(20, n, 1100, 1, 0)[1]
-        block = trajectory._noise_block(20, 1100)
-        assert capacity == 1 if one_point else 1 < capacity < block
+        plan = trajectory.batch_plan(20, n, 1100, 1, 0, 8, False)
+        assert plan.capacity == 1 if one_point \
+            else 1 < plan.capacity < plan.block
         states = [np.tile(c0, (20, 1))]
         step = kernel.step
 
@@ -505,15 +506,17 @@ class TestRecordBuffer:
             "n64-128-rows", "n2-four-chunks"])
     def test_buffer_estimate_covers_a_batch(self, n, rows, n_steps, stride,
                                             kept):
-        # what a batch allocates besides its reductions is what
-        # batch_buffers states, with a noise block shorter than NOISE_BLOCK
-        # or not, and cut to the bytes of 512 rows, drawn in-process or by
-        # a helper; tracemalloc sees neither the shared noise buffers nor
-        # the helper's group buffer, so those are added to what it measures
+        # what a batch allocates besides its reductions is what batch_plan
+        # states without a helper, less its chunks' reductions, with a
+        # noise block shorter than NOISE_BLOCK or not, and cut to the bytes
+        # of 512 rows, drawn in-process or by a helper; tracemalloc sees
+        # neither the shared noise buffers nor the helper's group buffer,
+        # so those are added to what it measures
         kernel, c0 = batch_inputs(n, rows, seed=2)
-        group, _, estimate = trajectory.batch_buffers(rows, n, n_steps, stride,
-                                                      kept)
-        block = trajectory._noise_block(rows, n_steps)
+        plan = trajectory.batch_plan(rows, n, n_steps, stride, kept, 512, False)
+        group, block = plan.group, plan.block
+        estimate = plan.bytes - -(-rows // 512) * trajectory.reduction_bytes(
+            n, trajectory.record_count(n_steps, stride))
         for helper in (False, True):
             streams = [NoiseStream(1, j) for j in range(rows)]
             tracemalloc.start()
@@ -561,7 +564,7 @@ class TestRecordBuffer:
                 warnings.simplefilter("error")
                 with pytest.raises(DegenerateStateError, match=expected):
                     _integrate_eigenbasis(kernel, c0, streams, 2100, 1,
-                                          [0, 2], helper=helper)
+                                          [0, 2], spare_cpu=helper)
 
     @pytest.mark.parametrize("n, rows, chunk", [(2, 1030, 512), (4, 7, 3)],
                              ids=["n2-1030-rows", "n4-7-rows"])
@@ -676,7 +679,7 @@ class TestNoiseHelper:
             return _integrate_eigenbasis(kernel, c0, streams, 2500, 3,
                                          [0, 39], 16, helper)
 
-        assert trajectory._noise_block(40, 2500) < 2500
+        assert trajectory.batch_plan(40, 3, 2500, 3, 2, 16, False).block < 2500
         assert_sums_equal(run(True), run(False))
 
     @pytest.mark.parametrize("count", [1, 5])
@@ -726,7 +729,8 @@ class TestNoiseHelper:
             hamiltonian=random_hermitian(rng, 5),
             initial_state=random_state(rng, 5), tau0=0.4, dt=2e-3,
             t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25)
-        assert trajectory._noise_block(7, config.n_steps) < config.n_steps
+        assert trajectory.batch_plan(7, 5, config.n_steps, 25, 3, 512,
+                                     False).block < config.n_steps
         force_noise_path(monkeypatch, ensemble_helper)
         summary = run_ensemble(config, retain=range(3))
         force_noise_path(monkeypatch, trajectory_helper)
@@ -744,17 +748,17 @@ class TestNoiseHelper:
     def test_helper_estimate_covers_its_copied_pages(self, n, rows, n_steps):
         # in a fresh interpreter, as a CLI run starts, the helper's
         # Private_Dirty, read at each block the batch takes while the
-        # helper draws the next, stays within helper_bytes, also where the
-        # batch's reductions at stride 1 (49 MB at n = 16) are many times
-        # that; the shared noise buffers, which batch_buffers counts, are
-        # left out: a page of them is private to the helper until the
-        # batch reads it
+        # helper draws the next, stays within what batch_plan charges for
+        # the helper, also where the batch's reductions at stride 1 (49 MB
+        # at n = 16) are many times that; the shared noise buffers, which
+        # batch_plan counts without a helper too, are left out: a page of
+        # them is private to the helper until the batch reads it
         src = str(Path(trajectory.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", HELPER_PEAK, str(n), str(rows), str(n_steps)],
             capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src))
-        assert 0 < int(proc.stdout) <= trajectory.helper_bytes(rows, n_steps)
+        assert 0 < int(proc.stdout) <= helper_term(rows, n, n_steps, 1)
 
     def test_a_dying_helper_raises(self):
         # the helper ends as it starts its third block; the batch says
@@ -764,7 +768,7 @@ class TestNoiseHelper:
         with pytest.raises(RuntimeError, match=r"noise helper process \d+ "
                            r"ended \(exit status 3\) before noise block"):
             _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0],
-                                  helper=True)
+                                  spare_cpu=True)
 
     def test_numerical_failure_reaps_the_helper(self, monkeypatch):
         # the row fails at step 1, while the helper draws the next block
@@ -793,7 +797,7 @@ class TestNoiseHelper:
         streams = [NoiseStream(2, j) for j in range(3)]
         with pytest.raises(KeyboardInterrupt):
             _integrate_eigenbasis(kernel, c0, streams, 3000, 10, [],
-                                  helper=True)
+                                  spare_cpu=True)
 
 
 class TestGaugeTransform:
@@ -944,3 +948,17 @@ def test_run_trajectory_shape_mismatch():
     with pytest.raises((ShapeError, InvalidParameterError)):
         run_trajectory(one_trajectory(np.eye(3), np.array([1.0, 0.0]), tau0=0.1,
                                       dt=1e-3, t_final=5e-3, master_seed=0), 0)
+
+
+def test_run_trajectory_stream_index_is_a_count():
+    # a whole float runs that stream; a str, None or bool names the field
+    config = one_trajectory(np.diag([1.0, -1.0]), np.array([1, 1]) / np.sqrt(2),
+                            tau0=0.3, dt=1e-3, t_final=0.02, master_seed=2)
+    two = run_trajectory(config, 2)
+    assert np.array_equal(run_trajectory(config, 2.0).final_state,
+                          two.final_state)
+    assert not np.array_equal(run_trajectory(config, 0).final_state,
+                              two.final_state)
+    for bad in ("2", None, True):
+        with pytest.raises(InvalidParameterError, match="stream_index"):
+            run_trajectory(config, bad)
