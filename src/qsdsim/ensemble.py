@@ -19,9 +19,9 @@ module's determinism rule keeps a chunk's reductions the same in any
 batch, so a run's output is bit-identical for any worker count and any
 job width.  The mean projector is rotated back from the eigenbasis once
 per record time.  One runner (_run) serves run_ensemble and run_trajectory,
-whose trajectory is a one-row job: it sizes the pool, decides whether a
-CPU is spare for noise helpers, and refuses a run whose estimated peak
-memory (a worker's is trajectory.batch_plan's) exceeds physical memory.
+whose trajectory is a one-row job that sums no projector: it sizes the
+pool, makes the run's one plan (trajectory.batch_plan), refuses it if it
+would not fit in physical memory, and runs every job under that plan.
 
 Units: all integration happens in natural units (hbar = 1).  SI configs
 are rescaled on load - the energy unit E0 is the largest |eigenvalue| of
@@ -41,9 +41,9 @@ from . import master as master_mod
 from . import qcore, spacetime
 from .errors import DegenerateStateError, InvalidParameterError, QsdError
 from .noise import NoiseStream
-from .trajectory import (TrajectoryRecord, _BatchSums, _EigenKernel,
-                         _integrate_eigenbasis, batch_plan, record_count,
-                         record_steps, reduction_bytes)
+from .trajectory import (BatchPlan, TrajectoryRecord, _BatchSums,
+                         _EigenKernel, _integrate_eigenbasis, batch_plan,
+                         record_count, record_steps)
 
 CHUNK_SIZE = 512         # trajectories per reduction, for any worker count
 BATCH_AMPLITUDES = 8192  # rows x n a job steps at once, if above one chunk
@@ -225,17 +225,16 @@ class EnsembleSummary:
 
 
 def _simulate_job(args) -> list[_BatchSums]:
-    """Integrate trajectories `rows` (a range) as one batch and reduce them
-    a chunk at a time, returning one _BatchSums per chunk.
+    """Integrate trajectories `rows` (a range) as one batch under `plan`
+    and reduce them a chunk at a time, returning one _BatchSums per chunk.
 
     Runs in worker processes on energy-eigenbasis amplitudes.  By the
     trajectory module's determinism rule, batch and chunk boundaries never
     leak into a trajectory's values, so trajectory k matches run_trajectory
     on stream k bit for bit.  `keep` holds the batch rows whose series are
-    retained, and `spare_cpu` whether a forked process may draw the noise
-    while the batch steps, which does not change a bit.
+    retained.
     """
-    kernel, c0, n_steps, stride, seed, rows, keep, spare_cpu = args
+    kernel, c0, seed, rows, keep, plan = args
     # Freeing a 1 MiB block raises glibc malloc's dynamic thresholds: blocks
     # under 1 MiB then come from the heap, and up to 2 MiB freed at its top
     # is kept instead of being returned to the system.  Without it, whether
@@ -245,18 +244,28 @@ def _simulate_job(args) -> list[_BatchSums]:
     # allocate and free it.
     np.empty(1 << 17)
     streams = [NoiseStream(seed, k) for k in rows]
-    return _integrate_eigenbasis(kernel, c0, streams, n_steps, stride, keep,
-                                 CHUNK_SIZE, spare_cpu)
+    return _integrate_eigenbasis(kernel, c0, streams, keep, plan)
+
+
+def _shape(m: int, n: int, pool_size: int) -> tuple[int, int, int]:
+    """Chunks, jobs and the widest job's rows of _jobs(m, n, pool_size), by
+    arithmetic: the last job (with the ragged chunk) has the most chunks,
+    and another as many unless jobs == 1 or chunks % jobs == 1."""
+    n_chunks = -(-m // CHUNK_SIZE)
+    width = min(max(1, BATCH_AMPLITUDES // (CHUNK_SIZE * n)),
+                -(-n_chunks // pool_size))
+    n_jobs = -(-n_chunks // width)
+    most = -(-n_chunks // n_jobs)
+    widest = (m - CHUNK_SIZE * (n_chunks - most)
+              if n_jobs == 1 or n_chunks % n_jobs == 1 else CHUNK_SIZE * most)
+    return n_chunks, n_jobs, widest
 
 
 def _jobs(m: int, n: int, pool_size: int) -> list[range]:
     """Trajectory ranges of the jobs of an M = m run at dimension n: runs of
     consecutive chunks, as many as BATCH_AMPLITUDES holds (one at least)
     and at most ceil(chunks / pool_size), spread evenly over the jobs."""
-    n_chunks = -(-m // CHUNK_SIZE)
-    width = min(max(1, BATCH_AMPLITUDES // (CHUNK_SIZE * n)),
-                -(-n_chunks // pool_size))
-    n_jobs = -(-n_chunks // width)
+    n_chunks, n_jobs, _ = _shape(m, n, pool_size)
     edges = [min(m, CHUNK_SIZE * (j * n_chunks // n_jobs))
              for j in range(n_jobs + 1)]
     return [range(a, b) for a, b in zip(edges, edges[1:])]
@@ -265,12 +274,12 @@ def _jobs(m: int, n: int, pool_size: int) -> list[range]:
 def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRecord:
     """Trajectory `stream_index` of the config's ensemble, alone.
 
-    A one-row job of the ensemble's runner (_run), so it replays the
-    ensemble's trajectory with this index bit for bit, recording <H>, Var H
-    and the norm defect at its record times.
+    A one-row job of the ensemble's runner (_run) that sums no projector,
+    so it replays the ensemble's trajectory with this index bit for bit,
+    recording <H>, Var H and the norm defect at its record times.
     """
     k = qcore.whole("stream_index", stream_index)
-    return _run(config, range(k, k + 1), 1, [k])[2].records[0]
+    return _run(config, range(k, k + 1), 1, [k], False)[2].records[0]
 
 
 def _fold(jobs) -> _BatchSums:
@@ -295,54 +304,54 @@ def _fold(jobs) -> _BatchSums:
     return total
 
 
-def _check_memory(config: SimulationConfig, jobs, pool_size: int,
-                  n_retained: int, spare_cpu: bool):
-    """Refuse a run of `jobs` (trajectory ranges) whose estimated peak
+def _check_memory(config: SimulationConfig, plan: BatchPlan, pool_size: int,
+                  held: int, m: int, n_retained: int):
+    """Refuse a run of m trajectories under `plan` whose estimated peak
     memory exceeds physical memory.
 
-    With a pool, the estimate assumes every chunk's reductions are waiting
-    in the parent at once; without one, the parent folds a job's
-    reductions before it runs the next, so it holds those of the widest
-    job.  Next to them are the running totals, the mean projector with
-    its temporaries, the retained series and a final Var H per trajectory
-    of the jobs.  Each worker holds what trajectory.batch_plan states for
-    the widest job: its chunks' reductions, its working buffers and, if
-    the batch forks a noise helper, the pages the helper comes to hold.
+    The parent holds `held` chunk reductions (with a pool every chunk's
+    may wait there at once; without one it folds a job before the next),
+    with projectors the running totals and the mean projector with its
+    temporaries (three reductions), the retained series and a final Var H
+    per trajectory.  Each worker holds plan.bytes, what the widest job
+    holds.  A run without projectors (a lone trajectory) is advised only
+    a larger record_stride.
     """
     n = config.hamiltonian.shape[0]
     t = record_count(config.n_steps, config.record_stride)
-    widest = max(len(rows) for rows in jobs)
-    held = (sum(-(-len(rows) // CHUNK_SIZE) for rows in jobs) if pool_size > 1
-            else -(-widest // CHUNK_SIZE))
-    parent = (held + 3) * reduction_bytes(n, t) + n_retained * t * 4 * 8 \
-        + 8 * sum(map(len, jobs))
-    worker = batch_plan(widest, n, config.n_steps, config.record_stride,
-                        min(widest, n_retained), CHUNK_SIZE, spare_cpu).bytes
-    qcore.check_memory(parent + pool_size * worker,
+    parent = (held + (3 if plan.projectors else 0)) * plan.reduction \
+        + n_retained * t * 4 * 8 + 8 * m
+    qcore.check_memory(parent + pool_size * plan.bytes,
                        f"run of {t} record points at n={n}",
-                       "raise record_stride or lower n_trajectories")
+                       "raise record_stride" + (" or lower n_trajectories"
+                                                if plan.projectors else ""))
 
 
-def _run(config: SimulationConfig, rows: range, workers: int, retain):
+def _run(config: SimulationConfig, rows: range, workers: int, retain,
+         projectors: bool):
     """Run trajectories `rows` of the config's ensemble, keeping the series
     of the sorted indices in retain; returns the kernel, the eigenbasis c0
     and the fold of every chunk's reductions.  The pool has at most
     `workers`, this process's usable CPUs (qcore.usable_cpus) and the jobs;
     a CPU is spare for each job's noise helper if there are twice as many
-    CPUs as workers.  A run that would not fit is refused before it starts.
+    CPUs as workers.  The one plan (of the widest job, _shape) is checked
+    before any job is built, and every job runs it.
     """
     cpus = qcore.usable_cpus()
-    pool_size = min(workers, cpus)
-    jobs = [rows[j.start:j.stop]
-            for j in _jobs(len(rows), config.hamiltonian.shape[0], pool_size)]
-    pool_size = min(pool_size, len(jobs))
-    spare_cpu = cpus >= 2 * pool_size
-    _check_memory(config, jobs, pool_size, len(retain), spare_cpu)
+    n, workers = config.hamiltonian.shape[0], min(workers, cpus)
+    n_chunks, n_jobs, widest = _shape(len(rows), n, workers)
+    pool_size = min(workers, n_jobs)
+    plan = batch_plan(widest, n, config.n_steps, config.record_stride,
+                      min(widest, len(retain)), CHUNK_SIZE,
+                      cpus >= 2 * pool_size, projectors)
+    _check_memory(config, plan, pool_size,
+                  n_chunks if pool_size > 1 else -(-widest // CHUNK_SIZE),
+                  len(rows), len(retain))
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state   # <v_k | psi0>
-    args = [(kernel, c0, config.n_steps, config.record_stride,
-             config.master_seed, job, [k - job.start for k in retain if k in job],
-             spare_cpu) for job in jobs]
+    jobs = [rows[j.start:j.stop] for j in _jobs(len(rows), n, workers)]
+    args = [(kernel, c0, config.master_seed, job,
+             [k - job.start for k in retain if k in job], plan) for job in jobs]
     if pool_size == 1:
         return kernel, c0, _fold(map(_simulate_job, args))
     # concurrent.futures takes 5-8 ms to import: only a pool pays it
@@ -374,7 +383,7 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     if outside:
         raise InvalidParameterError(
             f"trajectory index {outside[0]} outside 0..{m - 1}")
-    kernel, c0, total = _run(config, range(m), workers, retain)
+    kernel, c0, total = _run(config, range(m), workers, retain, True)
     vecs = kernel.vecs
     return EnsembleSummary(
         times=config.dt * record_steps(config.n_steps,

@@ -57,7 +57,7 @@ forked for the batch when a CPU is spare (see _NoiseBlocks), else itself
 between the two.  Each stream draws the same numbers in the same order
 either way, and the coefficients are the same elementwise ops on them,
 so no output bit depends on which process does the drawing.  batch_plan
-decides all this once per batch, and states the memory it takes.
+decides all this once per run, and states the memory it takes.
 """
 
 import math
@@ -256,8 +256,8 @@ class _EigenKernel:
 class _BatchSums:
     """Reductions of a batch of trajectories, one entry per record time.
 
-    The projector sum is in the energy eigenbasis.  Per-trajectory series
-    exist only for the retained rows.
+    The projector sum is in the energy eigenbasis (None if not summed).
+    Per-trajectory series exist only for the retained rows.
     """
 
     projector_sum: np.ndarray        # (T, n, n)  sum_b c_b c_b^H
@@ -269,27 +269,27 @@ class _BatchSums:
     records: list                    # TrajectoryRecord of each retained row
 
 
-def reduction_bytes(n: int, n_rec: int) -> int:
-    """Bytes of one chunk's reductions at n_rec record points (the
-    projector sum and three series of _BatchSums) with the record times."""
-    return n_rec * (16 * n * n + 4 * 8)
-
-
 @dataclass(frozen=True)
 class BatchPlan:
-    """What a batch decides once, before it steps (see batch_plan)."""
+    """What a run decides once, before any batch steps (see batch_plan)."""
 
-    block: int      # steps of noise drawn per generator call
-    group: int      # streams drawn at once
-    capacity: int   # record points buffered between flushes
-    helper: bool    # whether a forked helper process draws the noise
-    bytes: int      # what a worker holds for the batch
+    n_steps: int      # steps of every row
+    stride: int       # record every stride-th step, and the last
+    chunk: int        # rows of a reduction
+    projectors: bool  # whether a chunk sums its rows' projectors
+    block: int        # steps of noise drawn per generator call
+    group: int        # streams drawn at once
+    capacity: int     # record points buffered between flushes
+    helper: bool      # whether a forked helper process draws the noise
+    reduction: int    # bytes of a chunk's series, any projector sum, times
+    bytes: int        # what a worker holds for the batch
 
 
 def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
-               chunk: int, spare_cpu: bool) -> BatchPlan:
+               chunk: int, spare_cpu: bool, projectors: bool) -> BatchPlan:
     """The plan of a batch of count rows of dimension n over n_steps steps,
-    in chunks of `chunk` rows, kept of them recording their series.
+    in chunks of `chunk` rows summing their projectors if asked, kept of
+    them recording their series.  A narrower batch may run it too.
 
     A full noise block is NOISE_BLOCK steps, fewer above NOISE_BLOCK_ROWS
     rows so that it keeps its bytes.  A batch of at most a full block
@@ -301,7 +301,7 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     A batch of more than one block forks a noise helper if spare_cpu is
     true and the platform has os.fork.
 
-    The bytes count the chunks' reductions (reduction_bytes each), the
+    The bytes count the chunks' reductions (`reduction` each), the
     noise buffers with the norms, the group buffer of the process that
     draws, the record buffer with its flush temporaries (the last two
     share BATCH_BUFFER_BYTES), the two buffers of up to np.getbufsize()
@@ -329,47 +329,46 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
     n_rec = record_count(n_steps, stride)
-    held = (-(-count // chunk) * reduction_bytes(n, n_rec)
+    reduction = n_rec * ((16 * n * n if projectors else 0) + 4 * 8)
+    held = (-(-count // chunk) * reduction
             + count * block * (16 * min(2, n_blocks) + 8)  # dxi, block's norms
             + 16 * group * block + capacity * per_point
             + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
             + count * (64 * n + 16)   # c and <H>, tiled E, hd, f, f * c
             + (24 * kept + 8) * n_rec   # kept series and times
             + (HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count if helper else 0))
-    return BatchPlan(block, group, capacity, helper, held)
+    return BatchPlan(n_steps, stride, chunk, projectors, block, group,
+                     capacity, helper, reduction, held)
 
 
 class _NoiseBlocks:
-    """The coefficient blocks of a batch of streams, in order: block k
-    holds kernel.coefficients of the increments of steps k * block_len
-    onwards, at most block_len of them, as (steps, len(streams)).  The
-    process that draws a block also turns it into coefficients, in place,
-    so the stepping process only takes its broadcasting view.
+    """The coefficient blocks of a batch of streams under a plan, in
+    order: block k holds kernel.coefficients of the increments of steps
+    k * plan.block onwards, at most plan.block of them, as (steps,
+    len(streams)).  The process that draws a block also turns it into
+    coefficients, in place, so the stepping process only takes its view.
 
     Blocks take turns in two buffers (one, if the batch draws one block),
     so that block k+1 can be drawn while block k is stepped.  Used as a
     context manager; block(k) returns block k once it is drawn, and tells
     the drawer that the buffer of block k-1 is free.  Without a helper,
-    block(k) draws it itself.  With one (batch_plan decides, and a batch
-    of one block has none), a process forked on entry draws
-    every block from its copies of the streams (the parent's copies are
-    not advanced) into an anonymous shared mmap, and the two processes
-    pass a byte per block over two pipes: "block ready" to the parent and
-    "buffer free" to the helper.  The helper writes nothing to stdout or
-    stderr and leaves with os._exit; on exit the parent kills and reaps
-    it, on every path, and a helper that dies makes block() raise.  If the
-    fork fails, the batch draws its blocks itself.
+    block(k) draws it itself.  With one (plan.helper; a batch of one block
+    has none), a process forked on entry draws every block from its
+    copies of the streams (the parent's copies are not advanced) into an
+    anonymous shared mmap, and the two processes pass a byte per block
+    over two pipes: "block ready" to the parent and "buffer free" to the
+    helper.  The helper writes nothing to stdout or stderr and leaves with
+    os._exit; on exit the parent kills and reaps it, on every path, and a
+    helper that dies makes block() raise.  If the fork fails, the batch
+    draws its blocks itself.
     """
 
-    def __init__(self, kernel: _EigenKernel, streams, n_steps: int,
-                 block_len: int, group: int, helper: bool):
-        self.kernel, self.streams, self.group = kernel, streams, group
-        self.n_steps, self.block_len = n_steps, block_len
-        self.n_blocks = -(-n_steps // block_len)
-        shape = (min(2, self.n_blocks), block_len, len(streams))
-        self._helper = helper
+    def __init__(self, kernel: _EigenKernel, streams, plan: BatchPlan):
+        self.kernel, self.streams, self.plan = kernel, streams, plan
+        self.n_blocks = -(-plan.n_steps // plan.block)
+        shape = (min(2, self.n_blocks), plan.block, len(streams))
         self._pid = self._scratch = None
-        if self._helper:    # mmap and signal take 1.5 ms to import: only a
+        if plan.helper:     # mmap and signal take 1.5 ms to import: only a
             import mmap     # helper pays it
             shared = mmap.mmap(-1, 16 * math.prod(shape))
             self._buffers = np.frombuffer(shared, dtype=np.complex128
@@ -379,21 +378,20 @@ class _NoiseBlocks:
 
     def _out(self, k: int) -> np.ndarray:
         """The buffer of block k, cut to its steps."""
-        return self._buffers[k % 2, :min(self.block_len,
-                                         self.n_steps - k * self.block_len)]
+        return self._buffers[k % 2, :self.plan.n_steps - k * self.plan.block]
 
     def _draw(self, k: int) -> np.ndarray:
         """Draw block k into its buffer and turn it into coefficients, in
         the process that calls."""
         if self._scratch is None:
-            self._scratch = np.empty((self.group, self.block_len, 2))
+            self._scratch = np.empty((self.plan.group, self.plan.block, 2))
         out = self._out(k)
         fill_dxi_blocks(self.kernel.dt, self.streams, out, self._scratch)
         self.kernel.coefficients(out)
         return out
 
     def __enter__(self):
-        if not self._helper:
+        if not self.plan.helper:
             return self
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
@@ -457,31 +455,30 @@ class _NoiseBlocks:
             os.waitpid(pid, 0)
 
 
-def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
-                          stride: int, keep=(), chunk: int | None = None,
-                          spare_cpu: bool = False) -> list[_BatchSums]:
+def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
+                          plan: BatchPlan) -> list[_BatchSums]:
     """Integrate one trajectory per noise stream from eigenbasis amplitudes
-    c0, as one batch, and reduce it a chunk of `chunk` consecutive rows at
-    a time (the last chunk may be shorter; None makes the batch one chunk).
+    c0, as one batch of at most the rows planned, and reduce it a chunk of
+    plan.chunk consecutive rows at a time (the last may be shorter).
 
     The batch is the unit of stepping: row b draws its increments from
     streams[b] in blocks (fill_dxi_blocks, bit-identical to per-step
     sample_dxi), so a trajectory's values do not depend on which other
     streams share its batch.  The chunk is the unit of reduction: at every
-    step of record_steps(n_steps, stride) the rows' amplitudes, <H> and
-    squared norm go into a record buffer, and a flush reduces every
-    buffered record point at once, each chunk on its own row slice, when
-    the buffer is full and at the end of each noise block.  So each chunk's
-    _BatchSums, returned in row order, holds the bits of that chunk run as
-    a batch of its own.  The rows listed in keep (batch rows) also record
-    <H>, Var H and the norm defect ||psi + dpsi|| - 1 of the step just
-    taken, and their final state, in the _BatchSums of their chunk.  Each
-    row's final Var H is taken once, from its final amplitudes.
+    step of record_steps(plan.n_steps, plan.stride) the rows' amplitudes,
+    <H> and squared norm go into a record buffer, and a flush reduces
+    every buffered record point at once, each chunk on its own row slice,
+    when the buffer is full and at the end of each noise block.  So each
+    chunk's _BatchSums, returned in row order, holds the bits of that
+    chunk run as a batch of its own.  The rows listed in keep (batch rows)
+    also record <H>, Var H and the norm defect ||psi + dpsi|| - 1 of the
+    step just taken, and their final state, in the _BatchSums of their
+    chunk.  Each row's final Var H is taken once, from its final
+    amplitudes.
 
-    With spare_cpu true, a batch that draws more than one noise block
-    draws them in a forked helper process while it steps (batch_plan,
-    _NoiseBlocks), with the same bits; the streams it was given are then
-    not advanced.
+    With plan.helper, a forked process draws the noise blocks while the
+    batch steps (_NoiseBlocks), with the same bits; the streams it was
+    given are then not advanced.
 
     A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
     The batch raises DegenerateStateError for the failed chunk of lowest
@@ -489,17 +486,15 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
     row: what that chunk raises alone, whichever chunks share its batch.
     """
     count, n = len(streams), len(c0)
-    chunk = chunk or count
+    n_steps, stride, chunk = plan.n_steps, plan.stride, plan.chunk
     starts = range(0, count, chunk)
     n_rec = record_count(n_steps, stride)
     keep = np.asarray(keep, dtype=np.intp)
-    plan = batch_plan(count, n, n_steps, stride, len(keep), chunk, spare_cpu)
-    noise = _NoiseBlocks(kernel, streams, n_steps, plan.block, plan.group,
-                         plan.helper)
     # a helper is forked on entry, before the batch allocates and writes
     # its buffers (see batch_plan)
-    with noise:
-        proj = np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
+    with _NoiseBlocks(kernel, streams, plan) as noise:
+        proj = (np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
+                if plan.projectors else [None] * len(starts))
         e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
         energy, variance, defect = (np.empty((len(keep), n_rec))
                                     for _ in range(3))
@@ -531,9 +526,10 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, n_steps: int,
             drift = np.abs(d)
             for j, lo in enumerate(starts):
                 rows = slice(lo, lo + chunk)
-                part = held_c[:held, rows]
-                np.matmul(part.transpose(0, 2, 1), part.conj(),
-                          out=proj[j, pos])
+                if plan.projectors:
+                    part = held_c[:held, rows]
+                    np.matmul(part.transpose(0, 2, 1), part.conj(),
+                              out=proj[j][pos])
                 e_sum[j, pos], v_sum[j, pos] = (e[:, rows].sum(axis=1),
                                                 v[:, rows].sum(axis=1))
                 drift_max[j, pos] = drift[:, rows].max(axis=1)

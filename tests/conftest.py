@@ -68,6 +68,15 @@ def helper_term(count, n, n_steps, stride):
     """What trajectory.batch_plan charges a batch (chunks of 512 rows, no
     kept series) for its noise helper: its bytes with a spare CPU minus
     its bytes without one."""
-    plan = [trajectory.batch_plan(count, n, n_steps, stride, 0, 512, spare)
+    plan = [plan_for(count, n, n_steps, stride, 0, 512, spare)
             for spare in (True, False)]
     return plan[0].bytes - plan[1].bytes
+
+
+def plan_for(count, n, n_steps, stride, kept=0, chunk=None, spare_cpu=False):
+    """The trajectory.batch_plan of a batch of count rows at dimension n
+    that sums projectors, in chunks of `chunk` rows (None: one chunk),
+    kept of them recording their series, for a direct
+    _integrate_eigenbasis call."""
+    return trajectory.batch_plan(count, n, n_steps, stride, kept,
+                                 chunk or count, spare_cpu, True)

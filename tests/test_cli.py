@@ -572,6 +572,27 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("qsdsim: invalid input")
 
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="caps its address space with resource")
+    def test_huge_count_refused_within_capped_memory(self, config_path):
+        # 10^12 trajectories are about 2 * 10^9 chunks; a fresh interpreter
+        # that caps its own address space at 2 GB plans and refuses the
+        # run, where a list of its jobs would not fit
+        run = ("import resource, runpy, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "sys.argv[0] = 'qsdsim'; "
+               "runpy.run_module('qsdsim.cli', run_name='__main__')")
+        src = str(Path(qsdsim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", run, "ensemble", "--config",
+             str(config_path), "--out", str(config_path.parent / "out"),
+             "--trajectories", str(10 ** 12)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("qsdsim: invalid input")
+        assert "physical memory" in proc.stderr
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

@@ -12,7 +12,7 @@ from qsdsim import (InvalidParameterError, SimulationConfig, as_density,
                     integrate_master, load_config, psd_master_rhs,
                     pure_projector, run_ensemble, spacetime,
                     trace_distance)
-from qsdsim import ensemble, qcore
+from qsdsim import ensemble, qcore, trajectory
 from qsdsim.ensemble import (run_trajectory, write_ensemble_csv,
                              write_summary_json, write_trajectory_csv)
 from conftest import (force_noise_path, helper_term, random_hermitian,
@@ -402,11 +402,13 @@ class TestStreamedReductions:
 
             def map(self, fn, args):
                 args = list(args)
-                seen.append({a[-1] for a in args})
+                seen.append({a[-1].helper for a in args})
                 return map(fn, args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        config = make_config(n_trajectories=1030, t_final=0.1)
+        # 1100 steps are more than one noise block, so the plan every job
+        # runs forks a helper wherever a CPU is spare
+        config = make_config(n_trajectories=1030, t_final=2.75)
         for cpus, expected in ((1, []), (3, [3, {False}]), (6, [3, {True}]),
                                (8, [3, {True}])):
             seen.clear()
@@ -421,6 +423,62 @@ class TestStreamedReductions:
         assert qcore.usable_cpus() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert qcore.usable_cpus() == 1
+
+    def test_shape_is_the_jobs_by_arithmetic(self):
+        # chunks, jobs and the widest job's rows, without the job list
+        for m in (*range(1, 5200, 37), 513, 1024, 1025, 2600, 9999, 10 ** 5):
+            for n in (1, 2, 3, 4, 16, 64, 100):
+                for pool in (1, 2, 3, 4, 5, 8):
+                    jobs = ensemble._jobs(m, n, pool)
+                    assert ensemble._shape(m, n, pool) == (
+                        -(-m // ensemble.CHUNK_SIZE), len(jobs),
+                        max(map(len, jobs)))
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+    def test_check_is_of_the_plan_every_job_runs(self, monkeypatch, workers):
+        # qcore.check_memory is passed the parent's bytes plus pool_size
+        # times the bytes of the very plan each job is given, the plan of
+        # the widest job (1030 rows alone, or the 518 of 512 + 518)
+        import concurrent.futures
+
+        class Pool:     # runs the jobs here, where the spy sees them
+            def __init__(self, max_workers):
+                assert max_workers == workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        needs, plans = [], []
+        check, simulate = qcore.check_memory, ensemble._simulate_job
+
+        def spy_check(need, what, advice):
+            needs.append(need)
+            check(need, what, advice)
+
+        def spy_job(args):
+            plans.append(args[-1])
+            return simulate(args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(qcore, "check_memory", spy_check)
+        monkeypatch.setattr(ensemble, "_simulate_job", spy_job)
+        force_noise_path(monkeypatch, False, workers)
+        config = make_config(n_trajectories=1030, t_final=2.75)
+        run_ensemble(config, workers=workers, retain=[0, 1029])
+        widest = (1030, 518)[workers - 1]
+        plan = plans[0]
+        assert len(plans) == workers and all(p is plan for p in plans)
+        assert plan == trajectory.batch_plan(widest, 2, 1100, 40, 2, 512,
+                                             False, True)
+        t = trajectory.record_count(1100, 40)
+        parent = (3 + 3) * plan.reduction + 2 * t * 32 + 8 * 1030
+        assert needs == [parent + workers * plan.bytes]
 
     def test_jobs_are_whole_chunks_under_the_amplitude_budget(self):
         # criterion 6's 10 chunks at n = 2 make 2 jobs of 5, one per worker
@@ -528,14 +586,62 @@ class TestStreamedReductions:
 
     def test_trajectory_is_charged_its_own_row(self, monkeypatch):
         # run_trajectory holds one final Var H, not one per trajectory of
-        # the config's ensemble; 2000 steps take a helper where a CPU is
-        # spare
+        # the config's ensemble, and sums no projector: it is charged what
+        # the M = 1 ensemble is charged less the projector sums of its
+        # worker's and its parent's chunk and the parent's mean projector
+        # with its temporaries (three reductions); 2000 steps take a
+        # helper where a CPU is spare
         config = make_config(t_final=5.0)
+        t = trajectory.record_count(2000, 40)
+        projectors = 2 * t * 16 * 2 ** 2 + 3 * t * (16 * 2 ** 2 + 4 * 8)
         for helper in (False, True):
             force_noise_path(monkeypatch, helper)
             assert estimate(monkeypatch, run_trajectory, config, 0) \
                 == estimate(monkeypatch, run_ensemble,
-                            replace(config, n_trajectories=1), retain=[0])
+                            replace(config, n_trajectories=1),
+                            retain=[0]) - projectors
+
+    def test_trajectory_sums_no_projector(self, monkeypatch):
+        # 70 001 record points at n = 64 are 4.6 GB of projector sums, but
+        # the trajectory's series are 1.6 MiB: it is not refused
+        config = make_config(hamiltonian=np.diag(np.linspace(-1, 1, 64)),
+                             initial_state=np.ones(64) / 8, dt=1e-3,
+                             t_final=70.0, n_trajectories=1, record_stride=1)
+        for helper in (False, True):
+            force_noise_path(monkeypatch, helper)
+            with monkeypatch.context() as m:
+                assert estimate(m, run_trajectory, config, 0) < 16 << 20
+        # and runs without them: at n = 32 they alone would be 82 MB
+        config = replace(config, hamiltonian=np.diag(np.linspace(-1, 1, 32)),
+                         initial_state=np.ones(32) / np.sqrt(32), t_final=5.0)
+        tracemalloc.start()
+        try:
+            record = run_trajectory(config, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(record.energy_mean) == 5001
+        assert peak < 5e6
+
+    def test_trajectory_refusal_names_only_the_stride(self, monkeypatch):
+        self._refuse_chunks(monkeypatch)
+        config = make_config(dt=1e-12, t_final=1.0, record_stride=1)
+        with pytest.raises(InvalidParameterError,
+                           match=r"physical memory; raise record_stride$"):
+            run_trajectory(config, 0)
+
+    def test_huge_count_refused_before_its_jobs_are_built(self, monkeypatch):
+        # 10^12 trajectories are about 2 * 10^9 chunks; the run is planned
+        # and refused by arithmetic, before any list of jobs exists
+        def fail(*args):
+            raise AssertionError("the jobs were built")
+
+        monkeypatch.setattr(ensemble, "_jobs", fail)
+        self._refuse_chunks(monkeypatch)
+        for workers in (1, 2):
+            with pytest.raises(InvalidParameterError, match="physical memory"):
+                run_ensemble(make_config(n_trajectories=10 ** 12),
+                             workers=workers)
 
     def test_no_fork_charges_and_runs_no_helper(self, monkeypatch):
         # with a CPU spare but no os.fork, a run of four noise blocks is

@@ -20,8 +20,8 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
 from qsdsim import qcore, trajectory
 from qsdsim.noise import fill_dxi_blocks
 from qsdsim.trajectory import _EigenKernel, _integrate_eigenbasis
-from conftest import (force_noise_path, helper_term, random_hermitian,
-                      random_state)
+from conftest import (force_noise_path, helper_term, plan_for,
+                      random_hermitian, random_state)
 
 
 class TestLindbladFromHamiltonian:
@@ -376,7 +376,8 @@ class TestRankOneStep:
 
         def run():
             streams = [NoiseStream(2, j) for j in range(rows)]
-            return _integrate_eigenbasis(kernel, c0, streams, 1100, 7, [0])
+            return _integrate_eigenbasis(kernel, c0, streams, [0],
+                                         plan_for(rows, 4, 1100, 7, 1))
 
         private = run()
         monkeypatch.setattr(trajectory, "_einsum", np.einsum)
@@ -450,18 +451,19 @@ class TestRecordBuffer:
         kernel, c0 = batch_inputs(4, 40, seed=8)
         n_steps, keep = 1100, [1, 39]
         capacity = trajectory.batch_plan(40, 4, trajectory.NOISE_BLOCK, 1,
-                                         len(keep), 40, False).capacity
+                                         len(keep), 40, False, True).capacity
         assert 1 < capacity < n_steps and n_steps % capacity
         assert n_steps % trajectory.NOISE_BLOCK
 
         def run():
             streams = [NoiseStream(6, j) for j in range(40)]
-            return _integrate_eigenbasis(kernel, c0, streams, n_steps, 1, keep)
+            return _integrate_eigenbasis(kernel, c0, streams, keep,
+                                         plan_for(40, 4, n_steps, 1, len(keep)))
 
         buffered = run()
         monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
         assert trajectory.batch_plan(40, 4, trajectory.NOISE_BLOCK, 1,
-                                     len(keep), 40, False).capacity == 1
+                                     len(keep), 40, False, True).capacity == 1
         assert_sums_equal(buffered, run())
 
     @pytest.mark.parametrize("n", [1, 2, 4, 64])
@@ -475,7 +477,7 @@ class TestRecordBuffer:
         kernel, c0 = batch_inputs(n, 20, seed=n)
         if one_point:
             monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
-        plan = trajectory.batch_plan(20, n, 1100, 1, 0, 8, False)
+        plan = trajectory.batch_plan(20, n, 1100, 1, 0, 8, False, True)
         assert plan.capacity == 1 if one_point \
             else 1 < plan.capacity < plan.block
         states = [np.tile(c0, (20, 1))]
@@ -488,7 +490,7 @@ class TestRecordBuffer:
 
         monkeypatch.setattr(kernel, "step", recording)
         streams = [NoiseStream(9, j) for j in range(20)]
-        sums = _integrate_eigenbasis(kernel, c0, streams, 1100, 1, (), 8)
+        sums = _integrate_eigenbasis(kernel, c0, streams, (), plan)
         assert len(states) == 1101
         for j, part in enumerate(sums):
             for t, c in enumerate(states):
@@ -513,17 +515,17 @@ class TestRecordBuffer:
         # neither the shared noise buffers nor the helper's group buffer,
         # so those are added to what it measures
         kernel, c0 = batch_inputs(n, rows, seed=2)
-        plan = trajectory.batch_plan(rows, n, n_steps, stride, kept, 512, False)
+        plan = trajectory.batch_plan(rows, n, n_steps, stride, kept, 512,
+                                     False, True)
         group, block = plan.group, plan.block
-        estimate = plan.bytes - -(-rows // 512) * trajectory.reduction_bytes(
-            n, trajectory.record_count(n_steps, stride))
+        estimate = plan.bytes - -(-rows // 512) * plan.reduction
         for helper in (False, True):
             streams = [NoiseStream(1, j) for j in range(rows)]
             tracemalloc.start()
             try:
-                sums = _integrate_eigenbasis(kernel, c0, streams, n_steps,
-                                             stride, list(range(kept)), 512,
-                                             helper)
+                sums = _integrate_eigenbasis(
+                    kernel, c0, streams, list(range(kept)),
+                    plan_for(rows, n, n_steps, stride, kept, 512, helper))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -563,8 +565,9 @@ class TestRecordBuffer:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DegenerateStateError, match=expected):
-                    _integrate_eigenbasis(kernel, c0, streams, 2100, 1,
-                                          [0, 2], spare_cpu=helper)
+                    _integrate_eigenbasis(kernel, c0, streams, [0, 2],
+                                          plan_for(5, 3, 2100, 1, 2,
+                                                   spare_cpu=helper))
 
     @pytest.mark.parametrize("n, rows, chunk", [(2, 1030, 512), (4, 7, 3)],
                              ids=["n2-1030-rows", "n4-7-rows"])
@@ -579,9 +582,10 @@ class TestRecordBuffer:
 
         def run(lo, hi, chunk=None):
             streams = [NoiseStream(7, j) for j in range(lo, hi)]
+            kept = [k - lo for k in keep if lo <= k < hi]
             return _integrate_eigenbasis(
-                kernel, c0, streams, 1100, 7,
-                [k - lo for k in keep if lo <= k < hi], chunk)
+                kernel, c0, streams, kept,
+                plan_for(hi - lo, n, 1100, 7, len(kept), chunk))
 
         alone = [run(lo, min(lo + chunk, rows))[0]
                  for lo in range(0, rows, chunk)]
@@ -601,8 +605,9 @@ class TestRecordBuffer:
         def run(lo, hi, chunk, helper):
             streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
                        for j in range(lo, hi)]
-            _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0], chunk,
-                                  helper)
+            _integrate_eigenbasis(kernel, c0, streams, [0],
+                                  plan_for(hi - lo, 3, 2100, 1, 1, chunk,
+                                           helper))
 
         for lo, hi, chunk in ((0, 7, 3), (3 * lowest, 3 * lowest + 3, None)):
             for helper in (False, True):
@@ -660,8 +665,8 @@ n, rows, n_steps = map(int, sys.argv[1:])
 kernel = trajectory._EigenKernel(np.diag(np.linspace(-1, 1, n)), 2e-3, 0.4)
 streams = [NoiseStream(1, j) for j in range(rows)]
 c0 = np.full(n, 1 / np.sqrt(n), dtype=complex)
-trajectory._integrate_eigenbasis(kernel, c0, streams, n_steps, 1, [0], 512,
-                                 True)
+plan = trajectory.batch_plan(rows, n, n_steps, 1, 1, 512, True, True)
+trajectory._integrate_eigenbasis(kernel, c0, streams, [0], plan)
 print(max(peaks) if len(peaks) >= 2 else 0)
 """
 
@@ -676,10 +681,12 @@ class TestNoiseHelper:
 
         def run(helper):
             streams = [NoiseStream(5, j) for j in range(40)]
-            return _integrate_eigenbasis(kernel, c0, streams, 2500, 3,
-                                         [0, 39], 16, helper)
+            return _integrate_eigenbasis(kernel, c0, streams, [0, 39],
+                                         plan_for(40, 3, 2500, 3, 2, 16,
+                                                  helper))
 
-        assert trajectory.batch_plan(40, 3, 2500, 3, 2, 16, False).block < 2500
+        assert trajectory.batch_plan(40, 3, 2500, 3, 2, 16, False,
+                                     True).block < 2500
         assert_sums_equal(run(True), run(False))
 
     @pytest.mark.parametrize("count", [1, 5])
@@ -691,8 +698,10 @@ class TestNoiseHelper:
         kernel, _ = batch_inputs(3, count, seed=6)
         streams = [NoiseStream(8, j) for j in range(count)]
         alone = [NoiseStream(8, j) for j in range(count)]
-        with trajectory._NoiseBlocks(kernel, streams, 1000, 300, 2,
-                                     helper) as noise:
+        plan = trajectory.BatchPlan(
+            n_steps=1000, stride=1, chunk=count, projectors=True, block=300,
+            group=2, capacity=1, helper=helper, reduction=0, bytes=0)
+        with trajectory._NoiseBlocks(kernel, streams, plan) as noise:
             assert noise.n_blocks == 4
             for k in range(4):
                 steps = min(300, 1000 - 300 * k)
@@ -706,8 +715,9 @@ class TestNoiseHelper:
 
         def run(helper):
             streams = [NoiseStream(5, j) for j in range(40)]
-            return _integrate_eigenbasis(kernel, c0, streams, 2500, 3,
-                                         [0, 39], 16, helper)
+            return _integrate_eigenbasis(kernel, c0, streams, [0, 39],
+                                         plan_for(40, 3, 2500, 3, 2, 16,
+                                                  helper))
 
         expected = run(False)
 
@@ -730,7 +740,7 @@ class TestNoiseHelper:
             initial_state=random_state(rng, 5), tau0=0.4, dt=2e-3,
             t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25)
         assert trajectory.batch_plan(7, 5, config.n_steps, 25, 3, 512,
-                                     False).block < config.n_steps
+                                     False, True).block < config.n_steps
         force_noise_path(monkeypatch, ensemble_helper)
         summary = run_ensemble(config, retain=range(3))
         force_noise_path(monkeypatch, trajectory_helper)
@@ -767,8 +777,8 @@ class TestNoiseHelper:
         streams = [_DyingStream(3, j, 700) for j in range(5)]
         with pytest.raises(RuntimeError, match=r"noise helper process \d+ "
                            r"ended \(exit status 3\) before noise block"):
-            _integrate_eigenbasis(kernel, c0, streams, 2100, 1, [0],
-                                  spare_cpu=True)
+            _integrate_eigenbasis(kernel, c0, streams, [0],
+                                  plan_for(5, 3, 2100, 1, 1, spare_cpu=True))
 
     def test_numerical_failure_reaps_the_helper(self, monkeypatch):
         # the row fails at step 1, while the helper draws the next block
@@ -796,8 +806,8 @@ class TestNoiseHelper:
         monkeypatch.setattr(kernel, "step", interrupted)
         streams = [NoiseStream(2, j) for j in range(3)]
         with pytest.raises(KeyboardInterrupt):
-            _integrate_eigenbasis(kernel, c0, streams, 3000, 10, [],
-                                  spare_cpu=True)
+            _integrate_eigenbasis(kernel, c0, streams, [],
+                                  plan_for(3, 2, 3000, 10, spare_cpu=True))
 
 
 class TestGaugeTransform:
