@@ -16,8 +16,7 @@ from .master import (analytic_offdiagonal, integrate_master, lindblad_rhs,
                      psd_master_exact, psd_master_rhs)
 from .noise import NoiseStream, sample_dxi, sample_dxi_block
 from .qcore import (align_global_phase, as_density, as_operator, as_state,
-                    expectation, normalize, pure_projector, trace_distance,
-                    variance)
+                    normalize, pure_projector, trace_distance)
 from .spacetime import (DecoherenceEstimate, NormCompletion,
                         decoherence_rate, delta_e_from_height,
                         delta_e_from_velocities, equivalence_report,
@@ -52,7 +51,6 @@ __all__ = [
     "delta_e_from_height",
     "delta_e_from_velocities",
     "equivalence_report",
-    "expectation",
     "fluctuating_time_step",
     "fluctuation_time_constant",
     "gauge_transform",
@@ -75,5 +73,4 @@ __all__ = [
     "sample_dxi",
     "sample_dxi_block",
     "trace_distance",
-    "variance",
 ]

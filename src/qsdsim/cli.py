@@ -211,9 +211,9 @@ def _add_run_options(p, trajectories=True):
                        help="override n_trajectories")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes, at most one per usable CPU; a "
-                            "run may also use one noise helper process per "
-                            "worker when a CPU is spare (neither changes "
-                            "results)")
+                            "run whose noise outgrows one block may also use "
+                            "one noise helper process per worker when a CPU "
+                            "is spare (neither changes results)")
         p.add_argument("--dump-trajectory", type=int, action="append",
                        metavar="K", help="also write trajectory_<K>.csv")
 

@@ -113,6 +113,10 @@ class SimulationConfig:
             raise InvalidParameterError(
                 f"need dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
         steps = self.t_final / self.dt
+        if not math.isfinite(steps) or round(steps) + 1 >= 2 ** 63:
+            raise InvalidParameterError(
+                f"t_final / dt must be a step count below 2^63 - 1, got "
+                f"t_final={self.t_final!r}, dt={self.dt!r}")
         if abs(steps - round(steps)) > _STEP_TOL * steps:
             raise InvalidParameterError(
                 f"t_final must be a whole number of steps dt, got "

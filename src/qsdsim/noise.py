@@ -12,10 +12,11 @@ order in dt downstream.
 Streams are counter-based (Philox) and keyed by (master_seed,
 stream_index), so every trajectory of an ensemble owns an independent,
 bit-reproducible noise source regardless of scheduling.  The same holds
-for who draws: a batch of trajectories may hand its streams to one
-forked noise helper process when a CPU is spare for it
-(trajectory._NoiseBlocks), which draws each stream's increments in the
-order the batch would, so no output changes.
+for who draws: a batch of trajectories whose noise outgrows one block
+(trajectory.NOISE_BLOCK_BYTES) may hand its streams to one forked noise
+helper process when a CPU is spare for it (trajectory._NoiseBlocks),
+which draws each stream's increments in the order the batch would, so
+no output changes.
 """
 
 import numpy as np

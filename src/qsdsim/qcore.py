@@ -149,25 +149,6 @@ def normalize(psi) -> np.ndarray:
     return psi / nrm
 
 
-def expectation(a, psi) -> complex:
-    """<psi|A|psi> for a normalized state."""
-    a = np.asarray(a, dtype=np.complex128)
-    psi = np.asarray(psi, dtype=np.complex128)
-    _check_match(a, psi)
-    return complex(np.vdot(psi, a @ psi))
-
-
-def variance(h, psi) -> float:
-    """<H^2> - <H>^2, clamped to be non-negative."""
-    h = np.asarray(h, dtype=np.complex128)
-    psi = np.asarray(psi, dtype=np.complex128)
-    _check_match(h, psi)
-    hpsi = h @ psi
-    mean = np.vdot(psi, hpsi).real
-    second = np.vdot(hpsi, hpsi).real
-    return max(second - mean * mean, 0.0)
-
-
 def pure_projector(psi) -> np.ndarray:
     """|psi><psi| for a normalized state."""
     psi = np.asarray(psi, dtype=np.complex128)
@@ -223,7 +204,7 @@ def align_global_phase(psi, reference) -> np.ndarray:
 
 def state_to_json(psi) -> list:
     psi = np.asarray(psi, dtype=np.complex128)
-    return [[float(z.real), float(z.imag)] for z in psi]
+    return np.stack((psi.real, psi.imag), axis=-1).tolist()
 
 
 def state_from_json(data) -> np.ndarray:
@@ -235,7 +216,7 @@ def state_from_json(data) -> np.ndarray:
 
 def operator_to_json(a) -> list:
     a = np.asarray(a, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def operator_from_json(data) -> np.ndarray:

@@ -51,13 +51,16 @@ as a call per point, as when the chunk is reduced alone.  A sum per
 chunk may use BLAS because chunk boundaries are fixed, so a chunk's sums
 do not depend on how many chunks share its batch.
 
-A batch that draws more than one noise block draws block k+1, and turns
-it into step coefficients, while it steps block k, in a helper process
-forked for the batch when a CPU is spare (see _NoiseBlocks), else itself
-between the two.  Each stream draws the same numbers in the same order
-either way, and the coefficients are the same elementwise ops on them,
-so no output bit depends on which process does the drawing.  batch_plan
-decides all this once per run, and states the memory it takes.
+A batch draws its noise in blocks of at most NOISE_BLOCK_BYTES, so a
+batch whose noise fits one block (a lone trajectory of up to 524 288
+steps) draws it once, before it steps.  A wider or longer batch draws
+block k+1, and turns it into step coefficients, while it steps block k,
+in a helper process forked for the batch when a CPU is spare (see
+_NoiseBlocks), else itself between the two.  Each stream draws the same
+numbers in the same order either way, and the coefficients are the same
+elementwise ops on them, so no output bit depends on which process does
+the drawing.  batch_plan decides all this once per run, and states the
+memory it takes.
 """
 
 import math
@@ -78,8 +81,7 @@ except ImportError:
     _einsum = np.einsum
 
 _UNIT_PHASE_TOL = 1e-12
-NOISE_BLOCK = 1024       # steps of noise in a full block, up to
-NOISE_BLOCK_ROWS = 512   # rows; a wider batch draws fewer steps at a time
+NOISE_BLOCK_BYTES = 12 << 20   # bytes of a full noise block with its norms
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
 HELPER_BASE_BYTES = 5 << 20    # a noise helper's copied pages: a base
@@ -212,7 +214,7 @@ class _EigenKernel:
             v += t
         return v
 
-    def step(self, c, e, coeff, tiled=None):
+    def step(self, c, e, coeff, tiled):
         """One step of rows c (B, n) with <H> e (B,) and coefficients coeff
         (B, 1), or of a rank-1 row c (n,) with scalars e and coeff; returns
         the renormalized amplitudes, their <H> (mean_energy) and each row's
@@ -225,13 +227,11 @@ class _EigenKernel:
         minus `tiled`, the energies tiled over the batch's rows (B n,),
         which a caller that steps the batch many times makes once
         (np.subtract.outer would run an inner loop only n long per row); a
-        rank-1 row subtracts the energies from its scalar <H>.
+        rank-1 row subtracts `tiled`, the energies (n,), from its scalar <H>.
         """
         if c.ndim == 1:
-            hd = e - self.energies
+            hd = e - tiled
         else:
-            if tiled is None:
-                tiled = np.tile(self.energies, len(c))
             hd = np.repeat(e, len(self.energies))
             hd = np.subtract(hd, tiled, out=hd).reshape(c.shape)
         f = coeff - self._curvature * hd
@@ -291,15 +291,20 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     in chunks of `chunk` rows summing their projectors if asked, kept of
     them recording their series.  A narrower batch may run it too.
 
-    A full noise block is NOISE_BLOCK steps, fewer above NOISE_BLOCK_ROWS
-    rows so that it keeps its bytes.  A batch of at most a full block
-    draws its n_steps at once; a longer one draws 3/5 of a full block at a
-    time, into two buffers that take turns: both (16 bytes a row and step
-    each) with the norms (8) hold no more than a full block with its norms
-    (24), 12 MiB.  The record capacity is at least one point, which alone
-    can exceed the budget at large B n, and at most the points of a block.
-    A batch of more than one block forks a noise helper if spare_cpu is
-    true and the platform has os.fork.
+    A full noise block holds NOISE_BLOCK_BYTES of noise with its norms,
+    24 bytes a row and step: 524 288 row-steps, 1024 steps of 512 rows or
+    157 of 2000.  A batch of at most a full block draws its n_steps at
+    once; a longer one draws 3/5 of a full block at a time, into two
+    buffers that take turns: both (16 bytes a row and step each) with the
+    norms (8) hold no more than a full block with its norms.  The record
+    capacity is at least one point, which alone can exceed the budget at
+    large B n, and at most the points of a block.  A batch whose noise
+    outgrows one block forks a noise helper if spare_cpu is true and the
+    platform has os.fork; one whose noise fits one block draws it once,
+    in-process.  So a lone trajectory holds its noise up to the budget
+    (at 60 000 steps, 2.4 MB of noise, norms and group buffer), and a row
+    that fails runs on as nan to the end of its block before the batch
+    raises, with the same message.
 
     The bytes count the chunks' reductions (`reduction` each), the
     noise buffers with the norms, the group buffer of the process that
@@ -312,15 +317,14 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     stream.  The batch's reductions and buffers are not among them: the
     helper is forked before the batch allocates them.  The terms are the
     upper envelope, with a margin, of the helper's peak Private_Dirty (the
-    shared noise buffers left out) at stride 1 in a fresh interpreter: 2.4
-    to 2.8 MiB for 1 to 64 streams, also with 49 MB of reductions, 4.1 MiB
-    for 256 rows at n = 32, 3.7 MiB for 2000 streams and 7.4 MiB for 8192
-    (4.9 and 8.6 MiB for a second batch of 2000 or 8192 in the same
+    shared noise buffers left out) at stride 1 in a fresh interpreter: 4.2
+    MiB for 256 rows at n = 32, 3.7 MiB for 2000 streams and 7.4 MiB for
+    8192 (4.9 and 8.6 MiB for a second batch of 2000 or 8192 in the same
     process).  A process that freed more than that before the fork may
     have its allocator hand the batch pages that are still shared, and the
     helper then keeps copies of them too.
     """
-    full = max(1, min(NOISE_BLOCK, NOISE_BLOCK * NOISE_BLOCK_ROWS // count))
+    full = max(1, NOISE_BLOCK_BYTES // (24 * count))
     block = n_steps if n_steps <= full else max(1, 3 * full // 5)
     n_blocks = -(-n_steps // block)
     helper = spare_cpu and n_blocks > 1 and hasattr(os, "fork")
@@ -603,7 +607,8 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     kernel = _EigenKernel(qcore.as_operator(h), dt, tau0)
     c0 = kernel.vecs.conj().T @ psi
     coeff = kernel.coefficients(dxi[None, :])[0]
-    return kernel.step(c0, kernel.mean_energy(c0), coeff)[2] - 1.0
+    return kernel.step(c0, kernel.mean_energy(c0), coeff,
+                       kernel.energies)[2] - 1.0
 
 
 @dataclass

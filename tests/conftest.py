@@ -80,3 +80,18 @@ def plan_for(count, n, n_steps, stride, kept=0, chunk=None, spare_cpu=False):
     _integrate_eigenbasis call."""
     return trajectory.batch_plan(count, n, n_steps, stride, kept,
                                  chunk or count, spare_cpu, True)
+
+
+def forks(monkeypatch):
+    """A list that gets the pid of each process os.fork starts from now
+    on, as the forking process sees it."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids

@@ -27,13 +27,12 @@ PUBLIC = set("""
     align_global_phase analytic_offdiagonal as_density as_operator as_state
     compare_ensemble_to_master config_from_dict decoherence_rate
     delta_e_from_height delta_e_from_velocities equivalence_report
-    expectation fluctuating_time_step fluctuation_time_constant
+    fluctuating_time_step fluctuation_time_constant
     gauge_transform integrate_master ito_norm_defect
     lindblad_from_hamiltonian lindblad_rhs load_config
     norm_completion norm_defect_samples normalize planck_time
     psd_master_exact psd_master_rhs psd_step pure_projector qsd_step
     run_ensemble run_trajectory sample_dxi sample_dxi_block trace_distance
-    variance
 """.split())
 
 # SimulationConfig's fields and the keys of its header(), in order: a new

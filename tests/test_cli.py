@@ -535,6 +535,10 @@ class TestExitCodes:
         ({"dt": "2.5e-3"}, COMPARE),
         ({"n_trajectories": "20", "master_seed": "7"}, COMPARE),
         ({"dt": None}, COMPARE),
+        # 10^19 steps: n_steps + 1 does not fit int64
+        ({"dt": 1e-3, "t_final": 1e16}, MASTER),
+        ({"dt": 1e-3, "t_final": 1e16},
+         ("trajectory", "--config", "{config}", "--out", "{dir}/out")),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
             "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
             "config-is-directory", "out-is-file", "out-under-file",
@@ -543,7 +547,8 @@ class TestExitCodes:
             "tolerance-negative", "null-seed", "null-seed-master",
             "null-count", "stream-2-to-64", "units-unknown",
             "tau0-mode-unknown", "planck-natural", "string-dt",
-            "string-counts", "null-dt"])
+            "string-counts", "null-dt", "steps-beyond-int64-master",
+            "steps-beyond-int64-trajectory"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides,
                                                argv):
         data = json.loads(config_path.read_text())

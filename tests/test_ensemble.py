@@ -124,6 +124,14 @@ class TestConfig:
                              / spacetime.HBAR)
         assert planck.time_unit_s == spacetime.HBAR / 2e-19
 
+    def test_step_count_must_fit_int64(self):
+        # t_final / dt overflows a float, or n_steps + 1 overflows int64
+        for dt, t_final in ((1e-300, 1e300), (1e-3, 1e16), (1.0, 2.0 ** 63)):
+            with pytest.raises(InvalidParameterError, match=r"t_final=.*dt="):
+                make_config(dt=dt, t_final=t_final)
+        assert make_config(dt=1.0, t_final=2.0 ** 63 - 1024).n_steps \
+            == 2 ** 63 - 1024
+
     def test_initial_state_is_normalized(self):
         config = make_config(initial_state=np.array([3.0, 0.0]))
         assert np.linalg.norm(config.initial_state) == pytest.approx(1.0)
@@ -573,26 +581,28 @@ class TestStreamedReductions:
         assert need(True, n_trajectories=600, t_final=5.0) \
             - need(False, n_trajectories=600, t_final=5.0) \
             == helper_term(600, 2, 2000, 40) > 0
-        # a trajectory with 4.6 GB of projector sums (n = 64, stride 1,
-        # 70 000 steps) is charged no more for its helper than a small
-        # run: the helper is forked before the batch allocates them, so
-        # a run the in-process path fits in memory fits with a helper too
+        # a trajectory with 39 GB of projector sums (n = 64, stride 1,
+        # 600 000 steps, whose noise outgrows one block) is charged no
+        # more for its helper than a small run: the helper is forked
+        # before the batch allocates them, so a run the in-process path
+        # fits in memory fits with a helper too
         big = dict(hamiltonian=np.diag(np.linspace(-0.5, 0.5, 64)),
                    initial_state=np.ones(64) / 8, n_trajectories=1,
-                   t_final=175.0, record_stride=1)
-        assert need(False, **big) > 4.5e9
+                   t_final=1500.0, record_stride=1)
+        assert need(False, **big) > 39e9
         assert need(True, **big) - need(False, **big) \
-            == helper_term(1, 64, 70000, 1) < 8 << 20
+            == helper_term(1, 64, 600000, 1)
+        assert 0 < helper_term(1, 64, 600000, 1) < 8 << 20
 
     def test_trajectory_is_charged_its_own_row(self, monkeypatch):
         # run_trajectory holds one final Var H, not one per trajectory of
         # the config's ensemble, and sums no projector: it is charged what
         # the M = 1 ensemble is charged less the projector sums of its
         # worker's and its parent's chunk and the parent's mean projector
-        # with its temporaries (three reductions); 2000 steps take a
+        # with its temporaries (three reductions); 600 000 steps take a
         # helper where a CPU is spare
-        config = make_config(t_final=5.0)
-        t = trajectory.record_count(2000, 40)
+        config = make_config(t_final=1500.0)
+        t = trajectory.record_count(600000, 40)
         projectors = 2 * t * 16 * 2 ** 2 + 3 * t * (16 * 2 ** 2 + 4 * 8)
         for helper in (False, True):
             force_noise_path(monkeypatch, helper)

@@ -6,52 +6,9 @@ import pytest
 
 from qsdsim import (DegenerateStateError, InvalidParameterError, ShapeError,
                     align_global_phase, as_density, as_operator, as_state,
-                    expectation, normalize, pure_projector, trace_distance,
-                    variance)
+                    normalize, pure_projector, trace_distance)
 from qsdsim import qcore
 from conftest import random_density, random_hermitian, random_state
-
-
-class TestExpectation:
-    def test_identity_gives_one(self, rng):
-        for n in (1, 2, 5):
-            psi = random_state(rng, n)
-            assert expectation(np.eye(n), psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_eigenstate(self):
-        assert expectation(np.diag([3.0, 7.0]), [1, 0]) == pytest.approx(3.0)
-
-    def test_equal_superposition(self):
-        psi = np.array([1, 1]) / np.sqrt(2)
-        assert expectation(np.diag([0.0, 1.0]), psi) == pytest.approx(0.5)
-
-    def test_hermitian_gives_real(self, rng):
-        for _ in range(20):
-            h = random_hermitian(rng, 4)
-            psi = random_state(rng, 4)
-            assert abs(expectation(h, psi).imag) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            expectation(np.eye(3), np.array([1.0, 0.0]))
-
-
-class TestVariance:
-    def test_eigenstate_zero(self):
-        assert variance(np.diag([1.0, 5.0]), [0, 1]) == 0.0
-
-    def test_equal_superposition(self):
-        psi = np.array([1, 1]) / np.sqrt(2)
-        assert variance(np.diag([0.0, 1.0]), psi) == pytest.approx(0.25)
-
-    def test_quadratic_scaling(self, rng):
-        h = random_hermitian(rng, 3)
-        psi = random_state(rng, 3)
-        assert variance(2 * h, psi) == pytest.approx(4 * variance(h, psi))
-
-    def test_clamped_nonnegative(self, rng):
-        for _ in range(20):
-            assert variance(random_hermitian(rng, 4), random_state(rng, 4)) >= 0.0
 
 
 class TestProjectorAndDistance:

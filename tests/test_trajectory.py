@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
 from qsdsim import qcore, trajectory
 from qsdsim.noise import fill_dxi_blocks
 from qsdsim.trajectory import _EigenKernel, _integrate_eigenbasis
-from conftest import (force_noise_path, helper_term, plan_for,
+from conftest import (force_noise_path, forks, helper_term, plan_for,
                       random_hermitian, random_state)
 
 
@@ -170,7 +171,7 @@ class TestEigenKernel:
         e = kernel.mean_energy(c)
         deviations = []
         for k in range(200):
-            c, e, _ = kernel.step(c, e, coeff[k])
+            c, e, _ = kernel.step(c, e, coeff[k], kernel.energies)
             psi = psd_step(psi, h, tau0, dxi[k], dt)
             deviations.append(float(np.max(np.abs(vecs @ c[0] - psi))))
         assert deviations[0] < 1e-12
@@ -275,15 +276,18 @@ class TestEigenKernelProperties:
         kernel = _EigenKernel(h, dt, tau0)
         coeff = kernel.coefficients(np.array([[dxi]]))
         c = (kernel.vecs.conj().T @ psi)[None, :]
-        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
+        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0],
+                                        kernel.energies)
         dense = psd_step(psi, h, tau0, dxi, dt)
         assert np.max(np.abs(kernel.vecs @ c_next[0] - dense)) < 1e-12
         assert abs(np.linalg.norm(c_next[0]) - 1.0) < 1e-14
         assert np.array_equal(e_next, kernel.mean_energy(c_next))
         # <H> and Var H of the row against the dense state's
-        assert abs(e_next[0] - qcore.expectation(h, dense).real) < 1e-12
+        h_dense = h @ dense
+        mean = np.vdot(dense, h_dense).real
+        assert abs(e_next[0] - mean) < 1e-12
         assert abs(kernel.variance(c_next, e_next)[0]
-                   - qcore.variance(h, dense)) < 1e-12
+                   - (np.vdot(h_dense, h_dense).real - mean ** 2)) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(kernel_step_inputs(), st.integers(0, 15))
@@ -293,7 +297,8 @@ class TestEigenKernelProperties:
         c = np.zeros((1, len(h)), dtype=np.complex128)
         c[0, k % len(h)] = 1.0
         coeff = kernel.coefficients(np.array([[dxi]]))
-        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
+        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0],
+                                        kernel.energies)
         assert np.array_equal(c_next, c)
         assert e_next[0] == kernel.energies[k % len(h)]
 
@@ -350,11 +355,13 @@ class TestRankOneStep:
     @example(n=2, rows=2000, seed=5, dt=2.5e-3, tau0=0.4, k=1)
     def test_row_alone_is_its_batch_row(self, n, rows, seed, dt, tau0, k):
         kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
-        batch = kernel.step(c, e, kernel.coefficients(dxi[None, :].copy())[0])
+        batch = kernel.step(c, e, kernel.coefficients(dxi[None, :].copy())[0],
+                            np.tile(kernel.energies, len(c)))
         for b in range(len(c)):
             assert kernel.mean_energy(c[b]) == e[b]
             coeff = kernel.coefficients(dxi[b:b + 1].copy())[0]
-            c_next, e_next, nrm_sq = kernel.step(c[b], e[b], coeff)
+            c_next, e_next, nrm_sq = kernel.step(c[b], e[b], coeff,
+                                                 kernel.energies)
             assert np.array_equal(c_next, batch[0][b])
             assert e_next == batch[1][b] and nrm_sq == batch[2][b]
 
@@ -364,7 +371,8 @@ class TestRankOneStep:
     def test_step_is_the_reference_formula(self, n, rows, seed, dt, tau0, k):
         kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
         coeff = kernel.coefficients(dxi[None, :].copy())[0]
-        for got, expected in zip(kernel.step(c, e, coeff),
+        for got, expected in zip(kernel.step(c, e, coeff,
+                                             np.tile(kernel.energies, len(c))),
                                  reference_step(kernel, c, e, coeff),
                                  strict=True):
             assert np.array_equal(got, expected)
@@ -446,25 +454,27 @@ class TestRecordBuffer:
 
     def test_capacity_one_gives_the_same_sums(self, monkeypatch):
         # stride 1, so every step is a record point; 1100 steps are a
-        # multiple of neither NOISE_BLOCK nor the buffer capacity, and 40
-        # rows are enough for the order of a sum over rows to show
+        # multiple of neither the noise block (614 steps, drawn by a
+        # helper) nor the buffer capacity, and 40 rows are enough for the
+        # order of a sum over rows to show
         kernel, c0 = batch_inputs(4, 40, seed=8)
         n_steps, keep = 1100, [1, 39]
-        capacity = trajectory.batch_plan(40, 4, trajectory.NOISE_BLOCK, 1,
-                                         len(keep), 40, False, True).capacity
-        assert 1 < capacity < n_steps and n_steps % capacity
-        assert n_steps % trajectory.NOISE_BLOCK
+        pids = forks(monkeypatch)
 
         def run():
+            plan = replace(plan_for(40, 4, n_steps, 1, len(keep)), block=614,
+                           helper=True)
             streams = [NoiseStream(6, j) for j in range(40)]
-            return _integrate_eigenbasis(kernel, c0, streams, keep,
-                                         plan_for(40, 4, n_steps, 1, len(keep)))
+            return plan.capacity, _integrate_eigenbasis(kernel, c0, streams,
+                                                        keep, plan)
 
-        buffered = run()
+        capacity, buffered = run()
+        assert 1 < capacity < 614 and n_steps % capacity and 614 % capacity
         monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
-        assert trajectory.batch_plan(40, 4, trajectory.NOISE_BLOCK, 1,
-                                     len(keep), 40, False, True).capacity == 1
-        assert_sums_equal(buffered, run())
+        capacity, alone = run()
+        assert capacity == 1
+        assert_sums_equal(buffered, alone)
+        assert len(pids) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 4, 64])
     @pytest.mark.parametrize("one_point", [False, True],
@@ -509,9 +519,9 @@ class TestRecordBuffer:
     def test_buffer_estimate_covers_a_batch(self, n, rows, n_steps, stride,
                                             kept):
         # what a batch allocates besides its reductions is what batch_plan
-        # states without a helper, less its chunks' reductions, with a
-        # noise block shorter than NOISE_BLOCK or not, and cut to the bytes
-        # of 512 rows, drawn in-process or by a helper; tracemalloc sees
+        # states without a helper, less its chunks' reductions, with one
+        # noise block or more, cut to the bytes of 512 or 2000 rows, drawn
+        # in-process or, past one block, by a helper; tracemalloc sees
         # neither the shared noise buffers nor the helper's group buffer,
         # so those are added to what it measures
         kernel, c0 = batch_inputs(n, rows, seed=2)
@@ -554,20 +564,24 @@ class TestRecordBuffer:
         ({2: 1500, 4: 1100}, "trajectory 4 failed at step 1100:"),
         ({0: 7}, "trajectory 0 failed at step 7:"),
     ])
-    def test_failure_inside_a_buffered_block(self, poisoned, expected):
+    def test_failure_inside_a_buffered_block(self, monkeypatch, poisoned,
+                                             expected):
         # the failing row runs on as nan through flushes of the buffer; the
-        # first bad step of the block is still the one reported, whether
-        # the batch or its helper draws the poisoned noise
+        # first bad step of its noise block of 614 steps is still the one
+        # reported, whether the batch or its helper draws the poisoned noise
         kernel, c0 = batch_inputs(3, 5, seed=9)
+        pids = forks(monkeypatch)
         for helper in (False, True):
             streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
                        for j in range(5)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DegenerateStateError, match=expected):
-                    _integrate_eigenbasis(kernel, c0, streams, [0, 2],
-                                          plan_for(5, 3, 2100, 1, 2,
-                                                   spare_cpu=helper))
+                    _integrate_eigenbasis(
+                        kernel, c0, streams, [0, 2],
+                        replace(plan_for(5, 3, 2100, 1, 2), block=614,
+                                helper=helper))
+        assert len(pids) == 1
 
     @pytest.mark.parametrize("n, rows, chunk", [(2, 1030, 512), (4, 7, 3)],
                              ids=["n2-1030-rows", "n4-7-rows"])
@@ -595,19 +609,22 @@ class TestRecordBuffer:
         ({4: 7, 1: 1500}, 0, "trajectory 1 failed at step 1500:"),
         ({6: 7, 4: 1500, 5: 1500}, 1, "trajectory 4 failed at step 1500:"),
     ], ids=["first-chunk-fails-later", "middle-chunk-fails-later"])
-    def test_failure_names_the_lowest_failing_chunk(self, poisoned, lowest,
+    def test_failure_names_the_lowest_failing_chunk(self, monkeypatch,
+                                                    poisoned, lowest,
                                                     expected):
-        # chunks of 3 rows fail in different noise blocks; the batch runs
-        # its failed rows on as nan, without a warning, and names what its
-        # lowest failing chunk names alone
+        # chunks of 3 rows fail in different noise blocks of 614 steps; the
+        # batch runs its failed rows on as nan, without a warning, and
+        # names what its lowest failing chunk names alone
         kernel, c0 = batch_inputs(3, 7, seed=9)
+        pids = forks(monkeypatch)
 
         def run(lo, hi, chunk, helper):
             streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
                        for j in range(lo, hi)]
-            _integrate_eigenbasis(kernel, c0, streams, [0],
-                                  plan_for(hi - lo, 3, 2100, 1, 1, chunk,
-                                           helper))
+            _integrate_eigenbasis(
+                kernel, c0, streams, [0],
+                replace(plan_for(hi - lo, 3, 2100, 1, 1, chunk), block=614,
+                        helper=helper))
 
         for lo, hi, chunk in ((0, 7, 3), (3 * lowest, 3 * lowest + 3, None)):
             for helper in (False, True):
@@ -615,6 +632,7 @@ class TestRecordBuffer:
                     warnings.simplefilter("error")
                     with pytest.raises(DegenerateStateError, match=expected):
                         run(lo, hi, chunk, helper)
+        assert len(pids) == 2
 
 
 class _DyingStream(NoiseStream):
@@ -672,30 +690,51 @@ print(max(peaks) if len(peaks) >= 2 else 0)
 
 
 class TestNoiseHelper:
-    # a batch of more than one noise block may draw its noise in a forked
-    # helper process; the bits are those of drawing it in-process, and the
-    # helper is reaped on every path (conftest.no_child_process_left)
+    # a batch whose noise outgrows one block may draw it in a forked helper
+    # process; the bits are those of drawing it in-process, and the helper
+    # is reaped on every path (conftest.no_child_process_left).  A batch
+    # small enough for a test is given the noise blocks of a wider one,
+    # and each test checks that its helper forked
 
-    def test_helper_draws_the_same_bits(self):
+    @pytest.mark.parametrize("spare_cpu", [False, True])
+    def test_a_helper_iff_the_noise_outgrows_one_block(self, spare_cpu):
+        for count, n_steps, outgrows in ((1, 60000, False), (1, 600000, True),
+                                         (128, 1000, False), (2000, 2000, True)):
+            assert outgrows == (24 * count * n_steps
+                                > trajectory.NOISE_BLOCK_BYTES)
+            plan = trajectory.batch_plan(count, 8, n_steps, 1, 0, 512,
+                                         spare_cpu, True)
+            assert plan.helper == (spare_cpu and outgrows)
+            assert (plan.block < n_steps) == outgrows
+        # a batch longer than a full block draws 3/5 of one at a time
+        for count, block in ((512, 614), (1030, 305), (2000, 157),
+                             (2560, 122)):
+            assert trajectory.batch_plan(count, 2, 10 ** 6, 1, 0, 512,
+                                         spare_cpu, True).block == block
+
+    def test_helper_draws_the_same_bits(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
+        pids = forks(monkeypatch)
 
         def run(helper):
             streams = [NoiseStream(5, j) for j in range(40)]
-            return _integrate_eigenbasis(kernel, c0, streams, [0, 39],
-                                         plan_for(40, 3, 2500, 3, 2, 16,
-                                                  helper))
+            return _integrate_eigenbasis(
+                kernel, c0, streams, [0, 39],
+                replace(plan_for(40, 3, 2500, 3, 2, 16), block=614,
+                        helper=helper))
 
-        assert trajectory.batch_plan(40, 3, 2500, 3, 2, 16, False,
-                                     True).block < 2500
         assert_sums_equal(run(True), run(False))
+        assert len(pids) == 1
 
     @pytest.mark.parametrize("count", [1, 5])
     @pytest.mark.parametrize("helper", [False, True])
-    def test_blocks_are_the_coefficients_of_each_stream(self, count, helper):
+    def test_blocks_are_the_coefficients_of_each_stream(self, monkeypatch,
+                                                         count, helper):
         # four blocks of 300 steps, the last one 100, drawn two streams at
         # a time; column j of block k holds kernel.coefficients of stream
         # j's increments of those steps
         kernel, _ = batch_inputs(3, count, seed=6)
+        pids = forks(monkeypatch)
         streams = [NoiseStream(8, j) for j in range(count)]
         alone = [NoiseStream(8, j) for j in range(count)]
         plan = trajectory.BatchPlan(
@@ -709,60 +748,69 @@ class TestNoiseHelper:
                     sample_dxi_block(kernel.dt, steps, s)) for s in alone]
                 assert np.array_equal(noise.block(k),
                                       np.stack(expected, axis=1))
+        assert len(pids) == helper
 
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
 
         def run(helper):
             streams = [NoiseStream(5, j) for j in range(40)]
-            return _integrate_eigenbasis(kernel, c0, streams, [0, 39],
-                                         plan_for(40, 3, 2500, 3, 2, 16,
-                                                  helper))
+            return _integrate_eigenbasis(
+                kernel, c0, streams, [0, 39],
+                replace(plan_for(40, 3, 2500, 3, 2, 16), block=614,
+                        helper=helper))
 
         expected = run(False)
+        tried = []
 
         def fork():
+            tried.append(True)
             raise BlockingIOError("Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork)
         assert_sums_equal(run(True), expected)
+        assert tried == [True]
 
     @pytest.mark.parametrize("ensemble_helper", [False, True])
     @pytest.mark.parametrize("trajectory_helper", [False, True])
     def test_rows_replay_across_noise_paths(self, monkeypatch,
                                             ensemble_helper,
                                             trajectory_helper):
-        # 1500 steps are three noise blocks, so a helper is forked wherever
-        # a spare CPU is seen
+        # a budget of 1024 steps of one row makes the 1500 steps three
+        # noise blocks of a lone trajectory, and 18 of the ensemble's 7
+        # rows, so the runner forks a helper wherever a spare CPU is seen
+        monkeypatch.setattr(trajectory, "NOISE_BLOCK_BYTES", 24 * 1024)
+        pids = forks(monkeypatch)
         rng = np.random.default_rng(17)
         config = SimulationConfig(
             hamiltonian=random_hermitian(rng, 5),
             initial_state=random_state(rng, 5), tau0=0.4, dt=2e-3,
             t_final=3.0, n_trajectories=7, master_seed=13, record_stride=25)
-        assert trajectory.batch_plan(7, 5, config.n_steps, 25, 3, 512,
-                                     False, True).block < config.n_steps
         force_noise_path(monkeypatch, ensemble_helper)
         summary = run_ensemble(config, retain=range(3))
+        assert len(pids) == ensemble_helper
         force_noise_path(monkeypatch, trajectory_helper)
         for k in range(3):
             rec, row = run_trajectory(config, k), summary.trajectories[k]
             for name in ("energy_mean", "energy_variance", "norm_drift",
                          "final_state"):
                 assert np.array_equal(getattr(rec, name), getattr(row, name))
+        assert len(pids) == ensemble_helper + 3 * trajectory_helper
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
                         reason="reads the helper's /proc/<pid>/smaps")
     @pytest.mark.parametrize("n, rows, n_steps", [
-        (8, 1, 6000), (16, 1, 12000), (2, 64, 3000), (32, 256, 3000),
-        (4, 512, 2000), (4, 1024, 6000), (2, 2000, 2000), (1, 8192, 2000)])
+        (32, 256, 3000), (4, 512, 2000), (4, 1024, 6000), (2, 2000, 2000),
+        (1, 8192, 2000)])
     def test_helper_estimate_covers_its_copied_pages(self, n, rows, n_steps):
         # in a fresh interpreter, as a CLI run starts, the helper's
         # Private_Dirty, read at each block the batch takes while the
         # helper draws the next, stays within what batch_plan charges for
         # the helper, also where the batch's reductions at stride 1 (49 MB
-        # at n = 16) are many times that; the shared noise buffers, which
+        # at n = 32) are many times that; the shared noise buffers, which
         # batch_plan counts without a helper too, are left out: a page of
-        # them is private to the helper until the batch reads it
+        # them is private to the helper until the batch reads it; a run
+        # whose helper did not fork, or drew one block, reads 0
         src = str(Path(trajectory.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", HELPER_PEAK, str(n), str(rows), str(n_steps)],
@@ -771,27 +819,31 @@ class TestNoiseHelper:
         assert 0 < int(proc.stdout) <= helper_term(rows, n, n_steps, 1)
 
     def test_a_dying_helper_raises(self):
-        # the helper ends as it starts its third block; the batch says
-        # so instead of waiting for noise that never comes
+        # the helper ends as it starts its third block of 614 steps; the
+        # batch says so instead of waiting for noise that never comes
         kernel, c0 = batch_inputs(3, 5, seed=9)
         streams = [_DyingStream(3, j, 700) for j in range(5)]
         with pytest.raises(RuntimeError, match=r"noise helper process \d+ "
                            r"ended \(exit status 3\) before noise block"):
-            _integrate_eigenbasis(kernel, c0, streams, [0],
-                                  plan_for(5, 3, 2100, 1, 1, spare_cpu=True))
+            _integrate_eigenbasis(
+                kernel, c0, streams, [0],
+                replace(plan_for(5, 3, 2100, 1, 1), block=614, helper=True))
 
     def test_numerical_failure_reaps_the_helper(self, monkeypatch):
-        # the row fails at step 1, while the helper draws the next block
-        config = one_trajectory(np.diag([1e160, -1e160]),
-                                np.array([1.0, 1.0]) / np.sqrt(2),
-                                tau0=1.0, dt=0.5, t_final=1000.0,
-                                master_seed=1)
+        # 300 rows of 2000 steps outgrow one noise block; every row fails
+        # at step 1, while the helper draws the next block
+        config = SimulationConfig(
+            hamiltonian=np.diag([1e160, -1e160]),
+            initial_state=np.array([1.0, 1.0]) / np.sqrt(2), tau0=1.0,
+            dt=0.5, t_final=1000.0, n_trajectories=300, master_seed=1)
         force_noise_path(monkeypatch, True)
+        pids = forks(monkeypatch)
         with np.errstate(all="ignore"), \
                 pytest.warns(RuntimeWarning, match="under-resolves"), \
                 pytest.raises(DegenerateStateError,
                               match="trajectory 0 failed at step 1: "):
             run_ensemble(config)
+        assert len(pids) == 1
 
     def test_interrupt_reaps_the_helper(self, monkeypatch):
         kernel, c0 = batch_inputs(2, 3, seed=1)
@@ -804,10 +856,13 @@ class TestNoiseHelper:
             return step(*args)
 
         monkeypatch.setattr(kernel, "step", interrupted)
+        pids = forks(monkeypatch)
         streams = [NoiseStream(2, j) for j in range(3)]
         with pytest.raises(KeyboardInterrupt):
-            _integrate_eigenbasis(kernel, c0, streams, [],
-                                  plan_for(3, 2, 3000, 10, spare_cpu=True))
+            _integrate_eigenbasis(
+                kernel, c0, streams, [],
+                replace(plan_for(3, 2, 3000, 10), block=614, helper=True))
+        assert len(pids) == 1
 
 
 class TestGaugeTransform:
@@ -887,7 +942,8 @@ class TestNormDiscipline:
         c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
         coeff = kernel.coefficients(
             sample_dxi_block(dt, n, NoiseStream(3, dim))[None, :])
-        expected = kernel.step(c, kernel.mean_energy(c), coeff[0])[2] - 1.0
+        expected = kernel.step(c, kernel.mean_energy(c), coeff[0],
+                               np.tile(kernel.energies, n))[2] - 1.0
         assert np.array_equal(samples, expected)
 
     def test_sample_count_is_a_whole_number(self, rng):
