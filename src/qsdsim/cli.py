@@ -139,7 +139,7 @@ def _cmd_ensemble(args) -> int:
     _emit({
         "out": str(out),
         "n_trajectories": summary.n_trajectories,
-        "born_frequencies": [float(v) for v in summary.born_frequencies],
+        "born_frequencies": summary.born_frequencies,
         "final_mean_energy_variance": float(summary.mean_energy_variance[-1]),
     })
     return 0

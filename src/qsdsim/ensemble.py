@@ -451,14 +451,14 @@ def write_summary_json(path, summary: EnsembleSummary, header: dict, dist):
         "n_trajectories": summary.n_trajectories,
         "dt": summary.config.dt,
         "t_final": summary.config.t_final,
-        "times": summary.times.tolist(),
-        "mean_energy": summary.mean_energy.tolist(),
-        "mean_energy_variance": summary.mean_energy_variance.tolist(),
-        "eigenvalues": summary.eigenvalues.tolist(),
-        "initial_populations": summary.initial_populations.tolist(),
-        "born_frequencies": summary.born_frequencies.tolist(),
-        "final_mean_projector": qcore.operator_to_json(summary.mean_projector[-1]),
-        "trace_distance_to_master": None if dist is None else dist.tolist(),
+        "times": summary.times,
+        "mean_energy": summary.mean_energy,
+        "mean_energy_variance": summary.mean_energy_variance,
+        "eigenvalues": summary.eigenvalues,
+        "initial_populations": summary.initial_populations,
+        "born_frequencies": summary.born_frequencies,
+        "final_mean_projector": summary.mean_projector[-1],
+        "trace_distance_to_master": dist,
         "terminal_variance_max": float(summary.terminal_variances.max()),
         "terminal_variance_median": float(np.median(summary.terminal_variances)),
     })

@@ -167,6 +167,5 @@ def write_snapshots_json(path, snapshots, header: dict):
     """Dump density-operator snapshots, given as (t, rho) pairs."""
     qcore.write_json(path, {
         "header": header,
-        "snapshots": [{"t": float(t), "rho": qcore.operator_to_json(rho)}
-                      for t, rho in snapshots],
+        "snapshots": [{"t": float(t), "rho": rho} for t, rho in snapshots],
     })

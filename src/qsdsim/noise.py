@@ -80,10 +80,18 @@ def fill_dxi_blocks(dt: float, streams, out, scratch):
     streams[j]).
 
     The streams are drawn a group at a time into the float buffer scratch
-    (group, >= steps, 2), which is scaled once and copied into out.
+    (group, >= steps, 2), which is scaled once and copied into out.  A
+    lone stream is drawn straight into out, whose one column is the same
+    (steps, 2) floats, and scaled there: scratch is not used (it may be
+    None).
     """
     steps = out.shape[0]
     scale = np.sqrt(0.5 * positive("dt", dt))
+    if len(streams) == 1:
+        column = out[:, 0].view(np.float64).reshape(steps, 2)
+        streams[0].standard_normal(out=column)
+        column *= scale
+        return
     for j in range(0, len(streams), len(scratch)):
         part = scratch[:len(streams) - j, :steps]
         for g, stream in zip(part, streams[j:j + len(part)]):

@@ -5,10 +5,14 @@ States are 1-d complex arrays, operators dense n x n complex arrays.  The
 linear algebra is pure functions returning fresh copies, so values can be
 shared freely across workers.  The JSON form of states and operators and
 the two writers every output goes through, write_table and write_json,
-are the only code of the package that knows how a file looks.
+are the only code of the package that knows how a file looks.  Callers
+hand write_json their arrays as arrays, complex ones included; it writes
+the bytes json.dumps(indent=2) gives for their nested lists, without
+building those lists.
 """
 
 import contextlib
+import functools
 import json
 import math
 import numbers
@@ -202,21 +206,11 @@ def align_global_phase(psi, reference) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON representation: complex scalars as [re, im] pairs, row-major matrices.
 
-def state_to_json(psi) -> list:
-    psi = np.asarray(psi, dtype=np.complex128)
-    return np.stack((psi.real, psi.imag), axis=-1).tolist()
-
-
 def state_from_json(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ShapeError("state JSON must be a list of [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
-
-
-def operator_to_json(a) -> list:
-    a = np.asarray(a, dtype=np.complex128)
-    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def operator_from_json(data) -> np.ndarray:
@@ -244,10 +238,74 @@ def write_table(path, header: dict, columns, rows):
 
 
 def write_json(path, payload):
-    """payload as JSON, indented by 2, with a final newline."""
+    """payload as JSON, indented by 2, with a final newline: the bytes of
+    json.dumps(payload, indent=2) + "\n" with every real or complex
+    ndarray in it as its nested lists, a complex entry as an [re, im]
+    pair (dict keys are str).  The text goes out piece by piece, an array
+    about _CHUNK values at a time, so no file is held as one string."""
     with _whole(path) as fh:
-        json.dump(payload, fh, indent=2)
+        fh.writelines(_pieces(payload, 0))
         fh.write("\n")
+
+
+_CHUNK = 1024     # values of an array formatted at once
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _pieces(value, level: int):
+    """The JSON text of value at indent level `level`, in pieces."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "c":
+            value = np.stack((value.real, value.imag), axis=-1)
+        if value.ndim and value.dtype.kind == "f":
+            yield from _array(value, level)
+        else:
+            yield from _pieces(value.tolist(), level)
+        return
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        yield json.dumps(value)
+        return
+    items = ((json.dumps(key) + ": ", item) for key, item in value.items()) \
+        if isinstance(value, dict) else (("", item) for item in value)
+    inner = ",\n" + "  " * (level + 1)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    for k, (key, item) in enumerate(items):
+        yield (inner if k else brackets[0] + inner[1:]) + key
+        yield from _pieces(item, level + 1)
+    yield "\n" + "  " * level + brackets[1]
+
+
+def _array(a: np.ndarray, level: int):
+    """The pieces of a real array of at least one axis: a run of rows
+    (along its first axis) of about _CHUNK values at a time, or one row,
+    filled into the template of its shape."""
+    if not len(a):
+        yield "[]"
+        return
+    inner = ",\n" + "  " * (level + 1)
+    rows = max(1, _CHUNK // max(1, math.prod(a.shape[1:])))
+    yield "[" + inner[1:]
+    for k in range(0, len(a), rows):
+        part = a[k:k + rows]
+        text = tuple(map(float.__repr__, part.ravel().tolist()))
+        if not np.isfinite(part).all():
+            text = tuple(_SPECIAL.get(t, t) for t in text)
+        yield (inner if k else "") + _items(part.shape, level) % text
+    yield "\n" + "  " * level + "]"
+
+
+@functools.lru_cache(maxsize=64)
+def _items(shape: tuple, level: int) -> str:
+    """The %s template of the entries of an array of this shape at this
+    level, between its brackets."""
+    inner = ",\n" + "  " * (level + 1)
+    if len(shape) == 1:
+        return inner.join(["%s"] * shape[0])
+    if not shape[1]:
+        return inner.join(["[]"] * shape[0])
+    row = ("[\n" + "  " * (level + 2) + _items(shape[1:], level + 1)
+           + "\n" + "  " * (level + 1) + "]")
+    return inner.join([row] * shape[0])
 
 
 @contextlib.contextmanager

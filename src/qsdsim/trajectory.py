@@ -302,13 +302,14 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     outgrows one block forks a noise helper if spare_cpu is true and the
     platform has os.fork; one whose noise fits one block draws it once,
     in-process.  So a lone trajectory holds its noise up to the budget
-    (at 60 000 steps, 2.4 MB of noise, norms and group buffer), and a row
+    (at 60 000 steps, 1.44 MB of noise and norms), and a row
     that fails runs on as nan to the end of its block before the batch
     raises, with the same message.
 
     The bytes count the chunks' reductions (`reduction` each), the
     noise buffers with the norms, the group buffer of the process that
-    draws, the record buffer with its flush temporaries (the last two
+    draws (a batch of one row has none: it draws straight into its
+    block), the record buffer with its flush temporaries (the last two
     share BATCH_BUFFER_BYTES), the two buffers of up to np.getbufsize()
     floats NumPy's iterator may take for a flush, the step's arrays, the
     kept series and the record times.  A helper adds the pages it comes to
@@ -336,7 +337,8 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     reduction = n_rec * ((16 * n * n if projectors else 0) + 4 * 8)
     held = (-(-count // chunk) * reduction
             + count * block * (16 * min(2, n_blocks) + 8)  # dxi, block's norms
-            + 16 * group * block + capacity * per_point
+            + (16 * group * block if count > 1 else 0)   # group buffer
+            + capacity * per_point
             + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
             + count * (64 * n + 16)   # c and <H>, tiled E, hd, f, f * c
             + (24 * kept + 8) * n_rec   # kept series and times
@@ -387,7 +389,7 @@ class _NoiseBlocks:
     def _draw(self, k: int) -> np.ndarray:
         """Draw block k into its buffer and turn it into coefficients, in
         the process that calls."""
-        if self._scratch is None:
+        if self._scratch is None and len(self.streams) > 1:
             self._scratch = np.empty((self.plan.group, self.plan.block, 2))
         out = self._out(k)
         fill_dxi_blocks(self.kernel.dt, self.streams, out, self._scratch)
@@ -629,11 +631,11 @@ class TrajectoryRecord:
     def write_json(self, path, header: dict):
         qcore.write_json(path, {
             "header": header,
-            "times": self.times.tolist(),
-            "energy_mean": self.energy_mean.tolist(),
-            "energy_variance": self.energy_variance.tolist(),
-            "norm_drift": self.norm_drift.tolist(),
-            "final_state": qcore.state_to_json(self.final_state),
+            "times": self.times,
+            "energy_mean": self.energy_mean,
+            "energy_variance": self.energy_variance,
+            "norm_drift": self.norm_drift,
+            "final_state": self.final_state,
         })
 
 

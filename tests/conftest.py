@@ -22,6 +22,26 @@ def random_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def pairs(a) -> list:
+    """The package's JSON form of a state or an operator: nested lists of
+    [re, im] pairs."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def as_lists(value):
+    """value with every ndarray in it as nested lists, a complex one as
+    [re, im] pairs: what json.dumps must get to write what
+    qcore.write_json writes for value."""
+    if isinstance(value, np.ndarray):
+        return pairs(value) if value.dtype.kind == "c" else value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
 def variance_rise_z(summary):
     """Largest rise of mean Var H between record times, in standard errors.
 

@@ -17,8 +17,8 @@ from qsdsim import (NoiseStream, SimulationConfig, analytic_offdiagonal,
                     norm_defect_samples, psd_master_rhs, pure_projector,
                     qsd_step, run_ensemble, sample_dxi, sample_dxi_block)
 from qsdsim.cli import main
-from qsdsim import qcore
-from conftest import random_density, random_hermitian, variance_rise_z
+from conftest import (pairs, random_density, random_hermitian,
+                      variance_rise_z)
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -165,8 +165,8 @@ def test_criterion_09_norm_discipline():
 def test_criterion_10_determinism_across_workers(tmp_path, capsys):
     data = {
         "units": "natural",
-        "hamiltonian": qcore.operator_to_json(np.diag([0.5, -0.5])),
-        "initial_state": qcore.state_to_json(np.array([1, 1]) / np.sqrt(2)),
+        "hamiltonian": pairs(np.diag([0.5, -0.5])),
+        "initial_state": pairs(np.array([1, 1]) / np.sqrt(2)),
         "tau0": 0.4,
         "dt": 2.5e-3,
         "t_final": 1.0,

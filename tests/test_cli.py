@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 import qsdsim
-from qsdsim import master, qcore
+from qsdsim import master, qcore, trajectory
 from qsdsim.cli import main
-from conftest import random_hermitian, random_state
+from conftest import pairs, random_hermitian, random_state
 
 
 @pytest.fixture
 def config_path(tmp_path):
     data = {
         "units": "natural",
-        "hamiltonian": qcore.operator_to_json(np.diag([0.5, -0.5])),
-        "initial_state": qcore.state_to_json(np.array([1, 1]) / np.sqrt(2)),
+        "hamiltonian": pairs(np.diag([0.5, -0.5])),
+        "initial_state": pairs(np.array([1, 1]) / np.sqrt(2)),
         "tau0_mode": "explicit",
         "tau0": 0.4,
         "dt": 2.5e-3,
@@ -172,8 +172,8 @@ class TestRunCommands:
         psi0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         path = tmp_path / "replay.json"
         path.write_text(json.dumps({
-            "hamiltonian": qcore.operator_to_json(h),
-            "initial_state": qcore.state_to_json(psi0),
+            "hamiltonian": pairs(h),
+            "initial_state": pairs(psi0),
             "tau0": 0.4, "dt": 2e-3, "t_final": 3.0, "n_trajectories": 3,
             "master_seed": 13, "record_stride": 25}))
 
@@ -190,11 +190,48 @@ class TestRunCommands:
         assert data_rows(tmp_path / "traj" / "trajectory.csv") == ensemble_rows
 
 
+    def test_lone_trajectory_draws_into_its_block(self, capsys, tmp_path):
+        # one row of 60 000 steps draws its one noise block straight into
+        # the block: besides the block with its norms (24 bytes a step)
+        # it is charged, and holds, less than the one-stream group buffer
+        # (16 bytes a step) it once drew through; and it still replays
+        # the ensemble's row, drawn through a group buffer
+        rng = np.random.default_rng(23)
+        path = tmp_path / "lone.json"
+        path.write_text(json.dumps({
+            "hamiltonian": pairs(random_hermitian(rng, 8) / 4),
+            "initial_state": pairs(random_state(rng, 8)),
+            "tau0": 0.4, "dt": 1e-3, "t_final": 60.0, "n_trajectories": 3,
+            "master_seed": 5, "record_stride": 100}))
+        plan = trajectory.batch_plan(1, 8, 60000, 100, 1, 512, False, False)
+        noise, group = 24 * plan.block, 16 * plan.block
+        assert plan.block == 60000 and plan.bytes - noise < group
+        tracemalloc.start()
+        try:
+            assert run_cli(capsys, "trajectory", "--config", str(path),
+                           "--out", str(tmp_path / "traj"),
+                           "--stream", "2")[0] == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - noise < group
+
+        def data_rows(csv_path):
+            return [ln for ln in csv_path.read_bytes().splitlines()
+                    if not ln.startswith(b"#")]
+
+        assert run_cli(capsys, "ensemble", "--config", str(path), "--out",
+                       str(tmp_path / "ens"), "--dump-trajectory", "2")[0] == 0
+        ensemble_rows = data_rows(tmp_path / "ens" / "trajectory_2.csv")
+        assert len(ensemble_rows) == 602
+        assert data_rows(tmp_path / "traj" / "trajectory.csv") == ensemble_rows
+
+
 def write_master_config(tmp_path, h, dt, t_final):
     data = {
         "units": "natural",
-        "hamiltonian": qcore.operator_to_json(h),
-        "initial_state": qcore.state_to_json(
+        "hamiltonian": pairs(h),
+        "initial_state": pairs(
             random_state(np.random.default_rng(0), len(h))),
         "tau0": 0.4,
         "dt": dt,
@@ -442,8 +479,8 @@ def test_unresolved_time_step_warns_in_one_line(tmp_path, command):
     # warning as one qsdsim line, without a file name or source line
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
-        "hamiltonian": qcore.operator_to_json(np.diag([5.0, -5.0])),
-        "initial_state": qcore.state_to_json(np.array([0.6, 0.8])),
+        "hamiltonian": pairs(np.diag([5.0, -5.0])),
+        "initial_state": pairs(np.array([0.6, 0.8])),
         "tau0": 0.4, "dt": 0.2, "t_final": 2.0, "n_trajectories": 8,
         "master_seed": 1}))
     src = str(Path(qsdsim.__file__).resolve().parents[1])
@@ -478,8 +515,8 @@ class TestExitCodes:
         # the first step overflows the trajectory's norm
         data = {
             "units": "natural",
-            "hamiltonian": qcore.operator_to_json(np.diag([1e160, -1e160])),
-            "initial_state": qcore.state_to_json(np.array([1, 1]) / np.sqrt(2)),
+            "hamiltonian": pairs(np.diag([1e160, -1e160])),
+            "initial_state": pairs(np.array([1, 1]) / np.sqrt(2)),
             "tau0": 1.0,
             "dt": 0.5,
             "t_final": 50.0,

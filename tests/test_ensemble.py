@@ -15,7 +15,7 @@ from qsdsim import (InvalidParameterError, SimulationConfig, as_density,
 from qsdsim import ensemble, qcore, trajectory
 from qsdsim.ensemble import (run_trajectory, write_ensemble_csv,
                              write_summary_json, write_trajectory_csv)
-from conftest import (force_noise_path, helper_term, random_hermitian,
+from conftest import (force_noise_path, helper_term, pairs, random_hermitian,
                       random_state, variance_rise_z)
 
 
@@ -56,8 +56,8 @@ def series(summary, name):
 def config_json_dict(**overrides):
     data = {
         "units": "natural",
-        "hamiltonian": qcore.operator_to_json(np.diag([0.5, -0.5])),
-        "initial_state": qcore.state_to_json(np.array([1, 1]) / np.sqrt(2)),
+        "hamiltonian": pairs(np.diag([0.5, -0.5])),
+        "initial_state": pairs(np.array([1, 1]) / np.sqrt(2)),
         "tau0_mode": "explicit",
         "tau0": 0.4,
         "dt": 2.5e-3,
@@ -181,7 +181,7 @@ class TestConfig:
         e_scale = 2e-19
         data = config_json_dict(
             units="SI",
-            hamiltonian=qcore.operator_to_json(np.diag([e_scale, -e_scale])),
+            hamiltonian=pairs(np.diag([e_scale, -e_scale])),
             tau0=1e-20,
             dt=1e-16,
             t_final=1e-14,
@@ -203,7 +203,7 @@ class TestConfig:
     def test_planck_mode_resolves_tau0(self):
         data = config_json_dict(
             units="SI",
-            hamiltonian=qcore.operator_to_json(np.diag([1e-19, -1e-19])),
+            hamiltonian=pairs(np.diag([1e-19, -1e-19])),
             tau0_mode="planck",
             C=2.0,
             dt=1e-16,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,8 @@ from qsdsim import (IntegrationFailureError, InvalidParameterError,
                     ShapeError, analytic_offdiagonal, integrate_master,
                     lindblad_from_hamiltonian, lindblad_rhs, psd_master_exact,
                     psd_master_rhs, pure_projector)
-from qsdsim.master import max_offdiagonal, snapshot_indices, write_summary_csv
+from qsdsim.master import (max_offdiagonal, snapshot_indices,
+                           write_snapshots_json, write_summary_csv)
 from qsdsim.trajectory import record_steps
 from conftest import random_density, random_hermitian, random_state
 
@@ -192,6 +195,23 @@ class TestOutputs:
         gaps = np.diff(idx)
         assert idx[0] == 0 and idx[-1] == n_times - 1
         assert np.all(gaps[:-1] == stride) and 0 < gaps[-1] <= stride
+
+    def test_snapshots_are_written_without_nested_lists(self, tmp_path,
+                                                        rng):
+        # 65 snapshots at n = 32 go out an array piece at a time: the
+        # writer's peak stays under 4 times one snapshot's text (measured
+        # 2.3), where nested lists of them all took 90 times (8.7 MB)
+        snapshots = [(0.01 * k, random_density(rng, 32)) for k in range(65)]
+        write_snapshots_json(tmp_path / "one.json", snapshots[:1], {})
+        one = (tmp_path / "one.json").stat().st_size
+        tracemalloc.start()
+        try:
+            write_snapshots_json(tmp_path / "all.json", snapshots, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "all.json").stat().st_size > 64 * one
+        assert peak < 4 * one
 
     def test_max_offdiagonal(self):
         rho = np.array([[0.5, 0.2j], [-0.2j, 0.5]])

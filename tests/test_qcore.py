@@ -1,14 +1,22 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsdsim import (DegenerateStateError, InvalidParameterError, ShapeError,
-                    align_global_phase, as_density, as_operator, as_state,
-                    normalize, pure_projector, trace_distance)
-from qsdsim import qcore
-from conftest import random_density, random_hermitian, random_state
+                    SimulationConfig, align_global_phase, as_density,
+                    as_operator, as_state, compare_ensemble_to_master,
+                    normalize, pure_projector, run_ensemble, run_trajectory,
+                    trace_distance)
+from qsdsim import ensemble, master, qcore
+from qsdsim.cli import main
+from conftest import (as_lists, pairs, random_density, random_hermitian,
+                      random_state)
 
 
 class TestProjectorAndDistance:
@@ -126,14 +134,18 @@ class TestPhaseAlignment:
 
 
 class TestJson:
-    def test_state_round_trip(self, rng):
+    def test_state_round_trip(self, rng, tmp_path):
         psi = random_state(rng, 5)
-        again = qcore.state_from_json(qcore.state_to_json(psi))
+        qcore.write_json(tmp_path / "s.json", {"psi": psi})
+        again = qcore.state_from_json(
+            json.loads((tmp_path / "s.json").read_text())["psi"])
         assert np.array_equal(psi, again)
 
-    def test_operator_round_trip(self, rng):
+    def test_operator_round_trip(self, rng, tmp_path):
         h = random_hermitian(rng, 4)
-        again = qcore.operator_from_json(qcore.operator_to_json(h))
+        qcore.write_json(tmp_path / "h.json", {"h": h})
+        again = qcore.operator_from_json(
+            json.loads((tmp_path / "h.json").read_text())["h"])
         assert np.array_equal(h, again)
 
     def test_bad_payloads_rejected(self):
@@ -141,6 +153,160 @@ class TestJson:
             qcore.state_from_json([[1.0, 0.0, 0.0]])
         with pytest.raises(ShapeError):
             qcore.operator_from_json([[[1.0, 0.0]], [[0.0, 0.0]]])
+
+
+def reference(payload) -> str:
+    return json.dumps(as_lists(payload), indent=2) + "\n"
+
+
+def written(path, payload) -> str:
+    qcore.write_json(path, payload)
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e-310, float("nan")])
+ARRAYS = st.sampled_from([np.float64, np.complex128]).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                max_side=4),
+        elements=FLOATS if dtype is np.float64 else st.builds(
+            complex, FLOATS, FLOATS)))
+SCALARS = (st.none() | st.booleans() | FLOATS | st.text()
+           | st.integers(-2 ** 70, 2 ** 70)
+           | st.sampled_from([2 ** 53 + 1, -2 ** 64, "\u00e9\"\\\n\t\x00\u2028",
+                              "\U0001f600"]))
+PAYLOADS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+class TestWriteJson:
+    """write_json gives the bytes of json.dumps(indent=2) of the payload
+    with its arrays as nested lists, complex entries as [re, im] pairs."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(PAYLOADS)
+    def test_bytes_are_json_dumps(self, tmp_path, payload):
+        assert written(tmp_path / "p.json", payload) == reference(payload)
+
+    @pytest.mark.parametrize("shape", [
+        (2500,), (3, 700), (2, 3000), (2, 2, 1100), (1100, 2), (64, 64),
+        (0, 5), (5, 0), (2, 0, 3), (1, 1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_large_arrays_in_pieces(self, tmp_path, shape, dtype):
+        # arrays longer than a piece (_CHUNK values) or with rows longer
+        # than one, with the special values inside a piece
+        a = np.random.default_rng(1).standard_normal(shape).astype(dtype)
+        a.ravel()[::97] = np.nan
+        a.ravel()[1::101] = -np.inf
+        a.ravel()[2::103] = -0.0
+        payload = {"a": a, "in": [{"deep": a}, a.T.copy(), 1]}
+        assert written(tmp_path / "a.json", payload) == reference(payload)
+
+    def test_stdout_is_the_file_bytes(self, capsys):
+        payload = {"x": np.arange(3.0), "z": np.array([1 - 2j]), "s": "é"}
+        qcore.write_json(None, payload)
+        assert capsys.readouterr().out == reference(payload)
+
+    def test_other_dtypes_go_as_lists(self, tmp_path):
+        payload = {"i": np.arange(4).reshape(2, 2), "b": np.array([True]),
+                   "f32": np.float32([0.1, -1e-40]), "0d": np.array(2.5)}
+        assert written(tmp_path / "o.json", payload) == reference(payload)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a value json cannot write stops the writer part-way
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError):
+            qcore.write_json(path, {"a": np.zeros(3000), "b": object()})
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPackageWriters:
+    """Each JSON output of the package has the bytes json.dumps gives for
+    the payload built from nested lists, as the package once built it."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        rng = np.random.default_rng(4)
+        return SimulationConfig(
+            hamiltonian=random_hermitian(rng, 3), initial_state=random_state(
+                rng, 3), tau0=0.4, dt=0.01, t_final=0.2, n_trajectories=5,
+            master_seed=3, record_stride=4)
+
+    @pytest.mark.parametrize("with_master", [True, False])
+    def test_summary(self, tmp_path, config, with_master):
+        summary = run_ensemble(config)
+        dist = compare_ensemble_to_master(summary) if with_master else None
+        header = config.header()
+        path = tmp_path / "summary.json"
+        ensemble.write_summary_json(path, summary, header, dist)
+        variances = summary.terminal_variances
+        assert path.read_text() == json.dumps({
+            "header": header,
+            "n_trajectories": summary.n_trajectories,
+            "dt": config.dt,
+            "t_final": config.t_final,
+            "times": summary.times.tolist(),
+            "mean_energy": summary.mean_energy.tolist(),
+            "mean_energy_variance": summary.mean_energy_variance.tolist(),
+            "eigenvalues": summary.eigenvalues.tolist(),
+            "initial_populations": summary.initial_populations.tolist(),
+            "born_frequencies": summary.born_frequencies.tolist(),
+            "final_mean_projector": pairs(summary.mean_projector[-1]),
+            "trace_distance_to_master": None if dist is None
+            else dist.tolist(),
+            "terminal_variance_max": float(variances.max()),
+            "terminal_variance_median": float(np.median(variances)),
+        }, indent=2) + "\n"
+
+    def test_trajectory(self, tmp_path, config):
+        record = run_trajectory(config, 2)
+        header = {**config.header(), "stream_index": 2}
+        record.write_json(tmp_path / "trajectory.json", header)
+        assert (tmp_path / "trajectory.json").read_text() == json.dumps({
+            "header": header,
+            "times": record.times.tolist(),
+            "energy_mean": record.energy_mean.tolist(),
+            "energy_variance": record.energy_variance.tolist(),
+            "norm_drift": record.norm_drift.tolist(),
+            "final_state": pairs(record.final_state),
+        }, indent=2) + "\n"
+
+    def test_master_snapshots(self, tmp_path, config):
+        snapshots = list(master.exact_states(
+            pure_projector(config.initial_state), config.hamiltonian,
+            config.tau0, config.dt,
+            master.snapshot_indices(config.n_steps + 1)))
+        path = tmp_path / "master_states.json"
+        master.write_snapshots_json(path, snapshots, config.header())
+        assert path.read_text() == json.dumps({
+            "header": config.header(),
+            "snapshots": [{"t": float(t), "rho": pairs(rho)}
+                          for t, rho in snapshots],
+        }, indent=2) + "\n"
+
+    def test_stdout(self, tmp_path, config, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "hamiltonian": pairs(config.hamiltonian),
+            "initial_state": pairs(config.initial_state), "tau0": 0.4,
+            "dt": 0.01, "t_final": 0.2, "n_trajectories": 5,
+            "master_seed": 3, "record_stride": 4}))
+        assert main(["ensemble", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = run_ensemble(config)
+        assert capsys.readouterr().out == json.dumps({
+            "out": str(tmp_path / "out"),
+            "n_trajectories": 5,
+            "born_frequencies": [float(v) for v in summary.born_frequencies],
+            "final_mean_energy_variance": float(
+                summary.mean_energy_variance[-1]),
+        }, indent=2) + "\n"
 
 
 def test_write_table_rows_are_the_csv_writer_bytes(tmp_path):
