@@ -239,13 +239,8 @@ def _simulate_job(args) -> list[_BatchSums]:
     retained.
     """
     kernel, c0, seed, rows, keep, plan = args
-    # Freeing a 1 MiB block raises glibc malloc's dynamic thresholds: blocks
-    # under 1 MiB then come from the heap, and up to 2 MiB freed at its top
-    # is kept instead of being returned to the system.  Without it, whether
-    # the step's 128 KiB temporaries (128 rows at n = 64) were returned and
-    # faulted back in at every step (+70 % run time) depended on where
-    # earlier allocations had left the heap's top.  Other allocators just
-    # allocate and free it.
+    # freeing 1 MiB raises glibc's mmap threshold: a flush's 256 KiB temporaries
+    # (128 rows, n = 64) then reuse heap pages (other allocators just free it)
     np.empty(1 << 17)
     streams = [NoiseStream(seed, k) for k in rows]
     return _integrate_eigenbasis(kernel, c0, streams, keep, plan)

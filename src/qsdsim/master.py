@@ -99,24 +99,27 @@ def integrate_master(rho0, rhs, dt: float, t_final: float):
 
 
 def psd_master_exact(rho0, h, tau0: float, times) -> np.ndarray:
-    """Closed-form solution of psd_master_rhs at each of `times`, (T, n, n).
+    """Closed-form solution of psd_master_rhs at each of `times`, (T, n, n)."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0.0):
+        raise InvalidParameterError("times must be a 1-d array of finite t >= 0")
+    return exact_solution(rho0, h, tau0)(times)
 
-    rho0 is rotated into the eigenbasis of H once, each entry decays at
-    its own rate, and each state is rotated back; no time stepping.
-    """
+
+def exact_solution(rho0, h, tau0: float):
+    """psd_master_exact as a function of its times (a 1-d float array),
+    checked and diagonalized once: rho0 is rotated into the eigenbasis of
+    H, each entry decays at its own rate, and each state is rotated back."""
     rho0 = qcore.as_density(rho0)
     h = qcore.as_operator(h)
     if rho0.shape != h.shape:
         raise ShapeError(f"shape mismatch: rho {rho0.shape} vs H {h.shape}")
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0.0):
-        raise InvalidParameterError("times must be a 1-d array of finite t >= 0")
     energies, vecs = np.linalg.eigh(h)
     w = energies[:, None] - energies[None, :]
     rate = -1j * w - 0.5 * tau0 * w * w
     rho_eigen = vecs.conj().T @ rho0 @ vecs
-    return vecs @ (rho_eigen * np.exp(times[:, None, None] * rate)) @ vecs.conj().T
+    return lambda t: vecs @ (rho_eigen * np.exp(t[:, None, None] * rate)) @ vecs.conj().T
 
 
 def analytic_offdiagonal(rho0_12: complex, e1: float, e2: float, tau0: float,
@@ -139,13 +142,14 @@ def exact_states(rho0, h, tau0: float, dt: float, steps):
     """Yield (t, rho) of psd_master_exact at t = dt * k for each step index
     k of `steps` (a range or an array), in order.
 
-    The states are evaluated in chunks of MASTER_CHUNK_BYTES, each chunk's
-    times built from its own step indices, so no array spans all the steps.
+    One exact_solution serves chunks of MASTER_CHUNK_BYTES of states, each
+    chunk's times built from its own step indices: no array spans all steps.
     """
+    solution = exact_solution(rho0, h, tau0)
     chunk = max(MASTER_CHUNK_BYTES // (16 * len(rho0) ** 2), 1)   # complex128
     for start in range(0, len(steps), chunk):
         times = dt * np.asarray(steps[start:start + chunk])
-        yield from zip(times, psd_master_exact(rho0, h, tau0, times))
+        yield from zip(times, solution(times))
 
 
 def write_summary_csv(path, states, header: dict):

@@ -28,13 +28,11 @@ H is time-independent, so production runs step in its eigenbasis, where
 Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
 the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
-its test oracles.  A batch of B rows steps as a (B, n) array; a batch of
-one (ensemble.run_trajectory, or an ensemble job of a single trajectory)
-steps as a rank-1 row (n,) with scalar <H>, coefficient and norm, which
-saves most of NumPy's per-call overhead.  The step's ops run along whole
-contiguous arrays, not per row: the energy offsets of a batch are one
-subtraction of its <H>, each repeated n times, and the energies, tiled
-once per batch.
+its test oracles.  It steps a noise block per call, into arrays made once
+per batch: B rows as a (B, n) array, its ops along whole contiguous
+arrays, and a batch of one (ensemble.run_trajectory, or an ensemble job of
+a single trajectory) as a rank-1 row (n,) with a scalar <H>, coefficient
+and norm, which saves most of NumPy's per-call overhead.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row (row-wise
@@ -165,7 +163,7 @@ class _EigenKernel:
         c_k *= 1 + hd_k (-i dt - (tau0/2) dt hd_k + sqrt(tau0) dxi),
                                                         hd_k = E_k - e.
 
-    <H> is carried with the amplitudes: step takes the rows' <H> and
+    <H> is carried with the amplitudes: steps takes the rows' <H> and
     returns the next one, which recording reuses.  Every method keeps the
     module's determinism rule.
     """
@@ -180,7 +178,8 @@ class _EigenKernel:
                           f"{phase_step:.3g}); the weak-order-1 stepper will "
                           "be badly biased", RuntimeWarning, stacklevel=2)
         self._drift = -1j * self.dt
-        self._curvature = -0.5 * tau0 * self.dt
+        self._curvature = np.array(-0.5 * tau0 * self.dt)  # 0-d arrays: a
+        self._one = np.ones((), dtype=np.complex128)  # ufunc takes them fastest
         self._diffusion = math.sqrt(tau0)
 
     def coefficients(self, dxi) -> np.ndarray:
@@ -214,42 +213,68 @@ class _EigenKernel:
             v += t
         return v
 
-    def step(self, c, e, coeff, tiled):
-        """One step of rows c (B, n) with <H> e (B,) and coefficients coeff
-        (B, 1), or of a rank-1 row c (n,) with scalars e and coeff; returns
-        the renormalized amplitudes, their <H> (mean_energy) and each row's
-        squared norm before renormalization.
+    def buffers(self, shape):
+        """What steps writes, made once per batch, for rows (B, n) or a
+        rank-1 row (n,): two amplitude buffers that take turns, with float
+        views (also transposed), f, hd, the curvature term, <H>; a batch adds
+        row reciprocals, np.take's indices to repeat <H>, tiled energies."""
+        *amps, f = np.empty((3,) + shape, dtype=np.complex128)
+        amps = [(a, a.view(np.float64), a.view(np.float64).T) for a in amps]
+        hd, cur = np.empty((2,) + shape)
+        if len(shape) == 1:
+            return amps, f, hd, cur, np.empty(()), None, None, self.energies
+        return (amps, f, hd, cur, *np.empty((2, shape[0])),
+                np.repeat(np.arange(shape[0]), shape[1]).reshape(shape),
+                np.tile(self.energies, (shape[0], 1)))
+
+    def steps(self, c, e, coeff, norms, work, hold=None, due=()):
+        """Step rows c (B, n) with <H> e (B,) through coefficients coeff
+        (steps, B, 1), or a rank-1 row c (n,) with scalar e through coeff
+        (steps,) as Python complex, 1024 at a time, writing into work =
+        buffers(c.shape) (c is only read); return the last c and <H>.  Each
+        step's squared norms before renormalization go to norms (steps, B);
+        after each step i in due, hold(c, e, norm^2) gets the rows.
 
         hd is formed negated, as <H> - E_k, and the update re-signed to
         1 - (coeff - curvature hd) hd: IEEE negation is exact, so these are
-        the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>.  For
-        a batch, hd is one contiguous pass: each row's <H> repeated n times
-        minus `tiled`, the energies tiled over the batch's rows (B n,),
-        which a caller that steps the batch many times makes once
-        (np.subtract.outer would run an inner loop only n long per row); a
-        rank-1 row subtracts `tiled`, the energies (n,), from its scalar <H>.
-        """
-        if c.ndim == 1:
-            hd = e - tiled
-        else:
-            hd = np.repeat(e, len(self.energies))
-            hd = np.subtract(hd, tiled, out=hd).reshape(c.shape)
-        f = coeff - self._curvature * hd
-        f *= hd
-        np.subtract(1.0, f, out=f)
-        # not in place: NumPy runs an in-place multiply of one element as
-        # a reduction, without the fused multiply-add of its vector loop,
-        # which would give a rank-1 row at n = 1 other bits than its batch row
-        f = f * c
-        w = f.view(np.float64)
-        nrm_sq = _einsum("...i,...i->...", w, w)
-        # times the reciprocal, on the float view: the bits of a complex
-        # divide by a real, without the complex arithmetic; transposed, a
-        # row's norm broadcasts along its floats
-        columns = w.T
-        columns *= np.reciprocal(np.sqrt(nrm_sq))
-        # mean_energy of f, on the float view at hand
-        return f, _einsum("...i,...i,i->...", w, w, self._pairs), nrm_sq
+        the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>."""
+        amps, f, hd, cur, e_next, r, rows, tiled = work
+        j = int(c is amps[0][0])
+        for lo in range(0, len(coeff), 1024):
+            part = coeff[lo:lo + 1024]
+            for i, k in enumerate(part.tolist() if r is None else part, lo):
+                np.subtract(e if r is None else e.take(rows, None, hd, "clip"),
+                            tiled, hd)
+                np.multiply(self._curvature, hd, cur)
+                np.subtract(k, cur, f)
+                np.multiply(f, hd, f)
+                np.subtract(self._one, f, f)
+                # not in place: NumPy multiplies one element in place as a
+                # reduction, without the fused multiply-add a batch row gets
+                nxt, w, columns = amps[j]
+                np.multiply(f, c, nxt)
+                c, j = nxt, 1 - j
+                # times the reciprocal on the float view, transposed so that
+                # a row's norm broadcasts: a complex divide by a real's bits;
+                # Python's 1 / sqrt gives NumPy's but raises at norm 0
+                if r is None:
+                    nrm = norms[i, 0] = _einsum("...i,...i->...", w, w)
+                    scale = 1.0 / (math.sqrt(nrm) if nrm else np.sqrt(nrm))
+                else:
+                    nrm = _einsum("...i,...i->...", w, w, out=norms[i])
+                    scale = np.reciprocal(np.sqrt(nrm, r), r)
+                np.multiply(columns, scale, columns)
+                e = _einsum("...i,...i,i->...", w, w, self._pairs, out=e_next)
+                if i in due:
+                    hold(c, e, nrm)
+        return c, e
+
+    def step(self, c, e, coeff):
+        """steps through one step of coefficients coeff (B, 1), or a rank-1
+        row's scalar, returning each row's squared norm too."""
+        nrm = np.empty((1, len(c) if c.ndim == 2 else 1))
+        c, e = self.steps(c, e, np.asarray(coeff)[None], nrm, self.buffers(c.shape))
+        return c, e, nrm[0] if c.ndim == 2 else nrm[0, 0]
 
 
 @dataclass
@@ -311,7 +336,7 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     draws (a batch of one row has none: it draws straight into its
     block), the record buffer with its flush temporaries (the last two
     share BATCH_BUFFER_BYTES), the two buffers of up to np.getbufsize()
-    floats NumPy's iterator may take for a flush, the step's arrays, the
+    floats NumPy's iterator may take for a flush, the step's buffers, the
     kept series and the record times.  A helper adds the pages it comes to
     hold: a copy of each page resident at the fork that either process
     writes, the interpreter's and the streams', a base and a term per
@@ -340,7 +365,7 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
             + (16 * group * block if count > 1 else 0)   # group buffer
             + capacity * per_point
             + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
-            + count * (64 * n + 16)   # c and <H>, tiled E, hd, f, f * c
+            + count * (96 * n + 24)   # c0 tiled and <H>, buffers()
             + (24 * kept + 8) * n_rec   # kept series and times
             + (HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count if helper else 0))
     return BatchPlan(n_steps, stride, chunk, projectors, block, group,
@@ -544,24 +569,20 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
             done += held
             held = 0
 
-        rows = slice(None) if count > 1 else 0  # a batch of one: a rank-1 row
-        by_row = (slice(None), rows) + ((None,) if count > 1 else ())
-        c = np.tile(c0, (count, 1))[rows]
-        tiled = np.tile(kernel.energies, count)
+        c = np.tile(c0, (count, 1)) if count > 1 else c0   # a batch of one:
+        work = kernel.buffers(c.shape)                     # a rank-1 row
         e = kernel.mean_energy(c)
         hold(c, e, 1.0)
-        for k in range(noise.n_blocks):
-            coeff = noise.block(k)[by_row]   # (steps, B, 1), or (steps,)
+        for k in range(noise.n_blocks):   # coefficients (steps, B, 1) or (steps,)
+            coeff = noise.block(k)[np.s_[:, :, None] if count > 1 else np.s_[:, 0]]
             start, block = k * plan.block, len(coeff)
-            # a failed row runs on as nan/inf, and is reported at the end of
-            # the block, or of the batch if a chunk before its own may fail
-            # later
+            # a failed row runs on as nan/inf, reported at the end of the
+            # block, or of the batch if a chunk before its own may fail later
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for i in range(block):
-                    c, e, norms[i, rows] = kernel.step(c, e, coeff[i], tiled)
-                    step = start + i + 1
-                    if step % stride == 0 or step == n_steps:
-                        hold(c, e, norms[i])
+                c, e = kernel.steps(c, e, coeff, norms, work, hold, range(
+                    (-start - 1) % stride, block, stride))
+                if start + block == n_steps and n_steps % stride:
+                    hold(c, e, norms[block - 1])     # the last step
             bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
             for j, lo in enumerate(starts):
                 part = bad[:, lo:lo + chunk]
@@ -598,19 +619,19 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     """Pre-renormalization ||psi + dpsi||^2 - 1 for n independent noise draws
     from the same initial state.
 
-    psi's eigenbasis row, with its scalar <H>, steps once against the (n, 1)
-    coefficients of the draws, which broadcast it over them.  The sample
-    mean estimates the O(dt^2) discretization defect; individual draws
-    fluctuate at O(dt) around it with zero mean.
+    n copies of psi's eigenbasis row step once against a draw each, 4096
+    at a time.  The sample mean estimates the O(dt^2) discretization
+    defect; individual draws fluctuate at O(dt) around it with zero mean.
     """
     psi = qcore.as_state(psi)
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
     dxi = sample_dxi_block(dt, n, stream)
     kernel = _EigenKernel(qcore.as_operator(h), dt, tau0)
-    c0 = kernel.vecs.conj().T @ psi
+    c = np.tile(kernel.vecs.conj().T @ psi, (min(n, 4096), 1))
     coeff = kernel.coefficients(dxi[None, :])[0]
-    return kernel.step(c0, kernel.mean_energy(c0), coeff,
-                       kernel.energies)[2] - 1.0
+    return np.concatenate([
+        kernel.step(c[:len(z)], kernel.mean_energy(c[:len(z)]), z)[2]
+        for z in np.split(coeff, range(4096, n, 4096))]) - 1.0
 
 
 @dataclass

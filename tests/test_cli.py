@@ -315,14 +315,18 @@ class TestMasterCommand:
         monkeypatch.setattr(master, "MASTER_CHUNK_BYTES", 4 * 16 * 2 * 2)
         path = write_master_config(tmp_path, np.diag([0.5, -0.5]), 0.25, 5.0)
         partial = tmp_path / "out" / "master.csv.partial"
-        exact = master.psd_master_exact
+        exact = master.exact_solution
 
-        def failing(rho0, h, tau0, times):
-            if times[0] == 1.0 and partial.exists():
-                raise MemoryError("injected in the second chunk")
-            return exact(rho0, h, tau0, times)
+        def failing(rho0, h, tau0):
+            solution = exact(rho0, h, tau0)
 
-        monkeypatch.setattr(master, "psd_master_exact", failing)
+            def at(times):
+                if times[0] == 1.0 and partial.exists():
+                    raise MemoryError("injected in the second chunk")
+                return solution(times)
+            return at
+
+        monkeypatch.setattr(master, "exact_solution", failing)
         with pytest.raises(MemoryError, match="second chunk"):
             main(["master", "--config", str(path), "--out", str(tmp_path / "out")])
         assert list((tmp_path / "out").glob("master*")) == []
@@ -331,19 +335,23 @@ class TestMasterCommand:
         # 10^12 steps: an array of the step times alone would take 8 TB
         path = write_master_config(tmp_path, np.diag([0.5, -0.5]), 1e-3, 1e9)
         partial = tmp_path / "out" / "master.csv.partial"
-        exact, sizes = master.psd_master_exact, []
+        exact, sizes = master.exact_solution, []
 
         class Stop(Exception):
             pass
 
-        def stop_in_third_chunk(rho0, h, tau0, times):
-            if partial.exists():             # the rows, not the snapshots
-                sizes.append(partial.stat().st_size)
-                if len(sizes) == 3:
-                    raise Stop
-            return exact(rho0, h, tau0, times)
+        def stop_in_third_chunk(rho0, h, tau0):
+            solution = exact(rho0, h, tau0)
 
-        monkeypatch.setattr(master, "psd_master_exact", stop_in_third_chunk)
+            def at(times):
+                if partial.exists():         # the rows, not the snapshots
+                    sizes.append(partial.stat().st_size)
+                    if len(sizes) == 3:
+                        raise Stop
+                return solution(times)
+            return at
+
+        monkeypatch.setattr(master, "exact_solution", stop_in_third_chunk)
         tracemalloc.start()
         try:
             with pytest.raises(Stop):

@@ -10,6 +10,7 @@ from qsdsim import (IntegrationFailureError, InvalidParameterError,
                     ShapeError, analytic_offdiagonal, integrate_master,
                     lindblad_from_hamiltonian, lindblad_rhs, psd_master_exact,
                     psd_master_rhs, pure_projector)
+from qsdsim import master
 from qsdsim.master import (max_offdiagonal, snapshot_indices,
                            write_snapshots_json, write_summary_csv)
 from qsdsim.trajectory import record_steps
@@ -245,6 +246,25 @@ class TestClosedForm:
         for rho in psd_master_exact(rho0, h, 0.7, np.linspace(0.0, 5.0, 11)):
             assert abs(np.trace(rho) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-12
+
+    def test_exact_states_diagonalize_once(self, monkeypatch, rng):
+        # 23 chunks of 3 states at n = 8, each the bits of psd_master_exact
+        # at its times, from one check of rho0 (its eigvalsh) and one eigh
+        h, rho0 = random_hermitian(rng, 8), random_density(rng, 8)
+        monkeypatch.setattr(master, "MASTER_CHUNK_BYTES", 3 * 16 * 8 * 8)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _f=getattr(np.linalg, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        states = list(master.exact_states(rho0, h, 0.4, 0.01, range(67)))
+        assert sorted(calls) == ["eigh", "eigvalsh"]
+        monkeypatch.undo()
+        assert len(states) == 67
+        for k, (t, rho) in enumerate(states):
+            assert t == 0.01 * k
+            assert np.array_equal(rho, psd_master_exact(rho0, h, 0.4, [t])[0])
 
     def test_rejects_bad_times(self):
         rho0 = pure_projector(np.array([1.0, 0.0]))

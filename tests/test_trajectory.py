@@ -171,7 +171,7 @@ class TestEigenKernel:
         e = kernel.mean_energy(c)
         deviations = []
         for k in range(200):
-            c, e, _ = kernel.step(c, e, coeff[k], kernel.energies)
+            c, e, _ = kernel.step(c, e, coeff[k])
             psi = psd_step(psi, h, tau0, dxi[k], dt)
             deviations.append(float(np.max(np.abs(vecs @ c[0] - psi))))
         assert deviations[0] < 1e-12
@@ -276,8 +276,7 @@ class TestEigenKernelProperties:
         kernel = _EigenKernel(h, dt, tau0)
         coeff = kernel.coefficients(np.array([[dxi]]))
         c = (kernel.vecs.conj().T @ psi)[None, :]
-        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0],
-                                        kernel.energies)
+        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
         dense = psd_step(psi, h, tau0, dxi, dt)
         assert np.max(np.abs(kernel.vecs @ c_next[0] - dense)) < 1e-12
         assert abs(np.linalg.norm(c_next[0]) - 1.0) < 1e-14
@@ -297,8 +296,7 @@ class TestEigenKernelProperties:
         c = np.zeros((1, len(h)), dtype=np.complex128)
         c[0, k % len(h)] = 1.0
         coeff = kernel.coefficients(np.array([[dxi]]))
-        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0],
-                                        kernel.energies)
+        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
         assert np.array_equal(c_next, c)
         assert e_next[0] == kernel.energies[k % len(h)]
 
@@ -321,8 +319,8 @@ def reference_step(kernel, c, e, coeff):
 
 def batch_step_case(n, rows, seed, dt, tau0, k):
     """A kernel of a random H (n x n, spectral radius <= 1), rows random
-    rows with eigenstate k % n in row 0, their <H> and the raw dxi of one
-    step."""
+    rows with eigenstate k % n in row 0, their <H> and the raw dxi of
+    three steps (3, rows)."""
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, n)
     h /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(h))))
@@ -331,9 +329,21 @@ def batch_step_case(n, rows, seed, dt, tau0, k):
     c /= np.linalg.norm(c, axis=1)[:, None]
     c[0] = 0.0
     c[0, k % n] = 1.0
-    dxi = np.sqrt(dt / 2) * (rng.standard_normal(rows)
-                             + 1j * rng.standard_normal(rows))
+    dxi = np.sqrt(dt / 2) * (rng.standard_normal((3, rows))
+                             + 1j * rng.standard_normal((3, rows)))
     return kernel, c, kernel.mean_energy(c), dxi
+
+
+def block_steps(kernel, c, e, coeff):
+    """kernel.steps of rows c, or a rank-1 row, through the coefficient
+    block coeff from fresh buffers, holding every step: a copy of each
+    step's (c, e, norm^2), and the norms the block wrote."""
+    held = []
+    norms = np.empty((len(coeff), len(c) if c.ndim == 2 else 1))
+    kernel.steps(c, e, coeff, norms, kernel.buffers(c.shape),
+                 lambda *step: held.append(tuple(map(np.copy, step))),
+                 range(len(coeff)))
+    return held, norms
 
 
 # physical coefficients: dt*E_max below 0.5, tau0 = 0 included; 2000
@@ -355,27 +365,78 @@ class TestRankOneStep:
     @example(n=2, rows=2000, seed=5, dt=2.5e-3, tau0=0.4, k=1)
     def test_row_alone_is_its_batch_row(self, n, rows, seed, dt, tau0, k):
         kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
-        batch = kernel.step(c, e, kernel.coefficients(dxi[None, :].copy())[0],
-                            np.tile(kernel.energies, len(c)))
+        batch, norms = block_steps(kernel, c, e,
+                                   kernel.coefficients(dxi.copy()))
         for b in range(len(c)):
             assert kernel.mean_energy(c[b]) == e[b]
-            coeff = kernel.coefficients(dxi[b:b + 1].copy())[0]
-            c_next, e_next, nrm_sq = kernel.step(c[b], e[b], coeff,
-                                                 kernel.energies)
-            assert np.array_equal(c_next, batch[0][b])
-            assert e_next == batch[1][b] and nrm_sq == batch[2][b]
+            alone, alone_norms = block_steps(
+                kernel, c[b], e[b], kernel.coefficients(dxi[:, b].copy()))
+            for (c_next, e_next, nrm_sq), step in zip(alone, batch,
+                                                      strict=True):
+                assert np.array_equal(c_next, step[0][b])
+                assert e_next == step[1][b] and nrm_sq == step[2][b]
+            assert np.array_equal(alone_norms[:, 0], norms[:, b])
 
     @settings(max_examples=60, deadline=None)
     @given(**batch_step_args)
     @example(n=2, rows=2000, seed=5, dt=2.5e-3, tau0=0.4, k=1)
     def test_step_is_the_reference_formula(self, n, rows, seed, dt, tau0, k):
         kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
-        coeff = kernel.coefficients(dxi[None, :].copy())[0]
-        for got, expected in zip(kernel.step(c, e, coeff,
-                                             np.tile(kernel.energies, len(c))),
-                                 reference_step(kernel, c, e, coeff),
-                                 strict=True):
-            assert np.array_equal(got, expected)
+        coeff = kernel.coefficients(dxi.copy())
+        held, norms = block_steps(kernel, c, e, coeff)
+        for t, step in enumerate(held):
+            c, e, nrm_sq = reference_step(kernel, c, e, coeff[t])
+            for got, expected in zip(step, (c, e, nrm_sq), strict=True):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(norms[t], nrm_sq)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_lone_row_across_blocks_is_its_batch_row(self, n, stride):
+        # 2500 steps in noise blocks of 1100, each longer than the 1024
+        # coefficients a rank-1 row takes at a time; 2500 is no multiple of
+        # 7.  Each row of a batch of 3, a chunk of its own, reduces to the
+        # bits of the row run alone (no projectors at n = 64: 2501 points
+        # of them would take 164 MB a row)
+        kernel, c0 = batch_inputs(n, 3, seed=n)
+
+        def run(rows, chunk):
+            streams = [NoiseStream(5, j) for j in rows]
+            plan = trajectory.batch_plan(len(rows), n, 2500, stride,
+                                         len(rows), chunk, False, n < 64)
+            return _integrate_eigenbasis(kernel, c0, streams,
+                                         range(len(rows)),
+                                         replace(plan, block=1100))
+
+        batch = run(range(3), 1)
+        for b in range(3):
+            assert_sums_equal(batch[b:b + 1], run([b], 1))
+
+    @pytest.mark.parametrize("zero", [False, True], ids=["overflow", "zero"])
+    def test_lone_row_fails_as_its_batch_row(self, zero):
+        # noise of 1e300 at step 1500 overflows norm^2 to inf, and the row
+        # renormalized by 0 reaches norm^2 = 0 at the next step; a zero c0
+        # has norm^2 = 0 at step 1.  The rank-1 row, which takes 1 /
+        # math.sqrt of nonzero norms only, raises its batch row's error
+        kernel, c0 = batch_inputs(3, 2, seed=9)
+        if zero:
+            c0 = np.zeros_like(c0)
+
+        def error(rows):
+            streams = [_PoisonedStream(3, j, 0 if zero or j else 1500)
+                       for j in rows]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateStateError) as info:
+                    _integrate_eigenbasis(
+                        kernel, c0, streams, [0],
+                        replace(plan_for(len(rows), 3, 2100, 1, 1),
+                                block=614))
+            return str(info.value)
+
+        expected = ("trajectory 0 failed at step 1: norm^2 = 0.0" if zero
+                    else "trajectory 0 failed at step 1500: norm^2 = inf")
+        assert error([0, 1]) == error([0]) == expected
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_public_einsum_gives_the_same_bits(self, monkeypatch, rows):
@@ -491,14 +552,15 @@ class TestRecordBuffer:
         assert plan.capacity == 1 if one_point \
             else 1 < plan.capacity < plan.block
         states = [np.tile(c0, (20, 1))]
-        step = kernel.step
+        steps = kernel.steps
 
-        def recording(*args):
-            out = step(*args)
-            states.append(out[0].copy())
-            return out
+        def recording(c, e, coeff, norms, work, hold, due):
+            def held(c, e, nrm_sq):
+                states.append(c.copy())
+                hold(c, e, nrm_sq)
+            return steps(c, e, coeff, norms, work, held, due)
 
-        monkeypatch.setattr(kernel, "step", recording)
+        monkeypatch.setattr(kernel, "steps", recording)
         streams = [NoiseStream(9, j) for j in range(20)]
         sums = _integrate_eigenbasis(kernel, c0, streams, (), plan)
         assert len(states) == 1101
@@ -847,15 +909,15 @@ class TestNoiseHelper:
 
     def test_interrupt_reaps_the_helper(self, monkeypatch):
         kernel, c0 = batch_inputs(2, 3, seed=1)
-        steps = itertools.count()
-        step = kernel.step
+        blocks = itertools.count()
+        steps = kernel.steps
 
         def interrupted(*args):
-            if next(steps) == 1000:
+            if next(blocks) == 1:      # the second noise block, of 614 steps
                 raise KeyboardInterrupt
-            return step(*args)
+            return steps(*args)
 
-        monkeypatch.setattr(kernel, "step", interrupted)
+        monkeypatch.setattr(kernel, "steps", interrupted)
         pids = forks(monkeypatch)
         streams = [NoiseStream(2, j) for j in range(3)]
         with pytest.raises(KeyboardInterrupt):
@@ -930,8 +992,8 @@ class TestNormDiscipline:
     @pytest.mark.parametrize("dim", [1, 2, 5])
     @pytest.mark.parametrize("dt", [1e-3, 0.3])
     def test_samples_are_the_kernel_step_of_n_rows(self, dim, dt):
-        # the one stepped row broadcast over the draws gives the bits of
-        # stepping n copies of it as a batch
+        # each sample has the bits of the row stepped alone, as a rank-1
+        # row, against its draw
         rng = np.random.default_rng(dim)
         h, psi = random_hermitian(rng, dim), random_state(rng, dim)
         n = 7
@@ -939,11 +1001,10 @@ class TestNormDiscipline:
             warnings.simplefilter("ignore", RuntimeWarning)
             samples = norm_defect_samples(psi, h, 0.6, dt, n, NoiseStream(3, dim))
             kernel = _EigenKernel(h, dt, 0.6)
-        c = np.tile(kernel.vecs.conj().T @ psi, (n, 1))
-        coeff = kernel.coefficients(
-            sample_dxi_block(dt, n, NoiseStream(3, dim))[None, :])
-        expected = kernel.step(c, kernel.mean_energy(c), coeff[0],
-                               np.tile(kernel.energies, n))[2] - 1.0
+        c = kernel.vecs.conj().T @ psi
+        coeff = kernel.coefficients(sample_dxi_block(dt, n, NoiseStream(3, dim)))
+        expected = [kernel.step(c, kernel.mean_energy(c), z)[2] - 1.0
+                    for z in coeff]
         assert np.array_equal(samples, expected)
 
     def test_sample_count_is_a_whole_number(self, rng):
