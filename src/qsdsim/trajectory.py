@@ -29,10 +29,9 @@ Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
 the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
 its test oracles.  It steps a noise block per call, into arrays made once
-per batch: B rows as a (B, n) array, its ops along whole contiguous
-arrays, and a batch of one (ensemble.run_trajectory, or an ensemble job of
-a single trajectory) as a rank-1 row (n,) with a scalar <H>, coefficient
-and norm, which saves most of NumPy's per-call overhead.
+per batch: B rows as a (B, n) array, a batch of one (run_trajectory, or a
+job of one trajectory) as a rank-1 row (n,) with scalar <H>, coefficient
+and norm and complex energy offsets: fewer NumPy calls, and no casts.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row (row-wise
@@ -216,13 +215,16 @@ class _EigenKernel:
     def buffers(self, shape):
         """What steps writes, made once per batch, for rows (B, n) or a
         rank-1 row (n,): two amplitude buffers that take turns, with float
-        views (also transposed), f, hd, the curvature term, <H>; a batch adds
-        row reciprocals, np.take's indices to repeat <H>, tiled energies."""
+        views (also transposed), f, (write view, operand) pairs of hd and the
+        curvature term (a real array twice; for a rank-1 row, a complex one
+        at imaginary part +0.0, which no op casts, under its real view), <H>;
+        a batch adds row reciprocals, np.take's indices, tiled energies."""
         *amps, f = np.empty((3,) + shape, dtype=np.complex128)
         amps = [(a, a.view(np.float64), a.view(np.float64).T) for a in amps]
-        hd, cur = np.empty((2,) + shape)
         if len(shape) == 1:
+            hd, cur = ((a.real, a) for a in np.zeros((2,) + shape, complex))
             return amps, f, hd, cur, np.empty(()), None, None, self.energies
+        hd, cur = ((a, a) for a in np.empty((2,) + shape))
         return (amps, f, hd, cur, *np.empty((2, shape[0])),
                 np.repeat(np.arange(shape[0]), shape[1]).reshape(shape),
                 np.tile(self.energies, (shape[0], 1)))
@@ -230,7 +232,7 @@ class _EigenKernel:
     def steps(self, c, e, coeff, norms, work, hold=None, due=()):
         """Step rows c (B, n) with <H> e (B,) through coefficients coeff
         (steps, B, 1), or a rank-1 row c (n,) with scalar e through coeff
-        (steps,) as Python complex, 1024 at a time, writing into work =
+        (steps,), a NumPy complex scalar a step, writing into work =
         buffers(c.shape) (c is only read); return the last c and <H>.  Each
         step's squared norms before renormalization go to norms (steps, B);
         after each step i in due, hold(c, e, norm^2) gets the rows.
@@ -238,35 +240,33 @@ class _EigenKernel:
         hd is formed negated, as <H> - E_k, and the update re-signed to
         1 - (coeff - curvature hd) hd: IEEE negation is exact, so these are
         the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>."""
-        amps, f, hd, cur, e_next, r, rows, tiled = work
+        amps, f, (hd_out, hd), (cur_out, cur), e_next, r, rows, tiled = work
         j = int(c is amps[0][0])
-        for lo in range(0, len(coeff), 1024):
-            part = coeff[lo:lo + 1024]
-            for i, k in enumerate(part.tolist() if r is None else part, lo):
-                np.subtract(e if r is None else e.take(rows, None, hd, "clip"),
-                            tiled, hd)
-                np.multiply(self._curvature, hd, cur)
-                np.subtract(k, cur, f)
-                np.multiply(f, hd, f)
-                np.subtract(self._one, f, f)
-                # not in place: NumPy multiplies one element in place as a
-                # reduction, without the fused multiply-add a batch row gets
-                nxt, w, columns = amps[j]
-                np.multiply(f, c, nxt)
-                c, j = nxt, 1 - j
-                # times the reciprocal on the float view, transposed so that
-                # a row's norm broadcasts: a complex divide by a real's bits;
-                # Python's 1 / sqrt gives NumPy's but raises at norm 0
-                if r is None:
-                    nrm = norms[i, 0] = _einsum("...i,...i->...", w, w)
-                    scale = 1.0 / (math.sqrt(nrm) if nrm else np.sqrt(nrm))
-                else:
-                    nrm = _einsum("...i,...i->...", w, w, out=norms[i])
-                    scale = np.reciprocal(np.sqrt(nrm, r), r)
-                np.multiply(columns, scale, columns)
-                e = _einsum("...i,...i,i->...", w, w, self._pairs, out=e_next)
-                if i in due:
-                    hold(c, e, nrm)
+        for i, k in enumerate(coeff):
+            np.subtract(e if r is None else e.take(rows, None, hd, "clip"),
+                        tiled, hd_out)
+            np.multiply(self._curvature, hd_out, cur_out)
+            np.subtract(k, cur, f)
+            np.multiply(f, hd, f)
+            np.subtract(self._one, f, f)
+            # not in place: NumPy multiplies one element in place as a
+            # reduction, without the fused multiply-add a batch row gets
+            nxt, w, columns = amps[j]
+            np.multiply(f, c, nxt)
+            c, j = nxt, 1 - j
+            # times the reciprocal on the float view, transposed so that a
+            # row's norm broadcasts: a complex divide by a real's bits;
+            # Python's 1 / sqrt gives NumPy's but raises at norm 0
+            if r is None:
+                nrm = norms[i, 0] = _einsum("...i,...i->...", w, w)
+                scale = 1.0 / (math.sqrt(nrm) if nrm else np.sqrt(nrm))
+            else:
+                nrm = _einsum("...i,...i->...", w, w, out=norms[i])
+                scale = np.reciprocal(np.sqrt(nrm, r), r)
+            np.multiply(columns, scale, columns)
+            e = _einsum("...i,...i,i->...", w, w, self._pairs, out=e_next)
+            if i in due:
+                hold(c, e, nrm)
         return c, e
 
     def step(self, c, e, coeff):

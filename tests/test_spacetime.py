@@ -3,12 +3,13 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from qsdsim import (InvalidParameterError, align_global_phase,
-                    decoherence_rate,
+from qsdsim import (InvalidParameterError, NoiseStream, SimulationConfig,
+                    align_global_phase, decoherence_rate,
                     delta_e_from_height, delta_e_from_velocities,
                     equivalence_report, fluctuating_time_step,
                     fluctuation_time_constant, ito_norm_defect, normalize,
-                    norm_completion, planck_time, psd_step)
+                    norm_completion, planck_time, psd_step, run_trajectory,
+                    sample_dxi_block)
 from qsdsim import spacetime
 from qsdsim.spacetime import NormCompletion
 from conftest import random_hermitian, random_state
@@ -117,6 +118,51 @@ class TestFluctuatingTimeStep:
         assert report["max_deviation"] < report["tolerance"]
         assert report["norm_defect_max"] < 1e-10
         assert report["perturbed_defect_min"] > 1e-4
+
+
+class TestFluctuatingTimePath:
+    # the fluctuating-time route at trajectory scale: stream k's increments
+    # fed through fluctuating_time_step for t = 1 end on the ray of
+    # run_trajectory(config, k), the eigenbasis kernel on the same noise,
+    # up to an infidelity that falls with dt; with R 1 % off, it does not.
+    # (s 1 % off is no control: it moves the state along psi, not the ray)
+
+    @staticmethod
+    def infidelity(config, k):
+        psi = config.initial_state
+        stream = NoiseStream(config.master_seed, k)
+        for dxi in sample_dxi_block(config.dt, config.n_steps, stream):
+            psi = fluctuating_time_step(psi, config.hamiltonian, config.tau0,
+                                        config.dt, dxi)
+        final = run_trajectory(config, k).final_state
+        return 1.0 - abs(np.vdot(psi, final)) ** 2
+
+    @pytest.mark.parametrize("n", [4, 3])
+    def test_path_meets_the_trajectory_as_dt_falls(self, monkeypatch, n):
+        # mean over streams 0 and 1: n = 4 2.1e-7, 1.9e-8, 9.6e-9 at dt
+        # 2e-3, 1e-3, 5e-4 (8.3e-7 with R off, at 5e-4); n = 3 4.3e-7,
+        # 5.5e-8, 1.8e-8 (9.1e-7)
+        rng = np.random.default_rng(0)
+        h, psi0 = random_hermitian(rng, n), random_state(rng, n)
+        h /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(h))))
+
+        def gap(dt):
+            config = SimulationConfig(
+                hamiltonian=h, initial_state=psi0, tau0=0.4, dt=dt,
+                t_final=1.0, n_trajectories=2, master_seed=5)
+            return np.mean([self.infidelity(config, k) for k in (0, 1)])
+
+        true = [gap(dt) for dt in (2e-3, 1e-3, 5e-4)]
+        assert true[0] > true[1] > true[2] and true[0] > 8 * true[2]
+        completion = spacetime.norm_completion
+
+        def r_off(h, psi, tau1):
+            exact = completion(h, psi, tau1)
+            return NormCompletion(s=exact.s, r=1.01 * exact.r)
+
+        monkeypatch.setattr(spacetime, "norm_completion", r_off)
+        off = gap(5e-4)
+        assert off > 1e-7 and off > 10 * true[2]
 
 
 class TestDecoherenceRate:

@@ -362,6 +362,7 @@ class TestRankOneStep:
     @given(**batch_step_args)
     # n = 1: an in-place product with c would run as a reduction there
     @example(n=1, rows=512, seed=3, dt=0.3, tau0=0.4, k=0)
+    @example(n=1, rows=3, seed=7, dt=0.3, tau0=0.0, k=0)
     @example(n=2, rows=2000, seed=5, dt=2.5e-3, tau0=0.4, k=1)
     def test_row_alone_is_its_batch_row(self, n, rows, seed, dt, tau0, k):
         kernel, c, e, dxi = batch_step_case(n, rows, seed, dt, tau0, k)
@@ -390,12 +391,38 @@ class TestRankOneStep:
                 assert np.array_equal(got, expected)
             assert np.array_equal(norms[t], nrm_sq)
 
+    @pytest.mark.parametrize("n, tau0, poisoned", [
+        (1, 0.4, False), (8, 0.4, False), (8, 0.0, False), (8, 0.4, True)],
+        ids=["n1", "n8", "n8-tau0-zero", "n8-overflow"])
+    def test_lone_row_offsets_stay_real(self, n, tau0, poisoned):
+        # a rank-1 row's hd and curvature term are complex buffers whose
+        # real views the step writes: their imaginary parts stay +0.0, the
+        # value NumPy casts a real operand to, so the complex ops give the
+        # bits of a real hd and curvature term, also once the row overflows
+        # at step 300 and runs on as nan
+        rng = np.random.default_rng(n)
+        h = random_hermitian(rng, n)
+        h /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(h))))
+        kernel = _EigenKernel(h, 2e-3, tau0)
+        c0 = kernel.vecs.conj().T @ random_state(rng, n)
+        stream = _PoisonedStream(3, 0, 300) if poisoned else NoiseStream(3, 0)
+        coeff = kernel.coefficients(sample_dxi_block(kernel.dt, 600, stream))
+        work = kernel.buffers(c0.shape)
+        norms = np.empty((600, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            kernel.steps(c0, kernel.mean_energy(c0), coeff, norms, work)
+        assert np.isfinite(norms).all() != poisoned
+        for view, buffer in work[2:4]:
+            assert buffer.dtype == np.complex128
+            assert np.shares_memory(view, buffer) and view.dtype == np.float64
+            assert not np.any(buffer.imag)
+            assert not np.any(np.signbit(buffer.imag))
+
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     @pytest.mark.parametrize("stride", [1, 7])
     def test_lone_row_across_blocks_is_its_batch_row(self, n, stride):
-        # 2500 steps in noise blocks of 1100, each longer than the 1024
-        # coefficients a rank-1 row takes at a time; 2500 is no multiple of
-        # 7.  Each row of a batch of 3, a chunk of its own, reduces to the
+        # 2500 steps in noise blocks of 1100; 2500 is no multiple of 7.
+        # Each row of a batch of 3, a chunk of its own, reduces to the
         # bits of the row run alone (no projectors at n = 64: 2501 points
         # of them would take 164 MB a row)
         kernel, c0 = batch_inputs(n, 3, seed=n)

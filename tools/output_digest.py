@@ -1,6 +1,6 @@
 """Digest the output of the four perfbench commands, to compare two checkouts.
 
-    python3 tools/output_digest.py [--seeds 3 4] [--workers 1 2]
+    python3 tools/output_digest.py [--seeds 3 4] [--workers 1 2] [--against FILE]
 
 Prints one line per (workload, seed, workers): the sha256 over every file
 the command writes (each with its name), its standard output and error,
@@ -10,7 +10,11 @@ arguments), run by `python3 -m qsdsim.cli` from this checkout's `src`, each
 in a fresh interpreter and a fresh directory, with BLAS pinned to one
 thread.  record_ensemble also runs at one worker more than the largest
 asked for; single_trajectory takes no --workers and runs once per seed.
-Two checkouts give the same bytes iff their lists are equal.
+Two checkouts give the same bytes iff their lists are equal.  With
+--against FILE, a listing saved from this script (of the parent checkout,
+say), it prints only the lines that differ from FILE's line of the same run,
+each followed by FILE's line (or "missing"), and exits 1 if any differs;
+runs FILE lists that this invocation does not make are not compared.
 """
 
 import argparse
@@ -54,16 +58,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 4])
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="a saved listing: print only the lines that "
+                             "differ from it, and exit 1 if any does")
     args = parser.parse_args(argv)
+    saved = None
+    if args.against is not None:
+        saved = {line.rsplit(" ", 1)[0]: line for line in
+                 args.against.read_text().splitlines() if line.strip()}
+    differ = False
     for name in workloads.WORKLOADS:
         counts = sorted(set(args.workers))
         if name == "record_ensemble":
             counts.append(counts[-1] + 1)
         for seed in args.seeds:
             for w in [None] if name == "single_trajectory" else counts:
-                print(f"{name} seed={seed} workers={w or '-'} "
-                      f"{digest(name, seed, w)}", flush=True)
-    return 0
+                run = f"{name} seed={seed} workers={w or '-'}"
+                line = f"{run} {digest(name, seed, w)}"
+                if saved is None:
+                    print(line, flush=True)
+                    continue
+                before = saved.get(run)
+                if line != before:
+                    differ = True
+                    print(f"{line}\n  saved: {before or 'missing'}",
+                          flush=True)
+    return int(differ)
 
 
 if __name__ == "__main__":
