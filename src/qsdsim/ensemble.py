@@ -1,27 +1,22 @@
 """Ensemble runs and ensemble-vs-master reconciliation.
 
 The parent diagonalizes H once; trajectories are then integrated as
-energy-eigenbasis amplitudes, where the PSD step is elementwise
-(trajectory._EigenKernel), each trajectory drawing from its own
-counter-based noise stream keyed by (master_seed, trajectory_index).
+energy-eigenbasis amplitudes (trajectory._EigenKernel), each drawing from
+its own counter-based noise stream keyed by (master_seed, trajectory_index).
 
 The chunk is the unit of reduction: CHUNK_SIZE consecutive trajectories,
-fixed whatever the worker count.  Each chunk reduces its trajectories at
-every record time (sums of the eigenbasis projector, <H> and Var H, the
-largest norm defect, winner counts), keeping per-trajectory series only
-for the trajectories asked for.  The parent folds those partial sums in
-chunk-index order, so no array of all trajectories at all record times is
-ever built.  The batch is the unit of stepping: a job steps a run of
-consecutive chunks as one batch, as many as BATCH_AMPLITUDES allows but
-no more than keeps every worker busy, which spares NumPy per-call
-overhead at small n.  Chunks and fold order are fixed, and the trajectory
-module's determinism rule keeps a chunk's reductions the same in any
-batch, so a run's output is bit-identical for any worker count and any
-job width.  The mean projector is rotated back from the eigenbasis once
-per record time.  One runner (_run) serves run_ensemble and run_trajectory,
-whose trajectory is a one-row job that sums no projector: it sizes the
-pool, makes the run's one plan (trajectory.batch_plan), refuses it if it
-would not fit in physical memory, and runs every job under that plan.
+fixed whatever the worker count, reduced at every record time (sums of
+the eigenbasis projector, <H> and Var H, the largest norm defect, winner
+counts), with per-trajectory series only for the trajectories asked for.
+The parent folds those partial sums in chunk-index order.  The batch is
+the unit of stepping: a job steps a run of consecutive chunks as one
+batch, as many as BATCH_AMPLITUDES allows but no more than keeps every
+worker busy.  By the trajectory module's determinism rule a run's output
+is bit-identical for any worker count and any job width.  One runner
+(_run) serves run_ensemble and run_trajectory, whose trajectory is a
+one-row job that sums no projector: it sizes the pool, makes the run's one
+plan (trajectory.batch_plan), refuses it if it would not fit in physical
+memory, and runs every job under that plan.
 
 Units: all integration happens in natural units (hbar = 1).  SI configs
 are rescaled on load - the energy unit E0 is the largest |eigenvalue| of
@@ -94,9 +89,9 @@ class SimulationConfig:
         for name in ("n_trajectories", "master_seed", "record_stride"):
             if name != "record_stride" or self.record_stride is not None:
                 object.__setattr__(self, name, qcore.whole(name, getattr(self, name)))
-        if self.n_trajectories < 1:
-            raise InvalidParameterError(
-                f"n_trajectories must be >= 1, got {self.n_trajectories}")
+        if not 1 <= self.n_trajectories < 2 ** 63:     # a range's len
+            raise InvalidParameterError(f"n_trajectories must be >= 1 and "
+                                        f"below 2^63, got {self.n_trajectories}")
         for name in ("tau0", "dt", "t_final", "c_factor", "energy_unit_j"):
             object.__setattr__(self, name, qcore.positive(name, getattr(self, name)))
         if self.units == "natural" and (self.energy_unit_j != 1.0
@@ -230,18 +225,11 @@ class EnsembleSummary:
 
 def _simulate_job(args) -> list[_BatchSums]:
     """Integrate trajectories `rows` (a range) as one batch under `plan`
-    and reduce them a chunk at a time, returning one _BatchSums per chunk.
-
-    Runs in worker processes on energy-eigenbasis amplitudes.  By the
-    trajectory module's determinism rule, batch and chunk boundaries never
-    leak into a trajectory's values, so trajectory k matches run_trajectory
-    on stream k bit for bit.  `keep` holds the batch rows whose series are
-    retained.
-    """
+    and reduce them a chunk at a time, returning one _BatchSums per chunk;
+    `keep` holds the batch rows whose series are retained.  By the
+    trajectory module's determinism rule, trajectory k matches
+    run_trajectory on stream k bit for bit."""
     kernel, c0, seed, rows, keep, plan = args
-    # freeing 1 MiB raises glibc's mmap threshold: a flush's 256 KiB temporaries
-    # (128 rows, n = 64) then reuse heap pages (other allocators just free it)
-    np.empty(1 << 17)
     streams = [NoiseStream(seed, k) for k in rows]
     return _integrate_eigenbasis(kernel, c0, streams, keep, plan)
 
@@ -306,15 +294,12 @@ def _fold(jobs) -> _BatchSums:
 def _check_memory(config: SimulationConfig, plan: BatchPlan, pool_size: int,
                   held: int, m: int, n_retained: int):
     """Refuse a run of m trajectories under `plan` whose estimated peak
-    memory exceeds physical memory.
-
-    The parent holds `held` chunk reductions (with a pool every chunk's
-    may wait there at once; without one it folds a job before the next),
-    with projectors the running totals and the mean projector with its
+    memory exceeds physical memory.  The parent holds `held` chunk
+    reductions (with a pool every chunk's may wait there at once), with
+    projectors the running totals and the mean projector with its
     temporaries (three reductions), the retained series and a final Var H
-    per trajectory.  Each worker holds plan.bytes, what the widest job
-    holds.  A run without projectors (a lone trajectory) is advised only
-    a larger record_stride.
+    per trajectory; each worker holds plan.bytes.  A run without
+    projectors (a lone trajectory) is advised only a larger record_stride.
     """
     n = config.hamiltonian.shape[0]
     t = record_count(config.n_steps, config.record_stride)
@@ -363,15 +348,11 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
                  retain=()) -> EnsembleSummary:
     """Run n_trajectories independent diffusion trajectories and reduce them.
 
-    Deterministic for a given master_seed regardless of `workers`: stream
-    index = trajectory index, chunk boundaries are fixed, and chunk
-    reductions are folded in index order, however many chunks a job steps
-    as one batch.  Per-trajectory series are kept only for the indices in
-    `retain` (summary.trajectories).  Any failing trajectory aborts the
-    run, reporting its index (dropping it silently would bias the ensemble
-    mean): the failure of the lowest failing chunk, as with one chunk per
-    job.  The pool and the noise helpers follow the usable CPUs (_run),
-    which changes no bit either.
+    Deterministic for a given master_seed regardless of `workers` or the
+    usable CPUs (see the module docstring).  Per-trajectory series are kept
+    only for the indices in `retain` (summary.trajectories).  Any failing
+    trajectory aborts the run, reporting its index (dropping it silently
+    would bias the ensemble mean): the failure of the lowest failing chunk.
     """
     workers = qcore.whole("workers", workers)
     if workers < 1:

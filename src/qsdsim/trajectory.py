@@ -28,36 +28,34 @@ H is time-independent, so production runs step in its eigenbasis, where
 Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
 the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
-its test oracles.  It steps a noise block per call, into arrays made once
-per batch: B rows as a (B, n) array, a batch of one (run_trajectory, or a
-job of one trajectory) as a rank-1 row (n,) with scalar <H>, coefficient
-and norm and complex energy offsets: fewer NumPy calls, and no casts.
+its test oracles.  It steps B rows as a (B, n) array, and a batch of one
+(run_trajectory, or a job of one trajectory) as a rank-1 row (n,) with
+scalar <H>, coefficient and norm and complex energy offsets: fewer NumPy
+calls, and no casts.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
-norm) comes only from elementwise ops and sums along a row (row-wise
-einsum, or a left-to-right sum), whose bits depend neither on how many
-rows share a batch, nor on whether the row steps alone as rank 1, nor on
-how many record points share a flush, so trajectory k of an ensemble
-replays as a batch of one.  The batch is the unit of stepping and the
-chunk, a fixed range of its rows, the unit of reduction: record points
-are buffered and reduced a buffer at a time, each chunk on its own row
-slice, where the sums (<H> and Var H) run along the row axis of each
-record point and the projectors of all buffered points are one stacked
-BLAS call per chunk, which runs the same zgemm on each point's matrices
-as a call per point, as when the chunk is reduced alone.  A sum per
-chunk may use BLAS because chunk boundaries are fixed, so a chunk's sums
-do not depend on how many chunks share its batch.
+norm) comes only from elementwise ops and sums along a row, whose bits
+depend neither on how many rows share a batch, nor on whether the row
+steps alone as rank 1, nor on how many record points share a flush, so
+trajectory k of an ensemble replays as a batch of one.  The batch is the
+unit of stepping and the chunk, a fixed range of its rows, the unit of
+reduction: record points are buffered and reduced a buffer at a time,
+each chunk on its own rows, the projectors of all buffered points in one
+stacked BLAS call per chunk (the same zgemm per point as a call per
+point).  A sum per chunk may use BLAS because chunk boundaries are fixed.
 
-A batch draws its noise in blocks of at most NOISE_BLOCK_BYTES, so a
-batch whose noise fits one block (a lone trajectory of up to 524 288
-steps) draws it once, before it steps.  A wider or longer batch draws
-block k+1, and turns it into step coefficients, while it steps block k,
-in a helper process forked for the batch when a CPU is spare (see
-_NoiseBlocks), else itself between the two.  Each stream draws the same
-numbers in the same order either way, and the coefficients are the same
-elementwise ops on them, so no output bit depends on which process does
-the drawing.  batch_plan decides all this once per run, and states the
-memory it takes.
+A batch's working memory is one layout (_batch_layout): every array it
+writes between its first and last step, made as views of one allocation
+at fixed offsets from a page boundary, so no step, flush or block check
+allocates an array, and batch_plan charges that layout.  The noise comes
+in blocks of at most NOISE_BLOCK_BYTES, in buffers of their own: a batch
+whose noise fits one block (a lone trajectory of up to 524 288 steps)
+draws it once, before it steps; a wider or longer one draws block k+1,
+and turns it into step coefficients, while it steps block k, in a helper
+process forked for the batch when a CPU is spare (see _NoiseBlocks), else
+itself between the two.  Each stream draws the same numbers in the same
+order either way, so no output bit depends on which process draws.
+batch_plan decides all this once per run, and states the memory it takes.
 """
 
 import math
@@ -83,6 +81,7 @@ BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
 HELPER_BASE_BYTES = 5 << 20    # a noise helper's copied pages: a base
 HELPER_STREAM_BYTES = 1 << 10  # and a term per stream (see batch_plan)
+_PAGE, _LINE = 4096, 64  # a batch's arena starts on a page, each array on a line
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
 
@@ -153,18 +152,15 @@ def psd_step(psi, h, tau0: float, dxi: complex, dt: float) -> np.ndarray:
 
 class _EigenKernel:
     """The PSD step on energy-eigenbasis amplitudes c of shape (..., n):
-    (B, n) for a batch of rows, (n,) for a rank-1 row.
-
-    In the eigenbasis of H (columns of `vecs`), Hd = diag(E - e) with
-    e = sum_k |c_k|^2 E_k, and the increment of psd_increment becomes, per
-    component,
+    (B, n) for a batch of rows, (n,) for a rank-1 row.  In the eigenbasis
+    of H (columns of `vecs`), Hd = diag(E - e) with e = sum_k |c_k|^2 E_k,
+    and the increment of psd_increment becomes, per component,
 
         c_k *= 1 + hd_k (-i dt - (tau0/2) dt hd_k + sqrt(tau0) dxi),
                                                         hd_k = E_k - e.
 
     <H> is carried with the amplitudes: steps takes the rows' <H> and
-    returns the next one, which recording reuses.  Every method keeps the
-    module's determinism rule.
+    returns the next one.  Every method keeps the determinism rule.
     """
 
     def __init__(self, h, dt: float, tau0: float):
@@ -183,10 +179,8 @@ class _EigenKernel:
 
     def coefficients(self, dxi) -> np.ndarray:
         """Turn dxi of shape (steps, B) or (steps,) into -i dt + sqrt(tau0)
-        dxi in place (a block of noise is the largest buffer of a run;
-        _NoiseBlocks turns each block in the process that draws it);
-        returned as a view that broadcasts over rows: (steps, B, 1), or
-        the (steps,) scalars of a rank-1 row."""
+        dxi in place, returned as a view that broadcasts over rows:
+        (steps, B, 1), or the (steps,) scalars of a rank-1 row."""
         dxi *= self._diffusion
         dxi += self._drift
         return dxi.reshape(dxi.shape + (1,) * (dxi.ndim - 1))
@@ -195,47 +189,49 @@ class _EigenKernel:
         v = c.view(np.float64)
         return _einsum("...i,...i,i->...", v, v, self._pairs)
 
-    def variance(self, c, e) -> np.ndarray:
-        """Var H of each row of c (..., B, n), given its <H> e (..., B).
-
-        Each float w of a row adds ((w w) hd) hd, summed over the row
-        left to right: the bits of einsum("bi,bi,bi,bi->b") on one batch,
-        for any number of record points at once.
-        """
+    def variance(self, c, e, out=None) -> np.ndarray:
+        """Var H of each row of c (..., B, n), given its <H> e (..., B),
+        into out = (hd, terms, v), shaped (2n,) + e.shape twice and e.shape
+        (made if None): each float w of a row adds ((w w) hd) hd, summed
+        over the row left to right, the bits of einsum("bi,bi,bi,bi->b") on
+        one batch for any number of record points at once."""
         w = np.moveaxis(c.view(np.float64), -1, 0)
-        hd = self._pairs.reshape((-1,) + (1,) * e.ndim) - e
-        terms = np.multiply(w, w, out=np.empty(w.shape))
+        hd, terms, v = out or (*np.empty((2,) + w.shape), np.empty(e.shape))
+        np.subtract(self._pairs.reshape((-1,) + (1,) * e.ndim), e, hd)
+        np.multiply(w, w, terms)
         terms *= hd
         terms *= hd
-        v = terms[0].copy()
+        np.copyto(v, terms[0])
         for t in terms[1:]:
             v += t
         return v
 
-    def buffers(self, shape):
-        """What steps writes, made once per batch, for rows (B, n) or a
-        rank-1 row (n,): two amplitude buffers that take turns, with float
-        views (also transposed), f, (write view, operand) pairs of hd and the
-        curvature term (a real array twice; for a rank-1 row, a complex one
-        at imaginary part +0.0, which no op casts, under its real view), <H>;
+    def buffers(self, shape, arena=None):
+        """What steps writes for rows (B, n) or a rank-1 row (n,), as views
+        of a batch's arena (_batch_layout; the step's arrays alone if None):
+        two amplitude buffers that take turns, with float views (also
+        transposed), f, (write view, operand) pairs of hd and the curvature
+        term (a real array twice; for a rank-1 row, a complex one at
+        imaginary part +0.0, which no op casts, under its real view), <H>;
         a batch adds row reciprocals, np.take's indices, tiled energies."""
-        *amps, f = np.empty((3,) + shape, dtype=np.complex128)
-        amps = [(a, a.view(np.float64), a.view(np.float64).T) for a in amps]
+        a = arena or _arena(_batch_layout(shape, 0, 0))
+        amps = [(c, c.view(np.float64), c.view(np.float64).T) for c in a["amps"]]
         if len(shape) == 1:
-            hd, cur = ((a.real, a) for a in np.zeros((2,) + shape, complex))
-            return amps, f, hd, cur, np.empty(()), None, None, self.energies
-        hd, cur = ((a, a) for a in np.empty((2,) + shape))
-        return (amps, f, hd, cur, *np.empty((2, shape[0])),
-                np.repeat(np.arange(shape[0]), shape[1]).reshape(shape),
-                np.tile(self.energies, (shape[0], 1)))
+            a["hd"][...] = a["cur"][...] = 0
+            return (amps, a["f"], (a["hd"].real, a["hd"]),
+                    (a["cur"].real, a["cur"]), a["e"], None, None, self.energies)
+        a["rows"][...] = np.arange(shape[0])[:, None]
+        a["tiled"][...] = self.energies
+        return (amps, a["f"], (a["hd"],) * 2, (a["cur"],) * 2, a["e"], a["r"],
+                a["rows"], a["tiled"])
 
     def steps(self, c, e, coeff, norms, work, hold=None, due=()):
         """Step rows c (B, n) with <H> e (B,) through coefficients coeff
         (steps, B, 1), or a rank-1 row c (n,) with scalar e through coeff
-        (steps,), a NumPy complex scalar a step, writing into work =
-        buffers(c.shape) (c is only read); return the last c and <H>.  Each
-        step's squared norms before renormalization go to norms (steps, B);
-        after each step i in due, hold(c, e, norm^2) gets the rows.
+        (steps,), writing into work = buffers(c.shape) (c is only read);
+        return the last c and <H>.  Each step's squared norms before
+        renormalization go to norms (steps, B); after each step i in due,
+        hold(c, e, norm^2) gets the rows.
 
         hd is formed negated, as <H> - E_k, and the update re-signed to
         1 - (coeff - curvature hd) hd: IEEE negation is exact, so these are
@@ -310,62 +306,94 @@ class BatchPlan:
     bytes: int        # what a worker holds for the batch
 
 
+def _batch_layout(row: tuple, capacity: int, block: int) -> dict:
+    """Name -> (shape, dtype) of every array that a batch of rows (B, n), or
+    a rank-1 row (n,), writes between its first and last step, with
+    `capacity` record points buffered and noise blocks of `block` steps:
+    the step's (see _EigenKernel.buffers), the record buffer (amplitudes,
+    <H>, norm^2), the block's squared norms, and a flush's temporaries:
+    variance's hd (then the conjugated chunk), terms and result, the norm
+    defect and its abs."""
+    n, batch = row[-1], row[:-1]       # batch: (B,), or () for a rank-1 row
+    points = (capacity,) + (batch or (1,))
+    offsets = float if batch else complex
+    return {"amps": ((2,) + row, complex), "f": (row, complex),
+            "hd": (row, offsets), "cur": (row, offsets), "e": (batch, float),
+            **({"r": (batch, float), "rows": (row, np.intp),
+                "tiled": (row, float)} if batch else {}),
+            "held_c": (points + (n,), complex),
+            "norms": ((block,) + points[1:], float),
+            **dict.fromkeys(("held_e", "held_nrm_sq", "var", "defect",
+                             "drift"), (points, float)),
+            **dict.fromkeys(("var_hd", "var_terms"), ((2 * n,) + points, float))}
+
+
+def _sizes(layout: dict, align: int = _LINE) -> list:
+    """The bytes of each array of layout, up to a multiple of align."""
+    return [-(-math.prod(shape) * np.dtype(dtype).itemsize // align) * align
+            for shape, dtype in layout.values()]
+
+
+def _arena(layout: dict) -> dict:
+    """The arrays of layout as views of one allocation, in order from a
+    page boundary, each _sizes apart: the same offsets mod 4096 wherever
+    the allocator puts it."""
+    raw = np.empty(_PAGE + sum(_sizes(layout)), dtype=np.uint8)
+    at, arena = -raw.ctypes.data % _PAGE, {}
+    for (name, (shape, dtype)), size in zip(layout.items(), _sizes(layout)):
+        arena[name] = np.ndarray(shape, dtype, raw, at)
+        at += size
+    return arena
+
+
 def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
                chunk: int, spare_cpu: bool, projectors: bool) -> BatchPlan:
     """The plan of a batch of count rows of dimension n over n_steps steps,
     in chunks of `chunk` rows summing their projectors if asked, kept of
     them recording their series.  A narrower batch may run it too.
 
-    A full noise block holds NOISE_BLOCK_BYTES of noise with its norms,
-    24 bytes a row and step: 524 288 row-steps, 1024 steps of 512 rows or
-    157 of 2000.  A batch of at most a full block draws its n_steps at
-    once; a longer one draws 3/5 of a full block at a time, into two
-    buffers that take turns: both (16 bytes a row and step each) with the
-    norms (8) hold no more than a full block with its norms.  The record
-    capacity is at least one point, which alone can exceed the budget at
-    large B n, and at most the points of a block.  A batch whose noise
-    outgrows one block forks a noise helper if spare_cpu is true and the
-    platform has os.fork; one whose noise fits one block draws it once,
-    in-process.  So a lone trajectory holds its noise up to the budget
-    (at 60 000 steps, 1.44 MB of noise and norms), and a row
-    that fails runs on as nan to the end of its block before the batch
-    raises, with the same message.
+    A full noise block is NOISE_BLOCK_BYTES of noise with its norms, 24
+    bytes a row and step (1024 steps of 512 rows).  A batch of at most a
+    full block draws its n_steps at once, in-process; a longer one draws
+    3/5 of a full block at a time into two buffers that take turns, with a
+    forked noise helper if spare_cpu and os.fork allow.  A row that fails
+    runs on as nan to the end of its block before the batch raises.  The
+    record capacity is the points whose part of the batch's layout fits
+    BATCH_BUFFER_BYTES beside the noise group: at least one, at most the
+    points of a block.
 
-    The bytes count the chunks' reductions (`reduction` each), the
-    noise buffers with the norms, the group buffer of the process that
-    draws (a batch of one row has none: it draws straight into its
-    block), the record buffer with its flush temporaries (the last two
-    share BATCH_BUFFER_BYTES), the two buffers of up to np.getbufsize()
-    floats NumPy's iterator may take for a flush, the step's buffers, the
-    kept series and the record times.  A helper adds the pages it comes to
-    hold: a copy of each page resident at the fork that either process
-    writes, the interpreter's and the streams', a base and a term per
-    stream.  The batch's reductions and buffers are not among them: the
-    helper is forked before the batch allocates them.  The terms are the
-    upper envelope, with a margin, of the helper's peak Private_Dirty (the
-    shared noise buffers left out) at stride 1 in a fresh interpreter: 4.2
-    MiB for 256 rows at n = 32, 3.7 MiB for 2000 streams and 7.4 MiB for
-    8192 (4.9 and 8.6 MiB for a second batch of 2000 or 8192 in the same
-    process).  A process that freed more than that before the fork may
-    have its allocator hand the batch pages that are still shared, and the
-    helper then keeps copies of them too.
+    The bytes count the chunks' reductions (`reduction` each), the noise
+    buffers, the group buffer of the process that draws (a lone row draws
+    straight into its block), the batch's layout in its page-aligned
+    allocation, two buffers of up to np.getbufsize() floats NumPy's
+    iterator may take in a flush, the first <H>, the kept series and the
+    record times.  A helper adds a copy of each page resident at its fork
+    that either process writes: a base and a term per stream, the upper
+    envelope with a margin of its peak Private_Dirty (shared noise left
+    out) in a fresh interpreter, 4.2 MiB for 256 rows at n = 32, 3.7 and
+    7.4 MiB for 2000 and 8192 streams.  The batch's reductions and layout
+    are not among them: they are allocated after the fork.  A process that
+    freed more than that before the fork may hand the batch pages that are
+    still shared, and the helper then keeps copies of them too.
     """
     full = max(1, NOISE_BLOCK_BYTES // (24 * count))
     block = n_steps if n_steps <= full else max(1, 3 * full // 5)
     n_blocks = -(-n_steps // block)
     helper = spare_cpu and n_blocks > 1 and hasattr(os, "fork")
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
-    per_point = count * (48 * n + 48)   # amplitudes, <H>, norm^2, temporaries
+    row = (count, n) if count > 1 else (n,)
+    per_point = (sum(_sizes(_batch_layout(row, 1, block), 1))
+                 - sum(_sizes(_batch_layout(row, 0, block), 1)))
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
     n_rec = record_count(n_steps, stride)
     reduction = n_rec * ((16 * n * n if projectors else 0) + 4 * 8)
     held = (-(-count // chunk) * reduction
-            + count * block * (16 * min(2, n_blocks) + 8)  # dxi, block's norms
+            + 16 * count * block * min(2, n_blocks)      # noise buffers
             + (16 * group * block if count > 1 else 0)   # group buffer
-            + capacity * per_point
+            + _PAGE + sum(_sizes(_batch_layout(row, capacity, block)))
             + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
-            + count * (96 * n + 24)   # c0 tiled and <H>, buffers()
+            + 8 * count                 # <H> before the first step
             + (24 * kept + 8) * n_rec   # kept series and times
             + (HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count if helper else 0))
     return BatchPlan(n_steps, stride, chunk, projectors, block, group,
@@ -376,22 +404,18 @@ class _NoiseBlocks:
     """The coefficient blocks of a batch of streams under a plan, in
     order: block k holds kernel.coefficients of the increments of steps
     k * plan.block onwards, at most plan.block of them, as (steps,
-    len(streams)).  The process that draws a block also turns it into
-    coefficients, in place, so the stepping process only takes its view.
+    len(streams)), turned in place by the process that draws it.
 
-    Blocks take turns in two buffers (one, if the batch draws one block),
-    so that block k+1 can be drawn while block k is stepped.  Used as a
-    context manager; block(k) returns block k once it is drawn, and tells
-    the drawer that the buffer of block k-1 is free.  Without a helper,
-    block(k) draws it itself.  With one (plan.helper; a batch of one block
-    has none), a process forked on entry draws every block from its
-    copies of the streams (the parent's copies are not advanced) into an
-    anonymous shared mmap, and the two processes pass a byte per block
-    over two pipes: "block ready" to the parent and "buffer free" to the
-    helper.  The helper writes nothing to stdout or stderr and leaves with
-    os._exit; on exit the parent kills and reaps it, on every path, and a
-    helper that dies makes block() raise.  If the fork fails, the batch
-    draws its blocks itself.
+    Blocks take turns in two buffers (one, if the batch draws one block).
+    Used as a context manager; block(k) returns block k once it is drawn,
+    and tells the drawer that the buffer of block k-1 is free.  Without a
+    helper, block(k) draws it itself.  With one (plan.helper), a process
+    forked on entry draws every block from its copies of the streams into
+    an anonymous shared mmap, and the two pass a byte per block over two
+    pipes: "block ready" to the parent, "buffer free" to the helper.  The
+    helper writes nothing to stdout or stderr and leaves with os._exit; on
+    exit the parent kills and reaps it, on every path, and a helper that
+    dies makes block() raise.  If the fork fails, the batch draws itself.
     """
 
     def __init__(self, kernel: _EigenKernel, streams, plan: BatchPlan):
@@ -492,24 +516,16 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
     c0, as one batch of at most the rows planned, and reduce it a chunk of
     plan.chunk consecutive rows at a time (the last may be shorter).
 
-    The batch is the unit of stepping: row b draws its increments from
-    streams[b] in blocks (fill_dxi_blocks, bit-identical to per-step
-    sample_dxi), so a trajectory's values do not depend on which other
-    streams share its batch.  The chunk is the unit of reduction: at every
+    Row b draws its increments from streams[b] in blocks (fill_dxi_blocks,
+    bit-identical to per-step sample_dxi; with plan.helper a forked
+    process draws them, and the streams given are not advanced).  At every
     step of record_steps(plan.n_steps, plan.stride) the rows' amplitudes,
-    <H> and squared norm go into a record buffer, and a flush reduces
-    every buffered record point at once, each chunk on its own row slice,
-    when the buffer is full and at the end of each noise block.  So each
-    chunk's _BatchSums, returned in row order, holds the bits of that
-    chunk run as a batch of its own.  The rows listed in keep (batch rows)
-    also record <H>, Var H and the norm defect ||psi + dpsi|| - 1 of the
-    step just taken, and their final state, in the _BatchSums of their
-    chunk.  Each row's final Var H is taken once, from its final
-    amplitudes.
-
-    With plan.helper, a forked process draws the noise blocks while the
-    batch steps (_NoiseBlocks), with the same bits; the streams it was
-    given are then not advanced.
+    <H> and squared norm go into the record buffer, which a flush reduces
+    when it is full and at the end of each noise block.  So each chunk's
+    _BatchSums, returned in row order, holds the bits of that chunk run as
+    a batch of its own.  The rows listed in keep (batch rows) also record
+    <H>, Var H and the norm defect ||psi + dpsi|| - 1, and their final
+    state, in the _BatchSums of their chunk.
 
     A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
     The batch raises DegenerateStateError for the failed chunk of lowest
@@ -521,17 +537,16 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
     starts = range(0, count, chunk)
     n_rec = record_count(n_steps, stride)
     keep = np.asarray(keep, dtype=np.intp)
-    # a helper is forked on entry, before the batch allocates and writes
-    # its buffers (see batch_plan)
+    row = (count, n) if count > 1 else (n,)     # a batch of one: a rank-1 row
+    # a helper is forked on entry, before the batch allocates (batch_plan)
     with _NoiseBlocks(kernel, streams, plan) as noise:
         proj = (np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
                 if plan.projectors else [None] * len(starts))
         e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
-        energy, variance, defect = (np.empty((len(keep), n_rec))
-                                    for _ in range(3))
-        held_c = np.empty((plan.capacity, count, n), dtype=np.complex128)
-        held_e, held_nrm_sq = np.empty((2, plan.capacity, count))
-        norms = np.empty((plan.block, count))
+        energy, variance, defect = np.empty((3, n_rec, len(keep)))
+        arena = _arena(_batch_layout(row, plan.capacity, plan.block))
+        held_c, held_e, held_nrm_sq, norms = (
+            arena[k] for k in ("held_c", "held_e", "held_nrm_sq", "norms"))
         held = done = 0      # record points buffered, and reduced before them
         failed = {}          # chunk -> the error of its first bad step
 
@@ -543,34 +558,39 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
                 flush()
 
         def flush():
-            """Reduce the buffered record points, each chunk on its rows:
-            the sums along rows per point, and the projectors of all points
-            in one stacked matmul, the same zgemm per point as a call per
-            point."""
-            nonlocal held, done
+            """Reduce the buffered record points into their places, each
+            chunk on its rows: sums along rows per point, and the projectors
+            of all points in one stacked matmul (a call per point's zgemm)."""
+            nonlocal held, done, terminal
             if not held:
                 return
             pos = slice(done, done + held)
             e = held_e[:held]
-            v = kernel.variance(held_c[:held], e)
-            d = np.sqrt(held_nrm_sq[:held]) - 1.0
-            drift = np.abs(d)
+            hd, terms = (arena[k].reshape(-1)[:2 * n * e.size].reshape(
+                (2 * n,) + e.shape) for k in ("var_hd", "var_terms"))
+            v = kernel.variance(held_c[:held], e,
+                                (hd, terms, arena["var"][:held]))
+            d = np.sqrt(held_nrm_sq[:held], out=arena["defect"][:held])
+            d -= 1.0
+            drift = np.abs(d, out=arena["drift"][:held])
             for j, lo in enumerate(starts):
                 rows = slice(lo, lo + chunk)
                 if plan.projectors:
                     part = held_c[:held, rows]
-                    np.matmul(part.transpose(0, 2, 1), part.conj(),
-                              out=proj[j][pos])
-                e_sum[j, pos], v_sum[j, pos] = (e[:, rows].sum(axis=1),
-                                                v[:, rows].sum(axis=1))
-                drift_max[j, pos] = drift[:, rows].max(axis=1)
-            energy[:, pos], variance[:, pos], defect[:, pos] = \
-                e[:, keep].T, v[:, keep].T, d[:, keep].T
-            done += held
-            held = 0
+                    conj = arena["var_hd"].reshape(-1).view(np.complex128)
+                    np.matmul(part.transpose(0, 2, 1), np.conjugate(
+                        part, out=conj[:part.size].reshape(part.shape)),
+                        out=proj[j][pos])
+                np.sum(e[:, rows], axis=1, out=e_sum[j, pos])
+                np.sum(v[:, rows], axis=1, out=v_sum[j, pos])
+                np.max(drift[:, rows], axis=1, out=drift_max[j, pos])
+            for series, x in ((energy, e), (variance, v), (defect, d)):
+                np.take(x, keep, 1, series[pos], "clip")
+            done, held, terminal = done + held, 0, v[-1]   # the last Var H
 
-        c = np.tile(c0, (count, 1)) if count > 1 else c0   # a batch of one:
-        work = kernel.buffers(c.shape)                     # a rank-1 row
+        work = kernel.buffers(row, arena)
+        c = work[0][0][0]      # the first amplitude buffer
+        c[...] = c0
         e = kernel.mean_energy(c)
         hold(c, e, 1.0)
         for k in range(noise.n_blocks):   # coefficients (steps, B, 1) or (steps,)
@@ -583,28 +603,30 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
                     (-start - 1) % stride, block, stride))
                 if start + block == n_steps and n_steps % stride:
                     hold(c, e, norms[block - 1])     # the last step
-            bad = ~((norms[:block] >= _MIN_NORM_SQ) & (norms[:block] < np.inf))
-            for j, lo in enumerate(starts):
-                part = bad[:, lo:lo + chunk]
-                if j not in failed and part.any():
-                    i, b = divmod(int(np.argmax(part)), part.shape[1])
-                    b += lo
-                    failed[j] = DegenerateStateError(
-                        f"trajectory {streams[b].stream_index} failed at step "
-                        f"{start + i + 1}: norm^2 = {float(norms[i, b])!r}")
+            nrm_sq = norms[:block]    # a nan fails min and max, as a bad row
+            if not (nrm_sq.min() >= _MIN_NORM_SQ and nrm_sq.max() < np.inf):
+                bad = ~((nrm_sq >= _MIN_NORM_SQ) & (nrm_sq < np.inf))
+                for j, lo in enumerate(starts):
+                    part = bad[:, lo:lo + chunk]
+                    if j not in failed and part.any():
+                        i, b = divmod(int(np.argmax(part)), part.shape[1])
+                        b += lo
+                        failed[j] = DegenerateStateError(
+                            f"trajectory {streams[b].stream_index} failed at "
+                            f"step {start + i + 1}: norm^2 = "
+                            f"{float(norms[i, b])!r}")
             if 0 in failed:
                 raise failed[0]
             flush()
     if failed:
         raise failed[min(failed)]
-    c, e = c.reshape(count, n), np.reshape(e, count)
+    c, terminal = c.reshape(count, n), terminal.copy()   # of the last step
     times = kernel.dt * record_steps(n_steps, stride).astype(float)
     records = [[] for _ in starts]
     for r, b in enumerate(keep):
         records[b // chunk].append(TrajectoryRecord(
-            times=times, energy_mean=energy[r], energy_variance=variance[r],
-            norm_drift=defect[r], final_state=kernel.vecs @ c[b]))
-    terminal = kernel.variance(c[None], e[None])[0]
+            times=times, energy_mean=energy[:, r], energy_variance=variance[:, r],
+            norm_drift=defect[:, r], final_state=kernel.vecs @ c[b]))
     return [_BatchSums(
         projector_sum=proj[j], energy_sum=e_sum[j], variance_sum=v_sum[j],
         max_norm_drift=drift_max[j],
@@ -622,11 +644,15 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     n copies of psi's eigenbasis row step once against a draw each, 4096
     at a time.  The sample mean estimates the O(dt^2) discretization
     defect; individual draws fluctuate at O(dt) around it with zero mean.
+    A sample beyond physical memory (32 bytes a draw) is refused first.
     """
-    psi = qcore.as_state(psi)
+    psi, h = qcore.as_state(psi), qcore.as_operator(h)
+    qcore._check_match(h, psi)
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
+    n = qcore.whole("n", n)
+    qcore.check_memory(32 * n, f"{n} norm defect samples", "lower n")
     dxi = sample_dxi_block(dt, n, stream)
-    kernel = _EigenKernel(qcore.as_operator(h), dt, tau0)
+    kernel = _EigenKernel(h, dt, tau0)
     c = np.tile(kernel.vecs.conj().T @ psi, (min(n, 4096), 1))
     coeff = kernel.coefficients(dxi[None, :])[0]
     return np.concatenate([
@@ -650,14 +676,7 @@ class TrajectoryRecord:
                               self.energy_variance, self.norm_drift))
 
     def write_json(self, path, header: dict):
-        qcore.write_json(path, {
-            "header": header,
-            "times": self.times,
-            "energy_mean": self.energy_mean,
-            "energy_variance": self.energy_variance,
-            "norm_drift": self.norm_drift,
-            "final_state": self.final_state,
-        })
+        qcore.write_json(path, {"header": header, **vars(self)})   # fields in order
 
 
 def record_count(n_steps: int, stride: int) -> int:

@@ -584,6 +584,10 @@ class TestExitCodes:
         ({"dt": 1e-3, "t_final": 1e16}, MASTER),
         ({"dt": 1e-3, "t_final": 1e16},
          ("trajectory", "--config", "{config}", "--out", "{dir}/out")),
+        # 2^63 trajectories or more: a range of them has no len
+        ({"n_trajectories": 1e300}, COMPARE),
+        ({}, ("ensemble", "--config", "{config}", "--out", "{dir}/out",
+              "--trajectories", "9300000000000000000")),
     ], ids=["nan", "infinity", "string-entry", "unknown-key", "fractional-steps",
             "dt-nan", "tau0-infinity", "C-nan", "large-asymmetry",
             "config-is-directory", "out-is-file", "out-under-file",
@@ -593,7 +597,8 @@ class TestExitCodes:
             "null-count", "stream-2-to-64", "units-unknown",
             "tau0-mode-unknown", "planck-natural", "string-dt",
             "string-counts", "null-dt", "steps-beyond-int64-master",
-            "steps-beyond-int64-trajectory"])
+            "steps-beyond-int64-trajectory", "count-beyond-int64",
+            "trajectories-beyond-int64"])
     def test_malformed_config_is_invalid_input(self, config_path, overrides,
                                                argv):
         data = json.loads(config_path.read_text())

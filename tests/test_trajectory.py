@@ -635,6 +635,44 @@ class TestRecordBuffer:
                 peak += 16 * block * (2 * rows + group)
             assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
 
+    @pytest.mark.parametrize("n, rows, n_steps, stride, block", [
+        (64, 128, 1000, 50, 200), (4, 1024, 500, 1, 100),
+        (8, 1, 12500, 1, 2500),     # a lone trajectory, as a rank-1 row
+    ], ids=["n64-128-rows", "n4-1024-rows", "one-row"])
+    def test_no_allocation_after_the_first_block(self, monkeypatch, n, rows,
+                                                 n_steps, stride, block):
+        # from the second noise block on, the step, the clean-block check
+        # and every flush write into the batch's arena, so they allocate no
+        # more than the two buffers of np.getbufsize() complex values
+        # NumPy's iterator takes for one op (the batch step casts its real
+        # hd and curvature term) and a step's Python objects; a flush that
+        # made its own variance terms or conjugated chunk would allocate
+        # 256 KiB apiece at 128 rows, n = 64
+        kernel, c0 = batch_inputs(n, rows, seed=5)
+        plan = replace(trajectory.batch_plan(rows, n, n_steps, stride, 1,
+                                             512, False, True), block=block)
+        n_blocks, calls, peak = n_steps // block, itertools.count(), []
+        steps = kernel.steps
+
+        def traced(*args):
+            k = next(calls)
+            if k == 1:
+                tracemalloc.reset_peak()
+                peak.append(-tracemalloc.get_traced_memory()[0])
+            elif k == n_blocks - 1:
+                peak[0] += tracemalloc.get_traced_memory()[1]
+            return steps(*args)
+
+        monkeypatch.setattr(kernel, "steps", traced)
+        streams = [NoiseStream(4, j) for j in range(rows)]
+        tracemalloc.start()
+        try:
+            _integrate_eigenbasis(kernel, c0, streams, [0], plan)
+        finally:
+            tracemalloc.stop()
+        assert n_blocks >= 5 and plan.capacity < block // stride
+        assert peak[0] <= 32 * np.getbufsize() + (16 << 10)
+
     def test_grouped_fill_is_sample_dxi_block(self):
         # 7 streams in groups of 3 (the last one partial), 40 of the 50
         # steps the buffer holds; each stream's second block continues it
@@ -1039,6 +1077,17 @@ class TestNormDiscipline:
             with pytest.raises(InvalidParameterError, match="n must be"):
                 norm_defect_samples(random_state(rng, 2), np.eye(2), 1.0,
                                     1e-3, n, NoiseStream(0))
+
+    def test_state_of_another_dimension_is_a_shape_error(self, rng):
+        with pytest.raises(ShapeError, match="dimension mismatch"):
+            norm_defect_samples(random_state(rng, 3), np.eye(2), 1.0, 1e-3,
+                                4, NoiseStream(0))
+
+    def test_sample_beyond_memory_is_refused_before_it_is_drawn(self, rng):
+        # 10^12 draws would take 32 TB at the peak
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            norm_defect_samples(random_state(rng, 2), np.eye(2), 1.0, 1e-3,
+                                10 ** 12, NoiseStream(0))
 
 
 def one_trajectory(h, psi0, **fields):

@@ -1,6 +1,7 @@
 """Digest the output of the four perfbench commands, to compare two checkouts.
 
     python3 tools/output_digest.py [--seeds 3 4] [--workers 1 2] [--against FILE]
+                                   [--usage]
 
 Prints one line per (workload, seed, workers): the sha256 over every file
 the command writes (each with its name), its standard output and error,
@@ -15,6 +16,9 @@ Two checkouts give the same bytes iff their lists are equal.  With
 say), it prints only the lines that differ from FILE's line of the same run,
 each followed by FILE's line (or "missing"), and exits 1 if any differs;
 runs FILE lists that this invocation does not make are not compared.
+With --usage, each run's minor page faults and peak RSS (ru_minflt and
+ru_maxrss of its process, from os.wait4) also go to standard error, as
+`<run> minflt=<count> maxrss_kb=<KiB>`; standard output is unchanged.
 """
 
 import argparse
@@ -31,8 +35,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
-def digest(name: str, seed: int, workers) -> str:
-    """sha256 of one execution's files, stdout, stderr and exit code."""
+def digest(name: str, seed: int, workers) -> tuple[str, object]:
+    """sha256 of one execution's files, stdout, stderr and exit code, and
+    the resource usage of its process."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
@@ -40,18 +45,24 @@ def digest(name: str, seed: int, workers) -> str:
         work = Path(work)
         (work / "config.json").write_bytes(workloads.config_bytes(
             workloads.make_config(name, seed)))
-        run = subprocess.run(
-            [sys.executable, "-m", "qsdsim.cli",
-             *workloads.cli_args(name, "config.json", "out", workers)],
-            cwd=work, env=env, capture_output=True, check=False)
-        h = hashlib.sha256()
-        for path in sorted((work / "out").rglob("*")):
-            if path.is_file():
-                h.update(str(path.relative_to(work)).encode() + b"\0")
-                h.update(path.read_bytes())
-        for part in (run.stdout, run.stderr, str(run.returncode).encode()):
-            h.update(b"\0" + part)
-        return h.hexdigest()
+        with open(work / "stdout", "w+b") as out, \
+                open(work / "stderr", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qsdsim.cli",
+                 *workloads.cli_args(name, "config.json", "out", workers)],
+                cwd=work, env=env, stdout=out, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            h = hashlib.sha256()
+            for path in sorted((work / "out").rglob("*")):
+                if path.is_file():
+                    h.update(str(path.relative_to(work)).encode() + b"\0")
+                    h.update(path.read_bytes())
+            for stream in (out, err):
+                stream.seek(0)
+                h.update(b"\0" + stream.read())
+            h.update(b"\0" + str(proc.returncode).encode())
+        return h.hexdigest(), usage
 
 
 def main(argv=None) -> int:
@@ -61,6 +72,9 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="a saved listing: print only the lines that "
                              "differ from it, and exit 1 if any does")
+    parser.add_argument("--usage", action="store_true",
+                        help="also print each run's minor page faults and "
+                             "peak RSS on standard error")
     args = parser.parse_args(argv)
     saved = None
     if args.against is not None:
@@ -74,7 +88,12 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for w in [None] if name == "single_trajectory" else counts:
                 run = f"{name} seed={seed} workers={w or '-'}"
-                line = f"{run} {digest(name, seed, w)}"
+                sha, usage = digest(name, seed, w)
+                line = f"{run} {sha}"
+                if args.usage:
+                    print(f"{run} minflt={usage.ru_minflt} "
+                          f"maxrss_kb={usage.ru_maxrss}", file=sys.stderr,
+                          flush=True)
                 if saved is None:
                     print(line, flush=True)
                     continue
