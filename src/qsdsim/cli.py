@@ -210,10 +210,10 @@ def _add_run_options(p, trajectories=True):
         p.add_argument("--trajectories", type=int, default=None,
                        help="override n_trajectories")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes, at most one per usable CPU; a "
-                            "run whose noise outgrows one block may also use "
-                            "one noise helper process per worker when a CPU "
-                            "is spare (neither changes results)")
+                       help="worker processes, at most one per usable CPU; "
+                            "where a CPU is spare, each worker's batch may "
+                            "also fork one row helper process that steps half "
+                            "its trajectories (neither changes results)")
         p.add_argument("--dump-trajectory", type=int, action="append",
                        metavar="K", help="also write trajectory_<K>.csv")
 

@@ -12,12 +12,12 @@ order in dt downstream.
 Streams are counter-based (Philox) and keyed by (master_seed,
 stream_index), so every trajectory of an ensemble owns an independent,
 bit-reproducible noise source regardless of scheduling.  The same holds
-for who draws: a batch of trajectories whose noise outgrows one block
-(trajectory.NOISE_BLOCK_BYTES) may hand its streams to one forked noise
-helper process when a CPU is spare for it (trajectory._NoiseBlocks),
-which draws each stream's increments in the order the batch would, so
-no output changes.
+for who draws: each stream is drawn by the process that steps its
+trajectory, which for the upper half of a batch may be a forked row
+helper (trajectory._RowHelper), in the same order, so no output changes.
 """
+
+import functools
 
 import numpy as np
 
@@ -25,6 +25,22 @@ from .errors import InvalidParameterError
 from .qcore import check_memory, positive, whole
 
 _U64 = np.uint64
+
+
+@functools.cache
+def _key_type():
+    """Philox(_key_type()(key)) has the state of Philox(key=key) without
+    the SeedSequence of OS entropy that one makes and drops (made at the
+    first stream, which loads numpy.random, 6 ms, anyway)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=_U64):  # (2, uint64): the key
+            return self.key
+    return Key
 
 
 class NoiseStream:
@@ -44,7 +60,7 @@ class NoiseStream:
         self.master_seed = whole("master_seed", master_seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_index = stream_index
         key = np.array([self.master_seed, self.stream_index], dtype=_U64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(_key_type()(key)))
 
     def standard_normal(self, size=None, out=None) -> np.ndarray:
         return self._gen.standard_normal(size, out=out)

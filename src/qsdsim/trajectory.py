@@ -47,14 +47,11 @@ point).  A sum per chunk may use BLAS because chunk boundaries are fixed.
 A batch's working memory is one layout (_batch_layout): every array it
 writes between its first and last step, made as views of one allocation
 at fixed offsets from a page boundary, so no step, flush or block check
-allocates an array, and batch_plan charges that layout.  The noise comes
-in blocks of at most NOISE_BLOCK_BYTES, in buffers of their own: a batch
-whose noise fits one block (a lone trajectory of up to 524 288 steps)
-draws it once, before it steps; a wider or longer one draws block k+1,
-and turns it into step coefficients, while it steps block k, in a helper
-process forked for the batch when a CPU is spare (see _NoiseBlocks), else
-itself between the two.  Each stream draws the same numbers in the same
-order either way, so no output bit depends on which process draws.
+allocates an array, and batch_plan charges that layout.  Its noise comes
+in blocks of at most NOISE_BLOCK_BYTES, each drawn into one buffer before
+it is stepped.  A forked row helper may step, and draw for, the upper
+half of its rows while the parent steps the rest and reduces every chunk
+(_RowHelper): no output bit depends on which process steps a row.
 batch_plan decides all this once per run, and states the memory it takes.
 """
 
@@ -79,8 +76,10 @@ _UNIT_PHASE_TOL = 1e-12
 NOISE_BLOCK_BYTES = 12 << 20   # bytes of a full noise block with its norms
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
-HELPER_BASE_BYTES = 5 << 20    # a noise helper's copied pages: a base
+SPLIT_WORK = 1 << 22           # row-steps x (n + 11) worth a row helper
+HELPER_BASE_BYTES = 5 << 20    # a row helper's copied pages: a base
 HELPER_STREAM_BYTES = 1 << 10  # and a term per stream (see batch_plan)
+_SHARED = ("held_c", "norms", "held_e", "held_nrm_sq")  # written by a helper
 _PAGE, _LINE = 4096, 64  # a batch's arena starts on a page, each array on a line
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
 
@@ -301,21 +300,22 @@ class BatchPlan:
     block: int        # steps of noise drawn per generator call
     group: int        # streams drawn at once
     capacity: int     # record points buffered between flushes
-    helper: bool      # whether a forked helper process draws the noise
+    helper: int       # bytes a forked row helper holds; 0: no helper
     reduction: int    # bytes of a chunk's series, any projector sum, times
-    bytes: int        # what a worker holds for the batch
+    bytes: int        # what a worker holds for the batch, any helper's too
 
 
-def _batch_layout(row: tuple, capacity: int, block: int) -> dict:
+def _batch_layout(row: tuple, capacity: int, block: int, steps=None) -> dict:
     """Name -> (shape, dtype) of every array that a batch of rows (B, n), or
     a rank-1 row (n,), writes between its first and last step, with
     `capacity` record points buffered and noise blocks of `block` steps:
-    the step's (see _EigenKernel.buffers), the record buffer (amplitudes,
-    <H>, norm^2), the block's squared norms, and a flush's temporaries:
-    variance's hd (then the conjugated chunk), terms and result, the norm
-    defect and its abs."""
-    n, batch = row[-1], row[:-1]       # batch: (B,), or () for a rank-1 row
-    points = (capacity,) + (batch or (1,))
+    the step's (see _EigenKernel.buffers) for the rows `steps` (all if
+    None), the record buffer (amplitudes, <H>, norm^2), the block's squared
+    norms, and a flush's temporaries: variance's hd (then the conjugated
+    chunk), terms and result, the norm defect and its abs."""
+    n, points = row[-1], (capacity,) + (row[:-1] or (1,))
+    row = steps or row                 # the rows stepped
+    batch = row[:-1]                   # (B,), or () for a rank-1 row
     offsets = float if batch else complex
     return {"amps": ((2,) + row, complex), "f": (row, complex),
             "hd": (row, offsets), "cur": (row, offsets), "e": (batch, float),
@@ -334,11 +334,17 @@ def _sizes(layout: dict, align: int = _LINE) -> list:
             for shape, dtype in layout.values()]
 
 
-def _arena(layout: dict) -> dict:
+def _arena(layout: dict, shared: bool = False) -> dict:
     """The arrays of layout as views of one allocation, in order from a
     page boundary, each _sizes apart: the same offsets mod 4096 wherever
-    the allocator puts it."""
-    raw = np.empty(_PAGE + sum(_sizes(layout)), dtype=np.uint8)
+    the allocator puts it.  A shared arena is an anonymous mmap, which a
+    process forked later writes in place."""
+    size = _PAGE + sum(_sizes(layout))
+    if shared:      # mmap takes 1 ms to import: only a split batch pays it
+        import mmap
+        raw = np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)
+    else:
+        raw = np.empty(size, dtype=np.uint8)
     at, arena = -raw.ctypes.data % _PAGE, {}
     for (name, (shape, dtype)), size in zip(layout.items(), _sizes(layout)):
         arena[name] = np.ndarray(shape, dtype, raw, at)
@@ -354,32 +360,31 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
 
     A full noise block is NOISE_BLOCK_BYTES of noise with its norms, 24
     bytes a row and step (1024 steps of 512 rows).  A batch of at most a
-    full block draws its n_steps at once, in-process; a longer one draws
-    3/5 of a full block at a time into two buffers that take turns, with a
-    forked noise helper if spare_cpu and os.fork allow.  A row that fails
-    runs on as nan to the end of its block before the batch raises.  The
-    record capacity is the points whose part of the batch's layout fits
-    BATCH_BUFFER_BYTES beside the noise group: at least one, at most the
-    points of a block.
+    full block draws its n_steps at once; a longer one draws 3/5 of a full
+    block at a time into the same buffer.  A row that fails runs on as nan
+    to the end of its block before the batch raises.  The record capacity
+    is the points whose part of the batch's layout fits BATCH_BUFFER_BYTES
+    beside the noise group: at least one, at most the points of a block.
 
-    The bytes count the chunks' reductions (`reduction` each), the noise
-    buffers, the group buffer of the process that draws (a lone row draws
-    straight into its block), the batch's layout in its page-aligned
-    allocation, two buffers of up to np.getbufsize() floats NumPy's
-    iterator may take in a flush, the first <H>, the kept series and the
-    record times.  A helper adds a copy of each page resident at its fork
-    that either process writes: a base and a term per stream, the upper
-    envelope with a margin of its peak Private_Dirty (shared noise left
-    out) in a fresh interpreter, 4.2 MiB for 256 rows at n = 32, 3.7 and
-    7.4 MiB for 2000 and 8192 streams.  The batch's reductions and layout
-    are not among them: they are allocated after the fork.  A process that
-    freed more than that before the fork may hand the batch pages that are
-    still shared, and the helper then keeps copies of them too.
+    The batch splits (helper) if spare_cpu and os.fork allow, it has two
+    rows or more and count x n_steps x (n + 11) is at least SPLIT_WORK: a
+    row helper steps its upper half (_RowHelper).  On a 2-CPU host a row's
+    step takes about 3.6 (n + 11) ns and a split, which halves the steps,
+    about 2.5 ms: it breaks even near 2e6 (24 x 1000 steps at n = 64 lost
+    2.3 ms, 64 x 1000 at n = 32 won 1.1 ms), half of SPLIT_WORK.
+
+    The bytes count the chunks' reductions (`reduction` each), the batch's
+    layout, two buffers of up to np.getbufsize() floats NumPy's iterator
+    may take in a flush, the first <H>, the kept series and the record
+    times, and for each process that steps rows its noise, group (a lone
+    row draws straight into its block) and step buffers.  A helper
+    (`helper`, its bytes) adds a copy of each page resident at its fork
+    that either process writes: a base and a term per stream, above its
+    peak Private_Dirty in a fresh interpreter (0.66 to 0.87 of `helper`),
+    but not of heap that a process freed before the fork and reuses.
     """
     full = max(1, NOISE_BLOCK_BYTES // (24 * count))
     block = n_steps if n_steps <= full else max(1, 3 * full // 5)
-    n_blocks = -(-n_steps // block)
-    helper = spare_cpu and n_blocks > 1 and hasattr(os, "fork")
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
     row = (count, n) if count > 1 else (n,)
     per_point = (sum(_sizes(_batch_layout(row, 1, block), 1))
@@ -388,126 +393,130 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
                           block // stride + 2))
     n_rec = record_count(n_steps, stride)
     reduction = n_rec * ((16 * n * n if projectors else 0) + 4 * 8)
+
+    def own(rows):      # what a process stepping `rows` of the rows holds
+        return (16 * rows * block + (16 * group * block if rows > 1 else 0)
+                + _PAGE + sum(_sizes(_batch_layout((rows, n) if rows > 1
+                                                   else (n,), 0, 0))))
+
+    helper = (own(count - count // 2) + HELPER_BASE_BYTES
+              + HELPER_STREAM_BYTES * count
+              if spare_cpu and count > 1 and hasattr(os, "fork")
+              and count * n_steps * (n + 11) >= SPLIT_WORK else 0)
     held = (-(-count // chunk) * reduction
-            + 16 * count * block * min(2, n_blocks)      # noise buffers
-            + (16 * group * block if count > 1 else 0)   # group buffer
-            + _PAGE + sum(_sizes(_batch_layout(row, capacity, block)))
+            + own(count // 2 if helper else count) + helper
+            + (_PAGE if helper else 0)      # the shared buffer's own page
+            + sum(_sizes(_batch_layout(row, capacity, block)))
+            - sum(_sizes(_batch_layout(row, 0, 0)))
             + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
             + 8 * count                 # <H> before the first step
-            + (24 * kept + 8) * n_rec   # kept series and times
-            + (HELPER_BASE_BYTES + HELPER_STREAM_BYTES * count if helper else 0))
+            + (24 * kept + 8) * n_rec)  # kept series and times
     return BatchPlan(n_steps, stride, chunk, projectors, block, group,
                      capacity, helper, reduction, held)
 
 
 class _NoiseBlocks:
-    """The coefficient blocks of a batch of streams under a plan, in
-    order: block k holds kernel.coefficients of the increments of steps
-    k * plan.block onwards, at most plan.block of them, as (steps,
-    len(streams)), turned in place by the process that draws it.
-
-    Blocks take turns in two buffers (one, if the batch draws one block).
-    Used as a context manager; block(k) returns block k once it is drawn,
-    and tells the drawer that the buffer of block k-1 is free.  Without a
-    helper, block(k) draws it itself.  With one (plan.helper), a process
-    forked on entry draws every block from its copies of the streams into
-    an anonymous shared mmap, and the two pass a byte per block over two
-    pipes: "block ready" to the parent, "buffer free" to the helper.  The
-    helper writes nothing to stdout or stderr and leaves with os._exit; on
-    exit the parent kills and reaps it, on every path, and a helper that
-    dies makes block() raise.  If the fork fails, the batch draws itself.
-    """
+    """The coefficient blocks of streams under a plan, drawn in order into
+    one buffer: block(k) holds kernel.coefficients of the increments of
+    steps k * plan.block onwards, at most plan.block of them, as (steps,
+    len(streams))."""
 
     def __init__(self, kernel: _EigenKernel, streams, plan: BatchPlan):
         self.kernel, self.streams, self.plan = kernel, streams, plan
         self.n_blocks = -(-plan.n_steps // plan.block)
-        shape = (min(2, self.n_blocks), plan.block, len(streams))
-        self._pid = self._scratch = None
-        if plan.helper:     # mmap and signal take 1.5 ms to import: only a
-            import mmap     # helper pays it
-            shared = mmap.mmap(-1, 16 * math.prod(shape))
-            self._buffers = np.frombuffer(shared, dtype=np.complex128
-                                          ).reshape(shape)
-        else:
-            self._buffers = np.empty(shape, dtype=np.complex128)
+        self._buffer = np.empty((plan.block, len(streams)), dtype=np.complex128)
+        self._scratch = (np.empty((plan.group, plan.block, 2))
+                         if len(streams) > 1 else None)
 
-    def _out(self, k: int) -> np.ndarray:
-        """The buffer of block k, cut to its steps."""
-        return self._buffers[k % 2, :self.plan.n_steps - k * self.plan.block]
-
-    def _draw(self, k: int) -> np.ndarray:
-        """Draw block k into its buffer and turn it into coefficients, in
-        the process that calls."""
-        if self._scratch is None and len(self.streams) > 1:
-            self._scratch = np.empty((self.plan.group, self.plan.block, 2))
-        out = self._out(k)
+    def block(self, k: int) -> np.ndarray:
+        out = self._buffer[:self.plan.n_steps - k * self.plan.block]
         fill_dxi_blocks(self.kernel.dt, self.streams, out, self._scratch)
         self.kernel.coefficients(out)
         return out
 
+
+class _RowHelper:
+    """A batch's split under a plan with a helper: a process forked on
+    entry steps rows [count // 2, count), the parent those before (`rows`:
+    this process's; all if no helper forks).  Each writes only its rows of
+    the record buffer and the block's norms, a shared mmap made before the
+    fork (`shared`).  At each flush point, meet() has the parent wait for
+    the helper's rows (a byte on a pipe) and reduce every row; release()
+    gives them back, which the helper awaits in ready() before it next
+    writes them.  The helper writes nothing to stdout or stderr and leaves
+    with os._exit; the parent kills and reaps it on every path, and meet()
+    raises if it died."""
+
+    def __init__(self, plan: BatchPlan, count: int, layout: dict):
+        self.rows, self.pid, self.child = slice(0, count), None, False
+        self.owed = False     # the helper's rows are handed over
+        self.shared = (_arena({k: layout[k] for k in _SHARED}, shared=True)
+                       if plan.helper and count > 1 else {})
+
     def __enter__(self):
-        if not self.plan.helper:
+        if not self.shared:
             return self
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
+        fds = os.pipe() + os.pipe()     # to the parent, to the helper
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns on forking a process with threads
-                # (BLAS's); the helper only draws and copies numbers
+                # (BLAS's); the helper only steps rows and copies numbers
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
-        except OSError:     # no process to spare: the batch draws itself
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
+        except OSError:     # no process to spare: the batch steps every row
+            self._close(fds)
             return self
-        if pid == 0:
-            code = 1
-            try:
-                os.close(ready_r)
-                os.close(free_w)
-                os.closerange(1, 3)     # no stdout or stderr
-                for k in range(self.n_blocks):
-                    if k >= 2 and not os.read(free_r, 1):
-                        break       # the parent is gone
-                    self._draw(k)
-                    os.write(ready_w, b"\0")
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(ready_w)
-        os.close(free_r)
-        self._pid, self._ready, self._free = pid, ready_r, free_w
+        half, self.child = self.rows.stop // 2, pid == 0
+        self.rows = slice(half, self.rows.stop) if self.child else slice(0, half)
+        self._fds = (fds[2], fds[1]) if self.child else (fds[0], fds[3])
+        self._close(set(fds) - set(self._fds))
+        self.pid = None if self.child else pid
+        if self.child:
+            os.closerange(1, 3)     # no stdout or stderr
         return self
 
-    def block(self, k: int) -> np.ndarray:
-        if self._pid is None:
-            return self._draw(k)
-        try:
-            if 0 < k < self.n_blocks - 1:
-                os.write(self._free, b"\0")
-            ready = os.read(self._ready, 1)
-        except BrokenPipeError:
-            ready = b""
-        if not ready:
-            pid, self._pid = self._pid, None
-            self._close()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    def ready(self):
+        """In the helper: wait for its rows back, if handed over."""
+        if self.owed and not os.read(self._fds[0], 1):
+            os._exit(1)     # the parent is gone
+        self.owed = False
+
+    def meet(self, block: int, n_blocks: int) -> bool:
+        if self.child:
+            self.ready()
+            os.write(self._fds[1], b"\0")
+            self.owed = True
+            return False
+        if self.pid is not None and not os.read(self._fds[0], 1):
+            pid, status = os.waitpid(self.pid, 0)
+            self._close(self._fds)
+            self.pid = None
             raise RuntimeError(
-                f"the noise helper process {pid} ended (exit status {status}) "
-                f"before noise block {k} of {self.n_blocks} was drawn")
-        return self._out(k)
+                f"the row helper process {pid} ended (exit status "
+                f"{os.waitstatus_to_exitcode(status)}) before it handed over "
+                f"its rows in noise block {block} of {n_blocks}")
+        return True
 
-    def _close(self):
-        os.close(self._ready)
-        os.close(self._free)
+    def release(self):
+        try:
+            if self.pid is not None:
+                os.write(self._fds[1], b"\0")
+        except BrokenPipeError:     # it left after its last flush point
+            pass
 
-    def __exit__(self, *exc):
-        if self._pid is not None:
-            pid, self._pid = self._pid, None
-            self._close()
+    @staticmethod
+    def _close(fds):
+        for fd in fds:
+            os.close(fd)
+
+    def __exit__(self, failed, *exc):
+        if self.child:
+            os._exit(1 if failed else 0)
+        if self.pid is not None:
             import signal
-            os.kill(pid, signal.SIGKILL)    # done, or drawing for nobody
-            os.waitpid(pid, 0)
+            os.kill(self.pid, signal.SIGKILL)   # done, or stepping for nobody
+            os.waitpid(self.pid, 0)
+            self._close(self._fds)
 
 
 def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
@@ -517,15 +526,14 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
     plan.chunk consecutive rows at a time (the last may be shorter).
 
     Row b draws its increments from streams[b] in blocks (fill_dxi_blocks,
-    bit-identical to per-step sample_dxi; with plan.helper a forked
-    process draws them, and the streams given are not advanced).  At every
-    step of record_steps(plan.n_steps, plan.stride) the rows' amplitudes,
-    <H> and squared norm go into the record buffer, which a flush reduces
+    bit-identical to per-step sample_dxi) in the process that steps it (a
+    row helper, with plan.helper, steps the upper half).  At every step of
+    record_steps(plan.n_steps, plan.stride) the rows' amplitudes, <H> and
+    squared norm go into the record buffer, which this process reduces
     when it is full and at the end of each noise block.  So each chunk's
     _BatchSums, returned in row order, holds the bits of that chunk run as
     a batch of its own.  The rows listed in keep (batch rows) also record
-    <H>, Var H and the norm defect ||psi + dpsi|| - 1, and their final
-    state, in the _BatchSums of their chunk.
+    <H>, Var H, the norm defect ||psi + dpsi|| - 1 and their final state.
 
     A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
     The batch raises DegenerateStateError for the failed chunk of lowest
@@ -539,72 +547,45 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
     keep = np.asarray(keep, dtype=np.intp)
     row = (count, n) if count > 1 else (n,)     # a batch of one: a rank-1 row
     # a helper is forked on entry, before the batch allocates (batch_plan)
-    with _NoiseBlocks(kernel, streams, plan) as noise:
-        proj = (np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
-                if plan.projectors else [None] * len(starts))
-        e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
-        energy, variance, defect = np.empty((3, n_rec, len(keep)))
-        arena = _arena(_batch_layout(row, plan.capacity, plan.block))
-        held_c, held_e, held_nrm_sq, norms = (
-            arena[k] for k in ("held_c", "held_e", "held_nrm_sq", "norms"))
-        held = done = 0      # record points buffered, and reduced before them
+    with _RowHelper(plan, count, _batch_layout(row, plan.capacity,
+                                               plan.block)) as split:
+        mine = split.rows
+        own = (mine.stop - mine.start, n) if mine.stop - mine.start > 1 else (n,)
+        noise = _NoiseBlocks(kernel, streams[mine], plan)
+        if not split.child:
+            proj = (np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
+                    if plan.projectors else [None] * len(starts))
+            e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
+            energy, variance, defect = np.empty((3, n_rec, len(keep)))
+        layout = (_batch_layout(own, 0, 0) if split.child else
+                  _batch_layout(row, plan.capacity, plan.block, own))
+        arena = {**_arena({k: v for k, v in layout.items()
+                           if k not in split.shared}), **split.shared}
+        held_c, norms, held_e, held_nrm_sq = (arena[k] for k in _SHARED)
+        held = done = last = k = 0  # points buffered, reduced, the last one
         failed = {}          # chunk -> the error of its first bad step
 
         def hold(c, e, nrm_sq):
             nonlocal held
-            held_c[held], held_e[held], held_nrm_sq[held] = c, e, nrm_sq
+            split.ready()
+            held_c[held, mine], held_e[held, mine] = c, e
+            held_nrm_sq[held, mine] = nrm_sq
             held += 1
             if held == plan.capacity:
                 flush()
 
-        def flush():
-            """Reduce the buffered record points into their places, each
-            chunk on its rows: sums along rows per point, and the projectors
-            of all points in one stacked matmul (a call per point's zgemm)."""
-            nonlocal held, done, terminal
-            if not held:
+        def flush(start=0, block=0):
+            """A flush point, where the process that reduces fails the rows
+            whose norms left range in a block ending here, then reduces the
+            buffered points, each chunk on its rows: sums along rows, and
+            the projectors of all points in one stacked matmul."""
+            nonlocal held, done, last
+            if not split.meet(k, noise.n_blocks):
+                held = 0
                 return
-            pos = slice(done, done + held)
-            e = held_e[:held]
-            hd, terms = (arena[k].reshape(-1)[:2 * n * e.size].reshape(
-                (2 * n,) + e.shape) for k in ("var_hd", "var_terms"))
-            v = kernel.variance(held_c[:held], e,
-                                (hd, terms, arena["var"][:held]))
-            d = np.sqrt(held_nrm_sq[:held], out=arena["defect"][:held])
-            d -= 1.0
-            drift = np.abs(d, out=arena["drift"][:held])
-            for j, lo in enumerate(starts):
-                rows = slice(lo, lo + chunk)
-                if plan.projectors:
-                    part = held_c[:held, rows]
-                    conj = arena["var_hd"].reshape(-1).view(np.complex128)
-                    np.matmul(part.transpose(0, 2, 1), np.conjugate(
-                        part, out=conj[:part.size].reshape(part.shape)),
-                        out=proj[j][pos])
-                np.sum(e[:, rows], axis=1, out=e_sum[j, pos])
-                np.sum(v[:, rows], axis=1, out=v_sum[j, pos])
-                np.max(drift[:, rows], axis=1, out=drift_max[j, pos])
-            for series, x in ((energy, e), (variance, v), (defect, d)):
-                np.take(x, keep, 1, series[pos], "clip")
-            done, held, terminal = done + held, 0, v[-1]   # the last Var H
-
-        work = kernel.buffers(row, arena)
-        c = work[0][0][0]      # the first amplitude buffer
-        c[...] = c0
-        e = kernel.mean_energy(c)
-        hold(c, e, 1.0)
-        for k in range(noise.n_blocks):   # coefficients (steps, B, 1) or (steps,)
-            coeff = noise.block(k)[np.s_[:, :, None] if count > 1 else np.s_[:, 0]]
-            start, block = k * plan.block, len(coeff)
-            # a failed row runs on as nan/inf, reported at the end of the
-            # block, or of the batch if a chunk before its own may fail later
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                c, e = kernel.steps(c, e, coeff, norms, work, hold, range(
-                    (-start - 1) % stride, block, stride))
-                if start + block == n_steps and n_steps % stride:
-                    hold(c, e, norms[block - 1])     # the last step
             nrm_sq = norms[:block]    # a nan fails min and max, as a bad row
-            if not (nrm_sq.min() >= _MIN_NORM_SQ and nrm_sq.max() < np.inf):
+            if block and not (nrm_sq.min() >= _MIN_NORM_SQ
+                              and nrm_sq.max() < np.inf):
                 bad = ~((nrm_sq >= _MIN_NORM_SQ) & (nrm_sq < np.inf))
                 for j, lo in enumerate(starts):
                     part = bad[:, lo:lo + chunk]
@@ -617,10 +598,55 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
                             f"{float(norms[i, b])!r}")
             if 0 in failed:
                 raise failed[0]
-            flush()
+            if held:
+                pos = slice(done, done + held)
+                e = held_e[:held]
+                hd, terms = (arena[k].reshape(-1)[:2 * n * e.size].reshape(
+                    (2 * n,) + e.shape) for k in ("var_hd", "var_terms"))
+                v = kernel.variance(held_c[:held], e,
+                                    (hd, terms, arena["var"][:held]))
+                d = np.sqrt(held_nrm_sq[:held], out=arena["defect"][:held])
+                d -= 1.0
+                drift = np.abs(d, out=arena["drift"][:held])
+                for j, lo in enumerate(starts):
+                    rows = slice(lo, lo + chunk)
+                    if plan.projectors:
+                        part = held_c[:held, rows]
+                        conj = arena["var_hd"].reshape(-1).view(np.complex128)
+                        np.matmul(part.transpose(0, 2, 1), np.conjugate(
+                            part, out=conj[:part.size].reshape(part.shape)),
+                            out=proj[j][pos])
+                    np.sum(e[:, rows], axis=1, out=e_sum[j, pos])
+                    np.sum(v[:, rows], axis=1, out=v_sum[j, pos])
+                    np.max(drift[:, rows], axis=1, out=drift_max[j, pos])
+                for series, x in ((energy, e), (variance, v), (defect, d)):
+                    np.take(x, keep, 1, series[pos], "clip")
+                done, last = done + held, held - 1
+            held = 0
+            split.release()
+
+        work = kernel.buffers(own, arena)
+        c = work[0][0][0]      # the first amplitude buffer
+        c[...] = c0
+        e = kernel.mean_energy(c)
+        hold(c, e, 1.0)
+        for k in range(noise.n_blocks):   # coefficients (steps, B, 1) or (steps,)
+            coeff = noise.block(k)[np.s_[:, :, None] if len(own) > 1
+                                   else np.s_[:, 0]]
+            start, block = k * plan.block, len(coeff)
+            split.ready()       # the block's norms are free to write
+            # a failed row runs on as nan/inf, reported at the end of the
+            # block, or of the batch if a chunk before its own may fail later
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                c, e = kernel.steps(c, e, coeff, norms[:, mine], work, hold,
+                                    range((-start - 1) % stride, block, stride))
+                if start + block == n_steps and n_steps % stride:
+                    hold(c, e, norms[block - 1, mine])     # the last step
+            flush(start, block)
     if failed:
         raise failed[min(failed)]
-    c, terminal = c.reshape(count, n), terminal.copy()   # of the last step
+    c = held_c[last].reshape(count, n)     # the last step, always recorded
+    terminal = arena["var"][last].copy()
     times = kernel.dt * record_steps(n_steps, stride).astype(float)
     records = [[] for _ in starts]
     for r, b in enumerate(keep):

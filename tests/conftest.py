@@ -67,7 +67,7 @@ def rng():
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test after which the test process still has a child, running
-    or unreaped (a noise helper process, say)."""
+    or unreaped (a row helper process, say)."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
@@ -78,16 +78,16 @@ def no_child_process_left():
 
 def force_noise_path(monkeypatch, helper: bool, pool_size: int = 1):
     """Make run_ensemble and run_trajectory see pool_size usable CPUs, or
-    twice as many, so that a pool of pool_size draws its noise in-process,
-    or in helper processes."""
+    twice as many, so that a pool of pool_size steps every row in-process,
+    or forks a row helper for each batch with the work for one."""
     cpus = 2 * pool_size if helper else pool_size
     monkeypatch.setattr(qcore, "usable_cpus", lambda: cpus)
 
 
 def helper_term(count, n, n_steps, stride):
     """What trajectory.batch_plan charges a batch (chunks of 512 rows, no
-    kept series) for its noise helper: its bytes with a spare CPU minus
-    its bytes without one."""
+    kept series) for splitting with a row helper: its bytes with a spare
+    CPU minus its bytes without one."""
     plan = [plan_for(count, n, n_steps, stride, 0, 512, spare)
             for spare in (True, False)]
     return plan[0].bytes - plan[1].bytes

@@ -150,7 +150,7 @@ def test_only_qcore_writes_files():
 
 
 def test_import_loads_no_process_modules():
-    # a pool, a noise helper's shared buffer and its kill are imported by
+    # a pool, a row helper's shared buffer and its kill are imported by
     # the runs that use them, which spares every other run 1.5 to 8 ms
     src = str(Path(qsdsim.__file__).resolve().parents[1])
     code = ("import sys, qsdsim, qsdsim.cli; print(' '.join(m for m in ("

@@ -53,6 +53,19 @@ def assert_invalid_input_in_fresh_interpreter(*argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_compare_run_does_not_import_numpy_ma(config_path):
+    # np.median's NaN check imports numpy.ma (6 to 8 ms in a fresh
+    # interpreter); the summary's median is taken without it
+    src = str(Path(qsdsim.__file__).resolve().parents[1])
+    code = ("import sys; from qsdsim.cli import main; code = main(['compare', "
+            "'--config', 'config.json', '--out', 'out']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=config_path.parent, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 class TestConstants:
     def test_planck_time_reported(self, capsys):
         code, out = run_cli(capsys, "constants")

@@ -369,8 +369,8 @@ class TestStreamedReductions:
 
     def test_noise_paths_write_identical_files(self, tmp_path, monkeypatch):
         # 1100 steps are more than one noise block for every job: pools of
-        # 1, 2 and 3 draw the noise in-process or in a helper per job, and
-        # every file keeps its bytes
+        # 1, 2 and 3 step every row in-process or split each job with a row
+        # helper, and every file keeps its bytes
         config = make_config(n_trajectories=1030, t_final=2.75,
                              record_stride=25)
         retain, header = [0, 511, 512, 1029], config.header()
@@ -392,7 +392,7 @@ class TestStreamedReductions:
         assert all(f == files[0] for f in files[1:])
 
     def test_pool_and_helper_follow_the_usable_cpus(self, monkeypatch):
-        # the pool is capped at the usable CPUs, and a job forks a noise
+        # the pool is capped at the usable CPUs, and a job forks a row
         # helper when there are two per worker
         import concurrent.futures
 
@@ -410,12 +410,12 @@ class TestStreamedReductions:
 
             def map(self, fn, args):
                 args = list(args)
-                seen.append({a[-1].helper for a in args})
+                seen.append({bool(a[-1].helper) for a in args})
                 return map(fn, args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        # 1100 steps are more than one noise block, so the plan every job
-        # runs forks a helper wherever a CPU is spare
+        # a job of 512 rows of 1100 steps has the work for a split, so the
+        # plan every job runs forks a helper wherever a CPU is spare
         config = make_config(n_trajectories=1030, t_final=2.75)
         for cpus, expected in ((1, []), (3, [3, {False}]), (6, [3, {True}]),
                                (8, [3, {True}])):
@@ -561,9 +561,9 @@ class TestStreamedReductions:
         assert np.array_equal(np.diff(needs), 8 * np.diff(sizes))
 
     def test_helper_path_charges_the_helper(self, monkeypatch):
-        # with a CPU spare for a noise helper, a run of more than one noise
-        # block is also charged the pages its helper copies, and a run of
-        # one block, which forks no helper, is not
+        # with a CPU spare for a row helper, a run with the work for a
+        # split is also charged its helper, and a run without it (100 rows
+        # of 400 steps), which forks no helper, is not
         class Estimated(Exception):
             pass
 
@@ -581,26 +581,26 @@ class TestStreamedReductions:
         assert need(True, n_trajectories=600, t_final=5.0) \
             - need(False, n_trajectories=600, t_final=5.0) \
             == helper_term(600, 2, 2000, 40) > 0
-        # a trajectory with 39 GB of projector sums (n = 64, stride 1,
-        # 600 000 steps, whose noise outgrows one block) is charged no
-        # more for its helper than a small run: the helper is forked
-        # before the batch allocates them, so a run the in-process path
-        # fits in memory fits with a helper too
+        # a pair of trajectories with 39 GB of projector sums (n = 64,
+        # stride 1, 600 000 steps) is charged no more for its helper than
+        # a small run: the helper is forked before the batch allocates
+        # them, so a run the in-process path fits in memory fits with a
+        # helper too
         big = dict(hamiltonian=np.diag(np.linspace(-0.5, 0.5, 64)),
-                   initial_state=np.ones(64) / 8, n_trajectories=1,
+                   initial_state=np.ones(64) / 8, n_trajectories=2,
                    t_final=1500.0, record_stride=1)
         assert need(False, **big) > 39e9
         assert need(True, **big) - need(False, **big) \
-            == helper_term(1, 64, 600000, 1)
-        assert 0 < helper_term(1, 64, 600000, 1) < 8 << 20
+            == helper_term(2, 64, 600000, 1)
+        assert 0 < helper_term(2, 64, 600000, 1) < 8 << 20
 
     def test_trajectory_is_charged_its_own_row(self, monkeypatch):
         # run_trajectory holds one final Var H, not one per trajectory of
         # the config's ensemble, and sums no projector: it is charged what
         # the M = 1 ensemble is charged less the projector sums of its
         # worker's and its parent's chunk and the parent's mean projector
-        # with its temporaries (three reductions); 600 000 steps take a
-        # helper where a CPU is spare
+        # with its temporaries (three reductions), with a CPU spare or
+        # not: a lone row forks no helper
         config = make_config(t_final=1500.0)
         t = trajectory.record_count(600000, 40)
         projectors = 2 * t * 16 * 2 ** 2 + 3 * t * (16 * 2 ** 2 + 4 * 8)
@@ -654,8 +654,8 @@ class TestStreamedReductions:
                              workers=workers)
 
     def test_no_fork_charges_and_runs_no_helper(self, monkeypatch):
-        # with a CPU spare but no os.fork, a run of four noise blocks is
-        # estimated and run as without a spare CPU
+        # with a CPU spare but no os.fork, a run with the work for a split
+        # is estimated and run as without a spare CPU
         config = make_config(n_trajectories=600, t_final=5.0)
         monkeypatch.delattr(os, "fork")
         needs, summaries = [], []
@@ -816,6 +816,16 @@ class TestOutputs:
         assert payload["trace_distance_to_master"] is not None
         proj = qcore.operator_from_json(payload["final_mean_projector"])
         assert trace_distance(proj, summary.mean_projector[-1]) < 1e-12
+
+    @pytest.mark.parametrize("m", [15, 16])
+    def test_median_is_numpy_median(self, tmp_path, m):
+        # the written median of the terminal Var H, the middle of the
+        # sorted values or the mean of the middle two, is np.median's
+        summary = run_ensemble(make_config(n_trajectories=m))
+        write_summary_json(tmp_path / "summary.json", summary, {}, None)
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        assert payload["terminal_variance_median"] \
+            == float(np.median(summary.terminal_variances))
 
     def test_trajectory_csv(self, tmp_path):
         summary = run_ensemble(make_config(n_trajectories=4), retain=[2])

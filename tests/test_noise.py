@@ -90,6 +90,17 @@ class TestStreams:
         assert t.stream_index == 3 and t.master_seed == 5
         assert "stream_index=3" in repr(t)
 
+    @pytest.mark.parametrize("seed, index", [
+        (0, 0), (12345, 7), (2 ** 64 - 1, 2 ** 63 + 5)])
+    def test_stream_is_philox_keyed_by_seed_and_index(self, seed, index):
+        # the stream's bit generator has the state of Philox(key=[seed,
+        # index]) and draws its numbers, though keyed without a SeedSequence
+        philox = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+        stream = NoiseStream(seed, index)
+        assert repr(stream._gen.bit_generator.state) == repr(philox.state)
+        assert np.array_equal(stream.standard_normal(64),
+                              np.random.Generator(philox).standard_normal(64))
+
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidParameterError, match="non-negative"):
             NoiseStream(1, -1)

@@ -21,7 +21,7 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
 from qsdsim import qcore, trajectory
 from qsdsim.noise import fill_dxi_blocks
 from qsdsim.trajectory import _EigenKernel, _integrate_eigenbasis
-from conftest import (force_noise_path, forks, helper_term, plan_for,
+from conftest import (force_noise_path, forks, plan_for,
                       random_hermitian, random_state)
 
 
@@ -542,9 +542,9 @@ class TestRecordBuffer:
 
     def test_capacity_one_gives_the_same_sums(self, monkeypatch):
         # stride 1, so every step is a record point; 1100 steps are a
-        # multiple of neither the noise block (614 steps, drawn by a
-        # helper) nor the buffer capacity, and 40 rows are enough for the
-        # order of a sum over rows to show
+        # multiple of neither the noise block (614 steps; a row helper
+        # steps half the rows) nor the buffer capacity, and 40 rows are
+        # enough for the order of a sum over rows to show
         kernel, c0 = batch_inputs(4, 40, seed=8)
         n_steps, keep = 1100, [1, 39]
         pids = forks(monkeypatch)
@@ -605,34 +605,38 @@ class TestRecordBuffer:
         (2, 2000, 600, 1, 0),       # four chunks, a noise block of 262 steps
     ], ids=["100", "2000", "one-kept-row", "one-row-stride-1",
             "n64-128-rows", "n2-four-chunks"])
-    def test_buffer_estimate_covers_a_batch(self, n, rows, n_steps, stride,
-                                            kept):
+    def test_buffer_estimate_covers_a_batch(self, monkeypatch, n, rows,
+                                            n_steps, stride, kept):
         # what a batch allocates besides its reductions is what batch_plan
-        # states without a helper, less its chunks' reductions, with one
-        # noise block or more, cut to the bytes of 512 or 2000 rows, drawn
-        # in-process or, past one block, by a helper; tracemalloc sees
-        # neither the shared noise buffers nor the helper's group buffer,
-        # so those are added to what it measures
+        # states for the process that reduces (all of it, less a row
+        # helper's part), less its chunks' reductions, with one noise block
+        # or more, cut to the bytes of 512 or 2000 rows, stepped in-process
+        # or, where a spare CPU makes the batch split (2000 and
+        # n2-four-chunks), half in a row helper; tracemalloc does not see
+        # the shared record buffer, so its mmap is added to what it measures
+        import mmap
         kernel, c0 = batch_inputs(n, rows, seed=2)
-        plan = trajectory.batch_plan(rows, n, n_steps, stride, kept, 512,
-                                     False, True)
-        group, block = plan.group, plan.block
-        estimate = plan.bytes - -(-rows // 512) * plan.reduction
-        for helper in (False, True):
+        shared, made = [], mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda fd, size: (
+            shared.append(size), made(fd, size))[1])
+        for spare_cpu in (False, True):
+            plan = plan_for(rows, n, n_steps, stride, kept, 512, spare_cpu)
+            estimate = (plan.bytes - plan.helper
+                        - -(-rows // 512) * plan.reduction)
             streams = [NoiseStream(1, j) for j in range(rows)]
+            shared.clear()
             tracemalloc.start()
             try:
-                sums = _integrate_eigenbasis(
-                    kernel, c0, streams, list(range(kept)),
-                    plan_for(rows, n, n_steps, stride, kept, 512, helper))
+                sums = _integrate_eigenbasis(kernel, c0, streams,
+                                             list(range(kept)), plan)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             reductions = sum(a.nbytes for part in sums for a in (
                 part.projector_sum, part.energy_sum, part.variance_sum,
                 part.max_norm_drift))
-            if helper and block < n_steps:
-                peak += 16 * block * (2 * rows + group)
+            assert len(shared) == bool(plan.helper)
+            peak += sum(shared)
             assert 0.8 * estimate <= peak - reductions <= 1.25 * estimate
 
     @pytest.mark.parametrize("n, rows, n_steps, stride, block", [
@@ -695,7 +699,8 @@ class TestRecordBuffer:
                                              expected):
         # the failing row runs on as nan through flushes of the buffer; the
         # first bad step of its noise block of 614 steps is still the one
-        # reported, whether the batch or its helper draws the poisoned noise
+        # reported, whether the batch or its row helper steps the poisoned
+        # rows (2 and 4 are in the helper's half)
         kernel, c0 = batch_inputs(3, 5, seed=9)
         pids = forks(monkeypatch)
         for helper in (False, True):
@@ -763,7 +768,7 @@ class TestRecordBuffer:
 
 
 class _DyingStream(NoiseStream):
-    """A noise stream whose copy in another process (a noise helper) ends
+    """A noise stream whose copy in another process (a row helper) ends
     that process once it has drawn `steps` increments."""
 
     def __init__(self, master_seed, stream_index, steps):
@@ -779,61 +784,75 @@ class _DyingStream(NoiseStream):
 
 
 HELPER_PEAK = """
+import os
 import sys
 import numpy as np
 from qsdsim import trajectory
 from qsdsim.noise import NoiseStream
 
-def dirty(pid, shared):
-    total = 0
+def dirty(pid):
+    total = part = 0
     with open(f"/proc/{pid}/smaps") as fh:
         for line in fh:
             field = line.split()
-            if not field[0].endswith(":"):       # a mapping
-                start = int(field[0].split("-")[0], 16)
-            elif field[0] == "Private_Dirty:" and start != shared:
-                total += 1024 * int(field[1])
+            if field[0] == "Private_Dirty:":
+                part = 1024 * int(field[1])
+            elif field[0] == "VmFlags:" and "sh" not in field[1:]:
+                total += part       # of a mapping that is not shared
     return total
+
+pids, fork = [], os.fork
+
+def forked():
+    pids.append(fork())
+    return pids[-1]
 
 block, peaks = trajectory._NoiseBlocks.block, []
 
 def polled(self, k):
-    out = block(self, k)
-    try:
-        peaks.append(dirty(self._pid, self._buffers.ctypes.data))
-    except ProcessLookupError:      # it drew its last block and left
-        pass
-    return out
+    if k and pids[0]:       # the parent, from its second block on
+        peaks.append(dirty(pids[0]))
+    return block(self, k)
 
-trajectory._NoiseBlocks.block = polled
+os.fork, trajectory._NoiseBlocks.block = forked, polled
 n, rows, n_steps = map(int, sys.argv[1:])
 kernel = trajectory._EigenKernel(np.diag(np.linspace(-1, 1, n)), 2e-3, 0.4)
 streams = [NoiseStream(1, j) for j in range(rows)]
 c0 = np.full(n, 1 / np.sqrt(n), dtype=complex)
 plan = trajectory.batch_plan(rows, n, n_steps, 1, 1, 512, True, True)
 trajectory._integrate_eigenbasis(kernel, c0, streams, [0], plan)
-print(max(peaks) if len(peaks) >= 2 else 0)
+print(max(peaks) if len(peaks) >= 2 else 0, plan.helper)
 """
 
 
 class TestNoiseHelper:
-    # a batch whose noise outgrows one block may draw it in a forked helper
-    # process; the bits are those of drawing it in-process, and the helper
-    # is reaped on every path (conftest.no_child_process_left).  A batch
-    # small enough for a test is given the noise blocks of a wider one,
-    # and each test checks that its helper forked
+    # a batch with the work for it splits where a CPU is spare: a forked
+    # row helper steps the upper half of its rows, drawing their noise,
+    # and the parent reduces every row; the bits are those of stepping
+    # every row in-process, and the helper is reaped on every path
+    # (conftest.no_child_process_left).  A batch small enough for a test
+    # is given a plan that splits, and each test checks that it forked
 
     @pytest.mark.parametrize("spare_cpu", [False, True])
-    def test_a_helper_iff_the_noise_outgrows_one_block(self, spare_cpu):
+    def test_a_helper_iff_the_batch_has_the_work(self, spare_cpu):
+        for count, n, n_steps, splits in (
+                (1, 8, 600000, False), (2, 64, 30000, True),
+                (100, 2, 400, False), (24, 64, 1000, False),
+                (128, 64, 1000, True), (2000, 2, 2000, True)):
+            assert splits == (count > 1 and count * n_steps * (n + 11)
+                              >= trajectory.SPLIT_WORK)
+            plan = trajectory.batch_plan(count, n, n_steps, 1, 0, 512,
+                                         spare_cpu, True)
+            assert bool(plan.helper) == (spare_cpu and splits)
+        # the noise block keeps its rule: a batch whose noise outgrows one
+        # block draws 3/5 of a full block at a time
         for count, n_steps, outgrows in ((1, 60000, False), (1, 600000, True),
                                          (128, 1000, False), (2000, 2000, True)):
             assert outgrows == (24 * count * n_steps
                                 > trajectory.NOISE_BLOCK_BYTES)
             plan = trajectory.batch_plan(count, 8, n_steps, 1, 0, 512,
                                          spare_cpu, True)
-            assert plan.helper == (spare_cpu and outgrows)
             assert (plan.block < n_steps) == outgrows
-        # a batch longer than a full block draws 3/5 of one at a time
         for count, block in ((512, 614), (1030, 305), (2000, 157),
                              (2560, 122)):
             assert trajectory.batch_plan(count, 2, 10 ** 6, 1, 0, 512,
@@ -853,29 +872,51 @@ class TestNoiseHelper:
         assert_sums_equal(run(True), run(False))
         assert len(pids) == 1
 
+    @pytest.mark.parametrize("count, n, n_steps, stride, keep, chunk, block", [
+        (2, 3, 1100, 1, [0, 1], 2, 614),        # two rank-1 halves
+        (3, 1, 1000, 7, [0, 2], 3, 300),        # a rank-1 parent; ragged
+        (41, 4, 1001, 10, [0, 19, 20, 40], 16, 400),
+        (40, 2, 1200, 1, [19, 20], 16, None),   # one noise block
+    ], ids=["two-rows", "three-rows-n1", "odd-ragged", "even-one-block"])
+    def test_split_changes_no_bit(self, monkeypatch, count, n, n_steps,
+                                  stride, keep, chunk, block):
+        # the sums and records of a split batch, with kept rows on both
+        # sides of the split (rows count // 2 on go to the helper) and
+        # chunks across it, are those of stepping every row in-process
+        kernel, c0 = batch_inputs(n, count, seed=count)
+        pids = forks(monkeypatch)
+        plan = plan_for(count, n, n_steps, stride, len(keep), chunk)
+        plan = replace(plan, block=block or plan.block)
+
+        def run(helper):
+            streams = [NoiseStream(4, j) for j in range(count)]
+            return _integrate_eigenbasis(kernel, c0, streams, keep,
+                                         replace(plan, helper=helper))
+
+        assert_sums_equal(run(1), run(0))
+        assert len(pids) == 1
+
     @pytest.mark.parametrize("count", [1, 5])
     @pytest.mark.parametrize("helper", [False, True])
-    def test_blocks_are_the_coefficients_of_each_stream(self, monkeypatch,
-                                                         count, helper):
+    def test_blocks_are_the_coefficients_of_each_stream(self, count, helper):
         # four blocks of 300 steps, the last one 100, drawn two streams at
         # a time; column j of block k holds kernel.coefficients of stream
-        # j's increments of those steps
+        # j's increments of those steps, also for the streams of a row
+        # helper, the upper half of a batch of 2 count rows
         kernel, _ = batch_inputs(3, count, seed=6)
-        pids = forks(monkeypatch)
-        streams = [NoiseStream(8, j) for j in range(count)]
-        alone = [NoiseStream(8, j) for j in range(count)]
+        lo = count if helper else 0
+        streams = [NoiseStream(8, j) for j in range(lo + count)][lo:]
+        alone = [NoiseStream(8, j) for j in range(lo, lo + count)]
         plan = trajectory.BatchPlan(
             n_steps=1000, stride=1, chunk=count, projectors=True, block=300,
-            group=2, capacity=1, helper=helper, reduction=0, bytes=0)
-        with trajectory._NoiseBlocks(kernel, streams, plan) as noise:
-            assert noise.n_blocks == 4
-            for k in range(4):
-                steps = min(300, 1000 - 300 * k)
-                expected = [kernel.coefficients(
-                    sample_dxi_block(kernel.dt, steps, s)) for s in alone]
-                assert np.array_equal(noise.block(k),
-                                      np.stack(expected, axis=1))
-        assert len(pids) == helper
+            group=2, capacity=1, helper=0, reduction=0, bytes=0)
+        noise = trajectory._NoiseBlocks(kernel, streams, plan)
+        assert noise.n_blocks == 4
+        for k in range(4):
+            steps = min(300, 1000 - 300 * k)
+            expected = [kernel.coefficients(
+                sample_dxi_block(kernel.dt, steps, s)) for s in alone]
+            assert np.array_equal(noise.block(k), np.stack(expected, axis=1))
 
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
@@ -905,8 +946,10 @@ class TestNoiseHelper:
                                             trajectory_helper):
         # a budget of 1024 steps of one row makes the 1500 steps three
         # noise blocks of a lone trajectory, and 18 of the ensemble's 7
-        # rows, so the runner forks a helper wherever a spare CPU is seen
+        # rows; with any work worth a split, the ensemble forks a row
+        # helper wherever a spare CPU is seen, and a lone row never does
         monkeypatch.setattr(trajectory, "NOISE_BLOCK_BYTES", 24 * 1024)
+        monkeypatch.setattr(trajectory, "SPLIT_WORK", 1)
         pids = forks(monkeypatch)
         rng = np.random.default_rng(17)
         config = SimulationConfig(
@@ -922,7 +965,7 @@ class TestNoiseHelper:
             for name in ("energy_mean", "energy_variance", "norm_drift",
                          "final_state"):
                 assert np.array_equal(getattr(rec, name), getattr(row, name))
-        assert len(pids) == ensemble_helper + 3 * trajectory_helper
+        assert len(pids) == ensemble_helper
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
                         reason="reads the helper's /proc/<pid>/smaps")
@@ -930,35 +973,38 @@ class TestNoiseHelper:
         (32, 256, 3000), (4, 512, 2000), (4, 1024, 6000), (2, 2000, 2000),
         (1, 8192, 2000)])
     def test_helper_estimate_covers_its_copied_pages(self, n, rows, n_steps):
-        # in a fresh interpreter, as a CLI run starts, the helper's
-        # Private_Dirty, read at each block the batch takes while the
-        # helper draws the next, stays within what batch_plan charges for
-        # the helper, also where the batch's reductions at stride 1 (49 MB
-        # at n = 32) are many times that; the shared noise buffers, which
-        # batch_plan counts without a helper too, are left out: a page of
-        # them is private to the helper until the batch reads it; a run
-        # whose helper did not fork, or drew one block, reads 0
+        # in a fresh interpreter, as a CLI run starts, the row helper's
+        # Private_Dirty (its own noise, group and step buffers, and the
+        # pages it copies), read at each block the parent draws after its
+        # first, stays within what batch_plan charges for the helper, also
+        # where the batch's reductions at stride 1 (49 MB at n = 32) are
+        # many times that; the shared record buffer, which batch_plan
+        # counts without a helper too, is left out: a page of it is
+        # private to the helper until the parent reads it; a run whose
+        # helper did not fork reads 0
         src = str(Path(trajectory.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", HELPER_PEAK, str(n), str(rows), str(n_steps)],
             capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src))
-        assert 0 < int(proc.stdout) <= helper_term(rows, n, n_steps, 1)
+        peak, charged = map(int, proc.stdout.split())
+        assert 0 < peak <= charged
 
     def test_a_dying_helper_raises(self):
-        # the helper ends as it starts its third block of 614 steps; the
-        # batch says so instead of waiting for noise that never comes
+        # the helper ends as it draws its rows' third block of 614 steps;
+        # the batch says so instead of waiting for rows that never come
         kernel, c0 = batch_inputs(3, 5, seed=9)
         streams = [_DyingStream(3, j, 700) for j in range(5)]
-        with pytest.raises(RuntimeError, match=r"noise helper process \d+ "
-                           r"ended \(exit status 3\) before noise block"):
+        with pytest.raises(RuntimeError, match=r"row helper process \d+ "
+                           r"ended \(exit status 3\) before it handed over "
+                           r"its rows in noise block 2 of 4"):
             _integrate_eigenbasis(
                 kernel, c0, streams, [0],
                 replace(plan_for(5, 3, 2100, 1, 1), block=614, helper=True))
 
     def test_numerical_failure_reaps_the_helper(self, monkeypatch):
-        # 300 rows of 2000 steps outgrow one noise block; every row fails
-        # at step 1, while the helper draws the next block
+        # 300 rows of 2000 steps split; every row fails at step 1, and the
+        # parent raises while the helper waits for its rows back
         config = SimulationConfig(
             hamiltonian=np.diag([1e160, -1e160]),
             initial_state=np.array([1.0, 1.0]) / np.sqrt(2), tau0=1.0,

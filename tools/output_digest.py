@@ -1,7 +1,7 @@
 """Digest the output of the four perfbench commands, to compare two checkouts.
 
     python3 tools/output_digest.py [--seeds 3 4] [--workers 1 2] [--against FILE]
-                                   [--usage]
+                                   [--usage] [--cpus N]
 
 Prints one line per (workload, seed, workers): the sha256 over every file
 the command writes (each with its name), its standard output and error,
@@ -19,6 +19,10 @@ runs FILE lists that this invocation does not make are not compared.
 With --usage, each run's minor page faults and peak RSS (ru_minflt and
 ru_maxrss of its process, from os.wait4) also go to standard error, as
 `<run> minflt=<count> maxrss_kb=<KiB>`; standard output is unchanged.
+With --cpus N, each command runs on the first N CPUs this process may use
+(its affinity is cut in the child before exec), so a batch with a spare
+CPU steps half its rows in a row helper, or steps them all in-process:
+`--cpus 1 > one.txt`, then `--cpus 2 --against one.txt`, compares the two.
 """
 
 import argparse
@@ -35,9 +39,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
-def digest(name: str, seed: int, workers) -> tuple[str, object]:
+def digest(name: str, seed: int, workers, cpus=None) -> tuple[str, object]:
     """sha256 of one execution's files, stdout, stderr and exit code, and
-    the resource usage of its process."""
+    the resource usage of its process (on the CPUs `cpus`, if given)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
@@ -50,7 +54,8 @@ def digest(name: str, seed: int, workers) -> tuple[str, object]:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "qsdsim.cli",
                  *workloads.cli_args(name, "config.json", "out", workers)],
-                cwd=work, env=env, stdout=out, stderr=err)
+                cwd=work, env=env, stdout=out, stderr=err,
+                preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)))
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
             h = hashlib.sha256()
@@ -75,7 +80,15 @@ def main(argv=None) -> int:
     parser.add_argument("--usage", action="store_true",
                         help="also print each run's minor page faults and "
                              "peak RSS on standard error")
+    parser.add_argument("--cpus", type=int, metavar="N",
+                        help="run each command on the first N usable CPUs")
     args = parser.parse_args(argv)
+    cpus = None
+    if args.cpus is not None:
+        usable = sorted(os.sched_getaffinity(0))
+        if not 1 <= args.cpus <= len(usable):
+            parser.error(f"--cpus must be 1 to {len(usable)}")
+        cpus = usable[:args.cpus]
     saved = None
     if args.against is not None:
         saved = {line.rsplit(" ", 1)[0]: line for line in
@@ -88,7 +101,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for w in [None] if name == "single_trajectory" else counts:
                 run = f"{name} seed={seed} workers={w or '-'}"
-                sha, usage = digest(name, seed, w)
+                sha, usage = digest(name, seed, w, cpus)
                 line = f"{run} {sha}"
                 if args.usage:
                     print(f"{run} minflt={usage.ru_minflt} "
