@@ -124,7 +124,8 @@ def _run_ensemble(args, with_master: bool):
     config = _load_config(args)
     out = _out_dir(args)
     summary = ens.run_ensemble(config, workers=args.workers,
-                               retain=args.dump_trajectory or ())
+                               retain=args.dump_trajectory or (),
+                               final_projector_only=not with_master)
     dist = ens.compare_ensemble_to_master(summary) if with_master else None
     header = config.header()
     ens.write_summary_json(out / "summary.json", summary, header, dist)

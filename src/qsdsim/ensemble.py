@@ -6,8 +6,9 @@ its own counter-based noise stream keyed by (master_seed, trajectory_index).
 
 The chunk is the unit of reduction: CHUNK_SIZE consecutive trajectories,
 fixed whatever the worker count, reduced at every record time (sums of
-the eigenbasis projector, <H> and Var H, the largest norm defect, winner
-counts), with per-trajectory series only for the trajectories asked for.
+<H> and Var H, the largest norm defect, winner counts; the eigenbasis
+projector's at the times read), with per-trajectory series only for the
+trajectories asked for.
 The parent folds those partial sums in chunk-index order.  The batch is
 the unit of stepping: a job steps a run of consecutive chunks as one
 batch, as many as BATCH_AMPLITUDES allows but no more than keeps every
@@ -209,7 +210,7 @@ class EnsembleSummary:
     the run was asked to retain."""
 
     times: np.ndarray                    # (T,)
-    mean_projector: np.ndarray           # (T, n, n)
+    mean_projector: np.ndarray           # (T, n, n); (1, n, n): final only
     mean_energy: np.ndarray              # (T,)
     mean_energy_variance: np.ndarray     # (T,)
     max_norm_drift: np.ndarray           # (T,) largest |norm defect| over all
@@ -268,7 +269,7 @@ def run_trajectory(config: SimulationConfig, stream_index: int) -> TrajectoryRec
     recording <H>, Var H and the norm defect at its record times.
     """
     k = qcore.whole("stream_index", stream_index)
-    return _run(config, range(k, k + 1), 1, [k], False)[2].records[0]
+    return _run(config, range(k, k + 1), 1, [k], 0)[2].records[0]
 
 
 def _fold(jobs) -> _BatchSums:
@@ -297,11 +298,11 @@ def _check_memory(config: SimulationConfig, plan: BatchPlan, pool_size: int,
                   held: int, m: int, n_retained: int):
     """Refuse a run of m trajectories under `plan` whose estimated peak
     memory exceeds physical memory.  The parent holds `held` chunk
-    reductions (with a pool every chunk's may wait there at once), with
-    projectors the running totals and the mean projector with its
-    temporaries (three reductions), the retained series and a final Var H
-    per trajectory; each worker holds plan.bytes, a row helper's
-    (plan.helper) included.  A run without
+    reductions (with a pool every chunk's may wait there at once; 16 n^2
+    bytes each summed projector), with projectors the running totals and
+    the mean projector with its temporaries (three reductions), the
+    retained series and a final Var H per trajectory; each worker holds
+    plan.bytes, a row helper's (plan.helper) included.  A run without
     projectors (a lone trajectory) is advised only a larger record_stride.
     """
     n = config.hamiltonian.shape[0]
@@ -315,10 +316,11 @@ def _check_memory(config: SimulationConfig, plan: BatchPlan, pool_size: int,
 
 
 def _run(config: SimulationConfig, rows: range, workers: int, retain,
-         projectors: bool):
+         projectors: int):
     """Run trajectories `rows` of the config's ensemble, keeping the series
-    of the sorted indices in retain; returns the kernel, the eigenbasis c0
-    and the fold of every chunk's reductions.  The pool has at most
+    of the sorted indices in retain and summing projectors at the last
+    `projectors` record points; returns the kernel, the eigenbasis c0 and
+    the fold of every chunk's reductions.  The pool has at most
     `workers`, this process's usable CPUs (qcore.usable_cpus) and the jobs;
     a CPU is spare for each job's row helper if there are twice as many
     CPUs as workers.  The one plan (of the widest job, _shape) is checked
@@ -347,15 +349,17 @@ def _run(config: SimulationConfig, rows: range, workers: int, retain,
         return kernel, c0, _fold(pool.map(_simulate_job, args))
 
 
-def run_ensemble(config: SimulationConfig, workers: int = 1,
-                 retain=()) -> EnsembleSummary:
+def run_ensemble(config: SimulationConfig, workers: int = 1, retain=(), *,
+                 final_projector_only: bool = False) -> EnsembleSummary:
     """Run n_trajectories independent diffusion trajectories and reduce them.
 
     Deterministic for a given master_seed regardless of `workers` or the
     usable CPUs (see the module docstring).  Per-trajectory series are kept
-    only for the indices in `retain` (summary.trajectories).  Any failing
-    trajectory aborts the run, reporting its index (dropping it silently
-    would bias the ensemble mean): the failure of the lowest failing chunk.
+    only for the indices in `retain` (summary.trajectories).  The mean
+    projector is (T, n, n), or with final_projector_only (1, n, n): the
+    same bits at the last record time alone.  Any failing trajectory
+    aborts the run, reporting its index (dropping it silently would bias
+    the ensemble mean): the failure of the lowest failing chunk.
     """
     workers = qcore.whole("workers", workers)
     if workers < 1:
@@ -366,7 +370,9 @@ def run_ensemble(config: SimulationConfig, workers: int = 1,
     if outside:
         raise InvalidParameterError(
             f"trajectory index {outside[0]} outside 0..{m - 1}")
-    kernel, c0, total = _run(config, range(m), workers, retain, True)
+    t = record_count(config.n_steps, config.record_stride)
+    kernel, c0, total = _run(config, range(m), workers, retain,
+                             1 if final_projector_only else t)
     vecs = kernel.vecs
     return EnsembleSummary(
         times=config.dt * record_steps(config.n_steps,
@@ -392,6 +398,10 @@ def compare_ensemble_to_master(summary: EnsembleSummary) -> np.ndarray:
     evaluated at the record times only.  Expected to scale as
     O(1/sqrt(M)) Monte Carlo error plus O(dt) discretization bias.
     """
+    if len(summary.mean_projector) != len(summary.times):
+        raise InvalidParameterError(
+            "the summary has no mean projector at every record time; run "
+            "run_ensemble without final_projector_only to compare it")
     config = summary.config
     rhos = master_mod.psd_master_exact(
         qcore.pure_projector(config.initial_state), config.hamiltonian,

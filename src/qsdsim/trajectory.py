@@ -40,9 +40,9 @@ steps alone as rank 1, nor on how many record points share a flush, so
 trajectory k of an ensemble replays as a batch of one.  The batch is the
 unit of stepping and the chunk, a fixed range of its rows, the unit of
 reduction: record points are buffered and reduced a buffer at a time,
-each chunk on its own rows, the projectors of all buffered points in one
-stacked BLAS call per chunk (the same zgemm per point as a call per
-point).  A sum per chunk may use BLAS because chunk boundaries are fixed.
+each chunk on its own rows, the projectors of the buffered points summed
+in one stacked BLAS call per chunk (the same zgemm per point as a call
+per point).  A sum per chunk may use BLAS because chunk boundaries are fixed.
 
 A batch's working memory is one layout (_batch_layout): every array it
 writes between its first and last step, made as views of one allocation
@@ -276,11 +276,11 @@ class _EigenKernel:
 class _BatchSums:
     """Reductions of a batch of trajectories, one entry per record time.
 
-    The projector sum is in the energy eigenbasis (None if not summed).
-    Per-trajectory series exist only for the retained rows.
+    Projector sums, in the energy eigenbasis, are of the last P =
+    plan.projectors record times.  Series exist only for retained rows.
     """
 
-    projector_sum: np.ndarray        # (T, n, n)  sum_b c_b c_b^H
+    projector_sum: np.ndarray        # (P, n, n)  sum_b c_b c_b^H
     energy_sum: np.ndarray           # (T,)  sum_b <H>_b
     variance_sum: np.ndarray         # (T,)  sum_b Var_b H
     max_norm_drift: np.ndarray       # (T,)  max_b |norm defect|
@@ -296,7 +296,7 @@ class BatchPlan:
     n_steps: int      # steps of every row
     stride: int       # record every stride-th step, and the last
     chunk: int        # rows of a reduction
-    projectors: bool  # whether a chunk sums its rows' projectors
+    projectors: int   # trailing record points a chunk sums projectors at
     block: int        # steps of noise drawn per generator call
     group: int        # streams drawn at once
     capacity: int     # record points buffered between flushes
@@ -353,10 +353,11 @@ def _arena(layout: dict, shared: bool = False) -> dict:
 
 
 def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
-               chunk: int, spare_cpu: bool, projectors: bool) -> BatchPlan:
+               chunk: int, spare_cpu: bool, projectors: int) -> BatchPlan:
     """The plan of a batch of count rows of dimension n over n_steps steps,
-    in chunks of `chunk` rows summing their projectors if asked, kept of
-    them recording their series.  A narrower batch may run it too.
+    in chunks of `chunk` rows summing their projectors at the last
+    `projectors` record points (0: none; all: record_count), kept of them
+    recording their series.  A narrower batch may run it too.
 
     A full noise block is NOISE_BLOCK_BYTES of noise with its norms, 24
     bytes a row and step (1024 steps of 512 rows).  A batch of at most a
@@ -392,7 +393,7 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
     n_rec = record_count(n_steps, stride)
-    reduction = n_rec * ((16 * n * n if projectors else 0) + 4 * 8)
+    reduction = n_rec * 4 * 8 + projectors * 16 * n * n
 
     def own(rows):      # what a process stepping `rows` of the rows holds
         return (16 * rows * block + (16 * group * block if rows > 1 else 0)
@@ -532,8 +533,9 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
     squared norm go into the record buffer, which this process reduces
     when it is full and at the end of each noise block.  So each chunk's
     _BatchSums, returned in row order, holds the bits of that chunk run as
-    a batch of its own.  The rows listed in keep (batch rows) also record
-    <H>, Var H, the norm defect ||psi + dpsi|| - 1 and their final state.
+    a batch of its own (projectors at the last plan.projectors points).
+    The rows listed in keep (batch rows) also record <H>, Var H, the norm
+    defect ||psi + dpsi|| - 1 and their final state.
 
     A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
     The batch raises DegenerateStateError for the failed chunk of lowest
@@ -544,6 +546,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
     n_steps, stride, chunk = plan.n_steps, plan.stride, plan.chunk
     starts = range(0, count, chunk)
     n_rec = record_count(n_steps, stride)
+    skip = n_rec - plan.projectors      # leading points without projectors
     keep = np.asarray(keep, dtype=np.intp)
     row = (count, n) if count > 1 else (n,)     # a batch of one: a rank-1 row
     # a helper is forked on entry, before the batch allocates (batch_plan)
@@ -553,8 +556,8 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
         own = (mine.stop - mine.start, n) if mine.stop - mine.start > 1 else (n,)
         noise = _NoiseBlocks(kernel, streams[mine], plan)
         if not split.child:
-            proj = (np.empty((len(starts), n_rec, n, n), dtype=np.complex128)
-                    if plan.projectors else [None] * len(starts))
+            proj = np.empty((len(starts), plan.projectors, n, n),
+                            dtype=np.complex128)
             e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
             energy, variance, defect = np.empty((3, n_rec, len(keep)))
         layout = (_batch_layout(own, 0, 0) if split.child else
@@ -578,7 +581,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
             """A flush point, where the process that reduces fails the rows
             whose norms left range in a block ending here, then reduces the
             buffered points, each chunk on its rows: sums along rows, and
-            the projectors of all points in one stacked matmul."""
+            the projectors of all summed points in one stacked matmul."""
             nonlocal held, done, last
             if not split.meet(k, noise.n_blocks):
                 held = 0
@@ -608,14 +611,15 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
                 d = np.sqrt(held_nrm_sq[:held], out=arena["defect"][:held])
                 d -= 1.0
                 drift = np.abs(d, out=arena["drift"][:held])
+                first = max(done, skip)     # the first point summed
                 for j, lo in enumerate(starts):
                     rows = slice(lo, lo + chunk)
-                    if plan.projectors:
-                        part = held_c[:held, rows]
+                    if first < done + held:
+                        part = held_c[first - done:held, rows]
                         conj = arena["var_hd"].reshape(-1).view(np.complex128)
                         np.matmul(part.transpose(0, 2, 1), np.conjugate(
                             part, out=conj[:part.size].reshape(part.shape)),
-                            out=proj[j][pos])
+                            out=proj[j][first - skip:done + held - skip])
                     np.sum(e[:, rows], axis=1, out=e_sum[j, pos])
                     np.sum(v[:, rows], axis=1, out=v_sum[j, pos])
                     np.max(drift[:, rows], axis=1, out=drift_max[j, pos])

@@ -93,13 +93,16 @@ def helper_term(count, n, n_steps, stride):
     return plan[0].bytes - plan[1].bytes
 
 
-def plan_for(count, n, n_steps, stride, kept=0, chunk=None, spare_cpu=False):
+def plan_for(count, n, n_steps, stride, kept=0, chunk=None, spare_cpu=False,
+             projectors=None):
     """The trajectory.batch_plan of a batch of count rows at dimension n
-    that sums projectors, in chunks of `chunk` rows (None: one chunk),
-    kept of them recording their series, for a direct
-    _integrate_eigenbasis call."""
+    that sums projectors at its last `projectors` record points (None:
+    every one), in chunks of `chunk` rows (None: one chunk), kept of them
+    recording their series, for a direct _integrate_eigenbasis call."""
+    if projectors is None:
+        projectors = trajectory.record_count(n_steps, stride)
     return trajectory.batch_plan(count, n, n_steps, stride, kept,
-                                 chunk or count, spare_cpu, True)
+                                 chunk or count, spare_cpu, projectors)
 
 
 def forks(monkeypatch):

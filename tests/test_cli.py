@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qsdsim
-from qsdsim import master, qcore, trajectory
+from qsdsim import ensemble, master, qcore, trajectory
 from qsdsim.cli import main
 from conftest import pairs, random_hermitian, random_state
 
@@ -160,6 +160,23 @@ class TestRunCommands:
         lines = (out_dir / "ensemble.csv").read_text().splitlines()
         assert not lines[-1].endswith(",nan")
 
+    def test_only_compare_sums_every_projector(self, capsys, monkeypatch,
+                                               config_path, tmp_path):
+        # ensemble writes the final mean projector and sums it alone;
+        # compare reads one at each of the 11 record times
+        shapes, run = [], ensemble.run_ensemble
+
+        def spy(*args, **kwargs):
+            summary = run(*args, **kwargs)
+            shapes.append(summary.mean_projector.shape)
+            return summary
+
+        monkeypatch.setattr(ensemble, "run_ensemble", spy)
+        for command in ("ensemble", "compare"):
+            assert run_cli(capsys, command, "--config", str(config_path),
+                           "--out", str(tmp_path / command))[0] == 0
+        assert shapes == [(1, 2, 2), (11, 2, 2)]
+
     def test_worker_counts_give_identical_bytes(self, capsys, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli(capsys, "ensemble", "--config", str(config_path),
@@ -216,7 +233,7 @@ class TestRunCommands:
             "initial_state": pairs(random_state(rng, 8)),
             "tau0": 0.4, "dt": 1e-3, "t_final": 60.0, "n_trajectories": 3,
             "master_seed": 5, "record_stride": 100}))
-        plan = trajectory.batch_plan(1, 8, 60000, 100, 1, 512, False, False)
+        plan = trajectory.batch_plan(1, 8, 60000, 100, 1, 512, False, 0)
         noise, group = 24 * plan.block, 16 * plan.block
         assert plan.block == 60000 and plan.bytes - noise < group
         tracemalloc.start()

@@ -391,6 +391,39 @@ class TestStreamedReductions:
         assert len(files[0]) == 6
         assert all(f == files[0] for f in files[1:])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("helper", [False, True], ids=["alone", "split"])
+    def test_final_only_run_writes_the_same_files(self, tmp_path, monkeypatch,
+                                                  workers, helper):
+        # a run that sums the final projector alone writes every file of a
+        # run that sums one per record time, byte for byte, and its mean
+        # projector is the last one of that run; 600 trajectories (a
+        # ragged chunk) over 2000 steps at stride 30 (a ragged last step),
+        # stepped in one job or two, every row in-process or half of each
+        # job's in a row helper
+        config = make_config(n_trajectories=600, t_final=5.0,
+                             record_stride=30)
+        retain, header = [0, 511, 599], config.header()
+        force_noise_path(monkeypatch, helper, workers)
+        files, summaries = [], []
+        for final_only in (False, True):
+            summary = run_ensemble(config, workers=workers, retain=retain,
+                                   final_projector_only=final_only)
+            out = tmp_path / str(final_only)
+            out.mkdir()
+            write_summary_json(out / "summary.json", summary, header, None)
+            write_ensemble_csv(out / "ensemble.csv", summary, header, None)
+            for k in retain:
+                write_trajectory_csv(out / f"trajectory_{k}.csv", summary, k,
+                                     header)
+            files.append({f.name: f.read_bytes() for f in out.iterdir()})
+            summaries.append(summary)
+        every, final = summaries
+        assert every.mean_projector.shape == (68, 2, 2)
+        assert final.mean_projector.shape == (1, 2, 2)
+        assert np.array_equal(final.mean_projector[0], every.mean_projector[-1])
+        assert len(files[0]) == 5 and files[0] == files[1]
+
     def test_pool_and_helper_follow_the_usable_cpus(self, monkeypatch):
         # the pool is capped at the usable CPUs, and a job forks a row
         # helper when there are two per worker
@@ -482,9 +515,9 @@ class TestStreamedReductions:
         widest = (1030, 518)[workers - 1]
         plan = plans[0]
         assert len(plans) == workers and all(p is plan for p in plans)
-        assert plan == trajectory.batch_plan(widest, 2, 1100, 40, 2, 512,
-                                             False, True)
         t = trajectory.record_count(1100, 40)
+        assert plan == trajectory.batch_plan(widest, 2, 1100, 40, 2, 512,
+                                             False, t)
         parent = (3 + 3) * plan.reduction + 2 * t * 32 + 8 * 1030
         assert needs == [parent + workers * plan.bytes]
 
@@ -540,6 +573,32 @@ class TestStreamedReductions:
         config = make_config(dt=1e-12, t_final=1.0, record_stride=1)
         with pytest.raises(InvalidParameterError, match="physical memory"):
             run_ensemble(config)
+
+    def test_final_only_fits_where_every_projector_is_refused(self,
+                                                              monkeypatch):
+        # n = 64, 2001 record points, M = 50 000 and 2 workers on 8019 MiB:
+        # the projector sums of every record time in 98 chunks are about
+        # 13 GB, so a run that compares is refused, while one that sums the
+        # final projector alone is charged 0.1 MB a chunk and is planned
+        class Planned(Exception):
+            pass
+
+        def planned(*args):
+            raise Planned
+
+        physical = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8019 * 256}
+        monkeypatch.setattr(os, "sysconf", physical.__getitem__)
+        monkeypatch.setattr(ensemble, "_jobs", planned)
+        self._refuse_chunks(monkeypatch)
+        force_noise_path(monkeypatch, False, 2)
+        config = make_config(hamiltonian=np.diag(np.linspace(-1, 1, 64)),
+                             initial_state=np.ones(64) / 8, dt=1e-3,
+                             t_final=2.0, n_trajectories=50_000,
+                             record_stride=1)
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            run_ensemble(config, workers=2)
+        with pytest.raises(Planned):
+            run_ensemble(config, workers=2, final_projector_only=True)
 
     def test_serial_estimate_holds_one_job(self, monkeypatch):
         # without a pool the parent folds each job before the next starts:
@@ -689,6 +748,16 @@ class TestCompare:
         summary = run_ensemble(config)
         dist = compare_ensemble_to_master(summary)
         assert dist[0] < 1e-12
+
+    def test_final_only_summary_is_refused(self):
+        # a summary with the final mean projector alone has none to compare
+        # at the other record times: refused, saying how to get them
+        summary = run_ensemble(make_config(n_trajectories=8),
+                               final_projector_only=True)
+        assert summary.mean_projector.shape == (1, 2, 2)
+        with pytest.raises(InvalidParameterError,
+                           match="without final_projector_only"):
+            compare_ensemble_to_master(summary)
 
     def test_small_over_decoherence_time(self):
         # one decoherence time 2 hbar^2/(tau0 dE^2) = 5.0 for these values

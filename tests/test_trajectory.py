@@ -429,8 +429,9 @@ class TestRankOneStep:
 
         def run(rows, chunk):
             streams = [NoiseStream(5, j) for j in rows]
-            plan = trajectory.batch_plan(len(rows), n, 2500, stride,
-                                         len(rows), chunk, False, n < 64)
+            plan = trajectory.batch_plan(
+                len(rows), n, 2500, stride, len(rows), chunk, False,
+                trajectory.record_count(2500, stride) if n < 64 else 0)
             return _integrate_eigenbasis(kernel, c0, streams,
                                          range(len(rows)),
                                          replace(plan, block=1100))
@@ -575,7 +576,7 @@ class TestRecordBuffer:
         kernel, c0 = batch_inputs(n, 20, seed=n)
         if one_point:
             monkeypatch.setattr(trajectory, "BATCH_BUFFER_BYTES", 0)
-        plan = trajectory.batch_plan(20, n, 1100, 1, 0, 8, False, True)
+        plan = trajectory.batch_plan(20, n, 1100, 1, 0, 8, False, 1101)
         assert plan.capacity == 1 if one_point \
             else 1 < plan.capacity < plan.block
         states = [np.tile(c0, (20, 1))]
@@ -597,16 +598,50 @@ class TestRecordBuffer:
                 assert np.array_equal(part.projector_sum[t],
                                       rows.T @ rows.conj())
 
-    @pytest.mark.parametrize("n, rows, n_steps, stride, kept", [
-        (4, 512, 100, 1, 0), (4, 512, 2000, 1, 0),
-        (8, 1, 6000, 100, 1),       # a lone trajectory, as run_trajectory runs it
-        (8, 1, 500, 1, 1),          # one row, a flush of 501 points
-        (64, 128, 200, 5, 0),
-        (2, 2000, 600, 1, 0),       # four chunks, a noise block of 262 steps
+    @pytest.mark.parametrize("n_steps, stride, block, capacity", [
+        (10, 1, 10, 10), (10, 1, 10, 6), (10, 3, 4, 8), (10, 3, 4, 1),
+    ], ids=["last-alone", "last-shares", "ragged-shares", "ragged-alone"])
+    @pytest.mark.parametrize("helper", [False, True], ids=["alone", "split"])
+    def test_trailing_projectors_are_the_every_point_sums(
+            self, n_steps, stride, block, capacity, helper):
+        # a plan that sums the projectors of the last P record points only
+        # gives each chunk (2 rows of 5, the last one) the every-point
+        # sums' last P and every other reduction's bits, P = 0 (a lone
+        # trajectory's), 1 (ensemble's), 2 (across a flush) and all: the
+        # last point alone in a flush after 10 buffered points, or sharing
+        # it with 5; a ragged last step sharing the flush of step 9, or
+        # every point alone; blocks of 10 or 4 steps
+        kernel, c0 = batch_inputs(3, 5, seed=4)
+        base = replace(plan_for(5, 3, n_steps, stride, 2, 2), block=block,
+                       capacity=capacity, helper=helper)
+        n_rec = trajectory.record_count(n_steps, stride)
+        assert base.projectors == n_rec
+
+        def run(projectors):
+            streams = [NoiseStream(6, j) for j in range(5)]
+            return _integrate_eigenbasis(kernel, c0, streams, [0, 4], replace(
+                base, projectors=projectors))
+
+        every = run(n_rec)
+        for projectors in (0, 1, 2):
+            sums = run(projectors)
+            assert all(part.projector_sum.shape == (projectors, 3, 3)
+                       for part in sums)
+            assert_sums_equal(sums, [replace(
+                part, projector_sum=part.projector_sum[n_rec - projectors:])
+                for part in every])
+
+    @pytest.mark.parametrize("n, rows, n_steps, stride, kept, projectors", [
+        (4, 512, 100, 1, 0, None), (4, 512, 2000, 1, 0, None),
+        (8, 1, 6000, 100, 1, None),  # a lone trajectory, as run_trajectory runs it
+        (8, 1, 500, 1, 1, None),     # one row, a flush of 501 points
+        (64, 128, 200, 5, 0, None),
+        (2, 2000, 600, 1, 0, None),  # four chunks, a noise block of 262 steps
+        (4, 512, 2000, 1, 0, 1),     # the final projector only, as ensemble
     ], ids=["100", "2000", "one-kept-row", "one-row-stride-1",
-            "n64-128-rows", "n2-four-chunks"])
+            "n64-128-rows", "n2-four-chunks", "final-only"])
     def test_buffer_estimate_covers_a_batch(self, monkeypatch, n, rows,
-                                            n_steps, stride, kept):
+                                            n_steps, stride, kept, projectors):
         # what a batch allocates besides its reductions is what batch_plan
         # states for the process that reduces (all of it, less a row
         # helper's part), less its chunks' reductions, with one noise block
@@ -620,7 +655,8 @@ class TestRecordBuffer:
         monkeypatch.setattr(mmap, "mmap", lambda fd, size: (
             shared.append(size), made(fd, size))[1])
         for spare_cpu in (False, True):
-            plan = plan_for(rows, n, n_steps, stride, kept, 512, spare_cpu)
+            plan = plan_for(rows, n, n_steps, stride, kept, 512, spare_cpu,
+                            projectors)
             estimate = (plan.bytes - plan.helper
                         - -(-rows // 512) * plan.reduction)
             streams = [NoiseStream(1, j) for j in range(rows)]
@@ -653,8 +689,7 @@ class TestRecordBuffer:
         # made its own variance terms or conjugated chunk would allocate
         # 256 KiB apiece at 128 rows, n = 64
         kernel, c0 = batch_inputs(n, rows, seed=5)
-        plan = replace(trajectory.batch_plan(rows, n, n_steps, stride, 1,
-                                             512, False, True), block=block)
+        plan = replace(plan_for(rows, n, n_steps, stride, 1, 512), block=block)
         n_blocks, calls, peak = n_steps // block, itertools.count(), []
         steps = kernel.steps
 
@@ -819,7 +854,7 @@ n, rows, n_steps = map(int, sys.argv[1:])
 kernel = trajectory._EigenKernel(np.diag(np.linspace(-1, 1, n)), 2e-3, 0.4)
 streams = [NoiseStream(1, j) for j in range(rows)]
 c0 = np.full(n, 1 / np.sqrt(n), dtype=complex)
-plan = trajectory.batch_plan(rows, n, n_steps, 1, 1, 512, True, True)
+plan = trajectory.batch_plan(rows, n, n_steps, 1, 1, 512, True, n_steps + 1)
 trajectory._integrate_eigenbasis(kernel, c0, streams, [0], plan)
 print(max(peaks) if len(peaks) >= 2 else 0, plan.helper)
 """
@@ -842,7 +877,7 @@ class TestNoiseHelper:
             assert splits == (count > 1 and count * n_steps * (n + 11)
                               >= trajectory.SPLIT_WORK)
             plan = trajectory.batch_plan(count, n, n_steps, 1, 0, 512,
-                                         spare_cpu, True)
+                                         spare_cpu, n_steps + 1)
             assert bool(plan.helper) == (spare_cpu and splits)
         # the noise block keeps its rule: a batch whose noise outgrows one
         # block draws 3/5 of a full block at a time
@@ -851,12 +886,12 @@ class TestNoiseHelper:
             assert outgrows == (24 * count * n_steps
                                 > trajectory.NOISE_BLOCK_BYTES)
             plan = trajectory.batch_plan(count, 8, n_steps, 1, 0, 512,
-                                         spare_cpu, True)
+                                         spare_cpu, n_steps + 1)
             assert (plan.block < n_steps) == outgrows
         for count, block in ((512, 614), (1030, 305), (2000, 157),
                              (2560, 122)):
             assert trajectory.batch_plan(count, 2, 10 ** 6, 1, 0, 512,
-                                         spare_cpu, True).block == block
+                                         spare_cpu, 10 ** 6 + 1).block == block
 
     def test_helper_draws_the_same_bits(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
@@ -908,7 +943,7 @@ class TestNoiseHelper:
         streams = [NoiseStream(8, j) for j in range(lo + count)][lo:]
         alone = [NoiseStream(8, j) for j in range(lo, lo + count)]
         plan = trajectory.BatchPlan(
-            n_steps=1000, stride=1, chunk=count, projectors=True, block=300,
+            n_steps=1000, stride=1, chunk=count, projectors=1001, block=300,
             group=2, capacity=1, helper=0, reduction=0, bytes=0)
         noise = trajectory._NoiseBlocks(kernel, streams, plan)
         assert noise.n_blocks == 4
