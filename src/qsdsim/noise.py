@@ -11,10 +11,10 @@ order in dt downstream.
 
 Streams are counter-based (Philox) and keyed by (master_seed,
 stream_index), so every trajectory of an ensemble owns an independent,
-bit-reproducible noise source regardless of scheduling.  The same holds
-for who draws: each stream is drawn by the process that steps its
-trajectory, which for the upper half of a batch may be a forked row
-helper (trajectory._RowHelper), in the same order, so no output changes.
+bit-reproducible noise source, whoever draws it and when.  A batch draws
+its streams a block of steps at a time (fill_dxi_blocks) into the noise
+block of its one layout (trajectory._batch_layout), each stream in the
+process that steps its trajectory (trajectory._RowHelper).
 """
 
 import functools
@@ -97,14 +97,14 @@ def fill_dxi_blocks(dt: float, streams, out, scratch):
 
     The streams are drawn a group at a time into the float buffer scratch
     (group, >= steps, 2), which is scaled once and copied into out.  A
-    lone stream is drawn straight into out, whose one column is the same
-    (steps, 2) floats, and scaled there: scratch is not used (it may be
-    None).
+    lone stream is drawn straight into a contiguous out, (steps, 1) or
+    (steps,), which is the same (steps, 2) floats, and scaled there:
+    scratch is not used (it may be None).
     """
     steps = out.shape[0]
     scale = np.sqrt(0.5 * positive("dt", dt))
     if len(streams) == 1:
-        column = out[:, 0].view(np.float64).reshape(steps, 2)
+        column = out.view(np.float64).reshape(steps, 2)
         streams[0].standard_normal(out=column)
         column *= scale
         return

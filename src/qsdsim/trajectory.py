@@ -45,13 +45,13 @@ in one stacked BLAS call per chunk (the same zgemm per point as a call
 per point).  A sum per chunk may use BLAS because chunk boundaries are fixed.
 
 A batch's working memory is one layout (_batch_layout): every array it
-writes between its first and last step, made as views of one allocation
-at fixed offsets from a page boundary, so no step, flush or block check
-allocates an array, and batch_plan charges that layout.  Its noise comes
-in blocks of at most NOISE_BLOCK_BYTES, each drawn into one buffer before
-it is stepped.  A forked row helper may step, and draw for, the upper
-half of its rows while the parent steps the rest and reduces every chunk
-(_RowHelper): no output bit depends on which process steps a row.
+writes between its first and last step, its noise blocks included, made
+as views of one allocation at fixed offsets from a page boundary, so no
+draw, step, flush or block check allocates an array, and batch_plan
+charges that layout.  Noise comes in blocks of at most NOISE_BLOCK_BYTES.
+A forked row helper may step, and draw for, the upper half of its rows
+while the parent steps the rest and reduces every chunk (_RowHelper): no
+output bit depends on which process steps a row.
 batch_plan decides all this once per run, and states the memory it takes.
 """
 
@@ -73,7 +73,7 @@ except ImportError:
     _einsum = np.einsum
 
 _UNIT_PHASE_TOL = 1e-12
-NOISE_BLOCK_BYTES = 12 << 20   # bytes of a full noise block with its norms
+NOISE_BLOCK_BYTES = 7_550_000  # bytes of a full noise block with its norms
 BATCH_BUFFER_BYTES = 1 << 20   # noise group and record buffer of a batch
 NOISE_GROUP_BYTES = 1 << 17    # of it, the streams drawn at once
 SPLIT_WORK = 1 << 22           # row-steps x (n + 11) worth a row helper
@@ -305,14 +305,17 @@ class BatchPlan:
     bytes: int        # what a worker holds for the batch, any helper's too
 
 
-def _batch_layout(row: tuple, capacity: int, block: int, steps=None) -> dict:
+def _batch_layout(row: tuple, capacity: int, block: int, steps=None,
+                  group: int = 0) -> dict:
     """Name -> (shape, dtype) of every array that a batch of rows (B, n), or
     a rank-1 row (n,), writes between its first and last step, with
     `capacity` record points buffered and noise blocks of `block` steps:
     the step's (see _EigenKernel.buffers) for the rows `steps` (all if
     None), the record buffer (amplitudes, <H>, norm^2), the block's squared
-    norms, and a flush's temporaries: variance's hd (then the conjugated
-    chunk), terms and result, the norm defect and its abs."""
+    norms, a flush's temporaries (variance's hd, then the conjugated chunk,
+    terms and result, the norm defect and its abs), and the noise block of
+    the rows stepped, (block, B) or (block,), with, for two rows or more,
+    the draw buffer of `group` streams (see fill_dxi_blocks)."""
     n, points = row[-1], (capacity,) + (row[:-1] or (1,))
     row = steps or row                 # the rows stepped
     batch = row[:-1]                   # (B,), or () for a rank-1 row
@@ -325,7 +328,9 @@ def _batch_layout(row: tuple, capacity: int, block: int, steps=None) -> dict:
             "norms": ((block,) + points[1:], float),
             **dict.fromkeys(("held_e", "held_nrm_sq", "var", "defect",
                              "drift"), (points, float)),
-            **dict.fromkeys(("var_hd", "var_terms"), ((2 * n,) + points, float))}
+            **dict.fromkeys(("var_hd", "var_terms"), ((2 * n,) + points, float)),
+            "noise": ((block,) + batch, complex),
+            **({"group": ((group, block, 2), float)} if batch else {})}
 
 
 def _sizes(layout: dict, align: int = _LINE) -> list:
@@ -360,12 +365,12 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     recording their series.  A narrower batch may run it too.
 
     A full noise block is NOISE_BLOCK_BYTES of noise with its norms, 24
-    bytes a row and step (1024 steps of 512 rows).  A batch of at most a
-    full block draws its n_steps at once; a longer one draws 3/5 of a full
-    block at a time into the same buffer.  A row that fails runs on as nan
-    to the end of its block before the batch raises.  The record capacity
-    is the points whose part of the batch's layout fits BATCH_BUFFER_BYTES
-    beside the noise group: at least one, at most the points of a block.
+    bytes a row and step (614 steps of 512 rows), and a batch draws at
+    most a full block at a time: all its n_steps at once if they fit.  A
+    row that fails runs on as nan to the end of its block before the batch
+    raises.  The record capacity is the points whose part of the batch's
+    layout fits BATCH_BUFFER_BYTES beside the noise group: at least one,
+    at most the points of a block.
 
     The batch splits (helper) if spare_cpu and os.fork allow, it has two
     rows or more and count x n_steps x (n + 11) is at least SPLIT_WORK: a
@@ -374,18 +379,19 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     about 2.5 ms: it breaks even near 2e6 (24 x 1000 steps at n = 64 lost
     2.3 ms, 64 x 1000 at n = 32 won 1.1 ms), half of SPLIT_WORK.
 
-    The bytes count the chunks' reductions (`reduction` each), the batch's
-    layout, two buffers of up to np.getbufsize() floats NumPy's iterator
-    may take in a flush, the first <H>, the kept series and the record
-    times, and for each process that steps rows its noise, group (a lone
-    row draws straight into its block) and step buffers.  A helper
-    (`helper`, its bytes) adds a copy of each page resident at its fork
-    that either process writes: a base and a term per stream, above its
-    peak Private_Dirty in a fresh interpreter (0.66 to 0.87 of `helper`),
-    but not of heap that a process freed before the fork and reuses.
+    The bytes count the chunks' reductions (`reduction` each), the arena
+    of each process that steps rows, from the very _batch_layout that
+    _integrate_eigenbasis builds (a helper's buffers no record point and
+    leaves out the arrays it shares, which take a page of their own), two
+    buffers of up to np.getbufsize() floats NumPy's iterator may take in
+    a flush, the first <H>, the kept series and the record times.  A
+    helper (`helper`, its bytes) adds a copy of each page resident at its
+    fork that either process writes: a base and a term per stream, above
+    its peak Private_Dirty in a fresh interpreter (0.66 to 0.87 of
+    `helper`), but not of heap that a process freed before the fork and
+    reuses.
     """
-    full = max(1, NOISE_BLOCK_BYTES // (24 * count))
-    block = n_steps if n_steps <= full else max(1, 3 * full // 5)
+    block = min(n_steps, max(1, NOISE_BLOCK_BYTES // (24 * count)))
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
     row = (count, n) if count > 1 else (n,)
     per_point = (sum(_sizes(_batch_layout(row, 1, block), 1))
@@ -395,45 +401,24 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     n_rec = record_count(n_steps, stride)
     reduction = n_rec * 4 * 8 + projectors * 16 * n * n
 
-    def own(rows):      # what a process stepping `rows` of the rows holds
-        return (16 * rows * block + (16 * group * block if rows > 1 else 0)
-                + _PAGE + sum(_sizes(_batch_layout((rows, n) if rows > 1
-                                                   else (n,), 0, 0))))
+    def arena(rows, points):   # of a process stepping `rows` of the rows
+        layout = _batch_layout(row, points, block,
+                               (rows, n) if rows > 1 else (n,), group)
+        return _PAGE + sum(_sizes({k: v for k, v in layout.items()
+                                   if points or k not in _SHARED}))
 
-    helper = (own(count - count // 2) + HELPER_BASE_BYTES
+    helper = (arena(count - count // 2, 0) + HELPER_BASE_BYTES
               + HELPER_STREAM_BYTES * count
               if spare_cpu and count > 1 and hasattr(os, "fork")
               and count * n_steps * (n + 11) >= SPLIT_WORK else 0)
     held = (-(-count // chunk) * reduction
-            + own(count // 2 if helper else count) + helper
+            + arena(count // 2 if helper else count, capacity) + helper
             + (_PAGE if helper else 0)      # the shared buffer's own page
-            + sum(_sizes(_batch_layout(row, capacity, block)))
-            - sum(_sizes(_batch_layout(row, 0, 0)))
             + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
             + 8 * count                 # <H> before the first step
             + (24 * kept + 8) * n_rec)  # kept series and times
     return BatchPlan(n_steps, stride, chunk, projectors, block, group,
                      capacity, helper, reduction, held)
-
-
-class _NoiseBlocks:
-    """The coefficient blocks of streams under a plan, drawn in order into
-    one buffer: block(k) holds kernel.coefficients of the increments of
-    steps k * plan.block onwards, at most plan.block of them, as (steps,
-    len(streams))."""
-
-    def __init__(self, kernel: _EigenKernel, streams, plan: BatchPlan):
-        self.kernel, self.streams, self.plan = kernel, streams, plan
-        self.n_blocks = -(-plan.n_steps // plan.block)
-        self._buffer = np.empty((plan.block, len(streams)), dtype=np.complex128)
-        self._scratch = (np.empty((plan.group, plan.block, 2))
-                         if len(streams) > 1 else None)
-
-    def block(self, k: int) -> np.ndarray:
-        out = self._buffer[:self.plan.n_steps - k * self.plan.block]
-        fill_dxi_blocks(self.kernel.dt, self.streams, out, self._scratch)
-        self.kernel.coefficients(out)
-        return out
 
 
 class _RowHelper:
@@ -495,7 +480,7 @@ class _RowHelper:
             raise RuntimeError(
                 f"the row helper process {pid} ended (exit status "
                 f"{os.waitstatus_to_exitcode(status)}) before it handed over "
-                f"its rows in noise block {block} of {n_blocks}")
+                f"its rows in noise block {block + 1} of {n_blocks}")
         return True
 
     def release(self):
@@ -526,7 +511,8 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
     c0, as one batch of at most the rows planned, and reduce it a chunk of
     plan.chunk consecutive rows at a time (the last may be shorter).
 
-    Row b draws its increments from streams[b] in blocks (fill_dxi_blocks,
+    Row b draws its increments from streams[b], a block of plan.block
+    steps at a time, into the arena's noise block (fill_dxi_blocks,
     bit-identical to per-step sample_dxi) in the process that steps it (a
     row helper, with plan.helper, steps the upper half).  At every step of
     record_steps(plan.n_steps, plan.stride) the rows' amplitudes, <H> and
@@ -554,14 +540,14 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
                                                plan.block)) as split:
         mine = split.rows
         own = (mine.stop - mine.start, n) if mine.stop - mine.start > 1 else (n,)
-        noise = _NoiseBlocks(kernel, streams[mine], plan)
+        n_blocks = -(-n_steps // plan.block)
         if not split.child:
             proj = np.empty((len(starts), plan.projectors, n, n),
                             dtype=np.complex128)
             e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
             energy, variance, defect = np.empty((3, n_rec, len(keep)))
-        layout = (_batch_layout(own, 0, 0) if split.child else
-                  _batch_layout(row, plan.capacity, plan.block, own))
+        layout = _batch_layout(row, 0 if split.child else plan.capacity,
+                               plan.block, own, plan.group)
         arena = {**_arena({k: v for k, v in layout.items()
                            if k not in split.shared}), **split.shared}
         held_c, norms, held_e, held_nrm_sq = (arena[k] for k in _SHARED)
@@ -583,7 +569,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
             buffered points, each chunk on its rows: sums along rows, and
             the projectors of all summed points in one stacked matmul."""
             nonlocal held, done, last
-            if not split.meet(k, noise.n_blocks):
+            if not split.meet(k, n_blocks):
                 held = 0
                 return
             nrm_sq = norms[:block]    # a nan fails min and max, as a bad row
@@ -634,10 +620,12 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
         c[...] = c0
         e = kernel.mean_energy(c)
         hold(c, e, 1.0)
-        for k in range(noise.n_blocks):   # coefficients (steps, B, 1) or (steps,)
-            coeff = noise.block(k)[np.s_[:, :, None] if len(own) > 1
-                                   else np.s_[:, 0]]
-            start, block = k * plan.block, len(coeff)
+        for k in range(n_blocks):
+            start = k * plan.block
+            dxi = arena["noise"][:n_steps - start]
+            fill_dxi_blocks(kernel.dt, streams[mine], dxi, arena.get("group"))
+            coeff = kernel.coefficients(dxi)    # (steps, B, 1) or (steps,)
+            block = len(coeff)
             split.ready()       # the block's norms are free to write
             # a failed row runs on as nan/inf, reported at the end of the
             # block, or of the batch if a chunk before its own may fail later

@@ -33,10 +33,16 @@ class TestJudge:
         assert not v["beyond_iqr"]       # 0.05 is inside the IQR of 0.3
 
 
-def fake_checkout(root: Path, wall: float, log: Path, failed=0) -> Path:
+def fake_checkout(root: Path, wall: float, log: Path, failed=0,
+                  lines=(3, 4)) -> Path:
     """A checkout whose perfbench/run.py appends its name to log and
-    prints a result line with wall_s = wall and `failed` executions."""
+    prints a result line with wall_s = wall and `failed` executions, and
+    whose src/qsdsim holds a module of each count of `lines`."""
     (root / "perfbench").mkdir(parents=True)
+    (root / "src" / "qsdsim").mkdir(parents=True)
+    for j, count in enumerate(lines):
+        (root / "src" / "qsdsim" / f"m{j}.py").write_text("x = 1\n" * count)
+    (root / "src" / "qsdsim" / "notes.txt").write_text("not counted\n")
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24}]}))
     (root / "perfbench" / "run.py").write_text(
@@ -52,7 +58,7 @@ def fake_checkout(root: Path, wall: float, log: Path, failed=0) -> Path:
 def test_pairs_alternate_and_are_judged(tmp_path, capsys):
     log = tmp_path / "order.txt"
     parent = fake_checkout(tmp_path / "parent", 0.4, log)
-    change = fake_checkout(tmp_path / "change", 0.3, log)
+    change = fake_checkout(tmp_path / "change", 0.3, log, lines=(3, 2, 1))
     assert perf_pairs.main([str(parent), str(change), "--workload", "w",
                             "--seed", "1", "--pairs", "3"]) == 0
     assert log.read_text().split() == ["parent", "change", "change", "parent",
@@ -60,6 +66,7 @@ def test_pairs_alternate_and_are_judged(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("wall_s 0.4 -> 0.3") == 3
     assert "change better in 3 of 3; nine of ten: yes" in out
+    assert out.rstrip().endswith("src/ lines: parent 7, change 6 (-1)")
 
 
 def test_a_failed_run_is_reported(tmp_path, capsys):

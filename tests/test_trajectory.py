@@ -712,18 +712,32 @@ class TestRecordBuffer:
         assert n_blocks >= 5 and plan.capacity < block // stride
         assert peak[0] <= 32 * np.getbufsize() + (16 << 10)
 
-    def test_grouped_fill_is_sample_dxi_block(self):
-        # 7 streams in groups of 3 (the last one partial), 40 of the 50
-        # steps the buffer holds; each stream's second block continues it
-        dt = 0.03
-        streams = [NoiseStream(4, j) for j in range(7)]
-        alone = [NoiseStream(4, j) for j in range(7)]
-        scratch = np.empty((3, 50, 2))
-        out = np.empty((40, 7), dtype=np.complex128)
-        for _ in range(2):
-            fill_dxi_blocks(dt, streams, out, scratch)
-            expected = [sample_dxi_block(dt, 40, s) for s in alone]
-            assert np.array_equal(out, np.stack(expected, axis=1))
+    @pytest.mark.parametrize("count", [1, 3, 7],
+                             ids=["lone", "one-group", "groups"])
+    @pytest.mark.parametrize("helper", [False, True],
+                             ids=["in-process", "upper-half"])
+    def test_grouped_fill_is_sample_dxi_block(self, count, helper):
+        # 1000 steps in blocks of 300, the last one 100, as a batch draws
+        # them: streams in groups of 3 (7: the last one partial; 3: one
+        # group) or a lone stream straight into a 1-d block, the streams
+        # [0, count) or a row helper's upper half [count, 2 count); each
+        # block continues the last, and is each stream's sample_dxi_block,
+        # then, in place, its kernel.coefficients
+        kernel, _ = batch_inputs(3, count, seed=6)
+        lo = count if helper else 0
+        streams = [NoiseStream(4, j) for j in range(lo + count)][lo:]
+        alone = [NoiseStream(4, j) for j in range(lo, lo + count)]
+        scratch = np.empty((3, 300, 2))
+        noise = np.empty((300, count) if count > 1 else 300,
+                         dtype=np.complex128)
+        for start in range(0, 1000, 300):
+            out = noise[:1000 - start]
+            fill_dxi_blocks(kernel.dt, streams, out, scratch)
+            draws = [sample_dxi_block(kernel.dt, len(out), s) for s in alone]
+            assert np.array_equal(out, np.stack(draws, 1).reshape(out.shape))
+            kernel.coefficients(out)
+            coeffs = [kernel.coefficients(x) for x in draws]
+            assert np.array_equal(out, np.stack(coeffs, 1).reshape(out.shape))
 
     @pytest.mark.parametrize("poisoned, expected", [
         ({2: 1500}, "trajectory 2 failed at step 1500:"),
@@ -819,6 +833,7 @@ class _DyingStream(NoiseStream):
 
 
 HELPER_PEAK = """
+import itertools
 import os
 import sys
 import numpy as np
@@ -842,14 +857,14 @@ def forked():
     pids.append(fork())
     return pids[-1]
 
-block, peaks = trajectory._NoiseBlocks.block, []
+fill, calls, peaks = trajectory.fill_dxi_blocks, itertools.count(), []
 
-def polled(self, k):
-    if k and pids[0]:       # the parent, from its second block on
+def polled(*args):      # the parent's draws, from its second block on
+    if next(calls) and pids and pids[0]:
         peaks.append(dirty(pids[0]))
-    return block(self, k)
+    return fill(*args)
 
-os.fork, trajectory._NoiseBlocks.block = forked, polled
+os.fork, trajectory.fill_dxi_blocks = forked, polled
 n, rows, n_steps = map(int, sys.argv[1:])
 kernel = trajectory._EigenKernel(np.diag(np.linspace(-1, 1, n)), 2e-3, 0.4)
 streams = [NoiseStream(1, j) for j in range(rows)]
@@ -879,15 +894,23 @@ class TestNoiseHelper:
             plan = trajectory.batch_plan(count, n, n_steps, 1, 0, 512,
                                          spare_cpu, n_steps + 1)
             assert bool(plan.helper) == (spare_cpu and splits)
-        # the noise block keeps its rule: a batch whose noise outgrows one
-        # block draws 3/5 of a full block at a time
+        # the noise block keeps its rule: a batch whose noise outgrows
+        # NOISE_BLOCK_BYTES draws a full block at a time; 128 rows of 3000
+        # steps (9.2 MB) draw two, with the bits of drawing one
         for count, n_steps, outgrows in ((1, 60000, False), (1, 600000, True),
-                                         (128, 1000, False), (2000, 2000, True)):
+                                         (128, 1000, False), (128, 3000, True),
+                                         (2000, 2000, True)):
             assert outgrows == (24 * count * n_steps
                                 > trajectory.NOISE_BLOCK_BYTES)
             plan = trajectory.batch_plan(count, 8, n_steps, 1, 0, 512,
                                          spare_cpu, n_steps + 1)
             assert (plan.block < n_steps) == outgrows
+        plan = trajectory.batch_plan(128, 8, 3000, 1, 0, 512, spare_cpu, 3001)
+        kernel, c0 = batch_inputs(8, 128, seed=8)
+        sums = [_integrate_eigenbasis(
+            kernel, c0, [NoiseStream(9, j) for j in range(128)], [0, 127],
+            replace(plan, block=block)) for block in (plan.block, 3000)]
+        assert_sums_equal(*sums)
         for count, block in ((512, 614), (1030, 305), (2000, 157),
                              (2560, 122)):
             assert trajectory.batch_plan(count, 2, 10 ** 6, 1, 0, 512,
@@ -931,28 +954,6 @@ class TestNoiseHelper:
         assert_sums_equal(run(1), run(0))
         assert len(pids) == 1
 
-    @pytest.mark.parametrize("count", [1, 5])
-    @pytest.mark.parametrize("helper", [False, True])
-    def test_blocks_are_the_coefficients_of_each_stream(self, count, helper):
-        # four blocks of 300 steps, the last one 100, drawn two streams at
-        # a time; column j of block k holds kernel.coefficients of stream
-        # j's increments of those steps, also for the streams of a row
-        # helper, the upper half of a batch of 2 count rows
-        kernel, _ = batch_inputs(3, count, seed=6)
-        lo = count if helper else 0
-        streams = [NoiseStream(8, j) for j in range(lo + count)][lo:]
-        alone = [NoiseStream(8, j) for j in range(lo, lo + count)]
-        plan = trajectory.BatchPlan(
-            n_steps=1000, stride=1, chunk=count, projectors=1001, block=300,
-            group=2, capacity=1, helper=0, reduction=0, bytes=0)
-        noise = trajectory._NoiseBlocks(kernel, streams, plan)
-        assert noise.n_blocks == 4
-        for k in range(4):
-            steps = min(300, 1000 - 300 * k)
-            expected = [kernel.coefficients(
-                sample_dxi_block(kernel.dt, steps, s)) for s in alone]
-            assert np.array_equal(noise.block(k), np.stack(expected, axis=1))
-
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
 
@@ -979,11 +980,11 @@ class TestNoiseHelper:
     def test_rows_replay_across_noise_paths(self, monkeypatch,
                                             ensemble_helper,
                                             trajectory_helper):
-        # a budget of 1024 steps of one row makes the 1500 steps three
+        # a budget of 600 steps of one row makes the 1500 steps three
         # noise blocks of a lone trajectory, and 18 of the ensemble's 7
         # rows; with any work worth a split, the ensemble forks a row
         # helper wherever a spare CPU is seen, and a lone row never does
-        monkeypatch.setattr(trajectory, "NOISE_BLOCK_BYTES", 24 * 1024)
+        monkeypatch.setattr(trajectory, "NOISE_BLOCK_BYTES", 24 * 600)
         monkeypatch.setattr(trajectory, "SPLIT_WORK", 1)
         pids = forks(monkeypatch)
         rng = np.random.default_rng(17)
@@ -1032,7 +1033,7 @@ class TestNoiseHelper:
         streams = [_DyingStream(3, j, 700) for j in range(5)]
         with pytest.raises(RuntimeError, match=r"row helper process \d+ "
                            r"ended \(exit status 3\) before it handed over "
-                           r"its rows in noise block 2 of 4"):
+                           r"its rows in noise block 3 of 4"):
             _integrate_eigenbasis(
                 kernel, c0, streams, [0],
                 replace(plan_for(5, 3, 2100, 1, 1), block=614, helper=True))

@@ -20,6 +20,9 @@ won (better in the metric's direction), and whether each rule holds:
 * bound: the change's median is worse than the parent's by no more than
   the metric's bound, a fraction of the parent's median.
 
+Under the verdicts it prints each checkout's `src/` line count, the lines
+of its src/qsdsim/*.py (what `cat src/qsdsim/*.py | wc -l` counts).
+
 A run that exits non-zero, or reports failed executions or `correct:
 false`, is printed with its pair; the script then exits 1.
 """
@@ -64,6 +67,12 @@ def judge(parent: list, change: list, better: str, bound: float) -> dict:
             "nine_of_ten": wins >= 0.9 * len(parent),
             "beyond_iqr": sign * (before - after) > q3 - q1,
             "within_bound": sign * (after - before) <= bound * abs(before)}
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in checkout's src/qsdsim/*.py, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "qsdsim").glob("*.py"))
 
 
 def _yes(flag: bool) -> str:
@@ -122,6 +131,9 @@ def main(argv=None) -> int:
               f"{v['pairs']}; nine of ten: {_yes(v['nine_of_ten'])}, beyond "
               f"the IQR: {_yes(v['beyond_iqr'])}, within the bound "
               f"{metric['bound']:g}: {_yes(v['within_bound'])}")
+    lines = {side: src_lines(sides[side]) for side in sides}
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     return int(failed)
 
 
