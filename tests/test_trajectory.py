@@ -712,32 +712,23 @@ class TestRecordBuffer:
         assert n_blocks >= 5 and plan.capacity < block // stride
         assert peak[0] <= 32 * np.getbufsize() + (16 << 10)
 
-    @pytest.mark.parametrize("count", [1, 3, 7],
-                             ids=["lone", "one-group", "groups"])
-    @pytest.mark.parametrize("helper", [False, True],
-                             ids=["in-process", "upper-half"])
-    def test_grouped_fill_is_sample_dxi_block(self, count, helper):
-        # 1000 steps in blocks of 300, the last one 100, as a batch draws
-        # them: streams in groups of 3 (7: the last one partial; 3: one
-        # group) or a lone stream straight into a 1-d block, the streams
-        # [0, count) or a row helper's upper half [count, 2 count); each
-        # block continues the last, and is each stream's sample_dxi_block,
-        # then, in place, its kernel.coefficients
-        kernel, _ = batch_inputs(3, count, seed=6)
-        lo = count if helper else 0
-        streams = [NoiseStream(4, j) for j in range(lo + count)][lo:]
-        alone = [NoiseStream(4, j) for j in range(lo, lo + count)]
-        scratch = np.empty((3, 300, 2))
-        noise = np.empty((300, count) if count > 1 else 300,
-                         dtype=np.complex128)
-        for start in range(0, 1000, 300):
-            out = noise[:1000 - start]
-            fill_dxi_blocks(kernel.dt, streams, out, scratch)
-            draws = [sample_dxi_block(kernel.dt, len(out), s) for s in alone]
-            assert np.array_equal(out, np.stack(draws, 1).reshape(out.shape))
-            kernel.coefficients(out)
-            coeffs = [kernel.coefficients(x) for x in draws]
-            assert np.array_equal(out, np.stack(coeffs, 1).reshape(out.shape))
+    def test_grouped_fill_is_sample_dxi_block(self):
+        # 7 streams in groups of 3 (the last one partial), 3 streams (one
+        # group) and a lone stream drawn straight into a 1-d block, 40 of
+        # the 50 steps the buffer holds; each stream's second block
+        # continues it
+        dt = 0.03
+        scratch = np.empty((3, 50, 2))
+        for count in (7, 3, 1):
+            streams = [NoiseStream(4, j) for j in range(count)]
+            alone = [NoiseStream(4, j) for j in range(count)]
+            out = np.empty((40, count) if count > 1 else 40,
+                           dtype=np.complex128)
+            for _ in range(2):
+                fill_dxi_blocks(dt, streams, out, scratch)
+                expected = [sample_dxi_block(dt, 40, s) for s in alone]
+                assert np.array_equal(
+                    out, np.stack(expected, axis=1).reshape(out.shape))
 
     @pytest.mark.parametrize("poisoned, expected", [
         ({2: 1500}, "trajectory 2 failed at step 1500:"),
@@ -953,6 +944,32 @@ class TestNoiseHelper:
 
         assert_sums_equal(run(1), run(0))
         assert len(pids) == 1
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_blocks_are_the_coefficients_of_each_stream(self, count, helper):
+        # four blocks of 300 steps, the last one 100, drawn two streams at
+        # a time into one noise block as a batch draws them; once
+        # kernel.coefficients has run on it in place, column j of block k
+        # holds kernel.coefficients of stream j's increments of those
+        # steps, also for the streams of a row helper, the upper half of a
+        # batch of 2 count rows
+        kernel, _ = batch_inputs(3, count, seed=6)
+        lo = count if helper else 0
+        streams = [NoiseStream(8, j) for j in range(lo + count)][lo:]
+        alone = [NoiseStream(8, j) for j in range(lo, lo + count)]
+        scratch = np.empty((2, 300, 2))
+        noise = np.empty((300, count) if count > 1 else 300,
+                         dtype=np.complex128)
+        for k in range(4):
+            steps = min(300, 1000 - 300 * k)
+            block = noise[:steps]
+            fill_dxi_blocks(kernel.dt, streams, block, scratch)
+            kernel.coefficients(block)
+            expected = [kernel.coefficients(
+                sample_dxi_block(kernel.dt, steps, s)) for s in alone]
+            assert np.array_equal(
+                block, np.stack(expected, axis=1).reshape(block.shape))
 
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
