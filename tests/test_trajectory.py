@@ -1091,6 +1091,59 @@ class TestNoiseHelper:
         assert len(pids) == 1
 
 
+@st.composite
+def batch_plans(draw):
+    """A batch (count 1..24 rows at n 1..5, n_steps 1..120 at any stride
+    up to n_steps + 3, a seed) under a drawn plan: chunk, noise block,
+    record capacity, noise group, projectors 0..T and a row helper or not;
+    and up to 4 kept rows."""
+    count, n = draw(st.integers(1, 24)), draw(st.integers(1, 5))
+    n_steps = draw(st.integers(1, 120))
+    stride = draw(st.integers(1, n_steps + 3))
+    n_rec = trajectory.record_count(n_steps, stride)
+    keep = draw(st.lists(st.integers(0, count - 1), max_size=4, unique=True))
+    plan = replace(
+        plan_for(count, n, n_steps, stride, len(keep)),
+        chunk=draw(st.integers(1, count)), block=draw(st.integers(1, n_steps)),
+        capacity=draw(st.integers(1, n_rec + 1)),
+        group=draw(st.integers(1, count)),
+        projectors=draw(st.integers(0, n_rec)), helper=draw(st.booleans()))
+    return count, n, keep, plan, draw(st.integers(0, 2 ** 16))
+
+
+class TestPlanDeterminism:
+    # the determinism rule over plans: no bit of a chunk's sums or of a
+    # kept row's record depends on how its batch is blocked, buffered,
+    # grouped, chunked or split
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch_plans())
+    def test_every_plan_gives_each_chunk_and_row_its_own_bits(self, batch):
+        count, n, keep, plan, seed = batch
+        kernel, c0 = batch_inputs(n, count, seed)
+
+        def run(rows, kept, plan):
+            streams = [NoiseStream(seed, j) for j in rows]
+            return _integrate_eigenbasis(kernel, c0, streams, kept, plan)
+
+        def plain(rows, kept):      # one block, capacity 1, no helper
+            return run(rows, kept, replace(
+                plan_for(len(rows), n, plan.n_steps, plan.stride, len(kept),
+                         projectors=plan.projectors),
+                block=plan.n_steps, capacity=1, group=1, helper=0))
+
+        sums = run(range(count), keep, plan)
+        for j, lo in enumerate(range(0, count, plan.chunk)):
+            hi = min(lo + plan.chunk, count)
+            assert_sums_equal(sums[j:j + 1], plain(
+                range(lo, hi), [k - lo for k in keep if lo <= k < hi]))
+        records = [rec for part in sums for rec in part.records]
+        for b, rec in zip(sorted(keep, key=lambda k: k // plan.chunk),
+                          records, strict=True):
+            alone = plain([b], [0])[0]
+            assert_sums_equal([replace(alone, records=[rec])], [alone])
+
+
 class TestGaugeTransform:
     def test_identity_phase(self, rng):
         lop = random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3)
