@@ -234,4 +234,5 @@ def delta_e_from_velocities(mass: float, v1: float, v2: float) -> float:
 def delta_e_from_height(mass: float, delta_h: float,
                         g: float = STANDARD_GRAVITY) -> float:
     """Potential energy gap m g dh between two interferometer arms."""
-    return qcore.positive("mass", mass) * float(g) * float(delta_h)
+    mass = qcore.positive("mass", mass)
+    return _finite("potential energy gap", lambda: mass * float(g) * float(delta_h))

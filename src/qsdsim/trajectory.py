@@ -29,29 +29,23 @@ Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
 the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
 its test oracles.  It steps B rows as a (B, n) array, and a batch of one
-(run_trajectory, or a job of one trajectory) as a rank-1 row (n,) with
-scalar <H>, coefficient and norm and complex energy offsets: fewer NumPy
-calls, and no casts.
+as a rank-1 row (n,): fewer NumPy calls, and no casts.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row, whose bits
 depend neither on how many rows share a batch, nor on whether the row
 steps alone as rank 1, nor on how many record points share a flush, so
-trajectory k of an ensemble replays as a batch of one.  The batch is the
-unit of stepping and the chunk, a fixed range of its rows, the unit of
-reduction: record points are buffered and reduced a buffer at a time,
-each chunk on its own rows, the projectors of the buffered points summed
-in one stacked BLAS call per chunk (the same zgemm per point as a call
-per point).  A sum per chunk may use BLAS because chunk boundaries are fixed.
+trajectory k of an ensemble replays as a batch of one.
 
-A batch's working memory is one layout (_batch_layout): every array it
-writes between its first and last step, its noise blocks included, made
-as views of one allocation at fixed offsets from a page boundary, so no
-draw, step, flush or block check allocates an array, and batch_plan
-charges that layout.  Noise comes in blocks of at most NOISE_BLOCK_BYTES.
-A forked row helper may step, and draw for, the upper half of its rows
-while the parent steps the rest and reduces every chunk (_RowHelper): no
-output bit depends on which process steps a row.
+One driver, _integrate_eigenbasis, steps a batch a noise block (at most
+NOISE_BLOCK_BYTES) at a time; one record reducer, _Record, buffers its
+record points and reduces them a buffer at a time, each chunk (a fixed
+range of rows) on its own rows: sums along rows, and the projectors of
+the buffered points in one stacked BLAS call per chunk (the same zgemm per
+point as a call per point; chunk boundaries are fixed).  Every array a
+batch writes is a view of one allocation (_batch_layout), so no draw, step
+or flush allocates one.  A forked row helper may step the upper half of
+the rows (_RowHelper): no output bit depends on which process steps a row.
 batch_plan decides all this once per run, and states the memory it takes.
 """
 
@@ -381,7 +375,7 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
 
     The bytes count the chunks' reductions (`reduction` each), the arena
     of each process that steps rows, from the very _batch_layout that
-    _integrate_eigenbasis builds (a helper's buffers no record point and
+    _RowHelper.arena builds (a helper's buffers no record point and
     leaves out the arrays it shares, which take a page of their own), two
     buffers of up to np.getbufsize() floats NumPy's iterator may take in
     a flush, the first <H>, the kept series and the record times.  A
@@ -433,11 +427,22 @@ class _RowHelper:
     with os._exit; the parent kills and reaps it on every path, and meet()
     raises if it died."""
 
-    def __init__(self, plan: BatchPlan, count: int, layout: dict):
+    def __init__(self, plan: BatchPlan, count: int, n: int):
         self.rows, self.pid, self.child = slice(0, count), None, False
+        self.plan, self.row = plan, (count, n) if count > 1 else (n,)  # rank 1
         self.owed = False     # the helper's rows are handed over
+        layout = _batch_layout(self.row, plan.capacity, plan.block)
         self.shared = (_arena({k: layout[k] for k in _SHARED}, shared=True)
                        if plan.helper and count > 1 else {})
+
+    def arena(self) -> dict:
+        """This process's arena: its rows' layout and the shared arrays."""
+        plan, n, rows = self.plan, self.row[-1], self.rows.stop - self.rows.start
+        layout = _batch_layout(self.row, 0 if self.child else plan.capacity,
+                               plan.block, (rows, n) if rows > 1 else (n,),
+                               plan.group)
+        return {**_arena({k: v for k, v in layout.items()
+                          if k not in self.shared}), **self.shared}
 
     def __enter__(self):
         if not self.shared:
@@ -505,153 +510,147 @@ class _RowHelper:
             self._close(self._fds)
 
 
-def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
-                          plan: BatchPlan) -> list[_BatchSums]:
-    """Integrate one trajectory per noise stream from eigenbasis amplitudes
-    c0, as one batch of at most the rows planned, and reduce it a chunk of
-    plan.chunk consecutive rows at a time (the last may be shorter).
-
-    Row b draws its increments from streams[b], a block of plan.block
-    steps at a time, into the arena's noise block (fill_dxi_blocks,
-    bit-identical to per-step sample_dxi) in the process that steps it (a
-    row helper, with plan.helper, steps the upper half).  At every step of
-    record_steps(plan.n_steps, plan.stride) the rows' amplitudes, <H> and
-    squared norm go into the record buffer, which this process reduces
-    when it is full and at the end of each noise block.  So each chunk's
-    _BatchSums, returned in row order, holds the bits of that chunk run as
-    a batch of its own (projectors at the last plan.projectors points).
-    The rows listed in keep (batch rows) also record <H>, Var H, the norm
-    defect ||psi + dpsi|| - 1 and their final state.
+class _Record:
+    """The record reducer of a batch, for this process's rows (split.rows),
+    and the only caller of the row helper's ready(), meet() and release().
 
     A row whose squared norm leaves [_MIN_NORM_SQ, inf) fails its chunk.
     The batch raises DegenerateStateError for the failed chunk of lowest
     index, naming its first bad step and, at that step, its lowest failed
     row: what that chunk raises alone, whichever chunks share its batch.
     """
-    count, n = len(streams), len(c0)
-    n_steps, stride, chunk = plan.n_steps, plan.stride, plan.chunk
-    starts = range(0, count, chunk)
-    n_rec = record_count(n_steps, stride)
-    skip = n_rec - plan.projectors      # leading points without projectors
-    keep = np.asarray(keep, dtype=np.intp)
-    row = (count, n) if count > 1 else (n,)     # a batch of one: a rank-1 row
-    # a helper is forked on entry, before the batch allocates (batch_plan)
-    with _RowHelper(plan, count, _batch_layout(row, plan.capacity,
-                                               plan.block)) as split:
-        mine = split.rows
-        own = (mine.stop - mine.start, n) if mine.stop - mine.start > 1 else (n,)
-        n_blocks = -(-n_steps // plan.block)
+
+    def __init__(self, kernel: _EigenKernel, streams, keep, split: _RowHelper):
+        self.kernel, self.streams, self.keep = kernel, streams, keep
+        self.split, self.plan, self.arena = split, split.plan, split.arena()
+        self.starts = range(0, len(streams), split.plan.chunk)
+        self.n_rec = record_count(split.plan.n_steps, split.plan.stride)
+        # points buffered, points reduced, the last one's index; the block
+        self.held = self.done = self.last = self.k = 0
+        self.failed = {}          # chunk -> the error of its first bad step
         if not split.child:
-            proj = np.empty((len(starts), plan.projectors, n, n),
-                            dtype=np.complex128)
-            e_sum, v_sum, drift_max = np.empty((3, len(starts), n_rec))
-            energy, variance, defect = np.empty((3, n_rec, len(keep)))
-        layout = _batch_layout(row, 0 if split.child else plan.capacity,
-                               plan.block, own, plan.group)
-        arena = {**_arena({k: v for k, v in layout.items()
-                           if k not in split.shared}), **split.shared}
-        held_c, norms, held_e, held_nrm_sq = (arena[k] for k in _SHARED)
-        held = done = last = k = 0  # points buffered, reduced, the last one
-        failed = {}          # chunk -> the error of its first bad step
+            n, chunks, t = len(kernel.energies), len(self.starts), self.n_rec
+            self.proj = np.empty((chunks, self.plan.projectors, n, n), complex)
+            self.e_sum, self.v_sum, self.drift_max = np.empty((3, chunks, t))
+            self.series = np.empty((3, t, len(self.keep)))
 
-        def hold(c, e, nrm_sq):
-            nonlocal held
-            split.ready()
-            held_c[held, mine], held_e[held, mine] = c, e
-            held_nrm_sq[held, mine] = nrm_sq
-            held += 1
-            if held == plan.capacity:
-                flush()
+    def hold(self, c, e, nrm_sq):
+        """Buffer the rows' amplitudes, <H> and squared norm."""
+        self.split.ready()
+        mine, i, a = self.split.rows, self.held, self.arena
+        a["held_c"][i, mine], a["held_e"][i, mine] = c, e
+        a["held_nrm_sq"][i, mine] = nrm_sq
+        self.held += 1
+        if self.held == self.plan.capacity:
+            self.flush()
 
-        def flush(start=0, block=0):
-            """A flush point, where the process that reduces fails the rows
-            whose norms left range in a block ending here, then reduces the
-            buffered points, each chunk on its rows: sums along rows, and
-            the projectors of all summed points in one stacked matmul."""
-            nonlocal held, done, last
-            if not split.meet(k, n_blocks):
-                held = 0
-                return
-            nrm_sq = norms[:block]    # a nan fails min and max, as a bad row
-            if block and not (nrm_sq.min() >= _MIN_NORM_SQ
-                              and nrm_sq.max() < np.inf):
-                bad = ~((nrm_sq >= _MIN_NORM_SQ) & (nrm_sq < np.inf))
-                for j, lo in enumerate(starts):
-                    part = bad[:, lo:lo + chunk]
-                    if j not in failed and part.any():
-                        i, b = divmod(int(np.argmax(part)), part.shape[1])
-                        b += lo
-                        failed[j] = DegenerateStateError(
-                            f"trajectory {streams[b].stream_index} failed at "
-                            f"step {start + i + 1}: norm^2 = "
-                            f"{float(norms[i, b])!r}")
-            if 0 in failed:
-                raise failed[0]
-            if held:
-                pos = slice(done, done + held)
-                e = held_e[:held]
-                hd, terms = (arena[k].reshape(-1)[:2 * n * e.size].reshape(
-                    (2 * n,) + e.shape) for k in ("var_hd", "var_terms"))
-                v = kernel.variance(held_c[:held], e,
-                                    (hd, terms, arena["var"][:held]))
-                d = np.sqrt(held_nrm_sq[:held], out=arena["defect"][:held])
-                d -= 1.0
-                drift = np.abs(d, out=arena["drift"][:held])
-                first = max(done, skip)     # the first point summed
-                for j, lo in enumerate(starts):
-                    rows = slice(lo, lo + chunk)
-                    if first < done + held:
-                        part = held_c[first - done:held, rows]
-                        conj = arena["var_hd"].reshape(-1).view(np.complex128)
-                        np.matmul(part.transpose(0, 2, 1), np.conjugate(
-                            part, out=conj[:part.size].reshape(part.shape)),
-                            out=proj[j][first - skip:done + held - skip])
-                    np.sum(e[:, rows], axis=1, out=e_sum[j, pos])
-                    np.sum(v[:, rows], axis=1, out=v_sum[j, pos])
-                    np.max(drift[:, rows], axis=1, out=drift_max[j, pos])
-                for series, x in ((energy, e), (variance, v), (defect, d)):
-                    np.take(x, keep, 1, series[pos], "clip")
-                done, last = done + held, held - 1
-            held = 0
-            split.release()
+    def block(self, k: int, steps: int):
+        """Start noise block k, of `steps` steps: its norms, free to write
+        now, and its steps that record: every stride-th, and the run's last."""
+        self.k, start, stride = k, k * self.plan.block, self.plan.stride
+        self.split.ready()
+        due = set(range((-start - 1) % stride, steps, stride))
+        if start + steps == self.plan.n_steps:
+            due.add(steps - 1)
+        return self.arena["norms"][:steps, self.split.rows], due
 
-        work = kernel.buffers(own, arena)
+    def flush(self, steps: int = 0):
+        """A flush point, where the process that reduces fails the rows
+        whose norms left range in a block of `steps` steps ending here, then
+        reduces the buffered points, each chunk on its rows."""
+        plan, arena, held, done = self.plan, self.arena, self.held, self.done
+        self.held = 0
+        if not self.split.meet(self.k, -(-plan.n_steps // plan.block)):
+            return
+        nrm_sq = arena["norms"][:steps]  # a nan fails min and max, as a bad row
+        if steps and not (_MIN_NORM_SQ <= nrm_sq.min() and nrm_sq.max() < np.inf):
+            bad = ~((nrm_sq >= _MIN_NORM_SQ) & (nrm_sq < np.inf))
+            for j, lo in enumerate(self.starts):
+                part = bad[:, lo:lo + plan.chunk]
+                if j not in self.failed and part.any():
+                    i, b = divmod(int(np.argmax(part)), part.shape[1])
+                    self.failed[j] = DegenerateStateError(
+                        f"trajectory {self.streams[lo + b].stream_index} failed"
+                        f" at step {self.k * plan.block + i + 1}: norm^2 = "
+                        f"{float(nrm_sq[i, lo + b])!r}")
+        if 0 in self.failed:
+            raise self.failed[0]
+        if held:
+            c, e = arena["held_c"][:held], arena["held_e"][:held]
+            pos, n = slice(done, done + held), c.shape[-1]
+            hd, terms = (arena[k].reshape(-1)[:2 * n * e.size].reshape(
+                (2 * n,) + e.shape) for k in ("var_hd", "var_terms"))
+            v = self.kernel.variance(c, e, (hd, terms, arena["var"][:held]))
+            d = np.sqrt(arena["held_nrm_sq"][:held], out=arena["defect"][:held])
+            d -= 1.0
+            drift = np.abs(d, out=arena["drift"][:held])
+            skip = self.n_rec - plan.projectors  # points without projectors
+            first = max(done, skip)     # the first point summed
+            for j, lo in enumerate(self.starts):
+                rows = slice(lo, lo + plan.chunk)
+                if first < done + held:
+                    part = c[first - done:, rows]
+                    conj = arena["var_hd"].reshape(-1).view(np.complex128)
+                    np.matmul(part.transpose(0, 2, 1), np.conjugate(
+                        part, out=conj[:part.size].reshape(part.shape)),
+                        out=self.proj[j][first - skip:done + held - skip])
+                np.sum(e[:, rows], axis=1, out=self.e_sum[j, pos])
+                np.sum(v[:, rows], axis=1, out=self.v_sum[j, pos])
+                np.max(drift[:, rows], axis=1, out=self.drift_max[j, pos])
+            for series, x in zip(self.series, (e, v, d)):
+                np.take(x, self.keep, 1, series[pos], "clip")
+            self.done, self.last = done + held, held - 1
+        self.split.release()
+
+    def sums(self) -> list[_BatchSums]:
+        """Each chunk's _BatchSums, in row order, unless a chunk failed."""
+        if self.failed:
+            raise self.failed[min(self.failed)]
+        plan, c = self.plan, self.arena["held_c"][self.last]  # the last step
+        terminal = self.arena["var"][self.last].copy()
+        times = self.kernel.dt * record_steps(plan.n_steps, plan.stride)
+        records = [[] for _ in self.starts]
+        for r, b in enumerate(self.keep):
+            records[b // plan.chunk].append(TrajectoryRecord(
+                times, *self.series[:, :, r], self.kernel.vecs @ c[b]))
+        return [_BatchSums(
+            self.proj[j], self.e_sum[j], self.v_sum[j], self.drift_max[j],
+            np.bincount(np.argmax(np.abs(c[lo:lo + plan.chunk]) ** 2, axis=1),
+                        minlength=c.shape[1]),
+            terminal[lo:lo + plan.chunk], records[j])
+            for j, lo in enumerate(self.starts)]
+
+
+def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
+                          plan: BatchPlan) -> list[_BatchSums]:
+    """Integrate one trajectory per noise stream from eigenbasis amplitudes
+    c0, as one batch of at most the rows planned, and reduce it (_Record) a
+    chunk of plan.chunk consecutive rows at a time (the last may be
+    shorter): each chunk's _BatchSums, in row order, holds the bits of that
+    chunk run as a batch of its own.  The rows in keep (batch rows) also
+    record <H>, Var H, the norm defect ||psi + dpsi|| - 1 and their final
+    state.  Row b draws its increments from streams[b] (fill_dxi_blocks,
+    bit-identical to per-step sample_dxi) in the process that steps it.
+    """
+    # a helper is forked on entry, before the batch allocates (batch_plan)
+    with _RowHelper(plan, len(streams), len(c0)) as split:
+        record = _Record(kernel, streams, keep, split)
+        arena = record.arena
+        work = kernel.buffers(arena["f"].shape, arena)  # the rows stepped
         c = work[0][0][0]      # the first amplitude buffer
         c[...] = c0
         e = kernel.mean_energy(c)
-        hold(c, e, 1.0)
-        for k in range(n_blocks):
-            start = k * plan.block
-            dxi = arena["noise"][:n_steps - start]
-            fill_dxi_blocks(kernel.dt, streams[mine], dxi, arena.get("group"))
+        record.hold(c, e, 1.0)
+        for k in range(-(-plan.n_steps // plan.block)):
+            dxi = arena["noise"][:plan.n_steps - k * plan.block]
+            fill_dxi_blocks(kernel.dt, streams[split.rows], dxi, arena.get("group"))
             coeff = kernel.coefficients(dxi)    # (steps, B, 1) or (steps,)
-            block = len(coeff)
-            split.ready()       # the block's norms are free to write
-            # a failed row runs on as nan/inf, reported at the end of the
-            # block, or of the batch if a chunk before its own may fail later
+            norms, due = record.block(k, len(coeff))
+            # a failed row runs on as nan/inf; the flush at block end fails it
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                c, e = kernel.steps(c, e, coeff, norms[:, mine], work, hold,
-                                    range((-start - 1) % stride, block, stride))
-                if start + block == n_steps and n_steps % stride:
-                    hold(c, e, norms[block - 1, mine])     # the last step
-            flush(start, block)
-    if failed:
-        raise failed[min(failed)]
-    c = held_c[last].reshape(count, n)     # the last step, always recorded
-    terminal = arena["var"][last].copy()
-    times = kernel.dt * record_steps(n_steps, stride).astype(float)
-    records = [[] for _ in starts]
-    for r, b in enumerate(keep):
-        records[b // chunk].append(TrajectoryRecord(
-            times=times, energy_mean=energy[:, r], energy_variance=variance[:, r],
-            norm_drift=defect[:, r], final_state=kernel.vecs @ c[b]))
-    return [_BatchSums(
-        projector_sum=proj[j], energy_sum=e_sum[j], variance_sum=v_sum[j],
-        max_norm_drift=drift_max[j],
-        winners=np.bincount(np.argmax(np.abs(c[lo:lo + chunk]) ** 2, axis=1),
-                            minlength=n),
-        terminal_variance=terminal[lo:lo + chunk], records=records[j])
-        for j, lo in enumerate(starts)]
+                c, e = kernel.steps(c, e, coeff, norms, work, record.hold, due)
+            record.flush(len(coeff))
+    return record.sums()
 
 
 def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,

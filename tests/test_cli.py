@@ -51,6 +51,7 @@ def assert_invalid_input_in_fresh_interpreter(*argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("qsdsim: invalid input")
     assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 def test_compare_run_does_not_import_numpy_ma(config_path):
@@ -111,6 +112,12 @@ class TestEstimate:
     ], ids=["delta-e-squared", "velocity-squared", "rate"])
     def test_overflow_is_invalid_input(self, argv):
         assert_invalid_input_in_fresh_interpreter("estimate", *argv)
+
+    def test_height_gap_overflow_names_the_gap(self):
+        # m g dh overflows: refused as the gap, not as |delta_e| = inf
+        stderr = assert_invalid_input_in_fresh_interpreter(
+            "estimate", "--mass", "1e300", "--delta-h", "1e10")
+        assert stderr.endswith("potential energy gap is not finite: inf\n")
 
     def test_conflicting_forms_rejected(self, capsys):
         assert run_cli(capsys, "estimate", "--delta-e", "1", "--delta-h", "1")[0] == 1

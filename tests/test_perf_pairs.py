@@ -34,10 +34,11 @@ class TestJudge:
 
 
 def fake_checkout(root: Path, wall: float, log: Path, failed=0,
-                  lines=(3, 4)) -> Path:
+                  lines=(3, 4), report=()) -> Path:
     """A checkout whose perfbench/run.py appends its name to log and
-    prints a result line with wall_s = wall and `failed` executions, and
-    whose src/qsdsim holds a module of each count of `lines`."""
+    prints the report rows `report` and a result line with wall_s = wall
+    and `failed` executions, and whose src/qsdsim holds a module of each
+    count of `lines`."""
     (root / "perfbench").mkdir(parents=True)
     (root / "src" / "qsdsim").mkdir(parents=True)
     for j, count in enumerate(lines):
@@ -49,6 +50,7 @@ def fake_checkout(root: Path, wall: float, log: Path, failed=0,
         "import json\n"
         f"open({str(log)!r}, 'a').write({root.name!r} + '\\n')\n"
         "print('report')\n"
+        + "".join(f"print({row!r})\n" for row in report) +
         f"print(json.dumps({{'correct': True, 'attempted': 3, "
         f"'failed': {failed}, "
         f"'metrics': {{'wall_s': {{'value': {wall}, 'unit': 's'}}}}}}))\n")
@@ -78,3 +80,28 @@ def test_a_failed_run_is_reported(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("change run failed: exit 0, 1 of 3 executions") == 2
     assert "wall_s" not in out
+
+
+def test_report_medians_are_printed(tmp_path, capsys):
+    # each side's unscaled_wall_s and host_speed: the median over its runs
+    # of the value column of perfbench's report row, printed unjudged
+    log = tmp_path / "order.txt"
+
+    def rows(unscaled, speed):
+        return (f"{'unscaled_wall_s':<28} {unscaled:>14} {'s':<6} {5:>7}  "
+                f"{unscaled} [{unscaled}..{unscaled}]",
+                f"{'host_speed':<28} {speed:>14} {'ratio':<6} {5:>7}  "
+                f"{speed} [{speed}..{speed}]", "wall_s_unscaled 9")
+
+    parent = fake_checkout(tmp_path / "parent", 0.4, log,
+                           report=rows(0.5, 0.8))
+    change = fake_checkout(tmp_path / "change", 0.3, log,
+                           report=rows(0.25, 1.2))
+    assert perf_pairs.main([str(parent), str(change), "--workload", "w",
+                            "--seed", "1", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert ("unscaled_wall_s (s, perfbench report, not judged): median 0.5 "
+            "-> 0.25 (-50.0 %)") in out
+    assert ("host_speed (ratio, perfbench report, not judged): median 0.8 "
+            "-> 1.2 (+50.0 %)") in out
+    assert out.count("wall_s 0.4 -> 0.3") == 2

@@ -201,6 +201,17 @@ class TestEnergyGapHelpers:
         with pytest.raises(InvalidParameterError):
             delta_e_from_height(-1.0, 1.0)
 
+    @pytest.mark.parametrize("mass, delta_h, g, value", [
+        (1e300, 1e10, 9.80665, "inf"), (1e300, -1e10, 9.80665, "-inf"),
+        (1.0, float("nan"), 9.80665, "nan"), (1.0, 1.0, float("nan"), "nan"),
+    ], ids=["overflow", "negative-overflow", "nan-height", "nan-g"])
+    def test_height_gap_that_is_not_finite_is_refused(self, mass, delta_h, g,
+                                                      value):
+        # as the kinetic gap is: m g dh is refused, not returned as inf or nan
+        with pytest.raises(InvalidParameterError,
+                           match=f"potential energy gap is not finite: {value}$"):
+            delta_e_from_height(mass, delta_h, g)
+
 
 class TestArgumentGuards:
     def test_fluctuating_step_rejects_bad_dt(self, rng):

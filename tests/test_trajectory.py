@@ -1091,6 +1091,56 @@ class TestNoiseHelper:
         assert len(pids) == 1
 
 
+class TestRecordReducer:
+    # the record reducer, fed hand-made amplitudes, <H> and squared norms,
+    # reduces each buffered point as that point alone
+
+    @pytest.mark.parametrize("capacity", [1, 3, 4, 11])
+    def test_sums_are_the_per_point_reductions(self, capacity):
+        # 21 rows in chunks of 10 (the last one row), 10 record points
+        # buffered `capacity` at a time, projectors at the last 4 (which a
+        # flush may split), rows 5, 1 and 20 kept
+        rows, n, n_rec, projectors, keep = 21, 3, 10, 4, [5, 1, 20]
+        rng = np.random.default_rng(capacity)
+        kernel, _ = batch_inputs(n, rows, seed=1)
+        c = rng.standard_normal((n_rec, rows, n)) \
+            + 1j * rng.standard_normal((n_rec, rows, n))
+        e = rng.standard_normal((n_rec, rows))
+        nrm_sq = 1.0 + 0.1 * rng.standard_normal((n_rec, rows))
+        plan = replace(plan_for(rows, n, n_rec - 1, 1, len(keep), 10,
+                                projectors=projectors), capacity=capacity)
+        streams = [NoiseStream(0, j) for j in range(rows)]
+        with trajectory._RowHelper(plan, rows, n) as split:
+            record = trajectory._Record(kernel, streams, keep, split)
+            for t in range(n_rec):
+                record.hold(c[t], e[t], nrm_sq[t])
+            record.flush()
+        sums = record.sums()
+        var = np.array([np.einsum("bi,bi,bi,bi->b", w, w, hd, hd) for w, hd in
+                        zip(c.view(np.float64), kernel._pairs - e[..., None])])
+        defect = np.sqrt(nrm_sq) - 1.0
+        records = [rec for part in sums for rec in part.records]
+        assert len(sums) == 3 and len(records) == 3
+        for j, part in enumerate(sums):
+            b = slice(10 * j, 10 * j + 10)
+            for t in range(n_rec):
+                assert part.energy_sum[t] == np.sum(e[t, b])
+                assert part.variance_sum[t] == np.sum(var[t, b])
+                assert part.max_norm_drift[t] == np.max(np.abs(defect[t, b]))
+            for p, t in enumerate(range(n_rec - projectors, n_rec)):
+                assert np.array_equal(part.projector_sum[p],
+                                      c[t, b].T @ c[t, b].conj())
+            assert np.array_equal(part.terminal_variance, var[-1, b])
+            assert np.array_equal(part.winners, np.bincount(
+                np.argmax(np.abs(c[-1, b]) ** 2, axis=1), minlength=n))
+        for k, rec in zip([5, 1, 20], records):
+            assert np.array_equal(rec.times, kernel.dt * np.arange(n_rec))
+            assert np.array_equal(rec.energy_mean, e[:, k])
+            assert np.array_equal(rec.energy_variance, var[:, k])
+            assert np.array_equal(rec.norm_drift, defect[:, k])
+            assert np.array_equal(rec.final_state, kernel.vecs @ c[-1, k])
+
+
 @st.composite
 def batch_plans(draw):
     """A batch (count 1..24 rows at n 1..5, n_steps 1..120 at any stride

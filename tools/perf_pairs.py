@@ -20,8 +20,13 @@ won (better in the metric's direction), and whether each rule holds:
 * bound: the change's median is worse than the parent's by no more than
   the metric's bound, a fraction of the parent's median.
 
-Under the verdicts it prints each checkout's `src/` line count, the lines
-of its src/qsdsim/*.py (what `cat src/qsdsim/*.py | wc -l` counts).
+Under the verdicts it prints, for each of REPORT_ROWS, the median over
+the runs of each side's value in perfbench's report (a run's median):
+`unscaled_wall_s`, the wall time before scaling to the reference host
+speed, and `host_speed`, that speed.  They are not judged; they tell a
+shift of the calibration from a change in the program.  Last comes each
+checkout's `src/` line count, the lines of its src/qsdsim/*.py (what `cat
+src/qsdsim/*.py | wc -l` counts).
 
 A run that exits non-zero, or reports failed executions or `correct:
 false`, is printed with its pair; the script then exits 1.
@@ -34,10 +39,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+REPORT_ROWS = {"unscaled_wall_s": "s", "host_speed": "ratio"}
+
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """The result line of one perfbench run in checkout, or the reason it
-    has none or a failure."""
+    """The metrics of one perfbench run in checkout, from its result line,
+    with the values of REPORT_ROWS from its report; or the reason it has
+    none or a failure."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -51,7 +59,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
         return None, (f"exit {proc.returncode}, {result['failed']} of "
                       f"{result['attempted']} executions failed, correct "
                       f"{result['correct']}")
-    return {k: m["value"] for k, m in result["metrics"].items()}, None
+    rows = {f[0]: float(f[1]) for f in map(str.split, lines[:-1])
+            if len(f) > 1 and f[0] in REPORT_ROWS}
+    return {**rows, **{k: m["value"] for k, m in result["metrics"].items()}}, None
 
 
 def judge(parent: list, change: list, better: str, bound: float) -> dict:
@@ -131,6 +141,13 @@ def main(argv=None) -> int:
               f"{v['pairs']}; nine of ten: {_yes(v['nine_of_ten'])}, beyond "
               f"the IQR: {_yes(v['beyond_iqr'])}, within the bound "
               f"{metric['bound']:g}: {_yes(v['within_bound'])}")
+    for name, unit in REPORT_ROWS.items():
+        if all(name in got for side in sides for got in values[side]):
+            before, after = (statistics.median(got[name] for got in values[side])
+                             for side in sides)
+            print(f"{name} ({unit}, perfbench report, not judged): median "
+                  f"{before:.6g} -> {after:.6g} "
+                  f"({100 * (after / before - 1.0):+.1f} %)")
     lines = {side: src_lines(sides[side]) for side in sides}
     print(f"src/ lines: parent {lines['parent']}, change {lines['change']} "
           f"({lines['change'] - lines['parent']:+d})")
