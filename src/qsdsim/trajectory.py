@@ -521,7 +521,7 @@ class _Record:
     """
 
     def __init__(self, kernel: _EigenKernel, streams, keep, split: _RowHelper):
-        self.kernel, self.streams, self.keep = kernel, streams, keep
+        self.kernel, self.streams, self.keep = kernel, streams, np.array(keep, np.intp)
         self.split, self.plan, self.arena = split, split.plan, split.arena()
         self.starts = range(0, len(streams), split.plan.chunk)
         self.n_rec = record_count(split.plan.n_steps, split.plan.stride)
