@@ -1119,21 +1119,22 @@ class TestRecordReducer:
         var = np.array([np.einsum("bi,bi,bi,bi->b", w, w, hd, hd) for w, hd in
                         zip(c.view(np.float64), kernel._pairs - e[..., None])])
         defect = np.sqrt(nrm_sq) - 1.0
-        records = [rec for part in sums for rec in part.records]
-        assert len(sums) == 3 and len(records) == 3
+        assert len(sums) == 3
         for j, part in enumerate(sums):
-            b = slice(10 * j, 10 * j + 10)
+            chunk = slice(10 * j, 10 * j + 10)
             for t in range(n_rec):
-                assert part.energy_sum[t] == np.sum(e[t, b])
-                assert part.variance_sum[t] == np.sum(var[t, b])
-                assert part.max_norm_drift[t] == np.max(np.abs(defect[t, b]))
+                assert part.energy_sum[t] == np.sum(e[t, chunk])
+                assert part.variance_sum[t] == np.sum(var[t, chunk])
+                assert part.max_norm_drift[t] == np.max(np.abs(
+                    defect[t, chunk]))
             for p, t in enumerate(range(n_rec - projectors, n_rec)):
                 assert np.array_equal(part.projector_sum[p],
-                                      c[t, b].T @ c[t, b].conj())
-            assert np.array_equal(part.terminal_variance, var[-1, b])
+                                      c[t, chunk].T @ c[t, chunk].conj())
+            assert np.array_equal(part.terminal_variance, var[-1, chunk])
             assert np.array_equal(part.winners, np.bincount(
-                np.argmax(np.abs(c[-1, b]) ** 2, axis=1), minlength=n))
-        for k, rec in zip([5, 1, 20], records):
+                np.argmax(np.abs(c[-1, chunk]) ** 2, axis=1), minlength=n))
+        records = [rec for part in sums for rec in part.records]
+        for k, rec in zip(keep, records, strict=True):   # in chunk order
             assert np.array_equal(rec.times, kernel.dt * np.arange(n_rec))
             assert np.array_equal(rec.energy_mean, e[:, k])
             assert np.array_equal(rec.energy_variance, var[:, k])
@@ -1190,7 +1191,7 @@ class TestPlanDeterminism:
         records = [rec for part in sums for rec in part.records]
         for b, rec in zip(sorted(keep, key=lambda k: k // plan.chunk),
                           records, strict=True):
-            alone = plain([b], [0])[0]
+            alone = plain([b], [0])[0]      # its record is rec, bit for bit
             assert_sums_equal([replace(alone, records=[rec])], [alone])
 
 
