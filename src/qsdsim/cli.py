@@ -7,7 +7,6 @@ during a command prints as one `qsdsim: warning:` line.
 """
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -158,18 +157,19 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_master(args) -> int:
-    """The closed-form solution from the initial projector at every step
-    time; each master.csv row is written as its chunk of states arrives,
-    and the snapshot states are evaluated at their own times."""
+    """The closed-form solution from the initial projector, made once, at
+    every step time; each master.csv row is written as its chunk of states
+    arrives, and the snapshot states are evaluated at their own times."""
     config = _load_config(args)
     out = _out_dir(args)
-    states = functools.partial(
-        master_mod.exact_states, qcore.pure_projector(config.initial_state),
-        config.hamiltonian, config.tau0, config.dt)
+    rho0, n = qcore.pure_projector(config.initial_state), len(config.initial_state)
+    solution = master_mod.exact_solution(rho0, config.hamiltonian, config.tau0)
     steps = range(config.n_steps + 1)
-    snapshots = list(states(master_mod.snapshot_indices(len(steps))))
+    snapshots = list(master_mod.exact_states(
+        solution, n, config.dt, master_mod.snapshot_indices(len(steps))))
     header = config.header()
-    master_mod.write_summary_csv(out / "master.csv", states(steps), header)
+    master_mod.write_summary_csv(out / "master.csv", master_mod.exact_states(
+        solution, n, config.dt, steps), header)
     master_mod.write_snapshots_json(out / "master_states.json", snapshots,
                                     header)
     final = snapshots[-1][1]

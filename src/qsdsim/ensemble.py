@@ -2,7 +2,8 @@
 
 The parent diagonalizes H once; trajectories are then integrated as
 energy-eigenbasis amplitudes (trajectory._EigenKernel), each drawing from
-its own counter-based noise stream keyed by (master_seed, trajectory_index).
+its own counter-based noise stream keyed by (master_seed, trajectory_index)
+in the process that steps it: a job is the seed and its range of indices.
 
 The chunk is the unit of reduction: CHUNK_SIZE consecutive trajectories,
 fixed whatever the worker count, reduced at every record time (sums of
@@ -28,6 +29,7 @@ tau0 values finite instead of forcing 1e-44 s steps.  The conversion is
 echoed in every output header.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -38,7 +40,6 @@ import numpy as np
 from . import master as master_mod
 from . import qcore, spacetime
 from .errors import DegenerateStateError, InvalidParameterError, QsdError
-from .noise import NoiseStream
 from .trajectory import (BatchPlan, TrajectoryRecord, _BatchSums,
                          _EigenKernel, _integrate_eigenbasis, batch_plan,
                          record_count, record_steps)
@@ -226,17 +227,6 @@ class EnsembleSummary:
         return self.config.n_trajectories
 
 
-def _simulate_job(args) -> list[_BatchSums]:
-    """Integrate trajectories `rows` (a range) as one batch under `plan`
-    and reduce them a chunk at a time, returning one _BatchSums per chunk;
-    `keep` holds the batch rows whose series are retained.  By the
-    trajectory module's determinism rule, trajectory k matches
-    run_trajectory on stream k bit for bit."""
-    kernel, c0, seed, rows, keep, plan = args
-    streams = [NoiseStream(seed, k) for k in rows]
-    return _integrate_eigenbasis(kernel, c0, streams, keep, plan)
-
-
 def _shape(m: int, n: int, pool_size: int) -> tuple[int, int, int]:
     """Chunks, jobs and the widest job's rows of _jobs(m, n, pool_size), by
     arithmetic: the last job (with the ragged chunk) has the most chunks,
@@ -339,14 +329,15 @@ def _run(config: SimulationConfig, rows: range, workers: int, retain,
     kernel = _EigenKernel(config.hamiltonian, config.dt, config.tau0)
     c0 = kernel.vecs.conj().T @ config.initial_state   # <v_k | psi0>
     jobs = [rows[j.start:j.stop] for j in _jobs(len(rows), n, workers)]
-    args = [(kernel, c0, config.master_seed, job,
-             [k - job.start for k in retain if k in job], plan) for job in jobs]
+    keeps = [[k - job.start for k in retain if k in job] for job in jobs]
+    job = functools.partial(_integrate_eigenbasis, kernel, c0,
+                            config.master_seed, plan=plan)
     if pool_size == 1:
-        return kernel, c0, _fold(map(_simulate_job, args))
+        return kernel, c0, _fold(map(job, jobs, keeps))
     # concurrent.futures takes 5-8 ms to import: only a pool pays it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return kernel, c0, _fold(pool.map(_simulate_job, args))
+        return kernel, c0, _fold(pool.map(job, jobs, keeps))
 
 
 def run_ensemble(config: SimulationConfig, workers: int = 1, retain=(), *,

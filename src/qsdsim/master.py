@@ -18,11 +18,11 @@ with w_jk = E_j - E_k.  Every formula here is evaluated at hbar = 1 (SI
 configs are rescaled on load, see ensemble).
 
 That closed form is the only master path of the package: `compare`
-evaluates it at the record times, and the `master` subcommand at every
-step time through exact_states, in chunks of MASTER_CHUNK_BYTES, writing
-each state's summary row as its chunk arrives.  integrate_master (RK4)
-with the two generators is the independent oracle the tests check the
-closed form against.
+evaluates it at the record times, and the `master` subcommand (one
+exact_solution) at every step time through exact_states, in chunks of
+MASTER_CHUNK_BYTES, writing each state's summary row as its chunk
+arrives.  integrate_master (RK4) with the two generators is the
+independent oracle the tests check the closed form against.
 """
 
 import warnings
@@ -138,15 +138,13 @@ def max_offdiagonal(rho) -> float:
     return float(np.max(np.abs(rho[mask]))) if rho.shape[0] > 1 else 0.0
 
 
-def exact_states(rho0, h, tau0: float, dt: float, steps):
-    """Yield (t, rho) of psd_master_exact at t = dt * k for each step index
-    k of `steps` (a range or an array), in order.
-
-    One exact_solution serves chunks of MASTER_CHUNK_BYTES of states, each
-    chunk's times built from its own step indices: no array spans all steps.
+def exact_states(solution, n: int, dt: float, steps):
+    """Yield (t, rho) of solution (an exact_solution at dimension n) at t =
+    dt * k for each step index k of `steps` (a range or an array), in order,
+    in chunks of MASTER_CHUNK_BYTES of states, each chunk's times built from
+    its own step indices: no array spans all steps.
     """
-    solution = exact_solution(rho0, h, tau0)
-    chunk = max(MASTER_CHUNK_BYTES // (16 * len(rho0) ** 2), 1)   # complex128
+    chunk = max(MASTER_CHUNK_BYTES // (16 * n * n), 1)   # complex128
     for start in range(0, len(steps), chunk):
         times = dt * np.asarray(steps[start:start + chunk])
         yield from zip(times, solution(times))

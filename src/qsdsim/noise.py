@@ -13,8 +13,8 @@ Streams are counter-based (Philox) and keyed by (master_seed,
 stream_index), so every trajectory of an ensemble owns an independent,
 bit-reproducible noise source, whoever draws it and when.  A batch draws
 its streams a block of steps at a time (fill_dxi_blocks) into the noise
-block of its one layout (trajectory._batch_layout), each stream in the
-process that steps its trajectory (trajectory._RowHelper).
+block of its one layout (trajectory._batch_layout), each stream keyed and
+drawn in the process that steps its trajectory (trajectory._RowHelper).
 """
 
 import functools

@@ -44,8 +44,9 @@ range of rows) on its own rows: sums along rows, and the projectors of
 the buffered points in one stacked BLAS call per chunk (the same zgemm per
 point as a call per point; chunk boundaries are fixed).  Every array a
 batch writes is a view of one allocation (_batch_layout), so no draw, step
-or flush allocates one.  A forked row helper may step the upper half of
-the rows (_RowHelper): no output bit depends on which process steps a row.
+or flush allocates one.  Each process keys the noise streams of the rows
+it steps, and a forked row helper may step the upper half of the rows
+(_RowHelper): no output bit depends on which process steps a row.
 batch_plan decides all this once per run, and states the memory it takes.
 """
 
@@ -379,11 +380,11 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     leaves out the arrays it shares, which take a page of their own), two
     buffers of up to np.getbufsize() floats NumPy's iterator may take in
     a flush, the first <H>, the kept series and the record times.  A
-    helper (`helper`, its bytes) adds a copy of each page resident at its
-    fork that either process writes: a base and a term per stream, above
-    its peak Private_Dirty in a fresh interpreter (0.66 to 0.87 of
-    `helper`), but not of heap that a process freed before the fork and
-    reuses.
+    helper (`helper`, its bytes) adds its streams and a copy of each page
+    resident at its fork that either process writes: a base and a term
+    per stream, above its peak Private_Dirty in a fresh interpreter (0.69
+    to 0.91 of `helper`), but not of heap a process freed before the fork
+    and reuses.
     """
     block = min(n_steps, max(1, NOISE_BLOCK_BYTES // (24 * count)))
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
@@ -447,6 +448,7 @@ class _RowHelper:
     def __enter__(self):
         if not self.shared:
             return self
+        import numpy.random  # noqa: F401  (before the fork: the helper shares it)
         fds = os.pipe() + os.pipe()     # to the parent, to the helper
         try:
             with warnings.catch_warnings():
@@ -520,10 +522,10 @@ class _Record:
     row: what that chunk raises alone, whichever chunks share its batch.
     """
 
-    def __init__(self, kernel: _EigenKernel, streams, keep, split: _RowHelper):
-        self.kernel, self.streams, self.keep = kernel, streams, np.array(keep, np.intp)
+    def __init__(self, kernel: _EigenKernel, rows: range, keep, split: _RowHelper):
+        self.kernel, self.rows, self.keep = kernel, rows, np.array(keep, np.intp)
         self.split, self.plan, self.arena = split, split.plan, split.arena()
-        self.starts = range(0, len(streams), split.plan.chunk)
+        self.starts = range(0, len(rows), split.plan.chunk)
         self.n_rec = record_count(split.plan.n_steps, split.plan.stride)
         # points buffered, points reduced, the last one's index; the block
         self.held = self.done = self.last = self.k = 0
@@ -570,8 +572,8 @@ class _Record:
                 if j not in self.failed and part.any():
                     i, b = divmod(int(np.argmax(part)), part.shape[1])
                     self.failed[j] = DegenerateStateError(
-                        f"trajectory {self.streams[lo + b].stream_index} failed"
-                        f" at step {self.k * plan.block + i + 1}: norm^2 = "
+                        f"trajectory {self.rows[lo + b]} failed at step "
+                        f"{self.k * plan.block + i + 1}: norm^2 = "
                         f"{float(nrm_sq[i, lo + b])!r}")
         if 0 in self.failed:
             raise self.failed[0]
@@ -621,20 +623,21 @@ class _Record:
             for j, lo in enumerate(self.starts)]
 
 
-def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
-                          plan: BatchPlan) -> list[_BatchSums]:
-    """Integrate one trajectory per noise stream from eigenbasis amplitudes
-    c0, as one batch of at most the rows planned, and reduce it (_Record) a
+def _integrate_eigenbasis(kernel: _EigenKernel, c0, seed: int, rows: range,
+                          keep, plan: BatchPlan) -> list[_BatchSums]:
+    """Integrate trajectories `rows` (a range) from eigenbasis amplitudes
+    c0 as one batch of at most the rows planned, and reduce it (_Record) a
     chunk of plan.chunk consecutive rows at a time (the last may be
     shorter): each chunk's _BatchSums, in row order, holds the bits of that
     chunk run as a batch of its own.  The rows in keep (batch rows) also
     record <H>, Var H, the norm defect ||psi + dpsi|| - 1 and their final
-    state.  Row b draws its increments from streams[b] (fill_dxi_blocks,
-    bit-identical to per-step sample_dxi) in the process that steps it.
+    state.  Trajectory k draws from NoiseStream(seed, k) (fill_dxi_blocks,
+    bit-identical to per-step sample_dxi), keyed in the process that steps it.
     """
     # a helper is forked on entry, before the batch allocates (batch_plan)
-    with _RowHelper(plan, len(streams), len(c0)) as split:
-        record = _Record(kernel, streams, keep, split)
+    with _RowHelper(plan, len(rows), len(c0)) as split:
+        streams = [NoiseStream(seed, k) for k in rows[split.rows]]
+        record = _Record(kernel, rows, keep, split)
         arena = record.arena
         work = kernel.buffers(arena["f"].shape, arena)  # the rows stepped
         c = work[0][0][0]      # the first amplitude buffer
@@ -643,7 +646,7 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, streams, keep,
         record.hold(c, e, 1.0)
         for k in range(-(-plan.n_steps // plan.block)):
             dxi = arena["noise"][:plan.n_steps - k * plan.block]
-            fill_dxi_blocks(kernel.dt, streams[split.rows], dxi, arena.get("group"))
+            fill_dxi_blocks(kernel.dt, streams, dxi, arena.get("group"))
             coeff = kernel.coefficients(dxi)    # (steps, B, 1) or (steps,)
             norms, due = record.block(k, len(coeff))
             # a failed row runs on as nan/inf; the flush at block end fails it

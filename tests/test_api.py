@@ -150,12 +150,14 @@ def test_only_qcore_writes_files():
 
 
 def test_import_loads_no_process_modules():
-    # a pool, a row helper's shared buffer and its kill are imported by
-    # the runs that use them, which spares every other run 1.5 to 8 ms
+    # a pool, a row helper's shared buffer and its kill, and the noise
+    # streams' numpy.random (a split batch loads it before its fork) are
+    # imported by the runs that use them, which spares every other run 1.5
+    # to 14 ms
     src = str(Path(qsdsim.__file__).resolve().parents[1])
     code = ("import sys, qsdsim, qsdsim.cli; print(' '.join(m for m in ("
-            "'concurrent.futures', 'mmap', 'signal', 'multiprocessing') "
-            "if m in sys.modules))")
+            "'concurrent.futures', 'mmap', 'signal', 'multiprocessing', "
+            "'numpy.random') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)

@@ -401,6 +401,20 @@ class TestMasterCommand:
         assert peak < 16e6                  # measured 3.6 MB: 1 MiB chunks
         assert list((tmp_path / "out").glob("master*")) == []
 
+    def test_one_closed_form_serves_snapshots_and_rows(self, capsys,
+                                                       monkeypatch, tmp_path):
+        # the snapshots and the 6 chunks of master.csv rows (4 states each
+        # at n = 2) are evaluated from one exact_solution: one eigh of H
+        monkeypatch.setattr(master, "MASTER_CHUNK_BYTES", 4 * 16 * 2 * 2)
+        path = write_master_config(tmp_path, np.diag([0.5, -0.5]), 0.25, 5.0)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: (
+            calls.append(args), eigh(*args))[1])
+        code, _ = run_cli(capsys, "master", "--config", str(path),
+                          "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert len(calls) == 1
+
 
 class _FullDisk:
     """A text file whose fourth write fails, as on a full disk."""
@@ -653,9 +667,9 @@ class TestExitCodes:
             "trajectory-over-memory-budget"])
     def test_refused_before_integration(self, capsys, monkeypatch, config_path,
                                         argv, overrides):
-        def fail(args):
+        def fail(*args, **kwargs):
             raise AssertionError("a trajectory chunk was started")
-        monkeypatch.setattr(qsdsim.ensemble, "_simulate_job", fail)
+        monkeypatch.setattr(qsdsim.ensemble, "_integrate_eigenbasis", fail)
         data = json.loads(config_path.read_text())
         data.update(overrides)
         config_path.write_text(json.dumps(data))

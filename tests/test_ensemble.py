@@ -441,10 +441,9 @@ class TestStreamedReductions:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                args = list(args)
-                seen.append({bool(a[-1].helper) for a in args})
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                seen.append({bool(fn.keywords["plan"].helper)})
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         # a job of 512 rows of 1100 steps has the work for a split, so the
@@ -492,23 +491,23 @@ class TestStreamedReductions:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         needs, plans = [], []
-        check, simulate = qcore.check_memory, ensemble._simulate_job
+        check, simulate = qcore.check_memory, ensemble._integrate_eigenbasis
 
         def spy_check(need, what, advice):
             needs.append(need)
             check(need, what, advice)
 
-        def spy_job(args):
-            plans.append(args[-1])
-            return simulate(args)
+        def spy_job(*args, plan):
+            plans.append(plan)
+            return simulate(*args, plan=plan)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(qcore, "check_memory", spy_check)
-        monkeypatch.setattr(ensemble, "_simulate_job", spy_job)
+        monkeypatch.setattr(ensemble, "_integrate_eigenbasis", spy_job)
         force_noise_path(monkeypatch, False, workers)
         config = make_config(n_trajectories=1030, t_final=2.75)
         run_ensemble(config, workers=workers, retain=[0, 1029])
@@ -563,9 +562,9 @@ class TestStreamedReductions:
         assert peak < 40e6
 
     def _refuse_chunks(self, monkeypatch):
-        def fail(args):
+        def fail(*args, **kwargs):
             raise AssertionError("a trajectory chunk was started")
-        monkeypatch.setattr(ensemble, "_simulate_job", fail)
+        monkeypatch.setattr(ensemble, "_integrate_eigenbasis", fail)
 
     def test_over_budget_run_refused_before_integration(self, monkeypatch):
         self._refuse_chunks(monkeypatch)

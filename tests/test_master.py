@@ -258,7 +258,8 @@ class TestClosedForm:
                 calls.append(_name)
                 return _f(*args)
             monkeypatch.setattr(np.linalg, name, counted)
-        states = list(master.exact_states(rho0, h, 0.4, 0.01, range(67)))
+        states = list(master.exact_states(master.exact_solution(rho0, h, 0.4),
+                                          8, 0.01, range(67)))
         assert sorted(calls) == ["eigh", "eigvalsh"]
         monkeypatch.undo()
         assert len(states) == 67

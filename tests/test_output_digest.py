@@ -18,6 +18,7 @@ import contextlib
 import ctypes
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,17 +58,17 @@ def host_key() -> dict:
                                    if on)}
 
 
-def fresh_listing() -> list:
+def fresh_listing(extra=()) -> list:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert output_digest.main(ARGS) == 0
+        assert output_digest.main(ARGS + list(extra)) == 0
     return out.getvalue().splitlines()
 
 
-def test_outputs_are_the_committed_listing():
-    """A fresh listing is the one committed under this host's key.  On a
-    host with no listing committed the test skips and says so: a skip is
-    not a pass, for it compared no byte."""
+def saved_listing() -> list:
+    """The listing committed under this host's key.  On a host with no
+    listing committed the calling test skips and says so: a skip is not a
+    pass, for it compared no byte."""
     key = host_key()
     saved = [entry["listing"] for entry in json.loads(DIGESTS.read_text())
              if entry["host"] == key]
@@ -75,7 +76,25 @@ def test_outputs_are_the_committed_listing():
         pytest.skip(f"no output listing is committed for this host, {key}; "
                     f"a skip is not a pass (python3 tests/{Path(__file__).name} "
                     "stores one)")
-    assert fresh_listing() == saved[0]
+    return saved[0]
+
+
+def test_outputs_are_the_committed_listing():
+    """A fresh listing is the one committed under this host's key."""
+    assert fresh_listing() == saved_listing()
+
+
+def test_outputs_do_not_depend_on_the_split():
+    """Under --cpus 1 every batch steps in-process, while on a host of 2
+    usable CPUs or more the listing splits qubit_compare and dense64_compare
+    with a row helper: the listing is still the committed one.  With fewer
+    CPUs nothing splits, so the test skips, and a skip is not a pass.  It
+    adds about 4 s to tier-1 on a 2-CPU host."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2:
+        pytest.skip(f"{cpus} usable CPU: no batch splits, so --cpus 1 tests "
+                    "nothing the committed listing does not; a skip is not a pass")
+    assert fresh_listing(["--cpus", "1"]) == saved_listing()
 
 
 if __name__ == "__main__":

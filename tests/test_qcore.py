@@ -279,8 +279,9 @@ class TestPackageWriters:
 
     def test_master_snapshots(self, tmp_path, config):
         snapshots = list(master.exact_states(
-            pure_projector(config.initial_state), config.hamiltonian,
-            config.tau0, config.dt,
+            master.exact_solution(pure_projector(config.initial_state),
+                                  config.hamiltonian, config.tau0),
+            len(config.initial_state), config.dt,
             master.snapshot_indices(config.n_steps + 1)))
         path = tmp_path / "master_states.json"
         master.write_snapshots_json(path, snapshots, config.header())

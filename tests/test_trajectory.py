@@ -428,11 +428,10 @@ class TestRankOneStep:
         kernel, c0 = batch_inputs(n, 3, seed=n)
 
         def run(rows, chunk):
-            streams = [NoiseStream(5, j) for j in rows]
             plan = trajectory.batch_plan(
                 len(rows), n, 2500, stride, len(rows), chunk, False,
                 trajectory.record_count(2500, stride) if n < 64 else 0)
-            return _integrate_eigenbasis(kernel, c0, streams,
+            return _integrate_eigenbasis(kernel, c0, 5, rows,
                                          range(len(rows)),
                                          replace(plan, block=1100))
 
@@ -441,7 +440,7 @@ class TestRankOneStep:
             assert_sums_equal(batch[b:b + 1], run([b], 1))
 
     @pytest.mark.parametrize("zero", [False, True], ids=["overflow", "zero"])
-    def test_lone_row_fails_as_its_batch_row(self, zero):
+    def test_lone_row_fails_as_its_batch_row(self, monkeypatch, zero):
         # noise of 1e300 at step 1500 overflows norm^2 to inf, and the row
         # renormalized by 0 reaches norm^2 = 0 at the next step; a zero c0
         # has norm^2 = 0 at step 1.  The rank-1 row, which takes 1 /
@@ -450,14 +449,15 @@ class TestRankOneStep:
         if zero:
             c0 = np.zeros_like(c0)
 
+        monkeypatch.setattr(trajectory, "NoiseStream", lambda seed, j: (
+            _PoisonedStream(seed, j, 0 if zero or j else 1500)))
+
         def error(rows):
-            streams = [_PoisonedStream(3, j, 0 if zero or j else 1500)
-                       for j in rows]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DegenerateStateError) as info:
                     _integrate_eigenbasis(
-                        kernel, c0, streams, [0],
+                        kernel, c0, 3, rows, [0],
                         replace(plan_for(len(rows), 3, 2100, 1, 1),
                                 block=614))
             return str(info.value)
@@ -472,8 +472,7 @@ class TestRankOneStep:
         kernel, c0 = batch_inputs(4, rows, seed=4)
 
         def run():
-            streams = [NoiseStream(2, j) for j in range(rows)]
-            return _integrate_eigenbasis(kernel, c0, streams, [0],
+            return _integrate_eigenbasis(kernel, c0, 2, range(rows), [0],
                                          plan_for(rows, 4, 1100, 7, 1))
 
         private = run()
@@ -553,9 +552,8 @@ class TestRecordBuffer:
         def run():
             plan = replace(plan_for(40, 4, n_steps, 1, len(keep)), block=614,
                            helper=True)
-            streams = [NoiseStream(6, j) for j in range(40)]
-            return plan.capacity, _integrate_eigenbasis(kernel, c0, streams,
-                                                        keep, plan)
+            return plan.capacity, _integrate_eigenbasis(kernel, c0, 6,
+                                                        range(40), keep, plan)
 
         capacity, buffered = run()
         assert 1 < capacity < 614 and n_steps % capacity and 614 % capacity
@@ -589,8 +587,7 @@ class TestRecordBuffer:
             return steps(c, e, coeff, norms, work, held, due)
 
         monkeypatch.setattr(kernel, "steps", recording)
-        streams = [NoiseStream(9, j) for j in range(20)]
-        sums = _integrate_eigenbasis(kernel, c0, streams, (), plan)
+        sums = _integrate_eigenbasis(kernel, c0, 9, range(20), (), plan)
         assert len(states) == 1101
         for j, part in enumerate(sums):
             for t, c in enumerate(states):
@@ -618,8 +615,7 @@ class TestRecordBuffer:
         assert base.projectors == n_rec
 
         def run(projectors):
-            streams = [NoiseStream(6, j) for j in range(5)]
-            return _integrate_eigenbasis(kernel, c0, streams, [0, 4], replace(
+            return _integrate_eigenbasis(kernel, c0, 6, range(5), [0, 4], replace(
                 base, projectors=projectors))
 
         every = run(n_rec)
@@ -659,11 +655,10 @@ class TestRecordBuffer:
                             projectors)
             estimate = (plan.bytes - plan.helper
                         - -(-rows // 512) * plan.reduction)
-            streams = [NoiseStream(1, j) for j in range(rows)]
             shared.clear()
             tracemalloc.start()
             try:
-                sums = _integrate_eigenbasis(kernel, c0, streams,
+                sums = _integrate_eigenbasis(kernel, c0, 1, range(rows),
                                              list(range(kept)), plan)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -703,10 +698,9 @@ class TestRecordBuffer:
             return steps(*args)
 
         monkeypatch.setattr(kernel, "steps", traced)
-        streams = [NoiseStream(4, j) for j in range(rows)]
         tracemalloc.start()
         try:
-            _integrate_eigenbasis(kernel, c0, streams, [0], plan)
+            _integrate_eigenbasis(kernel, c0, 4, range(rows), [0], plan)
         finally:
             tracemalloc.stop()
         assert n_blocks >= 5 and plan.capacity < block // stride
@@ -743,14 +737,14 @@ class TestRecordBuffer:
         # rows (2 and 4 are in the helper's half)
         kernel, c0 = batch_inputs(3, 5, seed=9)
         pids = forks(monkeypatch)
+        monkeypatch.setattr(trajectory, "NoiseStream", lambda seed, j: (
+            _PoisonedStream(seed, j, poisoned.get(j, 0))))
         for helper in (False, True):
-            streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
-                       for j in range(5)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DegenerateStateError, match=expected):
                     _integrate_eigenbasis(
-                        kernel, c0, streams, [0, 2],
+                        kernel, c0, 3, range(5), [0, 2],
                         replace(plan_for(5, 3, 2100, 1, 2), block=614,
                                 helper=helper))
         assert len(pids) == 1
@@ -767,10 +761,9 @@ class TestRecordBuffer:
         keep = [0, chunk - 1, chunk, rows - 1]
 
         def run(lo, hi, chunk=None):
-            streams = [NoiseStream(7, j) for j in range(lo, hi)]
             kept = [k - lo for k in keep if lo <= k < hi]
             return _integrate_eigenbasis(
-                kernel, c0, streams, kept,
+                kernel, c0, 7, range(lo, hi), kept,
                 plan_for(hi - lo, n, 1100, 7, len(kept), chunk))
 
         alone = [run(lo, min(lo + chunk, rows))[0]
@@ -789,12 +782,12 @@ class TestRecordBuffer:
         # names what its lowest failing chunk names alone
         kernel, c0 = batch_inputs(3, 7, seed=9)
         pids = forks(monkeypatch)
+        monkeypatch.setattr(trajectory, "NoiseStream", lambda seed, j: (
+            _PoisonedStream(seed, j, poisoned.get(j, 0))))
 
         def run(lo, hi, chunk, helper):
-            streams = [_PoisonedStream(3, j, poisoned.get(j, 0))
-                       for j in range(lo, hi)]
             _integrate_eigenbasis(
-                kernel, c0, streams, [0],
+                kernel, c0, 3, range(lo, hi), [0],
                 replace(plan_for(hi - lo, 3, 2100, 1, 1, chunk), block=614,
                         helper=helper))
 
@@ -808,12 +801,12 @@ class TestRecordBuffer:
 
 
 class _DyingStream(NoiseStream):
-    """A noise stream whose copy in another process (a row helper) ends
-    that process once it has drawn `steps` increments."""
+    """A noise stream that, keyed in a process other than `owner` (a row
+    helper), ends that process once it has drawn `steps` increments."""
 
-    def __init__(self, master_seed, stream_index, steps):
+    def __init__(self, master_seed, stream_index, steps, owner):
         super().__init__(master_seed, stream_index)
-        self.steps, self.drawn, self.owner = steps, 0, os.getpid()
+        self.steps, self.drawn, self.owner = steps, 0, owner
 
     def standard_normal(self, size=None, out=None):
         if os.getpid() != self.owner and self.drawn >= self.steps:
@@ -829,7 +822,6 @@ import os
 import sys
 import numpy as np
 from qsdsim import trajectory
-from qsdsim.noise import NoiseStream
 
 def dirty(pid):
     total = part = 0
@@ -858,10 +850,9 @@ def polled(*args):      # the parent's draws, from its second block on
 os.fork, trajectory.fill_dxi_blocks = forked, polled
 n, rows, n_steps = map(int, sys.argv[1:])
 kernel = trajectory._EigenKernel(np.diag(np.linspace(-1, 1, n)), 2e-3, 0.4)
-streams = [NoiseStream(1, j) for j in range(rows)]
 c0 = np.full(n, 1 / np.sqrt(n), dtype=complex)
 plan = trajectory.batch_plan(rows, n, n_steps, 1, 1, 512, True, n_steps + 1)
-trajectory._integrate_eigenbasis(kernel, c0, streams, [0], plan)
+trajectory._integrate_eigenbasis(kernel, c0, 1, range(rows), [0], plan)
 print(max(peaks) if len(peaks) >= 2 else 0, plan.helper)
 """
 
@@ -899,7 +890,7 @@ class TestNoiseHelper:
         plan = trajectory.batch_plan(128, 8, 3000, 1, 0, 512, spare_cpu, 3001)
         kernel, c0 = batch_inputs(8, 128, seed=8)
         sums = [_integrate_eigenbasis(
-            kernel, c0, [NoiseStream(9, j) for j in range(128)], [0, 127],
+            kernel, c0, 9, range(128), [0, 127],
             replace(plan, block=block)) for block in (plan.block, 3000)]
         assert_sums_equal(*sums)
         for count, block in ((512, 614), (1030, 305), (2000, 157),
@@ -912,9 +903,8 @@ class TestNoiseHelper:
         pids = forks(monkeypatch)
 
         def run(helper):
-            streams = [NoiseStream(5, j) for j in range(40)]
             return _integrate_eigenbasis(
-                kernel, c0, streams, [0, 39],
+                kernel, c0, 5, range(40), [0, 39],
                 replace(plan_for(40, 3, 2500, 3, 2, 16), block=614,
                         helper=helper))
 
@@ -938,8 +928,7 @@ class TestNoiseHelper:
         plan = replace(plan, block=block or plan.block)
 
         def run(helper):
-            streams = [NoiseStream(4, j) for j in range(count)]
-            return _integrate_eigenbasis(kernel, c0, streams, keep,
+            return _integrate_eigenbasis(kernel, c0, 4, range(count), keep,
                                          replace(plan, helper=helper))
 
         assert_sums_equal(run(1), run(0))
@@ -971,13 +960,42 @@ class TestNoiseHelper:
             assert np.array_equal(
                 block, np.stack(expected, axis=1).reshape(block.shape))
 
+    def test_each_process_keys_the_streams_it_steps(self, monkeypatch):
+        # a split batch of 41 rows keys in this process only the streams of
+        # the 20 rows it steps (the helper keys the other 21 in its own);
+        # where the fork fails, this process keys all 41
+        monkeypatch.setattr(trajectory, "SPLIT_WORK", 1)
+        force_noise_path(monkeypatch, True)
+        keyed, init = [], NoiseStream.__init__
+
+        def counted(self, master_seed, stream_index=0):
+            keyed.append(stream_index)      # to this process's list
+            init(self, master_seed, stream_index)
+
+        monkeypatch.setattr(NoiseStream, "__init__", counted)
+        pids = forks(monkeypatch)
+        config = SimulationConfig(
+            hamiltonian=np.diag([1.0, -0.5, 0.2]), initial_state=np.ones(3),
+            tau0=0.4, dt=2e-3, t_final=0.2, n_trajectories=41, master_seed=5)
+        split = run_ensemble(config)
+        assert len(pids) == 1 and keyed == list(range(41 // 2))
+
+        def fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        keyed.clear()
+        monkeypatch.setattr(os, "fork", fork)
+        alone = run_ensemble(config)
+        assert keyed == list(range(41))
+        assert np.array_equal(alone.terminal_variances,
+                              split.terminal_variances)
+
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
 
         def run(helper):
-            streams = [NoiseStream(5, j) for j in range(40)]
             return _integrate_eigenbasis(
-                kernel, c0, streams, [0, 39],
+                kernel, c0, 5, range(40), [0, 39],
                 replace(plan_for(40, 3, 2500, 3, 2, 16), block=614,
                         helper=helper))
 
@@ -1043,16 +1061,18 @@ class TestNoiseHelper:
         peak, charged = map(int, proc.stdout.split())
         assert 0 < peak <= charged
 
-    def test_a_dying_helper_raises(self):
+    def test_a_dying_helper_raises(self, monkeypatch):
         # the helper ends as it draws its rows' third block of 614 steps;
         # the batch says so instead of waiting for rows that never come
         kernel, c0 = batch_inputs(3, 5, seed=9)
-        streams = [_DyingStream(3, j, 700) for j in range(5)]
+        owner = os.getpid()
+        monkeypatch.setattr(trajectory, "NoiseStream", lambda seed, j: (
+            _DyingStream(seed, j, 700, owner)))
         with pytest.raises(RuntimeError, match=r"row helper process \d+ "
                            r"ended \(exit status 3\) before it handed over "
                            r"its rows in noise block 3 of 4"):
             _integrate_eigenbasis(
-                kernel, c0, streams, [0],
+                kernel, c0, 3, range(5), [0],
                 replace(plan_for(5, 3, 2100, 1, 1), block=614, helper=True))
 
     def test_numerical_failure_reaps_the_helper(self, monkeypatch):
@@ -1083,10 +1103,9 @@ class TestNoiseHelper:
 
         monkeypatch.setattr(kernel, "steps", interrupted)
         pids = forks(monkeypatch)
-        streams = [NoiseStream(2, j) for j in range(3)]
         with pytest.raises(KeyboardInterrupt):
             _integrate_eigenbasis(
-                kernel, c0, streams, [],
+                kernel, c0, 2, range(3), [],
                 replace(plan_for(3, 2, 3000, 10), block=614, helper=True))
         assert len(pids) == 1
 
@@ -1109,9 +1128,8 @@ class TestRecordReducer:
         nrm_sq = 1.0 + 0.1 * rng.standard_normal((n_rec, rows))
         plan = replace(plan_for(rows, n, n_rec - 1, 1, len(keep), 10,
                                 projectors=projectors), capacity=capacity)
-        streams = [NoiseStream(0, j) for j in range(rows)]
         with trajectory._RowHelper(plan, rows, n) as split:
-            record = trajectory._Record(kernel, streams, keep, split)
+            record = trajectory._Record(kernel, range(rows), keep, split)
             for t in range(n_rec):
                 record.hold(c[t], e[t], nrm_sq[t])
             record.flush()
@@ -1174,8 +1192,7 @@ class TestPlanDeterminism:
         kernel, c0 = batch_inputs(n, count, seed)
 
         def run(rows, kept, plan):
-            streams = [NoiseStream(seed, j) for j in rows]
-            return _integrate_eigenbasis(kernel, c0, streams, kept, plan)
+            return _integrate_eigenbasis(kernel, c0, seed, rows, kept, plan)
 
         def plain(rows, kept):      # one block, capacity 1, no helper
             return run(rows, kept, replace(
