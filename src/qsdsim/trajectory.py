@@ -29,13 +29,15 @@ Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
 (`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
 the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
 its test oracles.  It steps B rows as a (B, n) array, and a batch of one
-as a rank-1 row (n,): fewer NumPy calls, and no casts.
+as a rank-1 row (n,): fewer NumPy calls, and no casts.  It renormalizes a
+row only at the steps that read its norm (see _EigenKernel.steps).
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row, whose bits
 depend neither on how many rows share a batch, nor on whether the row
-steps alone as rank 1, nor on how many record points share a flush, so
-trajectory k of an ensemble replays as a batch of one.
+steps alone as rank 1, nor on how many record points share a flush, and
+which steps renormalize depends on the step index and the stride alone,
+so trajectory k of an ensemble replays as a batch of one.
 
 One driver, _integrate_eigenbasis, steps a batch a noise block (at most
 NOISE_BLOCK_BYTES) at a time; one record reducer, _Record, buffers its
@@ -77,6 +79,7 @@ HELPER_STREAM_BYTES = 1 << 10  # and a term per stream (see batch_plan)
 _SHARED = ("held_c", "norms", "held_e", "held_nrm_sq")  # written by a helper
 _PAGE, _LINE = 4096, 64  # a batch's arena starts on a page, each array on a line
 _MIN_NORM_SQ = 1e-28     # squared norm below which a step counts as collapsed
+_RENORM_STEPS = 64       # a row is renormalized at least every this many steps
 
 
 def lindblad_from_hamiltonian(h, tau0: float) -> np.ndarray:
@@ -219,19 +222,30 @@ class _EigenKernel:
         return (amps, a["f"], (a["hd"],) * 2, (a["cur"],) * 2, a["e"], a["r"],
                 a["rows"], a["tiled"])
 
-    def steps(self, c, e, coeff, norms, work, hold=None, due=()):
+    def steps(self, c, e, coeff, norms, work, hold=None, at=(0, 1, 0)):
         """Step rows c (B, n) with <H> e (B,) through coefficients coeff
         (steps, B, 1), or a rank-1 row c (n,) with scalar e through coeff
         (steps,), writing into work = buffers(c.shape) (c is only read);
-        return the last c and <H>.  Each step's squared norms before
-        renormalization go to norms (steps, B); after each step i in due,
-        hold(c, e, norm^2) gets the rows.
+        return the last c and <H>.  at = (start, stride, n_steps) places
+        the block in its run: step i is the run's step s = start + i + 1,
+        which records, handing the rows to hold(c, e, norm^2), if s %
+        stride = 0 or s = n_steps (by default every step records).
+
+        Renormalizing scales a row by a positive scalar, which leaves <H>,
+        and so the next step, unchanged; a row is renormalized only after
+        a record step, the step before one (a recorded norm^2 is one
+        step's, from a unit row), the run's last two steps and every
+        _RENORM_STEPS-th step, by s and the stride alone; in between <H>
+        is w.w E / norm^2.  norms (steps, B) gets each step's norm^2
+        relative to the last renormalization; the flush fails a row at the
+        first outside [_MIN_NORM_SQ, inf).
 
         hd is formed negated, as <H> - E_k, and the update re-signed to
         1 - (coeff - curvature hd) hd: IEEE negation is exact, so these are
         the bits of 1 + (coeff + curvature hd) hd with hd = E_k - <H>."""
         amps, f, (hd_out, hd), (cur_out, cur), e_next, r, rows, tiled = work
         j = int(c is amps[0][0])
+        start, stride, n_steps = at
         for i, k in enumerate(coeff):
             np.subtract(e if r is None else e.take(rows, None, hd, "clip"),
                         tiled, hd_out)
@@ -244,18 +258,32 @@ class _EigenKernel:
             nxt, w, columns = amps[j]
             np.multiply(f, c, nxt)
             c, j = nxt, 1 - j
+            if r is None:
+                nrm = norms[i, 0] = _einsum("...i,...i->...", w, w)
+            else:
+                nrm = _einsum("...i,...i->...", w, w, out=norms[i])
+            s = start + i + 1
+            due = s % stride    # 0 at a record step
+            if due and due < stride - 1 and s < n_steps - 1 \
+                    and s % _RENORM_STEPS:
+                # a rank-1 row divides NumPy scalars, not a 0-d array (a
+                # ufunc call): a batch row's IEEE division, nan at norm 0
+                if r is None:
+                    e = _einsum("...i,...i,i->...", w, w, self._pairs) / nrm
+                else:
+                    e = np.divide(_einsum("...i,...i,i->...", w, w,
+                                          self._pairs, out=e_next), nrm, e_next)
+                continue
             # times the reciprocal on the float view, transposed so that a
             # row's norm broadcasts: a complex divide by a real's bits;
             # Python's 1 / sqrt gives NumPy's but raises at norm 0
             if r is None:
-                nrm = norms[i, 0] = _einsum("...i,...i->...", w, w)
                 scale = 1.0 / (math.sqrt(nrm) if nrm else np.sqrt(nrm))
             else:
-                nrm = _einsum("...i,...i->...", w, w, out=norms[i])
                 scale = np.reciprocal(np.sqrt(nrm, r), r)
             np.multiply(columns, scale, columns)
             e = _einsum("...i,...i,i->...", w, w, self._pairs, out=e_next)
-            if i in due:
+            if hold and (not due or s == n_steps):
                 hold(c, e, nrm)
         return c, e
 
@@ -548,13 +576,11 @@ class _Record:
 
     def block(self, k: int, steps: int):
         """Start noise block k, of `steps` steps: its norms, free to write
-        now, and its steps that record: every stride-th, and the run's last."""
-        self.k, start, stride = k, k * self.plan.block, self.plan.stride
+        now, and its place in the run, the `at` of _EigenKernel.steps."""
+        self.k, plan = k, self.plan
         self.split.ready()
-        due = set(range((-start - 1) % stride, steps, stride))
-        if start + steps == self.plan.n_steps:
-            due.add(steps - 1)
-        return self.arena["norms"][:steps, self.split.rows], due
+        return (self.arena["norms"][:steps, self.split.rows],
+                (k * plan.block, plan.stride, plan.n_steps))
 
     def flush(self, steps: int = 0):
         """A flush point, where the process that reduces fails the rows
@@ -648,10 +674,10 @@ def _integrate_eigenbasis(kernel: _EigenKernel, c0, seed: int, rows: range,
             dxi = arena["noise"][:plan.n_steps - k * plan.block]
             fill_dxi_blocks(kernel.dt, streams, dxi, arena.get("group"))
             coeff = kernel.coefficients(dxi)    # (steps, B, 1) or (steps,)
-            norms, due = record.block(k, len(coeff))
+            norms, at = record.block(k, len(coeff))
             # a failed row runs on as nan/inf; the flush at block end fails it
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                c, e = kernel.steps(c, e, coeff, norms, work, record.hold, due)
+                c, e = kernel.steps(c, e, coeff, norms, work, record.hold, at)
             record.flush(len(coeff))
     return record.sums()
 

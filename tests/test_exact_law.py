@@ -14,6 +14,14 @@ against the law at tau0, read z = -7.9 and +7.9, and fail.
 
 Tier-1 time: three runs of 1.2 to 1.7 s each on a loaded 2-CPU host where
 tier-1 took 82 s; 0.44 s each where tier-1 took 27 s.
+
+A second config, the README qubit: H = diag(0.5, -0.5), psi0 = (1, 1) /
+sqrt(2), the same tau0, t, dt, M and seed; quadrature 0.17583.  It runs at
+tau0 only and reads -0.00024 against a gate of 0.00274 (z = -0.5).  Power:
+tau0 x 1.05 reads z = -6.4 and would fail, while tau0 x 0.95 reads z = +5.8
+and passes the gate, so this config fails a tau0 error of about +5 % but
+not of -5 %.  Tier-1 time: 0.8 to 1.0 s on a 2-CPU host, about one run
+of the first config there.
 """
 
 import numpy as np
@@ -26,13 +34,17 @@ from qsdsim import SimulationConfig, run_ensemble
 TAU0, T_FINAL, DT, M = 0.4, 2.0, 0.0025, 20_000
 
 
-def gap_and_gate(scale: float) -> tuple[float, float]:
-    """The mean terminal Var H of a run at tau0 x scale minus the law at
-    tau0, and the gate: 4 standard errors plus 0.35 dt."""
+def random_config() -> tuple[np.ndarray, np.ndarray]:
+    """H (n = 4, max|E| = 1) and psi0 of numpy rng seed 4."""
     rng = np.random.default_rng(4)
     h = random_hermitian(rng, 4)
     h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-    psi0 = random_state(rng, 4)
+    return h, random_state(rng, 4)
+
+
+def gap_and_gate(scale: float, h, psi0) -> tuple[float, float]:
+    """The mean terminal Var H of a run from psi0 under H at tau0 x scale
+    minus the law at tau0, and the gate: 4 standard errors plus 0.35 dt."""
     config = SimulationConfig(
         hamiltonian=h, initial_state=psi0, tau0=TAU0 * scale, dt=DT,
         t_final=T_FINAL, n_trajectories=M, master_seed=11,
@@ -46,11 +58,17 @@ def gap_and_gate(scale: float) -> tuple[float, float]:
 
 
 def test_mean_variance_is_the_exact_law():
-    gap, gate = gap_and_gate(1.0)
+    gap, gate = gap_and_gate(1.0, *random_config())
     assert abs(gap) <= gate
 
 
 @pytest.mark.parametrize("scale", [1.05, 0.95])
 def test_a_five_percent_tau0_error_fails(scale):
-    gap, gate = gap_and_gate(scale)
+    gap, gate = gap_and_gate(scale, *random_config())
     assert abs(gap) > gate
+
+
+def test_readme_qubit_is_the_exact_law():
+    gap, gate = gap_and_gate(1.0, np.diag([0.5, -0.5]),
+                             np.array([1.0, 1.0]) / np.sqrt(2))
+    assert abs(gap) <= gate

@@ -18,7 +18,7 @@ from qsdsim import (DegenerateStateError, InvalidParameterError, NoiseStream,
                     gauge_transform, lindblad_from_hamiltonian, lindblad_rhs,
                     norm_defect_samples, normalize, psd_master_rhs, psd_step,
                     qsd_step, run_ensemble, run_trajectory, sample_dxi_block)
-from qsdsim import qcore, trajectory
+from qsdsim import ensemble, qcore, trajectory
 from qsdsim.noise import fill_dxi_blocks
 from qsdsim.trajectory import _EigenKernel, _integrate_eigenbasis
 from conftest import (force_noise_path, forks, plan_for,
@@ -230,6 +230,71 @@ class TestEigenKernel:
             run_trajectory(config, 2)
 
 
+def dense_record(config, k):
+    """<H>, Var H and the norm defect at each record time of trajectory k,
+    and its final state, from psd_step on stream k: the oracle of a kernel
+    that renormalizes a row only at some steps."""
+    h, tau0, dt = config.hamiltonian, config.tau0, config.dt
+    dxi = sample_dxi_block(dt, config.n_steps,
+                           NoiseStream(config.master_seed, k))
+    due = set(trajectory.record_steps(config.n_steps, config.record_stride))
+    psi, series = config.initial_state, []
+    for s in range(config.n_steps + 1):
+        if s:
+            step = psi + trajectory.psd_increment(psi, h, tau0, dxi[s - 1], dt)
+            psi = psd_step(psi, h, tau0, dxi[s - 1], dt)
+        if s in due:
+            hpsi = h @ psi
+            mean = np.vdot(psi, hpsi).real
+            series.append((mean, np.vdot(hpsi, hpsi).real - mean ** 2,
+                           np.linalg.norm(step) - 1.0 if s else 0.0))
+    return np.array(series).T, psi
+
+
+class TestDeferredRenormalization:
+    # between renormalizations a row keeps its scale, and <H> divides by
+    # its norm^2; the record is still the dense step's, renormalized at
+    # every step, to rounding
+
+    @pytest.mark.parametrize("stride", [7, 2400], ids=["stride-7", "last-only"])
+    def test_records_are_the_dense_steps(self, stride):
+        # 2400 steps, no multiple of 7; at stride 2400 only every 64th step
+        # and the last two renormalize.  Row 3 alone and in a batch of 5
+        rng = np.random.default_rng(41)
+        h = random_hermitian(rng, 4)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        config = SimulationConfig(
+            hamiltonian=h, initial_state=random_state(rng, 4), tau0=0.4,
+            dt=2e-3, t_final=4.8, n_trajectories=5, master_seed=6,
+            record_stride=stride)
+        series, psi = dense_record(config, 3)
+        for rec in (run_trajectory(config, 3),
+                    run_ensemble(config, retain=[3]).trajectories[3]):
+            got = np.array([rec.energy_mean, rec.energy_variance,
+                            rec.norm_drift])
+            assert got.shape == series.shape
+            assert np.max(np.abs(got - series)) < 1e-10
+            assert np.max(np.abs(rec.final_state - psi)) < 1e-10
+
+    def test_under_resolved_rows_finish_at_unit_norm(self):
+        # dt E_max = 5 and tau0 = 8, where the step is far from its
+        # continuum limit: 64 rows and a lone row run 2000 steps, each
+        # renormalized only every 64 steps and at steps 999 to 1000 and
+        # 1999 to 2000
+        rng = np.random.default_rng(8)
+        h = random_hermitian(rng, 8)
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+        config = SimulationConfig(
+            hamiltonian=h, initial_state=random_state(rng, 8), tau0=8.0,
+            dt=5.0, t_final=10_000.0, n_trajectories=64, master_seed=2,
+            record_stride=1000)
+        with pytest.warns(RuntimeWarning, match="under-resolves"):
+            records = [*run_ensemble(config, retain=range(64))
+                       .trajectories.values(), run_trajectory(config, 63)]
+        for rec in records:
+            assert abs(np.linalg.norm(rec.final_state) - 1.0) < 1e-12
+
+
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -341,8 +406,7 @@ def block_steps(kernel, c, e, coeff):
     held = []
     norms = np.empty((len(coeff), len(c) if c.ndim == 2 else 1))
     kernel.steps(c, e, coeff, norms, kernel.buffers(c.shape),
-                 lambda *step: held.append(tuple(map(np.copy, step))),
-                 range(len(coeff)))
+                 lambda *step: held.append(tuple(map(np.copy, step))))
     return held, norms
 
 
@@ -580,11 +644,11 @@ class TestRecordBuffer:
         states = [np.tile(c0, (20, 1))]
         steps = kernel.steps
 
-        def recording(c, e, coeff, norms, work, hold, due):
+        def recording(c, e, coeff, norms, work, hold, at):
             def held(c, e, nrm_sq):
                 states.append(c.copy())
                 hold(c, e, nrm_sq)
-            return steps(c, e, coeff, norms, work, held, due)
+            return steps(c, e, coeff, norms, work, held, at)
 
         monkeypatch.setattr(kernel, "steps", recording)
         sums = _integrate_eigenbasis(kernel, c0, 9, range(20), (), plan)
@@ -705,6 +769,30 @@ class TestRecordBuffer:
             tracemalloc.stop()
         assert n_blocks >= 5 and plan.capacity < block // stride
         assert peak[0] <= 32 * np.getbufsize() + (16 << 10)
+
+    def test_a_lone_row_at_stride_one_fits_its_plan(self, monkeypatch):
+        # 300 000 steps of a lone row, one noise block, each step a record
+        # point: the steps that record are found by arithmetic, so the
+        # run's traced peak is its plan's bytes and the slack above (a set
+        # of the block's record steps took 44.0 MiB against 26.2 MiB).  A
+        # short run first loads what the first run in a process imports
+        plans = []
+        monkeypatch.setattr(ensemble, "batch_plan", lambda *args: (
+            plans.append(trajectory.batch_plan(*args)) or plans[-1]))
+        config = one_trajectory(np.diag([0.5, -0.5]),
+                                np.array([1, 1]) / np.sqrt(2), tau0=0.4,
+                                dt=1e-3, t_final=300.0, master_seed=3,
+                                record_stride=1)
+        run_trajectory(replace(config, t_final=0.01), 0)
+        tracemalloc.start()
+        try:
+            run_trajectory(config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plan = plans[-1]
+        assert plan.n_steps == plan.block == 300_000 and plan.stride == 1
+        assert peak <= plan.bytes + 32 * np.getbufsize() + (16 << 10)
 
     def test_grouped_fill_is_sample_dxi_block(self):
         # 7 streams in groups of 3 (the last one partial), 3 streams (one
