@@ -9,12 +9,12 @@ The chunk is the unit of reduction: CHUNK_SIZE consecutive trajectories,
 fixed whatever the worker count, reduced at every record time (sums of
 <H> and Var H, the largest norm defect, winner counts; the eigenbasis
 projector's at the times read), with per-trajectory series only for the
-trajectories asked for.
-The parent folds those partial sums in chunk-index order.  The batch is
-the unit of stepping: a job steps a run of consecutive chunks as one
-batch, as many as BATCH_AMPLITUDES allows but no more than keeps every
-worker busy, and with a CPU spare per worker a forked row helper may step
-half of it (trajectory.batch_plan).  By the trajectory module's
+trajectories asked for.  The parent folds those partial sums in
+chunk-index order and keeps the mean projector in the eigenbasis.  The
+batch is the unit of stepping: a job steps a run of consecutive chunks as
+one batch, as many as BATCH_AMPLITUDES allows but no more than keeps
+every worker busy, and with a CPU spare per worker a forked row helper
+may step half of it (trajectory.batch_plan).  By the trajectory module's
 determinism rule a run's output is bit-identical for any worker count,
 any job width and either split.  One runner (_run) serves run_ensemble
 and run_trajectory, whose trajectory is a one-row job that sums no
@@ -211,11 +211,12 @@ class EnsembleSummary:
     the run was asked to retain."""
 
     times: np.ndarray                    # (T,)
-    mean_projector: np.ndarray           # (T, n, n); (1, n, n): final only
+    eigen_projector: np.ndarray          # (T, n, n) mean; (1, n, n): final only
     mean_energy: np.ndarray              # (T,)
     mean_energy_variance: np.ndarray     # (T,)
     max_norm_drift: np.ndarray           # (T,) largest |norm defect| over all
     eigenvalues: np.ndarray              # (n,) ascending
+    eigenvectors: np.ndarray             # (n, n) columns, as eigenvalues
     initial_populations: np.ndarray      # (n,) in the energy eigenbasis
     born_frequencies: np.ndarray         # (n,) terminal fractions per eigenstate
     terminal_variances: np.ndarray       # (M,) final Var H per trajectory
@@ -225,6 +226,14 @@ class EnsembleSummary:
     @property
     def n_trajectories(self) -> int:
         return self.config.n_trajectories
+
+    @functools.cached_property
+    def mean_projector(self) -> np.ndarray:
+        """eigen_projector rotated to the config's basis on first access."""
+        return self.rotate(self.eigen_projector)
+
+    def rotate(self, rho_eigen) -> np.ndarray:     # eigenbasis -> config's
+        return self.eigenvectors @ rho_eigen @ self.eigenvectors.conj().T
 
 
 def _shape(m: int, n: int, pool_size: int) -> tuple[int, int, int]:
@@ -364,15 +373,15 @@ def run_ensemble(config: SimulationConfig, workers: int = 1, retain=(), *,
     t = record_count(config.n_steps, config.record_stride)
     kernel, c0, total = _run(config, range(m), workers, retain,
                              1 if final_projector_only else t)
-    vecs = kernel.vecs
     return EnsembleSummary(
         times=config.dt * record_steps(config.n_steps,
                                        config.record_stride).astype(float),
-        mean_projector=vecs @ (total.projector_sum / m) @ vecs.conj().T,
+        eigen_projector=total.projector_sum / m,
         mean_energy=total.energy_sum / m,
         mean_energy_variance=total.variance_sum / m,
         max_norm_drift=total.max_norm_drift,
         eigenvalues=kernel.energies,
+        eigenvectors=kernel.vecs,
         initial_populations=np.abs(c0) ** 2,
         born_frequencies=total.winners / m,
         terminal_variances=total.terminal_variance,
@@ -385,19 +394,19 @@ def compare_ensemble_to_master(summary: EnsembleSummary) -> np.ndarray:
     """Trace distance between the ensemble mean projector and the master
     solution of the run's own config at every record time.
 
-    The master solution is the closed form of master.psd_master_exact,
-    evaluated at the record times only.  Expected to scale as
-    O(1/sqrt(M)) Monte Carlo error plus O(dt) discretization bias.
+    The distance is the same in any basis: it is taken from eigen_projector
+    to master.eigenbasis_solution from c0 = V^dagger psi0, at the record
+    times only, with no rotation and no second diagonalization.  Expected to
+    scale as O(1/sqrt(M)) Monte Carlo error plus O(dt) discretization bias.
     """
-    if len(summary.mean_projector) != len(summary.times):
+    if len(summary.eigen_projector) != len(summary.times):
         raise InvalidParameterError(
             "the summary has no mean projector at every record time; run "
             "run_ensemble without final_projector_only to compare it")
-    config = summary.config
-    rhos = master_mod.psd_master_exact(
-        qcore.pure_projector(config.initial_state), config.hamiltonian,
-        config.tau0, summary.times)
-    return qcore.trace_distance(summary.mean_projector, rhos)
+    c0 = summary.eigenvectors.conj().T @ summary.config.initial_state
+    rhos = master_mod.eigenbasis_solution(
+        np.outer(c0, c0.conj()), summary.eigenvalues, summary.config.tau0)
+    return qcore.trace_distance(summary.eigen_projector, rhos(summary.times))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +450,7 @@ def write_summary_json(path, summary: EnsembleSummary, header: dict, dist):
         "eigenvalues": summary.eigenvalues,
         "initial_populations": summary.initial_populations,
         "born_frequencies": summary.born_frequencies,
-        "final_mean_projector": summary.mean_projector[-1],
+        "final_mean_projector": summary.rotate(summary.eigen_projector[-1]),
         "trace_distance_to_master": dist,
         "terminal_variance_max": float(summary.terminal_variances.max()),
         "terminal_variance_median": float(median),

@@ -17,12 +17,12 @@ solves in closed form (psd_master_exact),
 with w_jk = E_j - E_k.  Every formula here is evaluated at hbar = 1 (SI
 configs are rescaled on load, see ensemble).
 
-That closed form is the only master path of the package: `compare`
-evaluates it at the record times, and the `master` subcommand (one
-exact_solution) at every step time through exact_states, in chunks of
-MASTER_CHUNK_BYTES, writing each state's summary row as its chunk
-arrives.  integrate_master (RK4) with the two generators is the
-independent oracle the tests check the closed form against.
+That closed form (eigenbasis_solution) is the only master path of the
+package: `compare` evaluates it in the eigenbasis at the record times,
+and the `master` subcommand (one exact_solution, which rotates each state
+back) at every step time through exact_states, in chunks of
+MASTER_CHUNK_BYTES, writing each state's summary row as its chunk arrives.
+integrate_master (RK4) with the two generators is the independent oracle.
 """
 
 import warnings
@@ -116,10 +116,16 @@ def exact_solution(rho0, h, tau0: float):
         raise ShapeError(f"shape mismatch: rho {rho0.shape} vs H {h.shape}")
     tau0 = qcore.positive("tau0", tau0, allow_zero=True)
     energies, vecs = np.linalg.eigh(h)
+    eigen = eigenbasis_solution(vecs.conj().T @ rho0 @ vecs, energies, tau0)
+    return lambda t: vecs @ eigen(t) @ vecs.conj().T
+
+
+def eigenbasis_solution(rho_eigen, energies, tau0: float):
+    """exact_solution in the eigenbasis of `energies`, from rho0 there
+    (rho_eigen), unchecked: each entry decays at its own rate."""
     w = energies[:, None] - energies[None, :]
     rate = -1j * w - 0.5 * tau0 * w * w
-    rho_eigen = vecs.conj().T @ rho0 @ vecs
-    return lambda t: vecs @ (rho_eigen * np.exp(t[:, None, None] * rate)) @ vecs.conj().T
+    return lambda t: rho_eigen * np.exp(t[:, None, None] * rate)
 
 
 def analytic_offdiagonal(rho0_12: complex, e1: float, e2: float, tau0: float,

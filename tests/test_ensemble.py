@@ -12,7 +12,7 @@ from qsdsim import (InvalidParameterError, SimulationConfig, as_density,
                     integrate_master, load_config, psd_master_rhs,
                     pure_projector, run_ensemble, spacetime,
                     trace_distance)
-from qsdsim import ensemble, qcore, trajectory
+from qsdsim import ensemble, master, qcore, trajectory
 from qsdsim.ensemble import (run_trajectory, write_ensemble_csv,
                              write_summary_json, write_trajectory_csv)
 from conftest import (force_noise_path, helper_term, pairs, random_hermitian,
@@ -754,6 +754,7 @@ class TestCompare:
         summary = run_ensemble(make_config(n_trajectories=8),
                                final_projector_only=True)
         assert summary.mean_projector.shape == (1, 2, 2)
+        assert summary.eigen_projector.shape == (1, 2, 2)
         with pytest.raises(InvalidParameterError,
                            match="without final_projector_only"):
             compare_ensemble_to_master(summary)
@@ -809,6 +810,68 @@ class TestCompare:
         assert fine < 0.5 * coarse
         assert coarse < 0.06
         assert fine < 0.02
+
+
+def random_compare_config(n=5, **overrides):
+    """A random n-level config (numpy rng seed 8, max|E| = 1) with 13 record
+    times."""
+    rng = np.random.default_rng(8)
+    h = random_hermitian(rng, n)
+    h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+    return make_config(**{"hamiltonian": h, "initial_state": random_state(rng, n),
+                          "dt": 0.01, "t_final": 1.2, "n_trajectories": 40,
+                          "record_stride": 10, **overrides})
+
+
+class TestEigenbasisCompare:
+    """compare_ensemble_to_master works in the energy eigenbasis, and the
+    mean projector is rotated back only when it is read."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_distance_is_that_of_the_rotated_states(self, workers):
+        # the eigenbasis distance is the one between the rotated mean
+        # projector and the closed form in the config's basis
+        config = random_compare_config()
+        summary = run_ensemble(config, workers=workers)
+        assert len(summary.times) >= 10
+        rhos = master.psd_master_exact(pure_projector(config.initial_state),
+                                       config.hamiltonian, config.tau0,
+                                       summary.times)
+        dist = compare_ensemble_to_master(summary)
+        assert dist.shape == summary.times.shape
+        assert np.max(np.abs(dist - qcore.trace_distance(
+            summary.mean_projector, rhos))) <= 1e-12
+
+    def test_mean_projector_is_the_eager_rotation(self):
+        # bit for bit V (S / M) V^dagger of the run's own projector sums,
+        # computed on first access and then kept
+        config = random_compare_config()
+        summary = run_ensemble(config)
+        assert "mean_projector" not in vars(summary)
+        kernel, _, total = ensemble._run(config, range(40), 1, [],
+                                         len(summary.times))
+        vecs = kernel.vecs
+        eager = vecs @ (total.projector_sum / 40) @ vecs.conj().T
+        assert np.array_equal(summary.eigenvectors, vecs)
+        assert np.array_equal(summary.mean_projector, eager)
+        assert summary.mean_projector is summary.mean_projector
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_final_projector_rotated_alone_is_the_stack_row(self, n):
+        # write_summary_json rotates the final projector alone: the bits of
+        # the last row of the rotated stack
+        summary = run_ensemble(random_compare_config(n, n_trajectories=3))
+        final = summary.rotate(summary.eigen_projector[-1])
+        assert np.array_equal(final, summary.mean_projector[-1])
+
+    def test_compare_diagonalizes_nothing(self, monkeypatch):
+        summary = run_ensemble(random_compare_config())
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: (
+            calls.append(args), eigh(*args, **kwargs))[1])
+        compare_ensemble_to_master(summary)
+        assert calls == []
+        assert "mean_projector" not in vars(summary)   # nothing rotated
 
 
 def born_deviation_ok(summary):

@@ -22,6 +22,27 @@ tau0 x 1.05 reads z = -6.4 and would fail, while tau0 x 0.95 reads z = +5.8
 and passes the gate, so this config fails a tau0 error of about +5 % but
 not of -5 %.  Tier-1 time: 0.8 to 1.0 s on a 2-CPU host, about one run
 of the first config there.
+
+The same two runs at tau0 also check the mean energy.  Energy
+populations are martingales of the PSD equation, so E[<H>(t)] = <H>(0),
+and summary.mean_energy[-1] must lie within 4 sqrt(Var_0 H / M) (an upper
+bound on its standard error: Var <H>(t) = Var_0 H - E[Var H(t)]) plus an
+Euler allowance of 0.05 dt.  The Euler bias, measured with
+M = 4 000 000 at master_seed 11, is -0.028 dt, -0.023 dt and -0.012 dt at
+dt 0.1, 0.05 and 0.025 (standard error 0.0003 each) on the random config
+and +0.002 dt at dt 0.1 on the qubit (0 by its symmetry).  Here the random
+config reads -0.0045 against a gate of 0.0193 (<H>(0) = 0.1659) and the
+qubit -0.0028 against 0.0143.
+
+Power: none against a tau0 error, for the martingale holds at any tau0,
+and next to none against mutant E (curvature -0.45 tau0 dt, not -0.5, in
+both psd_increment and _EigenKernel), which breaks it: with the same
+noise, mutant E moves the random config's reading by -0.0012 (to -0.0058)
+and the qubit's by -0.00001, both far inside the gate; that shift reaches
+4 standard errors only at M of about 5 million.  What the check does fail
+is an error in the recorded energy itself: an offset beyond +-0.024 on
+either config, or on the random config a scale error beyond +14 % or
+-9 %.  It adds no run to tier-1, and no measurable time.
 """
 
 import numpy as np
@@ -42,33 +63,40 @@ def random_config() -> tuple[np.ndarray, np.ndarray]:
     return h, random_state(rng, 4)
 
 
-def gap_and_gate(scale: float, h, psi0) -> tuple[float, float]:
+def gap_and_gate(scale: float, h, psi0) -> tuple[float, float, float, float]:
     """The mean terminal Var H of a run from psi0 under H at tau0 x scale
-    minus the law at tau0, and the gate: 4 standard errors plus 0.35 dt."""
+    minus the law at tau0, and the gate: 4 standard errors plus 0.35 dt;
+    then the final mean <H> minus <H>(0), and its gate: 4 sqrt(Var_0 H /
+    M) plus 0.05 dt."""
     config = SimulationConfig(
         hamiltonian=h, initial_state=psi0, tau0=TAU0 * scale, dt=DT,
         t_final=T_FINAL, n_trajectories=M, master_seed=11,
         record_stride=round(T_FINAL / DT))
-    v = run_ensemble(config, workers=2,
-                     final_projector_only=True).terminal_variances
+    summary = run_ensemble(config, workers=2, final_projector_only=True)
+    v = summary.terminal_variances
     energies, vecs = np.linalg.eigh(h)
-    law = mean_variance(energies, np.abs(vecs.conj().T @ psi0) ** 2, TAU0,
-                        T_FINAL)
-    return v.mean() - law, 4 * v.std(ddof=1) / np.sqrt(M) + 0.35 * DT
+    p = np.abs(vecs.conj().T @ psi0) ** 2
+    law = mean_variance(energies, p, TAU0, T_FINAL)
+    var0 = p @ energies ** 2 - (p @ energies) ** 2
+    return (v.mean() - law, 4 * v.std(ddof=1) / np.sqrt(M) + 0.35 * DT,
+            summary.mean_energy[-1] - p @ energies,
+            4 * np.sqrt(var0 / M) + 0.05 * DT)
 
 
 def test_mean_variance_is_the_exact_law():
-    gap, gate = gap_and_gate(1.0, *random_config())
+    gap, gate, energy_gap, energy_gate = gap_and_gate(1.0, *random_config())
     assert abs(gap) <= gate
+    assert abs(energy_gap) <= energy_gate
 
 
 @pytest.mark.parametrize("scale", [1.05, 0.95])
 def test_a_five_percent_tau0_error_fails(scale):
-    gap, gate = gap_and_gate(scale, *random_config())
+    gap, gate, _, _ = gap_and_gate(scale, *random_config())
     assert abs(gap) > gate
 
 
 def test_readme_qubit_is_the_exact_law():
-    gap, gate = gap_and_gate(1.0, np.diag([0.5, -0.5]),
-                             np.array([1.0, 1.0]) / np.sqrt(2))
+    gap, gate, energy_gap, energy_gate = gap_and_gate(
+        1.0, np.diag([0.5, -0.5]), np.array([1.0, 1.0]) / np.sqrt(2))
     assert abs(gap) <= gate
+    assert abs(energy_gap) <= energy_gate

@@ -1,7 +1,7 @@
 """Digest the output of the four perfbench commands, to compare two checkouts.
 
     python3 tools/output_digest.py [--seeds 3 4] [--workers 1 2] [--against FILE]
-                                   [--usage] [--cpus N]
+                                   [--usage] [--cpus N] [--keep DIR]
 
 Prints one line per (workload, seed, workers): the sha256 over every file
 the command writes (each with its name), its standard output and error,
@@ -23,11 +23,16 @@ With --cpus N, each command runs on the first N CPUs this process may use
 (its affinity is cut in the child before exec), so a batch with a spare
 CPU steps half its rows in a row helper, or steps them all in-process:
 `--cpus 1 > one.txt`, then `--cpus 2 --against one.txt`, compares the two.
+With --keep DIR, each run's output files and standard output are also
+saved under DIR/<run>/, <run> being the run's name with `_` for spaces
+(`qubit_compare_seed=3_workers=1`); tools/output_values.py compares two
+such trees value by value.
 """
 
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -39,9 +44,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
-def digest(name: str, seed: int, workers, cpus=None) -> tuple[str, object]:
+def digest(name: str, seed: int, workers, cpus=None,
+           keep=None) -> tuple[str, object]:
     """sha256 of one execution's files, stdout, stderr and exit code, and
-    the resource usage of its process (on the CPUs `cpus`, if given)."""
+    the resource usage of its process (on the CPUs `cpus`, if given); with
+    `keep`, a directory, its files and stdout are copied there."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
@@ -67,6 +74,11 @@ def digest(name: str, seed: int, workers, cpus=None) -> tuple[str, object]:
                 stream.seek(0)
                 h.update(b"\0" + stream.read())
             h.update(b"\0" + str(proc.returncode).encode())
+        if keep is not None:
+            keep.mkdir(parents=True, exist_ok=True)
+            if (work / "out").is_dir():
+                shutil.copytree(work / "out", keep, dirs_exist_ok=True)
+            shutil.copyfile(work / "stdout", keep / "stdout")
         return h.hexdigest(), usage
 
 
@@ -82,6 +94,9 @@ def main(argv=None) -> int:
                              "peak RSS on standard error")
     parser.add_argument("--cpus", type=int, metavar="N",
                         help="run each command on the first N usable CPUs")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="also save each run's files and stdout under "
+                             "DIR/<run>/")
     args = parser.parse_args(argv)
     cpus = None
     if args.cpus is not None:
@@ -101,7 +116,8 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for w in [None] if name == "single_trajectory" else counts:
                 run = f"{name} seed={seed} workers={w or '-'}"
-                sha, usage = digest(name, seed, w, cpus)
+                keep = args.keep / "_".join(run.split()) if args.keep else None
+                sha, usage = digest(name, seed, w, cpus, keep)
                 line = f"{run} {sha}"
                 if args.usage:
                     print(f"{run} minflt={usage.ru_minflt} "
