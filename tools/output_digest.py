@@ -11,6 +11,8 @@ arguments), run by `python3 -m qsdsim.cli` from this checkout's `src`, each
 in a fresh interpreter and a fresh directory, with BLAS pinned to one
 thread.  record_ensemble also runs at one worker more than the largest
 asked for; single_trajectory takes no --workers and runs once per seed.
+`qsdsim master` also runs once per seed on the config of each workload
+in MASTER, as the line `<workload> master seed=<seed>`.
 Two checkouts give the same bytes iff their lists are equal.  With
 --against FILE, a listing saved from this script (of the parent checkout,
 say), it prints only the lines that differ from FILE's line of the same run,
@@ -43,12 +45,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
+MASTER = ("qubit_compare", "dense64_compare")   # configs `master` runs on
 
-def digest(name: str, seed: int, workers, cpus=None,
+
+def digest(name: str, seed: int, workers, master=False, cpus=None,
            keep=None) -> tuple[str, object]:
-    """sha256 of one execution's files, stdout, stderr and exit code, and
-    the resource usage of its process (on the CPUs `cpus`, if given); with
-    `keep`, a directory, its files and stdout are copied there."""
+    """sha256 of one execution's files, stdout, stderr and exit code (of
+    the workload's command, or with `master` of `qsdsim master` on its
+    config), and the resource usage of its process (on the CPUs `cpus`, if
+    given); with `keep`, a directory, its files and stdout are copied
+    there."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
@@ -60,7 +66,9 @@ def digest(name: str, seed: int, workers, cpus=None,
                 open(work / "stderr", "w+b") as err:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "qsdsim.cli",
-                 *workloads.cli_args(name, "config.json", "out", workers)],
+                 *(["master", "--config", "config.json", "--out", "out"]
+                   if master else
+                   workloads.cli_args(name, "config.json", "out", workers))],
                 cwd=work, env=env, stdout=out, stderr=err,
                 preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)))
             _, status, usage = os.wait4(proc.pid, 0)
@@ -108,29 +116,33 @@ def main(argv=None) -> int:
     if args.against is not None:
         saved = {line.rsplit(" ", 1)[0]: line for line in
                  args.against.read_text().splitlines() if line.strip()}
-    differ = False
+    runs = []       # (run, name, seed, workers, master)
     for name in workloads.WORKLOADS:
         counts = sorted(set(args.workers))
         if name == "record_ensemble":
             counts.append(counts[-1] + 1)
         for seed in args.seeds:
             for w in [None] if name == "single_trajectory" else counts:
-                run = f"{name} seed={seed} workers={w or '-'}"
-                keep = args.keep / "_".join(run.split()) if args.keep else None
-                sha, usage = digest(name, seed, w, cpus, keep)
-                line = f"{run} {sha}"
-                if args.usage:
-                    print(f"{run} minflt={usage.ru_minflt} "
-                          f"maxrss_kb={usage.ru_maxrss}", file=sys.stderr,
-                          flush=True)
-                if saved is None:
-                    print(line, flush=True)
-                    continue
-                before = saved.get(run)
-                if line != before:
-                    differ = True
-                    print(f"{line}\n  saved: {before or 'missing'}",
-                          flush=True)
+                runs.append((f"{name} seed={seed} workers={w or '-'}",
+                             name, seed, w, False))
+            if name in MASTER:
+                runs.append((f"{name} master seed={seed}", name, seed, None,
+                             True))
+    differ = False
+    for run, *what in runs:
+        keep = args.keep / "_".join(run.split()) if args.keep else None
+        sha, usage = digest(*what, cpus, keep)
+        line = f"{run} {sha}"
+        if args.usage:
+            print(f"{run} minflt={usage.ru_minflt} "
+                  f"maxrss_kb={usage.ru_maxrss}", file=sys.stderr, flush=True)
+        if saved is None:
+            print(line, flush=True)
+            continue
+        before = saved.get(run)
+        if line != before:
+            differ = True
+            print(f"{line}\n  saved: {before or 'missing'}", flush=True)
     return int(differ)
 
 
