@@ -172,14 +172,10 @@ def _cmd_master(args) -> int:
         solution, n, config.dt, steps), header)
     master_mod.write_snapshots_json(out / "master_states.json", snapshots,
                                     header)
-    final = snapshots[-1][1]
-    _emit({
-        "out": str(out),
-        "n_steps": config.n_steps,
-        "final_trace": float(np.trace(final).real),
-        "final_purity": float(np.trace(final @ final).real),
-        "final_offdiag_abs": master_mod.max_offdiagonal(final),
-    })
+    trace, purity, offdiag = master_mod.state_scalars(snapshots[-1][1])
+    _emit({"out": str(out), "n_steps": config.n_steps,
+           "final_trace": float(trace), "final_purity": float(purity),
+           "final_offdiag_abs": offdiag})
     return 0
 
 

@@ -144,6 +144,11 @@ def max_offdiagonal(rho) -> float:
     return float(np.max(np.abs(rho[mask]))) if rho.shape[0] > 1 else 0.0
 
 
+def state_scalars(rho) -> tuple:
+    """Trace, purity and max_offdiagonal of rho: a master.csv row after t."""
+    return np.trace(rho).real, np.trace(rho @ rho).real, max_offdiagonal(rho)
+
+
 def exact_states(solution, n: int, dt: float, steps):
     """Yield (t, rho) of solution (an exact_solution at dimension n) at t =
     dt * k for each step index k of `steps` (a range or an array), in order,
@@ -157,11 +162,9 @@ def exact_states(solution, n: int, dt: float, steps):
 
 
 def write_summary_csv(path, states, header: dict):
-    """One row of scalars per (t, rho) of states: t, trace, purity,
-    offdiag_abs."""
+    """One row per (t, rho) of states: t and rho's state_scalars."""
     qcore.write_table(path, header, ["t", "trace", "purity", "offdiag_abs"],
-                      ((t, np.trace(rho).real, np.trace(rho @ rho).real,
-                        max_offdiagonal(rho)) for t, rho in states))
+                      ((t, *state_scalars(rho)) for t, rho in states))
 
 
 def snapshot_indices(n_times: int) -> np.ndarray:

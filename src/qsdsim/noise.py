@@ -11,10 +11,10 @@ order in dt downstream.
 
 Streams are counter-based (Philox) and keyed by (master_seed,
 stream_index), so every trajectory of an ensemble owns an independent,
-bit-reproducible noise source, whoever draws it and when.  A batch draws
-its streams a block of steps at a time (fill_dxi_blocks) into the noise
-block of its one layout (trajectory._batch_layout), each stream keyed and
-drawn in the process that steps its trajectory (trajectory._RowHelper).
+bit-reproducible noise source, whoever draws it and when.  fill_dxi_blocks
+is the one draw: of a lone stream (sample_dxi_block), and of a batch's
+streams a block of steps at a time (trajectory._batch_layout), each in the
+process that steps its trajectory (trajectory._RowHelper).
 """
 
 import functools
@@ -79,27 +79,27 @@ def sample_dxi_block(dt: float, n: int, stream: NoiseStream) -> np.ndarray:
 
     sample_dxi is a block of one, so n successive sample_dxi draws from the
     same stream give the same bits, which is what lets batched integrators
-    replay per-step noise exactly.
+    replay per-step noise exactly (fill_dxi_blocks of a lone stream).
     """
     dt = positive("dt", dt)
     n = whole("n", n)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    g = stream.standard_normal((n, 2))
-    g *= np.sqrt(0.5 * dt)
-    return g.view(np.complex128)[:, 0]
+    dxi = np.empty(n, np.complex128)
+    fill_dxi_blocks(dt, [stream], dxi, None)
+    return dxi
 
 
 def fill_dxi_blocks(dt: float, streams, out, scratch):
     """Column j of out (steps, len(streams)) gets the next `steps`
-    increments of streams[j], the bits of sample_dxi_block(dt, steps,
-    streams[j]).
+    increments of streams[j]: each step's two normals, real part first,
+    times sqrt(dt / 2).
 
     The streams are drawn a group at a time into the float buffer scratch
     (group, >= steps, 2), which is scaled once and copied into out.  A
     lone stream is drawn straight into a contiguous out, (steps, 1) or
     (steps,), which is the same (steps, 2) floats, and scaled there:
-    scratch is not used (it may be None).
+    scratch is not used (it may be None): sample_dxi_block's draw.
     """
     steps = out.shape[0]
     scale = np.sqrt(0.5 * positive("dt", dt))

@@ -26,11 +26,11 @@ mean.
 
 H is time-independent, so production runs step in its eigenbasis, where
 Hd = diag(E_k - <H>) and the psd_step increment becomes elementwise
-(`_EigenKernel`: O(n) per step instead of O(n^2)).  The same kernel drives
-the ensemble and norm_defect_samples; the dense psd_step and qsd_step are
-its test oracles.  It steps B rows as a (B, n) array, and a batch of one
-as a rank-1 row (n,): fewer NumPy calls, and no casts.  It renormalizes a
-row only at the steps that read its norm (see _EigenKernel.steps).
+(`_EigenKernel`: O(n) per step instead of O(n^2)).  _EigenKernel.steps
+alone drives the ensemble and norm_defect_samples; the dense psd_step and
+qsd_step are its test oracles.  It steps B rows as a (B, n) array, and a
+batch of one as a rank-1 row (n,): fewer NumPy calls, and no casts.  It
+renormalizes a row only at the steps that read its norm.
 
 Determinism rule: a value per trajectory (its amplitudes, <H>, Var H,
 norm) comes only from elementwise ops and sums along a row, whose bits
@@ -42,14 +42,14 @@ so trajectory k of an ensemble replays as a batch of one.
 One driver, _integrate_eigenbasis, steps a batch a noise block (at most
 NOISE_BLOCK_BYTES) at a time; one record reducer, _Record, buffers its
 record points and reduces them a buffer at a time, each chunk (a fixed
-range of rows) on its own rows: sums along rows, and the projectors of
-the buffered points in one stacked BLAS call per chunk (the same zgemm per
-point as a call per point; chunk boundaries are fixed).  Every array a
-batch writes is a view of one allocation (_batch_layout), so no draw, step
-or flush allocates one.  Each process keys the noise streams of the rows
-it steps, and a forked row helper may step the upper half of the rows
-(_RowHelper): no output bit depends on which process steps a row.
-batch_plan decides all this once per run, and states the memory it takes.
+range of rows) on its own rows: sums along rows, and the projectors of the
+buffered points in one stacked BLAS call per chunk (the same zgemm per
+point as a call per point; chunk boundaries are fixed).  Each process keys
+the noise streams of the rows it steps, and a forked row helper may step
+the upper half of the rows (_RowHelper): no output bit depends on which
+process steps a row.  A process's arrays are views of one allocation, and
+a split batch's record buffer of a shared one (_process_layout): no draw,
+step or flush allocates.  batch_plan decides all this once per run.
 """
 
 import math
@@ -287,13 +287,6 @@ class _EigenKernel:
                 hold(c, e, nrm)
         return c, e
 
-    def step(self, c, e, coeff):
-        """steps through one step of coefficients coeff (B, 1), or a rank-1
-        row's scalar, returning each row's squared norm too."""
-        nrm = np.empty((1, len(c) if c.ndim == 2 else 1))
-        c, e = self.steps(c, e, np.asarray(coeff)[None], nrm, self.buffers(c.shape))
-        return c, e, nrm[0] if c.ndim == 2 else nrm[0, 0]
-
 
 @dataclass
 class _BatchSums:
@@ -356,6 +349,18 @@ def _batch_layout(row: tuple, capacity: int, block: int, steps=None,
             **({"group": ((group, block, 2), float)} if batch else {})}
 
 
+def _process_layout(count: int, n: int, rows: int, points: int, block: int,
+                    group: int, split: bool) -> tuple[dict, dict]:
+    """The arrays of a process stepping `rows` of a batch of count rows of
+    dimension n (a lone row as rank 1) with `points` record points (none in
+    a row helper), as two layouts: its own arena's, and the _SHARED arrays,
+    which a split batch keeps in one shared mmap ({} if not split)."""
+    row, steps = ((b, n) if b > 1 else (n,) for b in (count, rows))
+    own = _batch_layout(row, points, block, steps, group)
+    shared = {k: own.pop(k) for k in _SHARED} if split else {}
+    return own, shared
+
+
 def _sizes(layout: dict, align: int = _LINE) -> list:
     """The bytes of each array of layout, up to a multiple of align."""
     return [-(-math.prod(shape) * np.dtype(dtype).itemsize // align) * align
@@ -402,41 +407,35 @@ def batch_plan(count: int, n: int, n_steps: int, stride: int, kept: int,
     about 2.5 ms: it breaks even near 2e6 (24 x 1000 steps at n = 64 lost
     2.3 ms, 64 x 1000 at n = 32 won 1.1 ms), half of SPLIT_WORK.
 
-    The bytes count the chunks' reductions (`reduction` each), the arena
-    of each process that steps rows, from the very _batch_layout that
-    _RowHelper.arena builds (a helper's buffers no record point and
-    leaves out the arrays it shares, which take a page of their own), two
-    buffers of up to np.getbufsize() floats NumPy's iterator may take in
-    a flush, the first <H>, the kept series and the record times.  A
-    helper (`helper`, its bytes) adds its streams and a copy of each page
-    resident at its fork that either process writes: a base and a term
-    per stream, above its peak Private_Dirty in a fresh interpreter (0.69
-    to 0.91 of `helper`), but not of heap a process freed before the fork
-    and reuses.
+    The bytes count the chunks' reductions (`reduction` each), the arenas
+    of each process that steps rows, from the very _process_layout that
+    _RowHelper builds (a helper's own arena; the parent's, and the shared
+    mmap of a split batch, which takes a page of its own), two buffers of
+    up to np.getbufsize() floats NumPy's iterator may take in a flush, the
+    first <H>, the kept series and the record times.  A helper (`helper`,
+    its bytes) adds its streams and a copy of each page resident at its
+    fork that either process writes: a base and a term per stream, above
+    its peak Private_Dirty in a fresh interpreter (0.69 to 0.91 of
+    `helper`), but not of heap a process freed before the fork and reuses.
     """
     block = min(n_steps, max(1, NOISE_BLOCK_BYTES // (24 * count)))
     group = max(1, min(count, NOISE_GROUP_BYTES // (16 * block)))
-    row = (count, n) if count > 1 else (n,)
-    per_point = (sum(_sizes(_batch_layout(row, 1, block), 1))
-                 - sum(_sizes(_batch_layout(row, 0, block), 1)))
+
+    def arenas(rows, points, split=False, align=_LINE):  # own, shared bytes
+        return [_PAGE + sum(_sizes(part, align)) if part else 0 for part in
+                _process_layout(count, n, rows, points, block, group, split)]
+
+    per_point = arenas(count, 1, False, 1)[0] - arenas(count, 0, False, 1)[0]
     capacity = max(1, min((BATCH_BUFFER_BYTES - NOISE_GROUP_BYTES) // per_point,
                           block // stride + 2))
     n_rec = record_count(n_steps, stride)
     reduction = n_rec * 4 * 8 + projectors * 16 * n * n
-
-    def arena(rows, points):   # of a process stepping `rows` of the rows
-        layout = _batch_layout(row, points, block,
-                               (rows, n) if rows > 1 else (n,), group)
-        return _PAGE + sum(_sizes({k: v for k, v in layout.items()
-                                   if points or k not in _SHARED}))
-
-    helper = (arena(count - count // 2, 0) + HELPER_BASE_BYTES
-              + HELPER_STREAM_BYTES * count
-              if spare_cpu and count > 1 and hasattr(os, "fork")
-              and count * n_steps * (n + 11) >= SPLIT_WORK else 0)
-    held = (-(-count // chunk) * reduction
-            + arena(count // 2 if helper else count, capacity) + helper
-            + (_PAGE if helper else 0)      # the shared buffer's own page
+    split = (spare_cpu and count > 1 and hasattr(os, "fork")
+             and count * n_steps * (n + 11) >= SPLIT_WORK)
+    helper = (arenas(count - count // 2, 0, True)[0] + HELPER_BASE_BYTES
+              + HELPER_STREAM_BYTES * count if split else 0)
+    held = (-(-count // chunk) * reduction + helper
+            + sum(arenas(count // 2 if split else count, capacity, split))
             + 16 * min(np.getbufsize(), capacity * count * 2 * n)  # iterator
             + 8 * count                 # <H> before the first step
             + (24 * kept + 8) * n_rec)  # kept series and times
@@ -458,20 +457,19 @@ class _RowHelper:
 
     def __init__(self, plan: BatchPlan, count: int, n: int):
         self.rows, self.pid, self.child = slice(0, count), None, False
-        self.plan, self.row = plan, (count, n) if count > 1 else (n,)  # rank 1
+        self.plan, self.batch = plan, (count, n)
         self.owed = False     # the helper's rows are handed over
-        layout = _batch_layout(self.row, plan.capacity, plan.block)
-        self.shared = (_arena({k: layout[k] for k in _SHARED}, shared=True)
-                       if plan.helper and count > 1 else {})
+        self.shared = (_arena(_process_layout(
+            count, n, count, plan.capacity, plan.block, plan.group, True)[1],
+            shared=True) if plan.helper and count > 1 else {})
 
     def arena(self) -> dict:
-        """This process's arena: its rows' layout and the shared arrays."""
-        plan, n, rows = self.plan, self.row[-1], self.rows.stop - self.rows.start
-        layout = _batch_layout(self.row, 0 if self.child else plan.capacity,
-                               plan.block, (rows, n) if rows > 1 else (n,),
-                               plan.group)
-        return {**_arena({k: v for k, v in layout.items()
-                          if k not in self.shared}), **self.shared}
+        """This process's arena: its own arrays and the shared ones."""
+        plan, rows = self.plan, self.rows.stop - self.rows.start
+        own, _ = _process_layout(*self.batch, rows, 0 if self.child else
+                                 plan.capacity, plan.block, plan.group,
+                                 bool(self.shared))
+        return {**_arena(own), **self.shared}
 
     def __enter__(self):
         if not self.shared:
@@ -687,10 +685,11 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     """Pre-renormalization ||psi + dpsi||^2 - 1 for n independent noise draws
     from the same initial state.
 
-    n copies of psi's eigenbasis row step once against a draw each, 4096
-    at a time.  The sample mean estimates the O(dt^2) discretization
-    defect; individual draws fluctuate at O(dt) around it with zero mean.
-    A sample beyond physical memory (32 bytes a draw) is refused first.
+    n copies of psi's eigenbasis row step once (_EigenKernel.steps, as a
+    batch) against a draw each, 4096 at a time.  The sample mean estimates
+    the O(dt^2) discretization defect; individual draws fluctuate at O(dt)
+    around it with zero mean.  A sample beyond physical memory (32 bytes a
+    draw) is refused first.
     """
     psi, h = qcore.as_state(psi), qcore.as_operator(h)
     qcore._check_match(h, psi)
@@ -699,11 +698,12 @@ def norm_defect_samples(psi, h, tau0: float, dt: float, n: int,
     qcore.check_memory(32 * n, f"{n} norm defect samples", "lower n")
     dxi = sample_dxi_block(dt, n, stream)
     kernel = _EigenKernel(h, dt, tau0)
-    c = np.tile(kernel.vecs.conj().T @ psi, (min(n, 4096), 1))
-    coeff = kernel.coefficients(dxi[None, :])[0]
-    return np.concatenate([
-        kernel.step(c[:len(z)], kernel.mean_energy(c[:len(z)]), z)[2]
-        for z in np.split(coeff, range(4096, n, 4096))]) - 1.0
+    coeff, nrm = kernel.coefficients(dxi[None, :]), np.empty((1, n))
+    for lo in range(0, n, 4096):
+        c = np.tile(kernel.vecs.conj().T @ psi, (min(n - lo, 4096), 1))
+        kernel.steps(c, kernel.mean_energy(c), coeff[:, lo:lo + 4096],
+                     nrm[:, lo:lo + 4096], kernel.buffers(c.shape))
+    return nrm[0] - 1.0
 
 
 @dataclass

@@ -171,7 +171,8 @@ class TestEigenKernel:
         e = kernel.mean_energy(c)
         deviations = []
         for k in range(200):
-            c, e, _ = kernel.step(c, e, coeff[k])
+            c, e = kernel.steps(c, e, coeff[k:k + 1], np.empty((1, 1)),
+                                kernel.buffers(c.shape))
             psi = psd_step(psi, h, tau0, dxi[k], dt)
             deviations.append(float(np.max(np.abs(vecs @ c[0] - psi))))
         assert deviations[0] < 1e-12
@@ -341,7 +342,8 @@ class TestEigenKernelProperties:
         kernel = _EigenKernel(h, dt, tau0)
         coeff = kernel.coefficients(np.array([[dxi]]))
         c = (kernel.vecs.conj().T @ psi)[None, :]
-        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
+        c_next, e_next = kernel.steps(c, kernel.mean_energy(c), coeff,
+                                      np.empty((1, 1)), kernel.buffers(c.shape))
         dense = psd_step(psi, h, tau0, dxi, dt)
         assert np.max(np.abs(kernel.vecs @ c_next[0] - dense)) < 1e-12
         assert abs(np.linalg.norm(c_next[0]) - 1.0) < 1e-14
@@ -361,7 +363,8 @@ class TestEigenKernelProperties:
         c = np.zeros((1, len(h)), dtype=np.complex128)
         c[0, k % len(h)] = 1.0
         coeff = kernel.coefficients(np.array([[dxi]]))
-        c_next, e_next, _ = kernel.step(c, kernel.mean_energy(c), coeff[0])
+        c_next, e_next = kernel.steps(c, kernel.mean_energy(c), coeff,
+                                      np.empty((1, 1)), kernel.buffers(c.shape))
         assert np.array_equal(c_next, c)
         assert e_next[0] == kernel.energies[k % len(h)]
 
@@ -771,17 +774,17 @@ class TestRecordBuffer:
         assert peak[0] <= 32 * np.getbufsize() + (16 << 10)
 
     def test_a_lone_row_at_stride_one_fits_its_plan(self, monkeypatch):
-        # 300 000 steps of a lone row, one noise block, each step a record
+        # 30 000 steps of a lone row, one noise block, each step a record
         # point: the steps that record are found by arithmetic, so the
         # run's traced peak is its plan's bytes and the slack above (a set
-        # of the block's record steps took 44.0 MiB against 26.2 MiB).  A
+        # of the block's record steps took 6.38 MiB against 3.79 MiB).  A
         # short run first loads what the first run in a process imports
         plans = []
         monkeypatch.setattr(ensemble, "batch_plan", lambda *args: (
             plans.append(trajectory.batch_plan(*args)) or plans[-1]))
         config = one_trajectory(np.diag([0.5, -0.5]),
                                 np.array([1, 1]) / np.sqrt(2), tau0=0.4,
-                                dt=1e-3, t_final=300.0, master_seed=3,
+                                dt=1e-3, t_final=30.0, master_seed=3,
                                 record_stride=1)
         run_trajectory(replace(config, t_final=0.01), 0)
         tracemalloc.start()
@@ -791,7 +794,7 @@ class TestRecordBuffer:
         finally:
             tracemalloc.stop()
         plan = plans[-1]
-        assert plan.n_steps == plan.block == 300_000 and plan.stride == 1
+        assert plan.n_steps == plan.block == 30_000 and plan.stride == 1
         assert peak <= plan.bytes + 32 * np.getbufsize() + (16 << 10)
 
     def test_grouped_fill_is_sample_dxi_block(self):
@@ -985,6 +988,43 @@ class TestNoiseHelper:
                              (2560, 122)):
             assert trajectory.batch_plan(count, 2, 10 ** 6, 1, 0, 512,
                                          spare_cpu, 10 ** 6 + 1).block == block
+
+    @pytest.mark.parametrize("count, n, n_steps, stride, kept, spare_cpu", [
+        (2000, 2, 600, 1, 0, True), (128, 64, 1000, 50, 1, True),
+        (128, 64, 1000, 50, 1, False), (24, 64, 1000, 1, 2, True),
+        (1, 8, 6000, 100, 1, True),
+    ], ids=["split-2000-rows", "split-n64", "unsplit-n64", "too-little-work",
+            "one-row"])
+    def test_the_plan_charges_what_each_process_builds(
+            self, count, n, n_steps, stride, kept, spare_cpu):
+        # a plan's arena terms are the allocations _RowHelper makes after
+        # the fork (rows and child set as __enter__ sets them, without
+        # forking): a helper's own arena, beside its copied pages, and the
+        # parent's own arena plus the shared mmap; the other terms are the
+        # reductions and those batch_plan's docstring names
+        plan = plan_for(count, n, n_steps, stride, kept, 512, spare_cpu)
+        assert bool(plan.helper) == (spare_cpu and count * n_steps * (n + 11)
+                                     >= trajectory.SPLIT_WORK)
+        split = trajectory._RowHelper(plan, count, n)
+
+        def built(arena):       # the bytes of the allocations it views
+            return sum({id(a.base): a.base.nbytes
+                        for a in arena.values()}.values())
+
+        half = count // 2 if plan.helper else count
+        split.rows = slice(0, half)
+        others = (-(-count // 512) * plan.reduction + plan.helper
+                  + 16 * min(np.getbufsize(), plan.capacity * count * 2 * n)
+                  + 8 * count
+                  + (24 * kept + 8) * trajectory.record_count(n_steps, stride))
+        assert plan.bytes - others == built(split.arena())
+        assert len(split.shared) == (4 if plan.helper else 0)
+        if plan.helper:
+            split.rows, split.child = slice(half, count), True
+            own = {k: a for k, a in split.arena().items()
+                   if k not in split.shared}
+            assert (plan.helper - trajectory.HELPER_BASE_BYTES
+                    - trajectory.HELPER_STREAM_BYTES * count) == built(own)
 
     def test_helper_draws_the_same_bits(self, monkeypatch):
         kernel, c0 = batch_inputs(3, 40, seed=3)
@@ -1376,8 +1416,11 @@ class TestNormDiscipline:
             kernel = _EigenKernel(h, dt, 0.6)
         c = kernel.vecs.conj().T @ psi
         coeff = kernel.coefficients(sample_dxi_block(dt, n, NoiseStream(3, dim)))
-        expected = [kernel.step(c, kernel.mean_energy(c), z)[2] - 1.0
-                    for z in coeff]
+        nrm = np.empty((n, 1))
+        for i in range(n):
+            kernel.steps(c, kernel.mean_energy(c), coeff[i:i + 1],
+                         nrm[i:i + 1], kernel.buffers(c.shape))
+        expected = nrm[:, 0] - 1.0
         assert np.array_equal(samples, expected)
 
     def test_sample_count_is_a_whole_number(self, rng):
