@@ -211,7 +211,7 @@ class _EigenKernel:
         term (a real array twice; for a rank-1 row, a complex one at
         imaginary part +0.0, which no op casts, under its real view), <H>;
         a batch adds row reciprocals, np.take's indices, tiled energies."""
-        a = arena or _arena(_batch_layout(shape, 0, 0))
+        a = arena or _arena(_batch_layout(shape, shape, 0, 0))
         amps = [(c, c.view(np.float64), c.view(np.float64).T) for c in a["amps"]]
         if len(shape) == 1:
             a["hd"][...] = a["cur"][...] = 0
@@ -321,25 +321,24 @@ class BatchPlan:
     bytes: int        # what a worker holds for the batch, any helper's too
 
 
-def _batch_layout(row: tuple, capacity: int, block: int, steps=None,
+def _batch_layout(row: tuple, steps: tuple, capacity: int, block: int,
                   group: int = 0) -> dict:
     """Name -> (shape, dtype) of every array that a batch of rows (B, n), or
-    a rank-1 row (n,), writes between its first and last step, with
-    `capacity` record points buffered and noise blocks of `block` steps:
-    the step's (see _EigenKernel.buffers) for the rows `steps` (all if
-    None), the record buffer (amplitudes, <H>, norm^2), the block's squared
-    norms, a flush's temporaries (variance's hd, then the conjugated chunk,
-    terms and result, the norm defect and its abs), and the noise block of
-    the rows stepped, (block, B) or (block,), with, for two rows or more,
-    the draw buffer of `group` streams (see fill_dxi_blocks)."""
+    a rank-1 row (n,), writes between its first and last step, stepping its
+    rows `steps`, with `capacity` record points buffered and noise blocks
+    of `block` steps: the step's (see _EigenKernel.buffers), the record
+    buffer (amplitudes, <H>, norm^2), the block's squared norms, a flush's
+    temporaries (variance's hd, then the conjugated chunk, terms and
+    result, the norm defect and its abs), and the noise block of the rows
+    stepped, (block, B) or (block,), with, for two rows or more, the draw
+    buffer of `group` streams (see fill_dxi_blocks)."""
     n, points = row[-1], (capacity,) + (row[:-1] or (1,))
-    row = steps or row                 # the rows stepped
-    batch = row[:-1]                   # (B,), or () for a rank-1 row
+    batch = steps[:-1]                 # (B,), or () for a rank-1 row
     offsets = float if batch else complex
-    return {"amps": ((2,) + row, complex), "f": (row, complex),
-            "hd": (row, offsets), "cur": (row, offsets), "e": (batch, float),
-            **({"r": (batch, float), "rows": (row, np.intp),
-                "tiled": (row, float)} if batch else {}),
+    return {"amps": ((2,) + steps, complex), "f": (steps, complex),
+            "hd": (steps, offsets), "cur": (steps, offsets), "e": (batch, float),
+            **({"r": (batch, float), "rows": (steps, np.intp),
+                "tiled": (steps, float)} if batch else {}),
             "held_c": (points + (n,), complex),
             "norms": ((block,) + points[1:], float),
             **dict.fromkeys(("held_e", "held_nrm_sq", "var", "defect",
@@ -356,7 +355,7 @@ def _process_layout(count: int, n: int, rows: int, points: int, block: int,
     a row helper), as two layouts: its own arena's, and the _SHARED arrays,
     which a split batch keeps in one shared mmap ({} if not split)."""
     row, steps = ((b, n) if b > 1 else (n,) for b in (count, rows))
-    own = _batch_layout(row, points, block, steps, group)
+    own = _batch_layout(row, steps, points, block, group)
     shared = {k: own.pop(k) for k in _SHARED} if split else {}
     return own, shared
 
