@@ -89,7 +89,7 @@ def test_outputs_do_not_depend_on_the_split():
     usable CPUs or more the listing splits qubit_compare and dense64_compare
     with a row helper: the listing is still the committed one.  With fewer
     CPUs nothing splits, so the test skips, and a skip is not a pass.  It
-    adds about 5 s to tier-1 on a 2-CPU host."""
+    adds about 6 s to tier-1 on a 2-CPU host."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if cpus < 2:
         pytest.skip(f"{cpus} usable CPU: no batch splits, so --cpus 1 tests "
